@@ -24,8 +24,7 @@ from .modules import (FiniteModule, ModuleHom, identity_hom, module_as_muset,
 from .musets import (MuSet, MuSetAut, OrbitView, aut_abelianize, aut_compose,
                      aut_delta, aut_extend, aut_identity, aut_inverse,
                      aut_to_permutation, muset_product, perm_sign)
-from .padic import (KElem, LocalField, k_add, k_inv, k_mul, k_one_minus,
-                    k_reduce_mod_pi, k_sub, local_field)
+from .padic import KElem, LocalField, k_add, k_one_minus, k_sub, local_field
 from .rings import RingCtx, ring_make
 from .symbols import (SymbolReport, crosscheck, delta_route_symbol,
                       power_residue_symbol, steinberg_check, tame_symbol)

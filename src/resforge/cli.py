@@ -35,7 +35,8 @@ def _env(name, cast, default):
     try:
         return cast(raw)
     except ValueError:
-        raise SystemExit(f"bad RESFORGE_{name}={raw!r}")
+        print(f"error: bad RESFORGE_{name}={raw!r}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _add_field_args(sub):
@@ -54,19 +55,30 @@ def _add_field_args(sub):
                      default=_env("FORMAT", str, "human"))
 
 
+class _UsageError(Exception):
+    """A bad flag value; main reports it on one line and exits 2."""
+
+
 def _field(args) -> LocalField:
+    """The field named by --p/--f, after checking that --n divides q - 1."""
     if args.p is None:
-        raise SystemExit("--p is required (or set RESFORGE_P)")
+        raise _UsageError("--p is required (or set RESFORGE_P)")
+    if args.n is None:
+        raise _UsageError("--n is required (or set RESFORGE_N)")
     kw = {"enum_bound": args.bound}
     if args.precision:
         kw["default_precision"] = args.precision
-    return LocalField(args.p, args.f, **kw)
+    try:
+        lf = LocalField(args.p, args.f, **kw)
+    except ValueError as exc:
+        raise _UsageError(exc) from None
+    if args.n < 1 or (lf.q - 1) % args.n:
+        raise _UsageError(f"n = {args.n} does not divide q - 1 = {lf.q - 1}")
+    return lf
 
 
 def _cmd_symbol(args) -> int:
     lf = _field(args)
-    if args.n is None:
-        raise SystemExit("--n is required (or set RESFORGE_N)")
     try:
         a = lf.parse(args.a)
         b = lf.parse(args.b)
@@ -129,8 +141,6 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     lf = _field(args)
-    if args.n is None:
-        raise SystemExit("--n is required (or set RESFORGE_N)")
     units = range(1, lf.p) if lf.f == 1 else range(1, lf.q)
     vals = range(-args.vmax, args.vmax + 1)
     side = (lf.q - 1) * (2 * args.vmax + 1)
@@ -196,7 +206,11 @@ def main(argv=None) -> int:
     tab.set_defaults(func=_cmd_table)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

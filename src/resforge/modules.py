@@ -13,7 +13,7 @@ entry condition v(a_jk) >= e_j - e_k makes the map well defined.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import product, repeat
 
 from .errors import EnumerationBound
 from .fields import MuScalar
@@ -61,10 +61,13 @@ class FiniteModule:
     def __hash__(self):
         return hash(self.key)
 
-    def elements(self):
+    def _check_bound(self):
         if self.size > self.lf.enum_bound:
             raise EnumerationBound(
                 f"module of size {self.size} exceeds bound {self.lf.enum_bound}")
+
+    def elements(self):
+        self._check_bound()
         return product(*(range(self.lf.q**e) for e in self.exps))
 
     def generators(self):
@@ -80,6 +83,13 @@ class FiniteModule:
     def mu_act(self, n: int):
         zetas = [r.zeta(n) for r in self.rings]
         rings = self.rings
+        if self.lf.f == 1:
+            pairs = [(z, r.pN) for r, z in zip(rings, zetas)]
+
+            def act(x):
+                return tuple(z * c % pN for (z, pN), c in zip(pairs, x))
+
+            return act
 
         def act(x):
             return tuple(r.mul(z, c) for r, z, c in zip(rings, zetas, x))
@@ -132,6 +142,33 @@ class ModuleHom:
                     acc = rj.add(acc, rj.mul(lifted, self.cols[k][j]))
             out.append(acc)
         return tuple(out)
+
+    def images(self):
+        """self.apply(x) for every x, in src.elements() order.
+
+        apply is additive, so each output component is a sum over the
+        same product as elements() of per-coordinate multiples
+        t * cols[k][j]; one flat list per component is built by adding
+        those multiples, and the components are zipped lazily.
+        """
+        src, dst = self.src, self.dst
+        src._check_bound()
+        if not dst.rank:
+            return repeat((), src.size)
+        comps = []
+        for j, rj in enumerate(dst.rings):
+            acc = [0]
+            for k, rk in enumerate(src.rings):
+                c = self.cols[k][j]
+                if rj.f == 1:
+                    pj = rj.pN
+                    mults = [t * c % pj for t in range(rk.size)]
+                    acc = [(a + b) % pj for a in acc for b in mults]
+                else:
+                    mults = [rj.mul(rk.lift_naive(t, rj), c) for t in range(rk.size)]
+                    acc = [rj.add(a, b) for a in acc for b in mults]
+            comps.append(acc)
+        return zip(*comps)
 
     def compose(self, other: "ModuleHom") -> "ModuleHom":
         """self after other."""

@@ -228,18 +228,6 @@ def local_field(p: int, f: int = 1, **kw) -> LocalField:
 # free-function forms of the group operations ----------------------------------
 
 
-def k_mul(a: KElem, b: KElem) -> KElem:
-    return a * b
-
-
-def k_inv(a: KElem) -> KElem:
-    return a.inverse()
-
-
-def k_reduce_mod_pi(a: KElem) -> int:
-    return a.reduce_mod_pi()
-
-
 def k_add(a: KElem, b: KElem) -> KElem:
     """Sum in K; fails with PrecisionError if cancellation eats all digits."""
     a._same_field(b)

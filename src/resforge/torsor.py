@@ -165,57 +165,54 @@ def fiber_iso(Y, Z, f, n: int, rule: str = "least") -> MuScalar:
                 raise ValueError(f"fiber of {z!r} has size {len(fib)} != 1 mod n")
     total = 0
     for rep_z in vZ.reps:
-        orbit_z = vZ.orbit_of(rep_z)
-        # all preimages of the orbit of rep_z, grouped into mu_n-orbits
-        preim = [y for y in vY.table
-                 if vZ.orbit_of(f(y)) == orbit_z and f(y) == rep_z]
-        for y in preim:
+        for y in fibers[rep_z]:
             total += vY.exp_of(y)
     return MuScalar(n, total)
 
 
 def _exact_seq_exp(X: FiniteModule, Y: FiniteModule, Z: FiniteModule,
-                   incl: ModuleHom, proj: ModuleHom, n: int, rule: str,
-                   check: bool = True) -> int:
+                   incl: ModuleHom, proj: ModuleHom, n: int, rule: str) -> int:
     """Exponent of the canonical map det(X) (x) det(Z) -> det(Y).
 
     The two-step mechanism: det(Y) = det(X) (x) det(Y // X) via the orbit
     partition, then det(Z) = det(Y // X) via the fiber map induced by
-    proj.  Collapsed into two passes over the elements of X and Y.
+    proj.  Collapsed into the image set of incl and one streamed pass
+    over the elements of Y beside their images under proj.
     """
     if Y.size > Y.lf.enum_bound:
         raise EnumerationBound(f"middle module of size {Y.size} exceeds the bound")
-    image = set()
-    for x in X.elements():
-        image.add(incl.apply(x))
-    if check:
-        if len(image) != X.size:
-            raise ValueError("sequence not exact: inclusion is not injective")
-        if X.size * Z.size != Y.size:
-            raise ValueError("sequence not exact: cardinalities do not multiply")
-        zero_z = Z.zero
-        for x in image:
-            if proj.apply(x) != zero_z:
-                raise ValueError("sequence not exact: proj o incl != 0")
+    image = set(incl.images())
+    if len(image) != X.size:
+        raise ValueError("sequence not exact: inclusion is not injective")
+    if X.size * Z.size != Y.size:
+        raise ValueError("sequence not exact: cardinalities do not multiply")
+    if n > 1:
+        vX, vY, vZ = X.view(n, rule), Y.view(n, rule), Z.view(n, rule)
+        table, reps_z = vY.table, set(vZ.reps)
+    zero_z = Z.zero
+    # kernel of proj, counted as its part inside the image and a flag for
+    # any part outside it; kernel == image iff hits == |image| and no stray
+    hits, stray, total = 0, False, 0
+    for y, z in zip(Y.elements(), proj.images()):
+        if z == zero_z:
+            if y in image:
+                hits += 1
+            else:
+                stray = True
+        elif n > 1 and z in reps_z:
+            # fiber scalar for Y//X -> Z: orbits of Y//X keep Y's
+            # representatives, so each contributes the twist of its unique
+            # element over Z's representative
+            total += table[y][1]
+    if hits != len(image):
+        raise ValueError("sequence not exact: proj o incl != 0")
+    if stray:
+        raise ValueError("sequence not exact at the middle term")
     if n == 1:
         return 0
-    vX, vY, vZ = X.view(n, rule), Y.view(n, rule), Z.view(n, rule)
-    total = 0
     # orbits of Y lying inside X: twist of incl(rep) against Y's representative
     for r in vX.reps:
         total += vY.exp_of(incl.apply(r))
-    # fiber scalar for Y//X -> Z: orbits of Y//X keep Y's representatives, so
-    # each orbit contributes the twist of its unique element over Z's rep
-    zero_z = Z.zero
-    for y in vY.table:
-        if y in image:
-            continue
-        z = proj.apply(y)
-        if z == zero_z:
-            raise ValueError("sequence not exact at the middle term")
-        jz, ez = vZ.table[z]
-        if ez == 0:  # z is the pinned representative of its orbit
-            total += vY.exp_of(y)
     return total % n
 
 

@@ -88,3 +88,23 @@ def test_env_override(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "symbol", "3", "7")
     assert code == 0
     assert "zeta^1" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("symbol", "--p", "4", "--n", "2", "3", "5"),
+    ("symbol", "--p", "7", "--f", "0", "--n", "2", "3", "5"),
+    ("table", "--p", "7", "--n", "4"),
+])
+def test_bad_field_flags_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_env_value_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("RESFORGE_P", "x")
+    with pytest.raises(SystemExit) as exc:
+        main(["symbol", "--n", "2", "3", "5"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == "error: bad RESFORGE_P='x'\n"

@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 
 from resforge.errors import PrecisionError
-from resforge.padic import (KElem, k_add, k_inv, k_mul, k_one_minus,
-                            k_reduce_mod_pi, k_sub, local_field)
+from resforge.padic import KElem, k_add, k_one_minus, k_sub, local_field
 
 
 @pytest.fixture
@@ -13,14 +12,14 @@ def q7():
 
 
 def test_pi_times_pi_inverse_is_one(q7):
-    x = k_mul(q7.pi(1), q7.pi(-1))
+    x = q7.pi(1) * q7.pi(-1)
     assert x.val == 0 and x.reduce_mod_pi() == 1
 
 
 def test_unit_reduction(q7):
     a = q7.parse("3")
     assert a.val == 0
-    assert k_reduce_mod_pi(a) == 3
+    assert a.reduce_mod_pi() == 3
 
 
 def test_inverse_of_three_at_precision_two(q7):
@@ -37,7 +36,7 @@ def test_valuations_add(q7):
         a = q7.pi(rng.randint(-4, 4)) * q7.from_rational(rng.randint(1, 6))
         b = q7.pi(rng.randint(-4, 4)) * q7.from_rational(rng.randint(1, 6))
         assert (a * b).val == a.val + b.val
-        assert (a * b) * k_inv(b) == a
+        assert (a * b) * b.inverse() == a
 
 
 def test_power_and_negation(q7):

@@ -235,10 +235,19 @@ def test_exact_seq_degenerate_ends():
 def test_exact_seq_rejects_non_exact():
     lf = local_field(7)
     T = FiniteModule(lf, (1,))
-    T2 = FiniteModule(lf, (2,))
+    TT = FiniteModule(lf, (1, 1))
     ident = identity_hom(T)
-    with pytest.raises(ValueError):
-        exact_seq_iso(T, T, T, ident, ident, 2)  # cardinalities off, proj.incl != 0
+    first = ModuleHom(T, TT, [(1, 0)])                    # x -> (x, 0)
+    cases = [
+        (T, T, T, ModuleHom(T, T, [(0,)]), ident, "not injective"),
+        (T, T, T, ident, ident, "cardinalities"),
+        (T, TT, T, first, ModuleHom(TT, T, [(1,), (0,)]), "proj o incl"),
+        (T, TT, T, first, ModuleHom(TT, T, [(0,), (0,)]), "middle term"),
+    ]
+    for X, Y, Z, incl, proj, msg in cases:
+        for n in (1, 2, 6):
+            with pytest.raises(ValueError, match=msg):
+                exact_seq_iso(X, Y, Z, incl, proj, n)
 
 
 def test_naturality_of_exact_sequence_scalar():
@@ -264,6 +273,51 @@ def test_naturality_of_exact_sequence_scalar():
         dY = det_of_module_aut(Y, gY, n).exp
         dZ = det_of_module_aut(Z, gZ, n).exp
         assert (dX + dZ) % n == dY % n
+
+
+def _exact_seq_exp_per_element(X, Y, Z, incl, proj, n, rule):
+    """The exact-sequence exponent by applying incl and proj to each element."""
+    image = {incl.apply(x) for x in X.elements()}
+    assert len(image) == X.size and X.size * Z.size == Y.size
+    assert all(proj.apply(x) == Z.zero for x in image)
+    if n == 1:
+        return 0
+    vX, vY, vZ = X.view(n, rule), Y.view(n, rule), Z.view(n, rule)
+    total = sum(vY.exp_of(incl.apply(r)) for r in vX.reps)
+    for y in vY.table:
+        if y in image:
+            continue
+        z = proj.apply(y)
+        assert z != Z.zero
+        if vZ.exp_of(z) == 0:
+            total += vY.exp_of(y)
+    return total % n
+
+
+def test_exact_seq_exp_matches_per_element_oracle():
+    rng = random.Random(12)
+    checked = 0
+    for p, f in [(3, 1), (5, 1), (7, 1), (3, 2)]:
+        lf = local_field(p, f)
+        ns = [n for n in range(1, lf.q) if (lf.q - 1) % n == 0]
+        for _ in range(12):
+            m = rng.randint(1, 2)
+            A = standard_lattice(lf, m)
+            B = Lattice(A.mat @ _rand_integral(lf, rng, m, 2))
+            C = Lattice(B.mat @ _rand_integral(lf, rng, m, 1))
+            QYZ, QXZ, QXY = (quotient_struct(A, C), quotient_struct(B, C),
+                             quotient_struct(A, B))
+            X, Y, Z = QXZ.module, QYZ.module, QXY.module
+            if Y.size > 3000:
+                continue
+            incl = induced_hom(QXZ, QYZ)
+            proj = induced_hom(QYZ, QXY)
+            for n in ns:
+                for rule in ("least", "second_least"):
+                    assert (_exact_seq_exp(X, Y, Z, incl, proj, n, rule)
+                            == _exact_seq_exp_per_element(X, Y, Z, incl, proj, n, rule))
+            checked += 1
+    assert checked >= 20
 
 
 def _rand_integral(lf, rng, m, emax):
