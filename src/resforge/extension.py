@@ -79,6 +79,8 @@ class SymbolEngine:
         self._rho_m1: dict = {}
         self._kappa_m1: dict = {}
         self._reldim_m1: dict = {}
+        # the mu_n character of -1, the sign term of corrected_symbol
+        self._sign_exp = power_residue_char(lf.field, lf.field.neg(1), n).exp
 
     # lattice helpers --------------------------------------------------------
 
@@ -275,7 +277,8 @@ def comm_symbol(f, g, engine: SymbolEngine) -> MuScalar:
     """{f, g} = [lift(f), lift(g)] for commuting f, g; equals c(f,g) - c(g,f)."""
     f = engine.as_kmat(f)
     g = engine.as_kmat(g)
-    if not _commute(f, g):
+    # K^x is commutative, so only m >= 2 needs the check
+    if f.nrows > 1 and not _commute(f, g):
         raise ValueError("commutator symbol needs commuting arguments")
     return MuScalar(engine.n, cocycle_exp(f, g, engine) - cocycle_exp(g, f, engine))
 
@@ -302,6 +305,4 @@ def corrected_symbol(a, b, engine: SymbolEngine) -> MuScalar:
     comm = comm_symbol(fa, fb, engine)
     da = _rel_dim_m1(engine, fa.entry_val(0, 0))
     db = _rel_dim_m1(engine, fb.entry_val(0, 0))
-    field = engine.lf.field
-    sign = power_residue_char(field, field.neg(1), engine.n)
-    return MuScalar(engine.n, comm.exp + (da % 2) * (db % 2) * sign.exp)
+    return MuScalar(engine.n, comm.exp + (da % 2) * (db % 2) * engine._sign_exp)

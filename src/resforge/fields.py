@@ -9,6 +9,11 @@ irreducible of degree f in encoding order) and a canonical generator of
 the multiplicative group (the least encoding of order q - 1).  Discrete
 logarithms, and with them the exponent encoding of roots of unity, are
 therefore reproducible across runs.
+
+For f = 1 products are modular integers.  For f > 1 multiplication,
+powers and inverses are lookups in log/antilog tables of the canonical
+generator, built once per context (Lidl-Niederreiter, Finite Fields,
+ch. 9); addition stays coefficient-wise on the encodings.
 """
 
 from __future__ import annotations
@@ -77,18 +82,21 @@ def _poly_mulmod(a, b, mod, p):
     return _poly_reduce(res, mod, p)
 
 
+def _poly_powmod(a, e, mod, p):
+    # a^e mod (mod, p) for e >= 0
+    acc = [1] + [0] * (len(mod) - 2)
+    while e:
+        if e & 1:
+            acc = _poly_mulmod(acc, a, mod, p)
+        a = _poly_mulmod(a, a, mod, p)
+        e >>= 1
+    return acc
+
+
 def _poly_frobenius(a, mod, p, times=1):
     # a -> a^(p^times) mod (mod, p)
     for _ in range(times):
-        acc = [1] + [0] * (len(mod) - 2)
-        base = list(a)
-        e = p
-        while e:
-            if e & 1:
-                acc = _poly_mulmod(acc, base, mod, p)
-            base = _poly_mulmod(base, base, mod, p)
-            e >>= 1
-        a = acc
+        a = _poly_powmod(a, p, mod, p)
     return a
 
 
@@ -174,9 +182,14 @@ def perm_sign_of_map(images: list[int]) -> int:
 
 
 class FieldCtx:
-    """The field F_q = F_p[x]/(poly) with a fixed generator of F_q^x."""
+    """The field F_q = F_p[x]/(poly) with a fixed generator g of F_q^x.
 
-    __slots__ = ("p", "f", "q", "poly", "g", "_dlog")
+    For f > 1, _log[a] is the exponent of a != 0 to base g and
+    _exp[k] = g^k for 0 <= k < 2(q - 1); the antilog table is doubled so
+    that a sum of two logs indexes it directly.
+    """
+
+    __slots__ = ("p", "f", "q", "poly", "g", "_log", "_exp", "_dlog")
 
     def __init__(self, p: int, f: int, poly, g: int):
         self.p = p
@@ -184,6 +197,9 @@ class FieldCtx:
         self.q = p**f
         self.poly = poly  # None for f == 1
         self.g = g
+        self._log = self._exp = None
+        if f > 1:
+            self._log, self._exp = _power_tables(self)
         self._dlog: dict[int, dict[int, int]] = {}
 
     def __repr__(self):
@@ -221,8 +237,9 @@ class FieldCtx:
     def mul(self, a: int, b: int) -> int:
         if self.f == 1:
             return (a * b) % self.p
-        r = _poly_mulmod(self.decode(a), self.decode(b), self.poly, self.p)
-        return self.encode(r)
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[self._log[a] + self._log[b]]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -230,20 +247,50 @@ class FieldCtx:
             e = -e
         if self.f == 1:
             return pow(a, e, self.p)
-        acc, base = 1, a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+        if a == 0:
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.q - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in F_q")
         if self.f == 1:
             return pow(a, -1, self.p)
-        return self.pow(a, self.q - 2)
+        return self._exp[self.q - 1 - self._log[a]]
+
+
+def _least_generator(p: int, f: int, poly) -> int:
+    """The least encoding of multiplicative order q - 1."""
+    q = p**f
+    if q == 2:
+        return 1
+    mod = poly if f > 1 else (0, 1)  # F_p = F_p[x]/(x)
+    one = [1] + [0] * (f - 1)
+    factors = distinct_prime_factors(q - 1)
+    for cand in range(2, q):
+        c = [(cand // p**i) % p for i in range(f)]
+        if all(_poly_powmod(c, (q - 1) // ell, mod, p) != one for ell in factors):
+            return cand
+    raise ArithmeticError("no generator found")  # unreachable
+
+
+def _power_tables(ctx: FieldCtx) -> tuple[list[int], list[int]]:
+    """The log table and the doubled antilog table of ctx.g (f > 1)."""
+    q, p, poly = ctx.q, ctx.p, ctx.poly
+    g = ctx.decode(ctx.g)
+    log = [-1] * q
+    exp = []
+    x = ctx.decode(1)
+    for k in range(q - 1):
+        a = ctx.encode(x)
+        if a == 0 or log[a] != -1:
+            raise ArithmeticError(f"the powers of g = {ctx.g} are not q - 1 distinct units")
+        log[a] = k
+        exp.append(a)
+        x = _poly_mulmod(x, g, poly, p)
+    if ctx.encode(x) != 1:
+        raise ArithmeticError(f"g = {ctx.g} does not have order q - 1")
+    return log, exp + exp
 
 
 _FIELD_CACHE: dict[tuple[int, int], FieldCtx] = {}
@@ -259,24 +306,10 @@ def field_make(p: int, f: int = 1, max_q: int = 1_000_000) -> FieldCtx:
         raise EnumerationBound(f"q = {p}^{f} exceeds the bound {max_q}")
     key = (p, f)
     ctx = _FIELD_CACHE.get(key)
-    if ctx is not None:
-        return ctx
-    poly = canonical_defining_poly(p, f) if f > 1 else None
-    ctx = FieldCtx(p, f, poly, g=1)
-    q = ctx.q
-    if q == 2:
-        g = 1
-    else:
-        factors = distinct_prime_factors(q - 1)
-        g = None
-        for cand in range(2, q):
-            if all(ctx.pow(cand, (q - 1) // ell) != 1 for ell in factors):
-                g = cand
-                break
-        if g is None:
-            raise ArithmeticError("no generator found")  # unreachable
-    ctx.g = g
-    _FIELD_CACHE[key] = ctx
+    if ctx is None:
+        poly = canonical_defining_poly(p, f) if f > 1 else None
+        ctx = FieldCtx(p, f, poly, _least_generator(p, f, poly))
+        _FIELD_CACHE[key] = ctx
     return ctx
 
 
@@ -363,6 +396,8 @@ def zolotarev_sign(ctx: FieldCtx, a: int) -> int:
 # ---------------------------------------------------------------------------
 # towers F_{q^d} / F_q and the multiplication-matrix norm
 
+# (p, f, d) -> (big, embed, coordinate table of big in the base-field
+# basis 1, G, ..., G^(d-1) of powers of big's generator G, those powers)
 _EXT_CACHE: dict[tuple[int, int, int], tuple] = {}
 
 
@@ -373,12 +408,17 @@ def extension_field(base: FieldCtx, d: int, max_size: int = 4096):
     The embedding sends x to base.poly's least root in the big field; for
     a prime base it is the identity on [0, p).
     """
+    big, embed, _, _ = _tower(base, d, max_size)
+    return big, embed
+
+
+def _tower(base: FieldCtx, d: int, max_size: int = 4096):
     if base.q**d > max_size:
         raise EnumerationBound("extension field too large to enumerate")
     key = (base.p, base.f, d)
     hit = _EXT_CACHE.get(key)
     if hit is not None:
-        return hit[0], hit[1]
+        return hit
     big = field_make(base.p, base.f * d)
     if base.f == 1:
         embed = {c: c for c in range(base.p)}
@@ -398,17 +438,6 @@ def extension_field(base: FieldCtx, d: int, max_size: int = 4096):
             for c in reversed(base.decode(x)):
                 acc = big.add(big.mul(acc, r), c)
             embed[x] = acc
-    _EXT_CACHE[key] = (big, embed, None)
-    return big, embed
-
-
-def _tower_coords(base: FieldCtx, d: int):
-    # coordinate table of F_{q^d} in the F_q-basis 1, G, ..., G^(d-1)
-    key = (base.p, base.f, d)
-    big, embed = extension_field(base, d)
-    entry = _EXT_CACHE[key]
-    if entry[2] is not None:
-        return big, embed, entry[2][0], entry[2][1]
     gpow = [1]
     for _ in range(d - 1):
         gpow.append(big.mul(gpow[-1], big.g))
@@ -420,8 +449,8 @@ def _tower_coords(base: FieldCtx, d: int):
         table[acc] = c
     if len(table) != big.q:
         raise ArithmeticError("generator powers do not form a basis")
-    _EXT_CACHE[key] = (big, embed, (table, gpow))
-    return big, embed, table, gpow
+    _EXT_CACHE[key] = entry = (big, embed, table, gpow)
+    return entry
 
 
 def field_det(ctx: FieldCtx, rows: list[list[int]]) -> int:
@@ -453,7 +482,7 @@ def norm_check(base: FieldCtx, d: int, x: int) -> int:
     extension_field(base, d).  The value is pulled back to a base-field
     encoding; it equals x^((q^d - 1)/(q - 1)).
     """
-    big, embed, table, gpow = _tower_coords(base, d)
+    big, _, table, gpow = _tower(base, d)
     cols = [table[big.mul(x, gj)] for gj in gpow]
     rows = [[cols[j][i] for j in range(d)] for i in range(d)]
     return field_det(base, rows)

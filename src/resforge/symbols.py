@@ -1,7 +1,9 @@
 """Power residue symbols, three ways, and the cross-validation report.
 
 direct     the closed formula: the unit (-1)^(v(a)v(b)) a^v(b) / b^v(a)
-           reduced mod pi, then raised to (q-1)/n.
+           reduced mod pi, then raised to (q-1)/n.  The unit is formed in
+           F_q from the residues of the unit parts of a and b, since its
+           residue is all the character reads.
 muset      the same unit, but the character is evaluated as the orbit
            determinant of multiplication on the residue field viewed as
            a pointed mu_n-set, so the mu_n-set machinery genuinely sits
@@ -24,12 +26,19 @@ from .padic import KElem, LocalField, k_one_minus
 
 
 def tame_symbol(lf: LocalField, a: KElem, b: KElem) -> int:
-    """(-1)^(v(a)v(b)) a^v(b) / b^v(a) reduced mod pi; a residue field unit."""
+    """(-1)^(v(a)v(b)) a^v(b) / b^v(a) reduced mod pi; a residue field unit.
+
+    With a = pi^v(a) * ua and b = pi^v(b) * ub the pi-powers cancel, so the
+    value is ua^v(b) / ub^v(a) in F_q, up to the sign.
+    """
+    a._same_field(b)
     va, vb = a.val, b.val
-    u = (a**vb) * (b**va).inverse()
-    x = u.reduce_mod_pi()
+    field = lf.field
+    ra = lf.ring(a.prec).reduce_to_field(a.unit)
+    rb = lf.ring(b.prec).reduce_to_field(b.unit)
+    x = field.mul(field.pow(ra, vb), field.pow(rb, -va))
     if (va * vb) % 2:
-        x = lf.field.neg(x)
+        x = field.neg(x)
     return x
 
 

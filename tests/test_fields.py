@@ -1,9 +1,9 @@
 import pytest
 
 from resforge.errors import EnumerationBound
-from resforge.fields import (MuScalar, extension_field, field_make, is_prime,
-                             mu_dlog, mu_embed, norm_check,
-                             power_residue_char, zolotarev_sign)
+from resforge.fields import (FieldCtx, MuScalar, _poly_mulmod, extension_field,
+                             field_make, is_prime, mu_dlog, mu_embed,
+                             norm_check, power_residue_char, zolotarev_sign)
 
 
 def brute_order(ctx, x):
@@ -26,6 +26,65 @@ def test_field_make_canonical_generators():
     c = field_make(2, 2)
     assert c.q == 4
     assert brute_order(c, c.g) == 3
+
+
+# every f > 1 field with q <= 64
+SMALL_EXTENSIONS = [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 2), (3, 3),
+                    (5, 2), (7, 2)]
+
+
+def oracle_mul(c, a, b):
+    # polynomial product mod the defining polynomial, the pre-table method
+    return c.encode(_poly_mulmod(c.decode(a), c.decode(b), c.poly, c.p))
+
+
+@pytest.mark.parametrize("p,f", SMALL_EXTENSIONS)
+def test_table_arithmetic_matches_polynomial_oracle(p, f):
+    c = field_make(p, f)
+    q = c.q
+    for a in range(q):
+        for b in range(q):
+            assert c.mul(a, b) == oracle_mul(c, a, b), (a, b)
+    for a in range(q):
+        powers = [1]  # a^0, a^1, ... by repeated oracle products
+        for _ in range(2 * q):
+            powers.append(oracle_mul(c, powers[-1], a))
+        for e in range(2 * q + 1):
+            assert c.pow(a, e) == powers[e], (a, e)
+        if a == 0:
+            with pytest.raises(ZeroDivisionError):
+                c.pow(a, -1)
+            continue
+        inv = next(x for x in range(1, q) if oracle_mul(c, a, x) == 1)
+        assert c.inv(a) == inv
+        inv_powers = [1]
+        for _ in range(2 * q):
+            inv_powers.append(oracle_mul(c, inv_powers[-1], inv))
+        for e in range(1, 2 * q + 1):
+            assert c.pow(a, -e) == inv_powers[e], (a, -e)
+
+
+def test_canonical_generators_pinned():
+    pinned = {(2, 2): 2, (2, 3): 2, (3, 2): 4, (3, 3): 3, (5, 2): 6, (7, 2): 9}
+    for (p, f), g in pinned.items():
+        assert field_make(p, f).g == g
+
+
+def test_inverse_of_zero_raises():
+    for p, f in [(7, 1), (2, 2), (3, 2), (5, 2)]:
+        c = field_make(p, f)
+        with pytest.raises(ZeroDivisionError):
+            c.inv(0)
+        with pytest.raises(ZeroDivisionError):
+            c.pow(0, -2)
+        assert c.pow(0, 0) == 1 and c.pow(0, 3) == 0
+
+
+def test_power_tables_reject_a_non_generator():
+    c = field_make(3, 2)
+    assert c.pow(2, 2) == 1  # 2 = -1 has order 2, not 8
+    with pytest.raises(ArithmeticError):
+        FieldCtx(3, 2, c.poly, 2)
 
 
 def test_field_make_rejects_bad_input():

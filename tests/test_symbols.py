@@ -4,7 +4,7 @@ import random
 import pytest
 
 from resforge.fields import mu_embed
-from resforge.padic import local_field
+from resforge.padic import KElem, local_field
 from resforge.symbols import (crosscheck, delta_route_symbol,
                               power_residue_symbol, steinberg_check,
                               symbol_value_str, tame_symbol)
@@ -19,6 +19,39 @@ def test_tame_symbol_examples(q7):
     assert tame_symbol(q7, q7.parse("7"), q7.parse("7")) == 6       # -1
     assert tame_symbol(q7, q7.parse("3"), q7.parse("5")) == 1       # units
     assert tame_symbol(q7, q7.parse("3"), q7.parse("7")) == 3
+
+
+def old_tame_symbol(lf, a, b):
+    # the unit formed in O/pi^N before reduction mod pi
+    va, vb = a.val, b.val
+    x = ((a**vb) * (b**va).inverse()).reduce_mod_pi()
+    return lf.field.neg(x) if (va * vb) % 2 else x
+
+
+def random_kelem(lf, rng):
+    prec = rng.choice((1, 2, 5, 24))
+    ring = lf.ring(prec)
+    while True:
+        unit = rng.randrange(ring.size)
+        if ring.reduce_to_field(unit):
+            return KElem(lf, rng.randint(-3, 3), unit, prec)
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2)])
+def test_tame_symbol_matches_full_precision_formula(p, f):
+    lf = local_field(p, f)
+    rng = random.Random(100 * p + f)
+    for _ in range(60):
+        a, b = random_kelem(lf, rng), random_kelem(lf, rng)
+        assert tame_symbol(lf, a, b) == old_tame_symbol(lf, a, b), (a, b)
+
+
+def test_tame_symbol_rejects_mixed_fields():
+    lf7, lf5 = local_field(7), local_field(5)
+    with pytest.raises(ValueError):
+        tame_symbol(lf7, lf7.parse("3"), lf5.parse("3"))
+    with pytest.raises(ValueError):
+        tame_symbol(lf7, lf5.parse("5"), lf7.parse("7"))
 
 
 def test_power_residue_symbol_examples(q7):
