@@ -18,6 +18,7 @@ ch. 9); addition stays coefficient-wise on the encodings.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import product
 
@@ -274,21 +275,48 @@ def _least_generator(p: int, f: int, poly) -> int:
     raise ArithmeticError("no generator found")  # unreachable
 
 
-def _power_tables(ctx: FieldCtx) -> tuple[list[int], list[int]]:
-    """The log table and the doubled antilog table of ctx.g (f > 1)."""
-    q, p, poly = ctx.q, ctx.p, ctx.poly
+def _power_tables(ctx: FieldCtx) -> tuple[array, array]:
+    """The log table and the doubled antilog table of ctx.g (f > 1).
+
+    Multiplication by g is F_p-linear, so g*y is g*(low half of y) plus
+    g*(high half of y), and both are read from tables of at most
+    p^ceil(f/2) products made with _poly_mulmod.  The walk over the powers of g keeps
+    y packed, one coefficient per w-bit lane with a spare top bit: one
+    integer addition then adds all coefficients, and the lanes that
+    reach p are found together from their top bits and reduced.
+    """
+    p, f, q, poly = ctx.p, ctx.f, ctx.q, ctx.poly
     g = ctx.decode(ctx.g)
-    log = [-1] * q
-    exp = []
-    x = ctx.decode(1)
+    top = p.bit_length()              # 2^top > p, and a lane sum is < 2^(top+1)
+    w = top + 1
+    ones = sum(1 << (w * i) for i in range(f))
+    bias = ones * ((1 << top) - p)    # a lane sum s reaches 2^top iff s >= p
+    h = (f + 1) // 2
+    shift, low = w * h, (1 << w * h) - 1
+    halves = []                       # packed half of y -> (its encoding, packed g*it)
+    for start, size in ((0, h), (h, f - h)):
+        table = {}
+        for digits in product(range(p), repeat=size):
+            y = [0] * start + list(digits) + [0] * (f - start - size)
+            gy = _poly_mulmod(y, g, poly, p)
+            table[sum(c << (w * i) for i, c in enumerate(digits))] = (
+                ctx.encode(y), sum(c << (w * i) for i, c in enumerate(gy)))
+        halves.append(table)
+    lo_half, hi_half = halves
+    log = array("i", [-1]) * q
+    exp = array("i", [0]) * (q - 1)
+    y = 1
     for k in range(q - 1):
-        a = ctx.encode(x)
+        a_lo, gy_lo = lo_half[y & low]
+        a_hi, gy_hi = hi_half[y >> shift]
+        a = a_lo + a_hi
         if a == 0 or log[a] != -1:
             raise ArithmeticError(f"the powers of g = {ctx.g} are not q - 1 distinct units")
         log[a] = k
-        exp.append(a)
-        x = _poly_mulmod(x, g, poly, p)
-    if ctx.encode(x) != 1:
+        exp[k] = a
+        s = gy_lo + gy_hi
+        y = s - (((s + bias) >> top) & ones) * p
+    if y != 1:
         raise ArithmeticError(f"g = {ctx.g} does not have order q - 1")
     return log, exp + exp
 

@@ -72,6 +72,10 @@ class KElem:
         ring = self.lf.ring(self.prec)
         return KElem(self.lf, self.val, ring.neg(self.unit), self.prec)
 
+    def unit_part(self) -> "KElem":
+        """The unit u with self = pi^val * u, at the same precision."""
+        return KElem(self.lf, 0, self.unit, self.prec)
+
     def reduce_mod_pi(self) -> int:
         """Residue of a unit; valuation must be zero."""
         if self.val != 0:

@@ -34,8 +34,8 @@ def tame_symbol(lf: LocalField, a: KElem, b: KElem) -> int:
     a._same_field(b)
     va, vb = a.val, b.val
     field = lf.field
-    ra = lf.ring(a.prec).reduce_to_field(a.unit)
-    rb = lf.ring(b.prec).reduce_to_field(b.unit)
+    ra = a.unit_part().reduce_mod_pi()
+    rb = b.unit_part().reduce_mod_pi()
     x = field.mul(field.pow(ra, vb), field.pow(rb, -va))
     if (va * vb) % 2:
         x = field.neg(x)
@@ -54,11 +54,7 @@ def delta_route_symbol(lf: LocalField, a: KElem, b: KElem, n: int,
     The tame unit u acts on k = O/pi by multiplication; the value is the
     determinant of that automorphism of k as a pointed mu_n-set.
     """
-    return _unit_delta(lf, tame_symbol(lf, a, b), n, rule)
-
-
-def _unit_delta(lf: LocalField, u: int, n: int, rule: str) -> MuScalar:
-    """Orbit determinant of multiplication by the residue unit u on O/pi."""
+    u = tame_symbol(lf, a, b)
     k_mod = FiniteModule(lf, (1,))
     mult_u = scalar_hom(k_mod, u, from_ring=lf.ring(1))
     return aut_delta(module_aut_as_musetaut(k_mod, mult_u, n, rule))
@@ -96,16 +92,11 @@ class SymbolReport:
 
 def crosscheck(lf: LocalField, a: KElem, b: KElem, n: int,
                engine: SymbolEngine | None = None) -> SymbolReport:
-    """Compute the symbol by all three routes and compare.
-
-    The direct and muset routes share the tame unit; they differ in how
-    its character is evaluated.
-    """
+    """Compute the symbol by all three routes and compare."""
     engine = engine or get_engine(lf, n)
     t0 = time.perf_counter_ns()
-    u = tame_symbol(lf, a, b)
-    direct = power_residue_char(lf.field, u, n)
-    via_muset = _unit_delta(lf, u, n, engine.rule)
+    direct = power_residue_symbol(lf, a, b, n)
+    via_muset = delta_route_symbol(lf, a, b, n, engine.rule)
     via_ext = corrected_symbol(a, b, engine)
     micros = (time.perf_counter_ns() - t0) // 1000
     agree = direct.exp == via_muset.exp == via_ext.exp

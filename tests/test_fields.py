@@ -64,6 +64,19 @@ def test_table_arithmetic_matches_polynomial_oracle(p, f):
             assert c.pow(a, -e) == inv_powers[e], (a, -e)
 
 
+@pytest.mark.parametrize("p,f", [(2, 9), (3, 5), (11, 2), (13, 3), (31, 2)])
+def test_antilog_table_is_the_powers_of_g(p, f):
+    # lane widths 3 to 6 bits, halves of equal and unequal size
+    c = field_make(p, f)
+    g = c.decode(c.g)
+    y = c.decode(1)
+    for k in range(c.q - 1):
+        a = c.encode(y)
+        assert c._exp[k] == c._exp[k + c.q - 1] == a and c._log[a] == k
+        y = _poly_mulmod(y, g, c.poly, p)
+    assert c.encode(y) == 1
+
+
 def test_canonical_generators_pinned():
     pinned = {(2, 2): 2, (2, 3): 2, (3, 2): 4, (3, 3): 3, (5, 2): 6, (7, 2): 9}
     for (p, f), g in pinned.items():
