@@ -25,8 +25,8 @@ print("{7,7} =", comm_symbol("7", "7", eng), "  but <7,7> accounts for the",
       "relative dimension [O|7O] =", 3)
 
 # The cocycle itself is visible: c(f, g) trivializes against base points.
-print("c(3, 7) =", cocycle("3", "7", eng).scalar,
-      "   c(7, 3) =", cocycle("7", "3", eng).scalar)
+print("c(3, 7) =", cocycle("3", "7", eng),
+      "   c(7, 3) =", cocycle("7", "3", eng))
 print("{3, 7} = difference =", comm_symbol("3", "7", eng))
 
 # A sweep over Q_13 with n = 3, all three routes in agreement:

@@ -7,10 +7,9 @@ of the construction.
 """
 
 from .errors import EnumerationBound, PrecisionError
-from .extension import (CocycleVal, ExtElem, RelDet, SymbolEngine, cocycle,
-                        comm_symbol, corrected_symbol, ext_identity,
-                        ext_inverse, ext_lift, ext_mul, get_engine, kappa,
-                        reldet, rho)
+from .extension import (ExtElem, RelDet, SymbolEngine, cocycle, comm_symbol,
+                        corrected_symbol, ext_identity, ext_inverse, ext_lift,
+                        ext_mul, get_engine, kappa, reldet, rho)
 from .fields import (FieldCtx, MuScalar, extension_field, field_make,
                      mu_dlog, mu_embed, norm_check, power_residue_char,
                      zolotarev_sign)

@@ -25,7 +25,7 @@ from .fields import MuScalar
 from .padic import LocalField
 from .symbols import (crosscheck, delta_route_symbol, power_residue_symbol,
                       symbol_value_str)
-from .verify import run_suite
+from .verify import _sweep_inputs, run_suite
 
 
 def _env(name, cast, default):
@@ -141,25 +141,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     lf = _field(args)
-    units = range(1, lf.p) if lf.f == 1 else range(1, lf.q)
-    vals = range(-args.vmax, args.vmax + 1)
     side = (lf.q - 1) * (2 * args.vmax + 1)
     if side * side > args.max_entries:
         print(f"error: grid of {side * side} entries exceeds "
               f"--max-entries {args.max_entries}", file=sys.stderr)
         return 2
-
-    def gen():
-        for v in vals:
-            for u in units:
-                if lf.f == 1:
-                    yield lf.pi(v) * lf.from_rational(u)
-                else:
-                    yield lf.pi(v) * lf.from_coeffs(lf.field.decode(u))
-
+    inputs = list(_sweep_inputs(lf, range(-args.vmax, args.vmax + 1)))
     rows = []
-    for a in gen():
-        for b in gen():
+    for a in inputs:
+        for b in inputs:
             s = power_residue_symbol(lf, a, b, args.n)
             rows.append((a.as_str(), b.as_str(), s.exp, symbol_value_str(lf, s)))
     if args.format == "json":

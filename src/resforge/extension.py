@@ -20,7 +20,18 @@ triple intersections.
 
 A SymbolEngine fixes the field, n, and the representative rule, and
 memoizes the rank-one building blocks, which the acceptance sweeps hit
-millions of times.
+millions of times.  Its default rule is digit (see musets), under which
+the rank-one building blocks have closed forms and the route enumerates
+nothing at m = 1: for f = u * pi^v and g of valuation w,
+
+    kappa(O, fO, fgO) = 0,
+    rho_f on (O | pi^w O) = sign(w) * (q^|w| - 1)/(q - 1) * S(u mod pi),
+    rel_dim(O, pi^w O) = sign(w) * (q^|w| - 1)/n,
+
+where S(u) sums, over the least elements c of the cosets of mu_n in
+F_q^x, the position of u*c in its coset counted in powers of the residue
+of zeta_n.  The least and second_least rules, rho_exp, kappa_exp and all
+of m >= 2 enumerate, and serve the closed forms as their oracle.
 """
 
 from __future__ import annotations
@@ -31,7 +42,7 @@ from fractions import Fraction
 from .fields import MuScalar, power_residue_char
 from .lattices import (KMat, Lattice, LatticeQuotient, induced_hom, lat_apply,
                        lat_contains_lattice, lat_intersect, principal_lattice,
-                       quotient_struct, rel_dim, standard_lattice)
+                       quotient_struct, standard_lattice)
 from .padic import KElem
 from .torsor import MuLine, _exact_seq_exp, det_line, line_dual, line_tensor
 
@@ -46,17 +57,6 @@ class RelDet:
 
 
 @dataclass(frozen=True)
-class CocycleVal:
-    """Value of the extension cocycle at a pair (f, g)."""
-
-    scalar: MuScalar
-
-    @property
-    def exp(self) -> int:
-        return self.scalar.exp
-
-
-@dataclass(frozen=True)
 class ExtElem:
     """A lift (f, zeta^exp * base) in the extension of GL_m(K) by mu_n."""
 
@@ -67,7 +67,7 @@ class ExtElem:
 class SymbolEngine:
     """Fixes (K, n, representative rule) and memoizes rank-one data."""
 
-    def __init__(self, lf, n: int, rule: str = "least", precision: int | None = None):
+    def __init__(self, lf, n: int, rule: str = "digit", precision: int | None = None):
         if n < 1 or (lf.q - 1) % n != 0:
             raise ValueError(f"n = {n} does not divide q - 1 = {lf.q - 1}")
         self.lf = lf
@@ -76,9 +76,14 @@ class SymbolEngine:
         self.prec = precision or lf.default_precision
         self._std: dict[int, Lattice] = {}
         self._plat: dict[int, Lattice] = {}
+        # m = 1 memos: c(f, g) by (unit of f, its precision, v(g)) under
+        # the digit rule, rho and kappa for the enumerating rules
+        self._cocycle_m1: dict = {}
         self._rho_m1: dict = {}
         self._kappa_m1: dict = {}
-        self._reldim_m1: dict = {}
+        # digit rule: S(u) by residue u, and the coset walk it reads
+        self._digit_sums: dict[int, int] = {}
+        self._cosets = None
         # the mu_n character of -1, the sign term of corrected_symbol
         self._sign_exp = power_residue_char(lf.field, lf.field.neg(1), n).exp
 
@@ -108,7 +113,7 @@ class SymbolEngine:
         raise TypeError(f"cannot interpret {x!r} as an element of GL_m(K)")
 
 
-def get_engine(lf, n: int, rule: str = "least", precision: int | None = None) -> SymbolEngine:
+def get_engine(lf, n: int, rule: str = "digit", precision: int | None = None) -> SymbolEngine:
     key = (n, rule, precision)
     eng = lf._engines.get(key)
     if eng is None:
@@ -205,6 +210,64 @@ def kappa(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
 
 
 # ---------------------------------------------------------------------------
+# rank-one closed forms under the digit rule
+
+
+def _coset_walk(field, zbar: int, n: int) -> tuple[list[int], list[int]]:
+    """pos[y] = e with zbar^e * c = y, for c the least element of y's coset
+    of mu_n in F_q^x (pos[0] = -1); and the list of those least elements.
+
+    Walking zbar-orbits from each unit not yet reached, in encoding
+    order, starts every walk at the least element of its coset.
+    """
+    pos = [-1] * field.q
+    least = []
+    for c in range(1, field.q):
+        if pos[c] >= 0:
+            continue
+        least.append(c)
+        y = c
+        for e in range(n):
+            pos[y] = e
+            y = field.mul(zbar, y)
+        if y != c:
+            raise ArithmeticError("the residue of zeta_n does not have order n")
+    return pos, least
+
+
+def _digit_sum(engine: SymbolEngine, u: int) -> int:
+    """S(u): over the least elements c of the cosets, the position of u*c."""
+    s = engine._digit_sums.get(u)
+    if s is None:
+        field, n = engine.lf.field, engine.n
+        if engine._cosets is None:
+            engine._cosets = _coset_walk(field, engine.lf.ring(1).zeta(n), n)
+        pos, least = engine._cosets
+        s = sum(pos[field.mul(u, c)] for c in least)
+        engine._digit_sums[u] = s
+    return s
+
+
+def _rho_m1_digit(engine: SymbolEngine, x: KElem, w: int) -> int:
+    """rho_f on (O | pi^w O) for f = x = pi^v * u, under the digit rule.
+
+    On O/pi^k, k = |w|, f acts as multiplication by u: the pi-power moves
+    digit-rule representatives onto representatives.  An orbit is fixed
+    by its valuation j < k, the coset of its leading digit, and the
+    q^(k-1-j) choices of the digits above; multiplying by u adds the
+    position of u*c to its twist, for c the least element of the coset.
+    For w < 0 the quotient is the right factor of (O | pi^w O), on which
+    rho acts through f^-1.
+    """
+    if w == 0:
+        return 0
+    q = engine.lf.q
+    u = engine.lf.ring(x.prec).reduce_to_field(x.unit)
+    r = (q**abs(w) - 1) // (q - 1) * _digit_sum(engine, u)
+    return (r if w > 0 else -r) % engine.n
+
+
+# ---------------------------------------------------------------------------
 # the cocycle and the extension group law
 
 
@@ -213,11 +276,19 @@ def cocycle_exp(f: KMat, g: KMat, engine: SymbolEngine) -> int:
     if (f.nrows, f.ncols) != (g.nrows, g.ncols) or m != f.ncols:
         raise ValueError("f and g must be square of the same size")
     if m == 1:
-        vf = f.entry_val(0, 0)
+        x = f.entry_kelem(0, 0)
         vg = g.entry_val(0, 0)
-        if vf is None or vg is None:
+        if x is None or vg is None:
             raise ValueError("singular input")
-        uf = f.entry_kelem(0, 0).unit
+        if engine.rule == "digit":
+            # the encoding of a unit depends on its precision when f > 1
+            key = (x.unit, x.prec, vg)
+            c = engine._cocycle_m1.get(key)
+            if c is None:
+                c = _rho_m1_digit(engine, x, vg)   # kappa is 0
+                engine._cocycle_m1[key] = c
+            return c
+        vf, uf = x.val, x.unit
         key_r = (vf, uf, vg)
         r = engine._rho_m1.get(key_r)
         if r is None:
@@ -239,10 +310,9 @@ def cocycle_exp(f: KMat, g: KMat, engine: SymbolEngine) -> int:
     return (r + k) % engine.n
 
 
-def cocycle(f, g, engine: SymbolEngine) -> CocycleVal:
+def cocycle(f, g, engine: SymbolEngine) -> MuScalar:
     """c(f, g) with (f,s)(g,t) = (fg, zeta^c(f,g) * s t) on base multiples."""
-    return CocycleVal(MuScalar(engine.n, cocycle_exp(engine.as_kmat(f),
-                                                     engine.as_kmat(g), engine)))
+    return MuScalar(engine.n, cocycle_exp(engine.as_kmat(f), engine.as_kmat(g), engine))
 
 
 def ext_identity(engine: SymbolEngine, m: int = 1) -> ExtElem:
@@ -283,12 +353,10 @@ def comm_symbol(f, g, engine: SymbolEngine) -> MuScalar:
     return MuScalar(engine.n, cocycle_exp(f, g, engine) - cocycle_exp(g, f, engine))
 
 
-def _rel_dim_m1(engine: SymbolEngine, v: int) -> int:
-    d = engine._reldim_m1.get(v)
-    if d is None:
-        d = rel_dim(engine.principal(0), engine.principal(v), engine.n)
-        engine._reldim_m1[v] = d
-    return d
+def _rel_dim_m1(q: int, n: int, v: int) -> int:
+    """rel_dim(O, pi^v O): O/pi^|v| is the left quotient for v > 0, the right one for v < 0."""
+    d = (q**abs(v) - 1) // n
+    return d if v >= 0 else -d
 
 
 def corrected_symbol(a, b, engine: SymbolEngine) -> MuScalar:
@@ -303,6 +371,7 @@ def corrected_symbol(a, b, engine: SymbolEngine) -> MuScalar:
     if fa.nrows != 1 or fb.nrows != 1:
         raise ValueError("the corrected symbol is defined for K^x (m = 1)")
     comm = comm_symbol(fa, fb, engine)
-    da = _rel_dim_m1(engine, fa.entry_val(0, 0))
-    db = _rel_dim_m1(engine, fb.entry_val(0, 0))
+    q, n = engine.lf.q, engine.n
+    da = _rel_dim_m1(q, n, fa.entry_val(0, 0))
+    db = _rel_dim_m1(q, n, fb.entry_val(0, 0))
     return MuScalar(engine.n, comm.exp + (da % 2) * (db % 2) * engine._sign_exp)

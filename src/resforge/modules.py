@@ -99,12 +99,28 @@ class FiniteModule:
     def add(self, x, y):
         return tuple(r.add(a, b) for r, a, b in zip(self.rings, x, y))
 
+    def lead_digit(self, x: tuple) -> int:
+        """The lowest nonzero pi-adic digit of x != 0, in F_q.
+
+        It is read from the first coordinate of least valuation.  Zero
+        coordinates are skipped: their valuation is capped at the
+        component's exponent and would tie with a nonzero one.
+        """
+        best = None
+        for r, c in zip(self.rings, x):
+            if c:
+                v = r.val(c)
+                if best is None or v < best[0]:
+                    best = (v, r, c)
+        v, r, c = best
+        return r.reduce_to_field(r.div_pk(c, v))
+
     def view(self, n: int, rule: str = "least") -> OrbitView:
         key = (*self.key, n, rule)
         v = _VIEW_CACHE.get(key)
         if v is None:
             elems = [x for x in self.elements() if x != self.zero]
-            v = OrbitView(n, elems, self.mu_act(n), rule)
+            v = OrbitView(n, elems, self.mu_act(n), rule, self.lead_digit)
             _VIEW_CACHE[key] = v
         return v
 

@@ -8,9 +8,16 @@ zeta^(mu[i]) * x_{sigma[i]}.
 OrbitView wraps a concrete pointed set (module elements, cartesian
 products, ...) and pins down orbit representatives by a deterministic
 rule, so that expressing concrete maps as (sigma, mu) data is
-reproducible.  The default rule picks the least element of each orbit in
-the container's element order; the alternate rule picks the second
-least, which exists whenever n >= 2.
+reproducible.  Three rules exist:
+
+least         the least element of each orbit in the container's order;
+second_least  the second least, which exists whenever n >= 2;
+digit         for module views: the element whose lowest nonzero pi-adic
+              digit is least in F_q encoding order.  zeta_n scales that
+              digit by the residue of zeta_n, so the n digits of an
+              orbit are distinct and the choice is unique.  This is the
+              default rule of the extension route, whose rank-one
+              scalars have closed forms under it.
 """
 
 from __future__ import annotations
@@ -133,15 +140,18 @@ class OrbitView:
     """A concrete finite free pointed mu_n-set with pinned representatives.
 
     elements: the non-marked labels, which must be sortable; act: the
-    action of the fixed zeta_n.  Freeness (orbit length exactly n) is
-    checked during construction.
+    action of the fixed zeta_n; digit: the leading-digit map the digit
+    rule ranks elements by.  Freeness (orbit length exactly n) is checked
+    during construction.
     """
 
     __slots__ = ("n", "rule", "reps", "table", "muset")
 
-    def __init__(self, n: int, elements, act, rule: str = "least"):
-        if rule not in ("least", "second_least"):
+    def __init__(self, n: int, elements, act, rule: str = "least", digit=None):
+        if rule not in ("least", "second_least", "digit"):
             raise ValueError(f"unknown representative rule {rule!r}")
+        if rule == "digit" and digit is None:
+            raise ValueError("the digit rule needs the leading digit of each element")
         self.n = n
         self.rule = rule
         table: dict = {}
@@ -159,6 +169,8 @@ class OrbitView:
             idx = len(reps)
             if rule == "least" or n == 1:
                 rep_pos = 0
+            elif rule == "digit":
+                rep_pos = min(range(n), key=lambda i: digit(orbit[i]))
             else:
                 second = sorted(orbit)[1]
                 rep_pos = orbit.index(second)

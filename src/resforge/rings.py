@@ -7,7 +7,9 @@ unramified, pi = p, and dividing by pi^k is exact coefficient-wise
 division by p^k.
 
 Elements are encoded as integers: sum(c_i * (p^N)**i) with coefficients
-c_i in [0, p^N).  For f = 1 the encoding is the representative itself.
+c_i in [0, p^N).  For f = 1 the encoding is the representative itself;
+at N = 1 it is the F_q encoding, so O/pi multiplies, powers and inverts
+through the residue field's tables.
 """
 
 from __future__ import annotations
@@ -71,6 +73,8 @@ class RingCtx:
     def mul(self, a: int, b: int) -> int:
         if self.f == 1:
             return (a * b) % self.pN
+        if self.N == 1:
+            return self.field.mul(a, b)
         A, B = self.decode(a), self.decode(b)
         pN, f = self.pN, self.f
         res = [0] * (2 * f - 1)
@@ -93,6 +97,8 @@ class RingCtx:
             a, e = self.inv(a), -e
         if self.f == 1:
             return pow(a, e, self.pN)
+        if self.N == 1:
+            return self.field.pow(a, e)
         acc, base = 1, a
         while e:
             if e & 1:
@@ -107,6 +113,8 @@ class RingCtx:
             raise ZeroDivisionError("not a unit in O/pi^N")
         if self.f == 1:
             return pow(a, -1, self.pN)
+        if self.N == 1:
+            return self.field.inv(a)
         x = self.lift_field(self.field.inv(self.reduce_to_field(a)))
         for _ in range(max(1, (self.N - 1).bit_length())):
             x = self.mul(x, self.sub(2, self.mul(a, x)))

@@ -9,7 +9,9 @@ muset      the same unit, but the character is evaluated as the orbit
            a pointed mu_n-set, so the mu_n-set machinery genuinely sits
            on this route.
 extension  the commutator of lifts in the central extension of K^x by
-           mu_n, with the relative-dimension sign correction.
+           mu_n, with the relative-dimension sign correction; under the
+           engine's default digit rule its rank-one scalars are closed
+           forms (see extension).
 """
 
 from __future__ import annotations

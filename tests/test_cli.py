@@ -20,6 +20,12 @@ def test_symbol_all_methods_agree(capsys):
     assert "zeta^1" in out
 
 
+def test_symbol_past_the_enumeration_ceiling(capsys):
+    code, out, _ = run_cli(capsys, "symbol", "--p", "13", "--n", "12", "pi^3", "pi^3")
+    assert code == 0
+    assert "agree: True" in out
+
+
 def test_symbol_json_schema(capsys):
     code, out, _ = run_cli(capsys, "symbol", "--p", "13", "--n", "3",
                            "--format", "json", "2", "13")

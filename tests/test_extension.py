@@ -3,14 +3,17 @@ import random
 import pytest
 
 from resforge.errors import EnumerationBound
-from resforge.extension import (cocycle, cocycle_exp, comm_symbol,
-                                corrected_symbol, ext_identity, ext_inverse,
-                                ext_lift, ext_mul, get_engine, kappa,
-                                kappa_exp, reldet, rho, rho_exp)
+from resforge.extension import (_rel_dim_m1, cocycle, cocycle_exp,
+                                comm_symbol, corrected_symbol, ext_identity,
+                                ext_inverse, ext_lift, ext_mul, get_engine,
+                                kappa, kappa_exp, reldet, rho, rho_exp)
 from resforge.fields import power_residue_char
 from resforge.lattices import (KMat, Lattice, lat_apply, principal_lattice,
-                               standard_lattice)
-from resforge.padic import local_field
+                               rel_dim, standard_lattice)
+from resforge.padic import LocalField, local_field
+from resforge.symbols import power_residue_symbol
+
+RULES = ("digit", "least", "second_least")
 
 
 @pytest.fixture
@@ -206,13 +209,64 @@ def test_corrected_symbol_odd_n_has_trivial_sign():
 
 def test_trivialization_independence():
     lf = local_field(7)
-    eng1 = get_engine(lf, 2)
-    eng2 = get_engine(lf, 2, rule="second_least")
+    engines = [get_engine(lf, 2, rule=rule) for rule in RULES]
     rng = random.Random(15)
     for _ in range(40):
         a = lf.pi(rng.randint(-2, 2)) * lf.from_rational(rng.randint(1, 6))
         b = lf.pi(rng.randint(-2, 2)) * lf.from_rational(rng.randint(1, 6))
-        assert comm_symbol(a, b, eng1).exp == comm_symbol(a, b, eng2).exp
+        exps = [comm_symbol(a, b, eng).exp for eng in engines]
+        assert exps == [exps[0]] * 3, (a.as_str(), b.as_str(), exps)
+
+
+def test_digit_is_the_default_rule():
+    lf = local_field(7)
+    assert get_engine(lf, 3).rule == "digit"
+    assert get_engine(lf, 3) is get_engine(lf, 3, rule="digit")
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2)])
+def test_rank_one_closed_forms_equal_enumeration(p, f):
+    """Under the digit rule, c(f, g) at m = 1 is the closed-form rho with
+    kappa = 0, and the relative dimension is sign(v) (q^|v| - 1)/n; both
+    against enumeration in every cell whose modules have <= 200 elements."""
+    lf = LocalField(p, f, default_precision=8)
+    q = lf.q
+    K = max(k for k in range(8) if q**k <= 200)
+    units = [lf.from_rational(u) if f == 1 else lf.from_coeffs(lf.field.decode(u))
+             for u in range(1, q)]
+    cells = [(vf, vg) for vf in range(-K, K + 1) for vg in range(-K, K + 1)
+             if abs(vf + vg) <= K]
+    nonzero = 0
+    for n in [d for d in range(1, q) if (q - 1) % d == 0]:
+        eng = get_engine(lf, n)
+        O = eng.principal(0)
+        for v in range(-K, K + 1):
+            assert _rel_dim_m1(q, n, v) == rel_dim(O, eng.principal(v), n), (n, v)
+        for vf, vg in cells:
+            k = kappa_exp(O, eng.principal(vf), eng.principal(vf + vg), eng)
+            assert k == 0, (n, vf, vg)
+            for i, x in enumerate(units):
+                F = KMat.from_rows(lf, [[lf.pi(vf) * x]])
+                G = KMat.from_rows(lf, [[lf.pi(vg) * units[i - 1]]])
+                r = rho_exp(F, O, eng.principal(vg), eng)
+                assert cocycle_exp(F, G, eng) == r, (n, x.as_str(), vf, vg)
+                nonzero += r != 0
+    assert nonzero > 0
+
+
+def test_extension_route_answers_past_the_enumeration_ceiling():
+    lf = local_field(13)
+    rng = random.Random(16)
+    for n in (2, 3, 4, 6, 12):
+        eng = get_engine(lf, n)
+        for _ in range(40):
+            a = lf.pi(rng.randint(-10, 10)) * lf.from_rational(rng.randint(1, 12))
+            b = lf.pi(rng.randint(-10, 10)) * lf.from_rational(rng.randint(1, 12))
+            want = power_residue_symbol(lf, a, b, n).exp
+            assert corrected_symbol(a, b, eng).exp == want, (n, a.as_str(), b.as_str())
+    # an enumerating rule needs O/pi^6 (4.8M elements) for kappa here
+    with pytest.raises(EnumerationBound):
+        corrected_symbol("pi^3*2", "pi^3*11", get_engine(lf, 12, rule="least"))
 
 
 def test_theorem_small_sweep_q13_n4():

@@ -37,3 +37,46 @@ def test_images_respect_the_enumeration_bound():
     h = ModuleHom(M, M, [(1, 0), (0, 1)])
     with pytest.raises(EnumerationBound):
         h.images()
+
+
+def lowest_digit(lf, exps, x):
+    """Lowest nonzero pi-adic digit of x, read off the integer coefficients:
+    the first coordinate of least valuation among the nonzero ones."""
+    p, best = lf.p, None
+    for e, c in zip(exps, x):
+        coeffs = lf.ring(e).decode(c)
+        if not any(coeffs):
+            continue
+        v = min(next(k for k in range(e) if ci % p ** (k + 1)) for ci in coeffs if ci)
+        if best is None or v < best[0]:
+            best = (v, [ci // p**v for ci in coeffs])
+    return lf.field.encode(best[1])
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (3, 2)])
+def test_digit_view_has_one_least_digit_representative_per_orbit(p, f):
+    lf = local_field(p, f)
+    shapes = [(1,), (2,), (3,), (1, 1), (1, 2), (2, 2), (1, 3), (1, 1, 2), (1, 2, 2)]
+    for exps in [s for s in shapes if lf.q ** sum(s) <= 2500]:
+        M = FiniteModule(lf, exps)
+        for n in [d for d in range(1, lf.q) if (lf.q - 1) % d == 0]:
+            view = M.view(n, "digit")
+            act = M.mu_act(n)
+            assert view.t == M.dim(n)
+            assert len(view.table) == M.size - 1
+            for i, r in enumerate(view.reps):
+                orbit = [r]
+                while len(orbit) < n:
+                    orbit.append(act(orbit[-1]))
+                assert [view.table[y] for y in orbit] == [(i, e) for e in range(n)]
+                digits = [lowest_digit(lf, exps, y) for y in orbit]
+                assert digits[0] == min(digits) and digits.count(digits[0]) == 1, (exps, n, r)
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (7, 1), (13, 1), (2, 2), (3, 2), (5, 2), (2, 3)])
+def test_digit_views_of_the_residue_field_are_the_least_views(p, f):
+    lf = local_field(p, f)
+    k = FiniteModule(lf, (1,))
+    for n in [d for d in range(1, lf.q) if (lf.q - 1) % d == 0]:
+        digit, least = k.view(n, "digit"), k.view(n, "least")
+        assert digit.reps == least.reps and digit.table == least.table
