@@ -21,7 +21,7 @@ import sys
 
 from .errors import EnumerationBound, PrecisionError
 from .extension import corrected_symbol, get_engine
-from .fields import MuScalar
+from .fields import MuScalar, field_make
 from .padic import LocalField
 from .symbols import (crosscheck, delta_route_symbol, power_residue_symbol,
                       symbol_value_str)
@@ -66,7 +66,7 @@ def _field(args) -> LocalField:
     if args.n is None:
         raise _UsageError("--n is required (or set RESFORGE_N)")
     kw = {"enum_bound": args.bound}
-    if args.precision:
+    if args.precision is not None:
         kw["default_precision"] = args.precision
     try:
         lf = LocalField(args.p, args.f, **kw)
@@ -121,6 +121,13 @@ def _cmd_symbol(args) -> int:
 def _cmd_verify(args) -> int:
     kw = {"seed": args.seed}
     if args.p:
+        for p in args.p:
+            try:
+                field_make(p)
+            except ValueError as exc:   # not prime, or q beyond the bound
+                raise _UsageError(exc) from None
+        if 2 in args.p and args.suite in ("zolotarev", "all"):
+            raise _UsageError("the zolotarev suite needs odd primes")
         kw["ps"] = tuple(args.p)
     result = run_suite(args.suite, **kw)
     if args.format == "json":
@@ -141,6 +148,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_table(args) -> int:
     lf = _field(args)
+    if args.vmax < 0:
+        raise _UsageError(f"--vmax must be >= 0, not {args.vmax}")
     side = (lf.q - 1) * (2 * args.vmax + 1)
     if side * side > args.max_entries:
         print(f"error: grid of {side * side} entries exceeds "

@@ -1,10 +1,11 @@
-"""Relative determinants, the contraction isomorphism, and the central
-extension of GL_m(K) by mu_n.
+"""Functoriality, the contraction isomorphism, and the central extension
+of GL_m(K) by mu_n.
 
 For commensurable lattices A, B the relative determinant
 (A|B) = det(A / A cap B) (x) det(B / A cap B)^dual is trivialized by the
-canonical base points of the two quotient presentations.  Functoriality
-rho_f and the contraction kappa then become exponents; the cocycle
+canonical base points of the two quotient presentations, so it is never
+built: functoriality rho_f and the contraction kappa are computed as
+exponents on those bases (rho_exp, kappa_exp).  The cocycle
 
     c(f, g):   iota(base (x) base) = zeta^c(f,g) * base
 
@@ -39,21 +40,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .fields import MuScalar, power_residue_char
+from .fields import MuScalar, _check_n, power_residue_char
 from .lattices import (KMat, Lattice, LatticeQuotient, induced_hom, lat_apply,
                        lat_contains_lattice, lat_intersect, principal_lattice,
                        quotient_struct, standard_lattice)
 from .padic import KElem
-from .torsor import MuLine, _exact_seq_exp, det_line, line_dual, line_tensor
-
-
-@dataclass(frozen=True)
-class RelDet:
-    """The trivialized line (A|B) together with its construction data."""
-
-    line: MuLine
-    A: Lattice
-    B: Lattice
+from .torsor import _exact_seq_exp, det_iso_scalar
 
 
 @dataclass(frozen=True)
@@ -67,13 +59,12 @@ class ExtElem:
 class SymbolEngine:
     """Fixes (K, n, representative rule) and memoizes rank-one data."""
 
-    def __init__(self, lf, n: int, rule: str = "digit", precision: int | None = None):
-        if n < 1 or (lf.q - 1) % n != 0:
-            raise ValueError(f"n = {n} does not divide q - 1 = {lf.q - 1}")
+    def __init__(self, lf, n: int, rule: str = "digit"):
+        _check_n(lf.field, n)
         self.lf = lf
         self.n = n
         self.rule = rule
-        self.prec = precision or lf.default_precision
+        self.prec = lf.default_precision
         self._std: dict[int, Lattice] = {}
         self._plat: dict[int, Lattice] = {}
         # m = 1 memos: c(f, g) by (unit of f, its precision, v(g)) under
@@ -113,26 +104,17 @@ class SymbolEngine:
         raise TypeError(f"cannot interpret {x!r} as an element of GL_m(K)")
 
 
-def get_engine(lf, n: int, rule: str = "digit", precision: int | None = None) -> SymbolEngine:
-    key = (n, rule, precision)
+def get_engine(lf, n: int, rule: str = "digit") -> SymbolEngine:
+    key = (n, rule)
     eng = lf._engines.get(key)
     if eng is None:
-        eng = SymbolEngine(lf, n, rule, precision)
+        eng = SymbolEngine(lf, n, rule)
         lf._engines[key] = eng
     return eng
 
 
 # ---------------------------------------------------------------------------
-# relative determinants and functoriality
-
-
-def reldet(A: Lattice, B: Lattice, engine: SymbolEngine) -> RelDet:
-    I = lat_intersect(A, B)
-    QA = quotient_struct(A, I)
-    QB = quotient_struct(B, I)
-    n = engine.n
-    line = line_tensor(det_line(QA.module, n), line_dual(det_line(QB.module, n)))
-    return RelDet(line, A, B)
+# functoriality
 
 
 def _iso_exp(srcQ: LatticeQuotient, dstQ: LatticeQuotient, f: KMat | None,
@@ -141,10 +123,8 @@ def _iso_exp(srcQ: LatticeQuotient, dstQ: LatticeQuotient, f: KMat | None,
     n = engine.n
     if n == 1:
         return 0
-    hom = induced_hom(srcQ, dstQ, f)
-    from .musets import iso_scalar
-    return iso_scalar(srcQ.module.view(n, engine.rule),
-                      dstQ.module.view(n, engine.rule), hom.apply)
+    return det_iso_scalar(srcQ.module, dstQ.module, induced_hom(srcQ, dstQ, f),
+                          n, engine.rule).exp
 
 
 def rho_exp(f: KMat, A: Lattice, B: Lattice, engine: SymbolEngine) -> int:
@@ -155,10 +135,6 @@ def rho_exp(f: KMat, A: Lattice, B: Lattice, engine: SymbolEngine) -> int:
     tau = _iso_exp(quotient_struct(A, I), quotient_struct(fA, fI), f, engine)
     psi = _iso_exp(quotient_struct(fB, fI), quotient_struct(B, I), finv, engine)
     return (tau + psi) % engine.n
-
-
-def rho(f: KMat, A: Lattice, B: Lattice, engine: SymbolEngine) -> MuScalar:
-    return MuScalar(engine.n, rho_exp(f, A, B, engine))
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +178,6 @@ def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
     total -= _nested_desc_exp(A, AC, D3, engine)       # inverse of descending
     total += _nested_desc_exp(C, AC, D3, engine)       # inverse of ascending
     return total % n
-
-
-def kappa(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
-          method: str = "auto") -> MuScalar:
-    return MuScalar(engine.n, kappa_exp(A, B, C, engine, method))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,9 @@ therefore reproducible across runs.
 For f = 1 products are modular integers.  For f > 1 multiplication,
 powers and inverses are lookups in log/antilog tables of the canonical
 generator, built once per context (Lidl-Niederreiter, Finite Fields,
-ch. 9); addition stays coefficient-wise on the encodings.
+ch. 9); addition stays coefficient-wise on the encodings.  Contexts are
+shared per (p, f), and q is capped at MAX_Q because the log/antilog
+tables and the Zolotarev sign enumerate F_q.
 """
 
 from __future__ import annotations
@@ -224,7 +226,6 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         if self.f == 1:
             return (a + b) % self.p
-        p = self.p
         return self.encode([x + y for x, y in zip(self.decode(a), self.decode(b))])
 
     def neg(self, a: int) -> int:
@@ -322,16 +323,17 @@ def _power_tables(ctx: FieldCtx) -> tuple[array, array]:
 
 
 _FIELD_CACHE: dict[tuple[int, int], FieldCtx] = {}
+MAX_Q = 1_000_000
 
 
-def field_make(p: int, f: int = 1, max_q: int = 1_000_000) -> FieldCtx:
+def field_make(p: int, f: int = 1) -> FieldCtx:
     """Build the canonical context for F_{p^f}."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if f < 1:
         raise ValueError("extension degree must be >= 1")
-    if p**f > max_q:
-        raise EnumerationBound(f"q = {p}^{f} exceeds the bound {max_q}")
+    if p**f > MAX_Q:
+        raise EnumerationBound(f"q = {p}^{f} exceeds the bound {MAX_Q}")
     key = (p, f)
     ctx = _FIELD_CACHE.get(key)
     if ctx is None:
@@ -421,66 +423,6 @@ def zolotarev_sign(ctx: FieldCtx, a: int) -> int:
     return perm_sign_of_map([ctx.mul(a, x) for x in range(ctx.q)])
 
 
-# ---------------------------------------------------------------------------
-# towers F_{q^d} / F_q and the multiplication-matrix norm
-
-# (p, f, d) -> (big, embed, coordinate table of big in the base-field
-# basis 1, G, ..., G^(d-1) of powers of big's generator G, those powers)
-_EXT_CACHE: dict[tuple[int, int, int], tuple] = {}
-
-
-def extension_field(base: FieldCtx, d: int, max_size: int = 4096):
-    """The field F_{q^d} together with the canonical embedding of F_q.
-
-    Returns (big, embed) where embed maps base encodings to big encodings.
-    The embedding sends x to base.poly's least root in the big field; for
-    a prime base it is the identity on [0, p).
-    """
-    big, embed, _, _ = _tower(base, d, max_size)
-    return big, embed
-
-
-def _tower(base: FieldCtx, d: int, max_size: int = 4096):
-    if base.q**d > max_size:
-        raise EnumerationBound("extension field too large to enumerate")
-    key = (base.p, base.f, d)
-    hit = _EXT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    big = field_make(base.p, base.f * d)
-    if base.f == 1:
-        embed = {c: c for c in range(base.p)}
-    else:
-        coeffs = list(base.poly)
-        roots = []
-        for y in big.elements():
-            acc = 0
-            for c in reversed(coeffs):
-                acc = big.add(big.mul(acc, y), c)
-            if acc == 0:
-                roots.append(y)
-        r = min(roots)
-        embed = {}
-        for x in base.elements():
-            acc = 0
-            for c in reversed(base.decode(x)):
-                acc = big.add(big.mul(acc, r), c)
-            embed[x] = acc
-    gpow = [1]
-    for _ in range(d - 1):
-        gpow.append(big.mul(gpow[-1], big.g))
-    table = {}
-    for c in product(range(base.q), repeat=d):
-        acc = 0
-        for ci, gi in zip(c, gpow):
-            acc = big.add(acc, big.mul(embed[ci], gi))
-        table[acc] = c
-    if len(table) != big.q:
-        raise ArithmeticError("generator powers do not form a basis")
-    _EXT_CACHE[key] = entry = (big, embed, table, gpow)
-    return entry
-
-
 def field_det(ctx: FieldCtx, rows: list[list[int]]) -> int:
     """Determinant over F_q by Gaussian elimination."""
     m = len(rows)
@@ -501,16 +443,3 @@ def field_det(ctx: FieldCtx, rows: list[list[int]]) -> int:
                 for k in range(c, m):
                     a[r][k] = ctx.sub(a[r][k], ctx.mul(fac, a[c][k]))
     return det
-
-
-def norm_check(base: FieldCtx, d: int, x: int) -> int:
-    """Determinant over F_q of multiplication by x on F_{q^d}.
-
-    x is given in the encoding of the extension field returned by
-    extension_field(base, d).  The value is pulled back to a base-field
-    encoding; it equals x^((q^d - 1)/(q - 1)).
-    """
-    big, _, table, gpow = _tower(base, d)
-    cols = [table[big.mul(x, gj)] for gj in gpow]
-    rows = [[cols[j][i] for j in range(d)] for i in range(d)]
-    return field_det(base, rows)

@@ -67,9 +67,6 @@ class KMat:
         return cls(lf, [[1 if i == j else 0 for j in range(m)] for i in range(m)],
                    0, prec or lf.default_precision)
 
-    def copy(self) -> "KMat":
-        return KMat(self.lf, self.data, self.shift, self.prec)
-
     @property
     def ring(self):
         return self.lf.ring(self.prec)
@@ -149,10 +146,6 @@ class KMat:
     def transpose(self) -> "KMat":
         data = [[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
         return KMat(self.lf, data, self.shift, self.prec)
-
-    def col(self, j: int) -> "KMat":
-        return KMat(self.lf, [[self.data[i][j]] for i in range(self.nrows)],
-                    self.shift, self.prec)
 
     def entry_val(self, i: int, j: int) -> int | None:
         """Valuation of an entry, or None when it vanishes at this precision."""
@@ -544,27 +537,3 @@ def rel_dim(A: Lattice, B: Lattice, n: int) -> int:
     d2 = sum(quotient_struct(B, I).module.exps)
     q = A.lf.q
     return (q**d1 - 1) // n - (q**d2 - 1) // n
-
-
-# JSON form: an m x m matrix of element strings in the shared grammar ---------
-
-
-def lattice_to_json(A: Lattice) -> str:
-    import json
-    rows = []
-    for i in range(A.m):
-        row = []
-        for j in range(A.m):
-            e = A.mat.entry_kelem(i, j)
-            row.append("0" if e is None else e.as_str())
-        rows.append(row)
-    return json.dumps({"p": A.lf.p, "f": A.lf.f, "basis": rows})
-
-
-def lattice_from_json(lf: LocalField, text: str) -> Lattice:
-    import json
-    data = json.loads(text)
-    if (data.get("p"), data.get("f")) != (lf.p, lf.f):
-        raise ValueError("lattice was serialized over a different field")
-    rows = [[0 if s == "0" else s for s in row] for row in data["basis"]]
-    return Lattice.from_rows(lf, rows)

@@ -16,7 +16,6 @@ from __future__ import annotations
 from itertools import product, repeat
 
 from .errors import EnumerationBound
-from .fields import MuScalar
 from .musets import MuSet, MuSetAut, OrbitView
 
 # views of module element sets, keyed by (p, f, exps, n, rule)
@@ -206,10 +205,6 @@ class ModuleHom:
 
     def __repr__(self):
         return f"ModuleHom({self.src!r} -> {self.dst!r})"
-
-
-def identity_hom(M: FiniteModule) -> ModuleHom:
-    return ModuleHom(M, M, list(M.generators()))
 
 
 def scalar_hom(M: FiniteModule, u, from_ring=None) -> ModuleHom:

@@ -188,9 +188,6 @@ class OrbitView:
     def exp_of(self, x) -> int:
         return self.table[x][1]
 
-    def orbit_of(self, x) -> int:
-        return self.table[x][0]
-
     def as_aut(self, fn) -> MuSetAut:
         """Express an equivariant pointed bijection as (sigma, mu) data."""
         sigma, mu = [], []
@@ -206,7 +203,7 @@ class OrbitView:
         return MuSetAut(self.muset, tuple(sigma), tuple(mu))
 
 
-def iso_scalar(src: OrbitView, dst: OrbitView, fn, check: bool = True) -> int:
+def iso_scalar(src: OrbitView, dst: OrbitView, fn) -> int:
     """Exponent c with (tensor of fn(reps of src)) = zeta^c * (tensor of reps of dst).
 
     fn must be an equivariant bijection between the underlying sets.
@@ -216,17 +213,16 @@ def iso_scalar(src: OrbitView, dst: OrbitView, fn, check: bool = True) -> int:
     if src.t != dst.t:
         raise ValueError("sources of different dimension")
     total = 0
-    seen = set() if check else None
+    seen = set()
     for r in src.reps:
         try:
             j, e = dst.table[fn(r)]
         except KeyError:
             raise ValueError("map does not preserve the nonzero part") from None
         total += e
-        if check:
-            if j in seen:
-                raise ValueError("map is not bijective on orbits")
-            seen.add(j)
+        if j in seen:
+            raise ValueError("map is not bijective on orbits")
+        seen.add(j)
     return total % src.n
 
 

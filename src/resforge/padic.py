@@ -122,6 +122,8 @@ class LocalField:
 
     def __init__(self, p: int, f: int = 1, default_precision: int = 24,
                  enum_bound: int = 100_000):
+        if default_precision < 1:
+            raise ValueError("precision must be >= 1")
         self.field: FieldCtx = field_make(p, f)
         self.p = p
         self.f = f
@@ -218,14 +220,12 @@ class LocalField:
 _LF_CACHE: dict[tuple[int, int], LocalField] = {}
 
 
-def local_field(p: int, f: int = 1, **kw) -> LocalField:
+def local_field(p: int, f: int = 1) -> LocalField:
     """Shared LocalField instances, so engine caches are reused."""
     key = (p, f)
     lf = _LF_CACHE.get(key)
-    if lf is None or kw:
-        lf = LocalField(p, f, **kw)
-        if not kw:
-            _LF_CACHE[key] = lf
+    if lf is None:
+        lf = _LF_CACHE[key] = LocalField(p, f)
     return lf
 
 

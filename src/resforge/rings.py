@@ -14,7 +14,7 @@ through the residue field's tables.
 
 from __future__ import annotations
 
-from .fields import FieldCtx, field_make
+from .fields import FieldCtx
 
 
 class RingCtx:

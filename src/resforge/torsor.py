@@ -1,77 +1,19 @@
-"""Determinant lines of finite modules and their canonical isomorphisms.
+"""Canonical isomorphisms of determinant lines of finite modules, as exponents.
 
 Every mu_n-torsor that occurs here is trivialized by a canonical base
 point (the tensor of pinned orbit representatives), so each canonical
 isomorphism of the theory is materialized as a single exponent: the
-scalar by which it moves one canonical base onto another.  Composing
-isomorphisms adds exponents; duals preserve them; the pairing of a base
-with its dual base is normalized to 1.
+scalar by which it moves one canonical base onto another.  No line is
+built as an object; a line is named by the module whose determinant it
+is.  Composing isomorphisms adds exponents, duals preserve them, and the
+pairing of a base with its dual base is 1, so its exponent is 0.
 """
-
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import EnumerationBound
 from .fields import MuScalar, field_det, mu_dlog
 from .modules import FiniteModule, ModuleHom, module_aut_as_musetaut
 from .musets import OrbitView, aut_delta, iso_scalar
-
-
-@dataclass(frozen=True)
-class MuLine:
-    """A trivialized mu_n-torsor; the label records where it came from."""
-
-    n: int
-    label: str
-
-    def dual(self) -> "MuLine":
-        return MuLine(self.n, f"({self.label})^dual")
-
-    def tensor(self, other: "MuLine") -> "MuLine":
-        if self.n != other.n:
-            raise ValueError("mismatched n")
-        return MuLine(self.n, f"{self.label} (x) {other.label}")
-
-
-@dataclass(frozen=True)
-class TorsorElem:
-    """zeta^exp times the base point of a trivialized line."""
-
-    line: MuLine
-    exp: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "exp", self.exp % self.line.n)
-
-    def scaled(self, s: MuScalar) -> "TorsorElem":
-        if s.n != self.line.n:
-            raise ValueError("mismatched n")
-        return TorsorElem(self.line, self.exp + s.exp)
-
-
-def line_tensor(L: MuLine, M: MuLine) -> MuLine:
-    return L.tensor(M)
-
-
-def line_dual(L: MuLine) -> MuLine:
-    return L.dual()
-
-
-def elem_tensor(s: TorsorElem, t: TorsorElem) -> TorsorElem:
-    return TorsorElem(s.line.tensor(t.line), s.exp + t.exp)
-
-
-def duality_contract(s: TorsorElem, t: TorsorElem) -> MuScalar:
-    """Evaluate an element of L (x) L^dual; base paired with dual base is 1."""
-    n = s.line.n
-    if t.line != s.line.dual() and s.line != t.line.dual():
-        raise ValueError("not a dual pair of lines")
-    return MuScalar(n, s.exp + t.exp)
-
-
-def det_line(T: FiniteModule, n: int) -> MuLine:
-    return MuLine(n, f"det({T!r})")
 
 
 # ---------------------------------------------------------------------------

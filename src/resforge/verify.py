@@ -10,17 +10,15 @@ from __future__ import annotations
 import random
 
 from .errors import EnumerationBound
-from .extension import (comm_symbol, corrected_symbol, cocycle_exp, get_engine,
-                        kappa_exp)
-from .fields import (field_make, mu_dlog, mu_embed, power_residue_char,
-                     zolotarev_sign)
+from .extension import comm_symbol, cocycle_exp, get_engine
+from .fields import field_make, mu_dlog, power_residue_char, zolotarev_sign
 from .lattices import (KMat, Lattice, lat_apply, lat_contains_lattice,
                        lat_intersect, lat_sum, quotient_struct, rel_dim,
-                       induced_hom, principal_lattice, standard_lattice)
-from .modules import FiniteModule, ModuleHom, module_as_muset, scalar_hom
+                       induced_hom, standard_lattice)
+from .modules import FiniteModule, ModuleHom, scalar_hom
 from .musets import MuSet, MuSetAut, aut_delta, aut_extend, perm_sign
 from .padic import local_field
-from .symbols import crosscheck, power_residue_symbol, steinberg_check
+from .symbols import crosscheck, steinberg_check
 from .torsor import _exact_seq_exp, det_of_module_aut
 
 

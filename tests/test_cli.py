@@ -100,6 +100,13 @@ def test_env_override(capsys, monkeypatch):
     ("symbol", "--p", "4", "--n", "2", "3", "5"),
     ("symbol", "--p", "7", "--f", "0", "--n", "2", "3", "5"),
     ("table", "--p", "7", "--n", "4"),
+    ("verify", "theorem", "--p", "4"),
+    ("verify", "corollary", "--p", "9"),
+    ("verify", "theorem", "--p", "1000003"),
+    ("verify", "zolotarev", "--p", "2"),
+    ("table", "--p", "7", "--n", "2", "--precision", "-3"),
+    ("symbol", "--p", "7", "--n", "2", "--precision", "0", "3", "5"),
+    ("table", "--p", "7", "--n", "2", "--vmax", "-1"),
 ])
 def test_bad_field_flags_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

@@ -1,9 +1,9 @@
 import pytest
 
 from resforge.errors import EnumerationBound
-from resforge.fields import (FieldCtx, MuScalar, _poly_mulmod, extension_field,
-                             field_make, is_prime, mu_dlog, mu_embed,
-                             norm_check, power_residue_char, zolotarev_sign)
+from resforge.fields import (FieldCtx, MuScalar, _poly_mulmod, field_make,
+                             is_prime, mu_dlog, mu_embed, power_residue_char,
+                             zolotarev_sign)
 
 
 def brute_order(ctx, x):
@@ -199,36 +199,6 @@ def test_zolotarev_matches_euler_all_odd_q_to_49():
             assert sign == inversion_sign(perm)
             euler = 1 if power_residue_char(c, a, 2).exp == 0 else -1
             assert sign == euler
-
-
-def test_norm_check_examples():
-    c2 = field_make(2)
-    big, _ = extension_field(c2, 2)
-    assert norm_check(c2, 2, big.g) == 1  # g * g^2 = g^3 = 1 in F_4
-    c3 = field_make(3)
-    big9, emb = extension_field(c3, 2)
-    sqrt_m1 = [y for y in big9.elements() if big9.mul(y, y) == 2]
-    assert sqrt_m1, "F_9 contains a square root of -1"
-    for y in sqrt_m1:
-        assert norm_check(c3, 2, y) == 1
-    # scalars: norm of an embedded c is c^d
-    for cval in range(1, 3):
-        assert norm_check(c3, 2, emb[cval]) == c3.pow(cval, 2)
-
-
-def test_norm_check_is_power_map():
-    for p, f, d in [(2, 1, 2), (2, 1, 3), (2, 1, 6), (3, 1, 2), (3, 1, 3),
-                    (5, 1, 2), (7, 1, 2), (2, 2, 2), (2, 2, 3), (2, 3, 2)]:
-        base = field_make(p, f)
-        q = base.q
-        if q**d > 64:
-            continue
-        big, emb = extension_field(base, d)
-        power = (q**d - 1) // (q - 1)
-        for x in range(1, big.q):
-            want = big.pow(x, power)
-            got = norm_check(base, d, x)
-            assert emb[got] == want, (p, f, d, x)
 
 
 def test_mu_scalar_group_laws():

@@ -7,7 +7,7 @@ from resforge.lattices import (KMat, Lattice, lat_apply, lat_contains,
                                lat_contains_lattice, lat_intersect, lat_sum,
                                principal_lattice, quotient_struct, rel_dim,
                                smith_normal_form, standard_lattice)
-from resforge.padic import local_field
+from resforge.padic import LocalField, local_field
 
 
 @pytest.fixture
@@ -192,20 +192,6 @@ def test_f2_backend_quotients():
 
 
 def test_precision_failure_is_loud():
-    lf = local_field(7, default_precision=4)
+    lf = LocalField(7, default_precision=4)
     with pytest.raises(PrecisionError):
         KMat.from_rows(lf, [[1, 1], [1, lf.from_rational(1 + 7**3, 4)]], 4).inverse()
-
-
-def test_lattice_json_roundtrip(q7):
-    from resforge.lattices import lattice_from_json, lattice_to_json
-    rng = random.Random(4)
-    for _ in range(20):
-        m = rng.randint(1, 3)
-        A = rand_lattice(q7, rng, m)
-        assert lattice_from_json(q7, lattice_to_json(A)) == A
-    lf9 = local_field(3, 2)
-    B = Lattice.from_rows(lf9, [["pi^1*[1,2]", "[0,1]"], [0, "pi^2*[2,0]"]], 40)
-    assert lattice_from_json(lf9, lattice_to_json(B)) == B
-    with pytest.raises(ValueError):
-        lattice_from_json(q7, lattice_to_json(B))

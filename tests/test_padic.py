@@ -117,3 +117,34 @@ def test_equality_respects_precision(q7):
     assert a == b
     c = q7.from_rational(3 + 7**3, prec=2)
     assert c == a                            # equal to the available digits
+
+
+@pytest.mark.parametrize("p, f", [(3, 1), (7, 1), (13, 1), (3, 2), (5, 2)])
+def test_grammar_round_trip(p, f):
+    """lf.parse(x.as_str()) == x on seeded random elements of every precision."""
+    import random
+    lf = local_field(p, f)
+    rng = random.Random(f"grammar-{p}-{f}")
+    cases = 0
+    for prec in (1, 2, 5, 24):
+        for v in range(-5, 6):
+            for _ in range(7):
+                bound = p ** (prec + 1)
+                if f == 1:
+                    num, den = rng.randint(-bound, bound) or 1, rng.randint(1, bound)
+                    text = f"pi^{v}*{num}/{den}"
+                    want = lf.pi(v, prec) * lf.from_rational(Fraction(num, den), prec)
+                else:
+                    # coefficient lists with negative entries, lifted exactly
+                    coeffs = [rng.randint(-bound, bound) for _ in range(f)]
+                    try:
+                        want = lf.pi(v, prec) * lf.from_coeffs(coeffs, prec)
+                    except PrecisionError:
+                        continue   # vanishes at this precision
+                    text = f"pi^{v}*[{','.join(map(str, coeffs))}]"
+                x = lf.parse(text, prec)
+                assert x == want, text
+                y = lf.parse(x.as_str(), prec)
+                assert y == x and (y.val, y.unit, y.prec) == (x.val, x.unit, x.prec), x.as_str()
+                cases += 1
+    assert cases >= 280
