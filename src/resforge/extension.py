@@ -19,11 +19,10 @@ nested triples, and for arbitrary triples by composing those two kinds
 of steps along the standard eight-line chain through the pairwise and
 triple intersections.
 
-A SymbolEngine fixes the field, n, and the representative rule, and
-memoizes the rank-one building blocks, which the acceptance sweeps hit
-millions of times.  Its default rule is digit (see musets), under which
-the rank-one building blocks have closed forms and the route enumerates
-nothing at m = 1: for f = u * pi^v and g of valuation w,
+A SymbolEngine fixes the field, n, and the representative rule.  Its
+default rule is digit (see musets), under which the rank-one building
+blocks have closed forms and the route enumerates nothing at m = 1: for
+f = u * pi^v and g of valuation w,
 
     kappa(O, fO, fgO) = 0,
     rho_f on (O | pi^w O) = sign(w) * (q^|w| - 1)/(q - 1) * S(u mod pi),
@@ -31,8 +30,11 @@ nothing at m = 1: for f = u * pi^v and g of valuation w,
 
 where S(u) sums, over the least elements c of the cosets of mu_n in
 F_q^x, the position of u*c in its coset counted in powers of the residue
-of zeta_n.  The least and second_least rules, rho_exp, kappa_exp and all
-of m >= 2 enumerate, and serve the closed forms as their oracle.
+of zeta_n.  Under it the symbols read a K^x argument as its valuation v
+and the residue of its unit, with no matrix, and S(u) by residue is the
+engine's only rank-one memo.  The least and second_least rules (afresh
+on every call), rho_exp, kappa_exp and all of m >= 2 enumerate, and
+serve the closed forms as their oracle.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class ExtElem:
 
 
 class SymbolEngine:
-    """Fixes (K, n, representative rule) and memoizes rank-one data."""
+    """Fixes (K, n, representative rule); memoizes lattices and S(u) by residue."""
 
     def __init__(self, lf, n: int, rule: str = "digit"):
         _check_n(lf.field, n)
@@ -67,11 +69,6 @@ class SymbolEngine:
         self.prec = lf.default_precision
         self._std: dict[int, Lattice] = {}
         self._plat: dict[int, Lattice] = {}
-        # m = 1 memos: c(f, g) by (unit of f, its precision, v(g)) under
-        # the digit rule, rho and kappa for the enumerating rules
-        self._cocycle_m1: dict = {}
-        self._rho_m1: dict = {}
-        self._kappa_m1: dict = {}
         # digit rule: S(u) by residue u, and the coset walk it reads
         self._digit_sums: dict[int, int] = {}
         self._cosets = None
@@ -94,14 +91,23 @@ class SymbolEngine:
             self._plat[v] = L
         return L
 
+    def as_kelem(self, x) -> KElem:
+        """x as an element of K^x = GL_1(K) of this engine's field."""
+        if isinstance(x, KElem):
+            if x.lf is not self.lf:
+                raise ValueError("element of a different field")
+            return x
+        if isinstance(x, str):
+            return self.lf.parse(x, self.prec)
+        if isinstance(x, (int, Fraction)):
+            return self.lf.from_rational(x, self.prec)
+        raise TypeError(f"cannot interpret {x!r} as an element of K^x")
+
     def as_kmat(self, x) -> KMat:
         if isinstance(x, KMat):
             return x
-        if isinstance(x, KElem):
-            return KMat.from_rows(self.lf, [[x]], x.prec)
-        if isinstance(x, (int, Fraction, str)):
-            return KMat.from_rows(self.lf, [[x]], self.prec)
-        raise TypeError(f"cannot interpret {x!r} as an element of GL_m(K)")
+        x = self.as_kelem(x)
+        return KMat.from_rows(self.lf, [[x]], x.prec)
 
 
 def get_engine(lf, n: int, rule: str = "digit") -> SymbolEngine:
@@ -242,36 +248,25 @@ def _rho_m1_digit(engine: SymbolEngine, x: KElem, w: int) -> int:
 # the cocycle and the extension group law
 
 
+def _cocycle_m1(x: KElem, w: int, engine: SymbolEngine) -> int:
+    """c(f, g) at m = 1, for f = x and g of valuation w."""
+    if engine.rule == "digit":
+        return _rho_m1_digit(engine, x, w)   # kappa is 0
+    O = engine.principal(0)
+    r = rho_exp(engine.as_kmat(x), O, engine.principal(w), engine)
+    k = kappa_exp(O, engine.principal(x.val), engine.principal(x.val + w), engine)
+    return (r + k) % engine.n
+
+
 def cocycle_exp(f: KMat, g: KMat, engine: SymbolEngine) -> int:
     m = f.nrows
     if (f.nrows, f.ncols) != (g.nrows, g.ncols) or m != f.ncols:
         raise ValueError("f and g must be square of the same size")
     if m == 1:
-        x = f.entry_kelem(0, 0)
-        vg = g.entry_val(0, 0)
-        if x is None or vg is None:
+        x, w = f.entry_kelem(0, 0), g.entry_val(0, 0)
+        if x is None or w is None:
             raise ValueError("singular input")
-        if engine.rule == "digit":
-            # the encoding of a unit depends on its precision when f > 1
-            key = (x.unit, x.prec, vg)
-            c = engine._cocycle_m1.get(key)
-            if c is None:
-                c = _rho_m1_digit(engine, x, vg)   # kappa is 0
-                engine._cocycle_m1[key] = c
-            return c
-        vf, uf = x.val, x.unit
-        key_r = (vf, uf, vg)
-        r = engine._rho_m1.get(key_r)
-        if r is None:
-            r = rho_exp(f, engine.principal(0), engine.principal(vg), engine)
-            engine._rho_m1[key_r] = r
-        key_k = (vf, vf + vg)
-        k = engine._kappa_m1.get(key_k)
-        if k is None:
-            k = kappa_exp(engine.principal(0), engine.principal(vf),
-                          engine.principal(vf + vg), engine)
-            engine._kappa_m1[key_k] = k
-        return (r + k) % engine.n
+        return _cocycle_m1(x, w, engine)
     V = engine.standard(m)
     fV = lat_apply(f, V)
     fgV = lat_apply(f @ g, V)
@@ -283,7 +278,10 @@ def cocycle_exp(f: KMat, g: KMat, engine: SymbolEngine) -> int:
 
 def cocycle(f, g, engine: SymbolEngine) -> MuScalar:
     """c(f, g) with (f,s)(g,t) = (fg, zeta^c(f,g) * s t) on base multiples."""
-    return MuScalar(engine.n, cocycle_exp(engine.as_kmat(f), engine.as_kmat(g), engine))
+    if isinstance(f, KMat) or isinstance(g, KMat):
+        return MuScalar(engine.n, cocycle_exp(engine.as_kmat(f), engine.as_kmat(g), engine))
+    x, y = engine.as_kelem(f), engine.as_kelem(g)
+    return MuScalar(engine.n, _cocycle_m1(x, y.val, engine))
 
 
 def ext_identity(engine: SymbolEngine, m: int = 1) -> ExtElem:
@@ -316,6 +314,9 @@ def _commute(f: KMat, g: KMat) -> bool:
 
 def comm_symbol(f, g, engine: SymbolEngine) -> MuScalar:
     """{f, g} = [lift(f), lift(g)] for commuting f, g; equals c(f,g) - c(g,f)."""
+    if not (isinstance(f, KMat) or isinstance(g, KMat)):
+        x, y = engine.as_kelem(f), engine.as_kelem(g)
+        return MuScalar(engine.n, _cocycle_m1(x, y.val, engine) - _cocycle_m1(y, x.val, engine))
     f = engine.as_kmat(f)
     g = engine.as_kmat(g)
     # K^x is commutative, so only m >= 2 needs the check
@@ -337,12 +338,9 @@ def corrected_symbol(a, b, engine: SymbolEngine) -> MuScalar:
     which agrees with the literal sign whenever q is odd and is trivial
     for odd n.
     """
-    fa = engine.as_kmat(a)
-    fb = engine.as_kmat(b)
-    if fa.nrows != 1 or fb.nrows != 1:
-        raise ValueError("the corrected symbol is defined for K^x (m = 1)")
-    comm = comm_symbol(fa, fb, engine)
+    x, y = engine.as_kelem(a), engine.as_kelem(b)
+    comm = comm_symbol(x, y, engine)
     q, n = engine.lf.q, engine.n
-    da = _rel_dim_m1(q, n, fa.entry_val(0, 0))
-    db = _rel_dim_m1(q, n, fb.entry_val(0, 0))
+    da = _rel_dim_m1(q, n, x.val)
+    db = _rel_dim_m1(q, n, y.val)
     return MuScalar(engine.n, comm.exp + (da % 2) * (db % 2) * engine._sign_exp)

@@ -33,7 +33,8 @@ def tame_symbol(lf: LocalField, a: KElem, b: KElem) -> int:
     With a = pi^v(a) * ua and b = pi^v(b) * ub the pi-powers cancel, so the
     value is ua^v(b) / ub^v(a) in F_q, up to the sign.
     """
-    a._same_field(b)
+    if a.lf is not lf or b.lf is not lf:
+        raise ValueError("elements of different fields")
     va, vb = a.val, b.val
     field = lf.field
     ra = a.unit_part().reduce_mod_pi()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import EnumerationBound
+from .errors import EnumerationBound, PrecisionError
 from .extension import comm_symbol, cocycle_exp, get_engine
 from .fields import field_make, mu_dlog, power_residue_char, zolotarev_sign
 from .lattices import (KMat, Lattice, lat_apply, lat_contains_lattice,
@@ -164,8 +164,8 @@ def run_torsor(seed: int = 0, **_):
     for _ in range(200):
         m = rng.randint(1, 2)
         A = standard_lattice(lf, m)
-        M1 = _random_integral(lf, rng, m, emax=2)
-        M2 = _random_integral(lf, rng, m, emax=1)
+        M1 = _random_matrix(lf, rng, m, (0, 2), 0.9)
+        M2 = _random_matrix(lf, rng, m, (0, 1), 0.9)
         B = Lattice(A.mat @ M1)
         C = Lattice(B.mat @ M2)
         QXZ = quotient_struct(A, C)
@@ -199,28 +199,17 @@ def run_torsor(seed: int = 0, **_):
     return _finish("torsor", [coherence, classical, natural])
 
 
-def _random_integral(lf, rng, m, emax=2, prec=60):
-    """Random integral matrix with unit determinant times a small pi-power."""
+def _random_matrix(lf, rng, m, vals=(-2, 2), density=0.85, prec=60):
+    """Random invertible m x m matrix: each entry is nonzero with
+    probability density, a unit times pi to a power drawn from vals."""
     while True:
-        rows = [[(lf.pi(rng.randint(0, emax)) * lf.from_rational(rng.randint(1, lf.p - 1), prec))
-                 if rng.random() < 0.9 else 0 for _ in range(m)] for _ in range(m)]
+        rows = [[(lf.pi(rng.randint(*vals)) * lf.from_rational(rng.randint(1, lf.p - 1), prec))
+                 if rng.random() < density else 0 for _ in range(m)] for _ in range(m)]
         M = KMat.from_rows(lf, rows, prec)
         try:
             M.det_val()
             return M
-        except Exception:
-            continue
-
-
-def _random_glm(lf, rng, m, vmax=2, prec=60):
-    while True:
-        rows = [[(lf.pi(rng.randint(-vmax, vmax)) * lf.from_rational(rng.randint(1, lf.p - 1), prec))
-                 if rng.random() < 0.85 else 0 for _ in range(m)] for _ in range(m)]
-        M = KMat.from_rows(lf, rows, prec)
-        try:
-            M.det_val()
-            return M
-        except Exception:
+        except PrecisionError:
             continue
 
 
@@ -234,8 +223,8 @@ def run_lattice(seed: int = 0, **_):
     anti = _Check("relative_dimension_antisymmetry")
     for _ in range(100):
         m = rng.randint(1, 3)
-        A = lat_apply(_random_glm(lf, rng, m), standard_lattice(lf, m))
-        B = lat_apply(_random_glm(lf, rng, m), standard_lattice(lf, m))
+        A = lat_apply(_random_matrix(lf, rng, m), standard_lattice(lf, m))
+        B = lat_apply(_random_matrix(lf, rng, m), standard_lattice(lf, m))
         S, I = lat_sum(A, B), lat_intersect(A, B)
         basic.record(lat_contains_lattice(S, A) and lat_contains_lattice(S, B)
                      and lat_contains_lattice(A, I) and lat_contains_lattice(B, I),
@@ -250,8 +239,8 @@ def run_lattice(seed: int = 0, **_):
     for _ in range(200):
         m = rng.randint(1, 3)
         A = standard_lattice(lf, m)
-        B = Lattice(A.mat @ _random_integral(lf, rng, m, emax=2))
-        C = Lattice(B.mat @ _random_integral(lf, rng, m, emax=1))
+        B = Lattice(A.mat @ _random_matrix(lf, rng, m, (0, 2), 0.9))
+        C = Lattice(B.mat @ _random_matrix(lf, rng, m, (0, 1), 0.9))
         dy = sum(quotient_struct(A, C).module.exps)
         dx = sum(quotient_struct(B, C).module.exps)
         dz = sum(quotient_struct(A, B).module.exps)
@@ -276,7 +265,7 @@ def run_cocycle(seed: int = 0, **_):
         n = rng.choice(_divisors(p - 1))
         eng = get_engine(lf, n)
         m = rng.choice((1, 2))
-        f, g, h = (_random_glm(lf, rng, m) for _ in range(3))
+        f, g, h = (_random_matrix(lf, rng, m) for _ in range(3))
         try:
             lhs = (cocycle_exp(f, g @ h, eng) + cocycle_exp(g, h, eng)) % n
             rhs = (cocycle_exp(f @ g, h, eng) + cocycle_exp(f, g, eng)) % n

@@ -3,16 +3,16 @@ import random
 import pytest
 
 from resforge.errors import EnumerationBound
-from resforge.extension import (_rel_dim_m1, cocycle, cocycle_exp,
-                                comm_symbol, corrected_symbol, ext_identity,
-                                ext_inverse, ext_lift, ext_mul, get_engine,
-                                kappa_exp, rho_exp)
+from resforge.extension import (SymbolEngine, _rel_dim_m1, cocycle,
+                                cocycle_exp, comm_symbol, corrected_symbol,
+                                ext_identity, ext_inverse, ext_lift, ext_mul,
+                                get_engine, kappa_exp, rho_exp)
 from resforge.fields import power_residue_char
 from resforge.lattices import (KMat, Lattice, lat_apply, principal_lattice,
                                rel_dim, standard_lattice)
 from resforge.padic import LocalField, local_field
 from resforge.symbols import power_residue_symbol
-from resforge.verify import _random_glm as rand_glm
+from resforge.verify import _random_matrix as rand_matrix
 
 RULES = ("digit", "least", "second_least")
 
@@ -38,9 +38,9 @@ def test_rho_functor_composition(eng7):
     rng = random.Random(9)
     for m in (1, 2):
         for _ in range(10):
-            f, g = rand_glm(lf, rng, m, 1), rand_glm(lf, rng, m, 1)
-            A = lat_apply(rand_glm(lf, rng, m, 1), standard_lattice(lf, m))
-            B = lat_apply(rand_glm(lf, rng, m, 1), standard_lattice(lf, m))
+            f, g = rand_matrix(lf, rng, m, (-1, 1)), rand_matrix(lf, rng, m, (-1, 1))
+            A = lat_apply(rand_matrix(lf, rng, m, (-1, 1)), standard_lattice(lf, m))
+            B = lat_apply(rand_matrix(lf, rng, m, (-1, 1)), standard_lattice(lf, m))
             gA, gB = lat_apply(g, A), lat_apply(g, B)
             lhs = rho_exp(f @ g, A, B, eng7)
             rhs = (rho_exp(f, gA, gB, eng7) + rho_exp(g, A, B, eng7)) % 2
@@ -101,7 +101,7 @@ def test_cocycle_identity_random():
         n = rng.choice([d for d in range(1, p) if (p - 1) % d == 0])
         eng = get_engine(lf, n)
         m = rng.choice((1, 2))
-        f, g, h = (rand_glm(lf, rng, m) for _ in range(3))
+        f, g, h = (rand_matrix(lf, rng, m) for _ in range(3))
         try:
             lhs = (cocycle_exp(f, g @ h, eng) + cocycle_exp(g, h, eng)) % n
             rhs = (cocycle_exp(f @ g, h, eng) + cocycle_exp(f, g, eng)) % n
@@ -116,9 +116,9 @@ def test_ext_group_law(eng7):
     rng = random.Random(12)
     e = ext_identity(eng7)
     for _ in range(10):
-        x = ext_lift(eng7, rand_glm(lf, rng, 1))
-        y = ext_lift(eng7, rand_glm(lf, rng, 1))
-        z = ext_lift(eng7, rand_glm(lf, rng, 1))
+        x = ext_lift(eng7, rand_matrix(lf, rng, 1))
+        y = ext_lift(eng7, rand_matrix(lf, rng, 1))
+        z = ext_lift(eng7, rand_matrix(lf, rng, 1))
         a1 = ext_mul(eng7, ext_mul(eng7, x, y), z)
         a2 = ext_mul(eng7, x, ext_mul(eng7, y, z))
         assert a1.f == a2.f and a1.exp == a2.exp
@@ -127,7 +127,7 @@ def test_ext_group_law(eng7):
     # mu_n embeds centrally
     from resforge.extension import ExtElem
     mu = ExtElem(KMat.identity(lf, 1), 1)
-    g = ext_lift(eng7, rand_glm(lf, rng, 1))
+    g = ext_lift(eng7, rand_matrix(lf, rng, 1))
     assert ext_mul(eng7, mu, g).exp == ext_mul(eng7, g, mu).exp == (g.exp + 1) % 2
 
 
@@ -165,8 +165,8 @@ def test_comm_symbol_gl2_units(eng7):
     lf = eng7.lf
     rng = random.Random(14)
     for _ in range(10):
-        f = rand_glm(lf, rng, 2, vmax=0)
-        g = rand_glm(lf, rng, 2, vmax=0)
+        f = rand_matrix(lf, rng, 2, (0, 0))
+        g = rand_matrix(lf, rng, 2, (0, 0))
         if (f @ g) == (g @ f):
             assert comm_symbol(f, g, eng7).exp == 0
         fg = f @ f  # f commutes with itself and its powers
@@ -232,6 +232,40 @@ def test_rank_one_closed_forms_equal_enumeration(p, f):
                 assert cocycle_exp(F, G, eng) == r, (n, x.as_str(), vf, vg)
                 nonzero += r != 0
     assert nonzero > 0
+
+
+def test_rank_one_cocycle_reads_each_unit_afresh():
+    # at q = 9 both units are encoded as 10, at precisions 2 and 3, but
+    # their residues are 4 and 1; one engine must give what fresh ones give
+    lf = local_field(3, 2)
+    x1 = lf.from_coeffs([1, 1], prec=2)
+    x2 = lf.from_coeffs([10, 0], prec=3)
+    assert x1.unit == x2.unit and x1.reduce_mod_pi() != x2.reduce_mod_pi()
+    for rule in RULES:
+        for n in (2, 4, 8):
+            shared = SymbolEngine(lf, n, rule)
+            got = [cocycle(x, "pi", shared).exp for x in (x1, x2)]
+            fresh = [cocycle(x, "pi", SymbolEngine(lf, n, rule)).exp for x in (x1, x2)]
+            assert got == fresh == [1, 0], (rule, n)
+
+
+def test_rank_one_symbols_build_no_matrix(monkeypatch):
+    lf = local_field(5, 2)
+    a, b = lf.parse("pi^2*[1,2]"), lf.parse("pi^-1*[3,1]")
+    eng = SymbolEngine(lf, 4)
+    # the same symbols through 1x1 matrices and cocycle_exp
+    fa, fb = eng.as_kmat(a), eng.as_kmat(b)
+    want = (power_residue_symbol(lf, a, b, 4).exp, comm_symbol(fa, fb, eng).exp,
+            cocycle_exp(fa, fb, eng))
+
+    def refuse(*_args, **_kw):
+        raise AssertionError("a KMat was built on the rank-one route")
+
+    monkeypatch.setattr(KMat, "__init__", refuse)
+    for x, y in [(a, b), ("pi^2*[1,2]", "pi^-1*[3,1]"), (a, "pi^-1*[3,1]")]:
+        got = (corrected_symbol(x, y, eng).exp, comm_symbol(x, y, eng).exp,
+               cocycle(x, y, eng).exp)
+        assert got == want, (x, y)
 
 
 def test_extension_route_answers_past_the_enumeration_ceiling():

@@ -8,6 +8,7 @@ from resforge.lattices import (KMat, Lattice, lat_apply, lat_contains,
                                principal_lattice, quotient_struct, rel_dim,
                                smith_normal_form, standard_lattice)
 from resforge.padic import LocalField, local_field
+from resforge.verify import _random_matrix as rand_matrix
 
 
 @pytest.fixture
@@ -17,22 +18,8 @@ def q7():
 
 def rand_lattice(lf, rng, m, vmax=3, prec=60):
     while True:
-        rows = [[(lf.pi(rng.randint(-vmax, vmax)) * lf.from_rational(rng.randint(1, lf.p - 1), prec))
-                 if rng.random() < 0.8 else 0 for _ in range(m)] for _ in range(m)]
         try:
-            return Lattice.from_rows(lf, rows, prec)
-        except Exception:
-            continue
-
-
-def rand_integral(lf, rng, m, emax=2, prec=60):
-    while True:
-        rows = [[(lf.pi(rng.randint(0, emax)) * lf.from_rational(rng.randint(1, lf.p - 1), prec))
-                 if rng.random() < 0.9 else 0 for _ in range(m)] for _ in range(m)]
-        M = KMat.from_rows(lf, rows, prec)
-        try:
-            M.det_val()
-            return M
+            return Lattice(rand_matrix(lf, rng, m, (-vmax, vmax), 0.8, prec))
         except PrecisionError:
             continue
 
@@ -157,8 +144,8 @@ def test_dimension_additivity_mod_divisors(q7):
     for _ in range(60):
         m = rng.randint(1, 3)
         A = standard_lattice(q7, m)
-        B = Lattice(A.mat @ rand_integral(q7, rng, m, 2))
-        C = Lattice(B.mat @ rand_integral(q7, rng, m, 1))
+        B = Lattice(A.mat @ rand_matrix(q7, rng, m, (0, 2), 0.9))
+        C = Lattice(B.mat @ rand_matrix(q7, rng, m, (0, 1), 0.9))
         dy = sum(quotient_struct(A, C).module.exps)
         dx = sum(quotient_struct(B, C).module.exps)
         dz = sum(quotient_struct(A, B).module.exps)

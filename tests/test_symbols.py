@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from resforge.extension import corrected_symbol, get_engine
 from resforge.fields import mu_embed
 from resforge.padic import KElem, local_field
 from resforge.symbols import (crosscheck, delta_route_symbol,
@@ -52,6 +53,15 @@ def test_tame_symbol_rejects_mixed_fields():
         tame_symbol(lf7, lf7.parse("3"), lf5.parse("3"))
     with pytest.raises(ValueError):
         tame_symbol(lf7, lf5.parse("5"), lf7.parse("7"))
+    # both arguments in Q_13, the field asked for Q_7
+    lf13 = local_field(13)
+    a, b = lf13.parse("3"), lf13.parse("13")
+    with pytest.raises(ValueError):
+        tame_symbol(lf7, a, b)
+    with pytest.raises(ValueError):
+        crosscheck(lf7, a, b, 2)
+    with pytest.raises(ValueError):
+        corrected_symbol(a, b, get_engine(lf7, 2))
 
 
 def test_power_residue_symbol_examples(q7):

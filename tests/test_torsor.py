@@ -10,7 +10,7 @@ from resforge.musets import OrbitView
 from resforge.padic import local_field
 from resforge.torsor import (det_iso_scalar, det_of_module_aut, exact_seq_iso,
                              fiber_iso, _exact_seq_exp)
-from resforge.verify import _random_integral
+from resforge.verify import _random_matrix as rand_matrix
 
 
 def random_scalar_aut(lf, rng, M):
@@ -238,8 +238,8 @@ def test_naturality_of_exact_sequence_scalar():
     for _ in range(40):
         m = rng.randint(1, 2)
         A = standard_lattice(lf, m)
-        B = Lattice(A.mat @ _random_integral(lf, rng, m, 2))
-        C = Lattice(B.mat @ _random_integral(lf, rng, m, 1))
+        B = Lattice(A.mat @ rand_matrix(lf, rng, m, (0, 2), 0.9))
+        C = Lattice(B.mat @ rand_matrix(lf, rng, m, (0, 1), 0.9))
         QYZ, QXZ, QXY = (quotient_struct(A, C), quotient_struct(B, C),
                          quotient_struct(A, B))
         X, Y, Z = QXZ.module, QYZ.module, QXY.module
@@ -284,8 +284,8 @@ def test_exact_seq_exp_matches_per_element_oracle():
         for _ in range(12):
             m = rng.randint(1, 2)
             A = standard_lattice(lf, m)
-            B = Lattice(A.mat @ _random_integral(lf, rng, m, 2))
-            C = Lattice(B.mat @ _random_integral(lf, rng, m, 1))
+            B = Lattice(A.mat @ rand_matrix(lf, rng, m, (0, 2), 0.9))
+            C = Lattice(B.mat @ rand_matrix(lf, rng, m, (0, 1), 0.9))
             QYZ, QXZ, QXY = (quotient_struct(A, C), quotient_struct(B, C),
                              quotient_struct(A, B))
             X, Y, Z = QXZ.module, QYZ.module, QXY.module
