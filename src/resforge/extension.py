@@ -40,7 +40,6 @@ serve the closed forms as their oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .fields import MuScalar, _check_n, power_residue_char
 from .lattices import (KMat, Lattice, LatticeQuotient, induced_hom, lat_apply,
@@ -91,22 +90,10 @@ class SymbolEngine:
             self._plat[v] = L
         return L
 
-    def as_kelem(self, x) -> KElem:
-        """x as an element of K^x = GL_1(K) of this engine's field."""
-        if isinstance(x, KElem):
-            if x.lf is not self.lf:
-                raise ValueError("element of a different field")
-            return x
-        if isinstance(x, str):
-            return self.lf.parse(x, self.prec)
-        if isinstance(x, (int, Fraction)):
-            return self.lf.from_rational(x, self.prec)
-        raise TypeError(f"cannot interpret {x!r} as an element of K^x")
-
     def as_kmat(self, x) -> KMat:
         if isinstance(x, KMat):
             return x
-        x = self.as_kelem(x)
+        x = self.lf.as_kelem(x)
         return KMat.from_rows(self.lf, [[x]], x.prec)
 
 
@@ -239,7 +226,7 @@ def _rho_m1_digit(engine: SymbolEngine, x: KElem, w: int) -> int:
     if w == 0:
         return 0
     q = engine.lf.q
-    u = engine.lf.ring(x.prec).reduce_to_field(x.unit)
+    u = engine.lf.ring(x.prec).reduce_to(x.unit, engine.lf.field)
     r = (q**abs(w) - 1) // (q - 1) * _digit_sum(engine, u)
     return (r if w > 0 else -r) % engine.n
 
@@ -262,6 +249,8 @@ def cocycle_exp(f: KMat, g: KMat, engine: SymbolEngine) -> int:
     m = f.nrows
     if (f.nrows, f.ncols) != (g.nrows, g.ncols) or m != f.ncols:
         raise ValueError("f and g must be square of the same size")
+    if f.lf is not engine.lf or g.lf is not engine.lf:
+        raise ValueError("matrices of a different field")
     if m == 1:
         x, w = f.entry_kelem(0, 0), g.entry_val(0, 0)
         if x is None or w is None:
@@ -280,7 +269,7 @@ def cocycle(f, g, engine: SymbolEngine) -> MuScalar:
     """c(f, g) with (f,s)(g,t) = (fg, zeta^c(f,g) * s t) on base multiples."""
     if isinstance(f, KMat) or isinstance(g, KMat):
         return MuScalar(engine.n, cocycle_exp(engine.as_kmat(f), engine.as_kmat(g), engine))
-    x, y = engine.as_kelem(f), engine.as_kelem(g)
+    x, y = engine.lf.as_kelem(f), engine.lf.as_kelem(g)
     return MuScalar(engine.n, _cocycle_m1(x, y.val, engine))
 
 
@@ -315,7 +304,7 @@ def _commute(f: KMat, g: KMat) -> bool:
 def comm_symbol(f, g, engine: SymbolEngine) -> MuScalar:
     """{f, g} = [lift(f), lift(g)] for commuting f, g; equals c(f,g) - c(g,f)."""
     if not (isinstance(f, KMat) or isinstance(g, KMat)):
-        x, y = engine.as_kelem(f), engine.as_kelem(g)
+        x, y = engine.lf.as_kelem(f), engine.lf.as_kelem(g)
         return MuScalar(engine.n, _cocycle_m1(x, y.val, engine) - _cocycle_m1(y, x.val, engine))
     f = engine.as_kmat(f)
     g = engine.as_kmat(g)
@@ -338,7 +327,7 @@ def corrected_symbol(a, b, engine: SymbolEngine) -> MuScalar:
     which agrees with the literal sign whenever q is odd and is trivial
     for odd n.
     """
-    x, y = engine.as_kelem(a), engine.as_kelem(b)
+    x, y = engine.lf.as_kelem(a), engine.lf.as_kelem(b)
     comm = comm_symbol(x, y, engine)
     q, n = engine.lf.q, engine.n
     da = _rel_dim_m1(q, n, x.val)

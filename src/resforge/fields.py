@@ -10,12 +10,15 @@ the multiplicative group (the least encoding of order q - 1).  Discrete
 logarithms, and with them the exponent encoding of roots of unity, are
 therefore reproducible across runs.
 
-For f = 1 products are modular integers.  For f > 1 multiplication,
-powers and inverses are lookups in log/antilog tables of the canonical
-generator, built once per context (Lidl-Niederreiter, Finite Fields,
-ch. 9); addition stays coefficient-wise on the encodings.  Contexts are
-shared per (p, f), and q is capped at MAX_Q because the log/antilog
-tables and the Zolotarev sign enumerate F_q.
+F_q is O/pi, so FieldCtx is the rings.RingCtx at N = 1 (this encoding
+is the ring's at p^N = p) and serves as its own field; it inherits the
+encoding, addition and valuation.  For f = 1 products are modular
+integers.  For f > 1 multiplication, powers and inverses are lookups in
+log/antilog tables of the canonical generator, built once per context
+(Lidl-Niederreiter, Finite Fields, ch. 9); addition stays
+coefficient-wise on the encodings.  Contexts are shared per (p, f), and
+q is capped at MAX_Q because the log/antilog tables and the Zolotarev
+sign enumerate F_q.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import EnumerationBound
+from .rings import RingCtx, _poly_mulmod, _poly_powmod
 
 
 def is_prime(n: int) -> bool:
@@ -57,43 +61,8 @@ def distinct_prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers over F_p; polynomials are lists, lowest degree first
-
-
-def _poly_reduce(r: list[int], mod: tuple[int, ...], p: int) -> list[int]:
-    # mod is monic of degree d = len(mod) - 1
-    d = len(mod) - 1
-    r = list(r)
-    for k in range(len(r) - 1, d - 1, -1):
-        c = r[k]
-        if c:
-            r[k] = 0
-            for i in range(d):
-                r[k - d + i] = (r[k - d + i] - c * mod[i]) % p
-    r = r[:d]
-    r += [0] * (d - len(r))
-    return r
-
-
-def _poly_mulmod(a, b, mod, p):
-    res = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    res[i + j] = (res[i + j] + ai * bj) % p
-    return _poly_reduce(res, mod, p)
-
-
-def _poly_powmod(a, e, mod, p):
-    # a^e mod (mod, p) for e >= 0
-    acc = [1] + [0] * (len(mod) - 2)
-    while e:
-        if e & 1:
-            acc = _poly_mulmod(acc, a, mod, p)
-        a = _poly_mulmod(a, a, mod, p)
-        e >>= 1
-    return acc
+# polynomial helpers over F_p; polynomials are lists, lowest degree first;
+# products and powers are rings._poly_mulmod and rings._poly_powmod at m = p
 
 
 def _poly_frobenius(a, mod, p, times=1):
@@ -128,10 +97,9 @@ def _poly_gcd(a, b, p):
 def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     # Rabin's test for a monic polynomial of degree f over F_p.
     f = len(poly) - 1
-    x = [0, 1] + [0] * (f - 2) if f >= 2 else [0, 1]
-    x = x[:f] if f >= 2 else [0]
     if f == 1:
         return True
+    x = [0, 1] + [0] * (f - 2)
     xq = _poly_frobenius(x, poly, p, times=f)
     if xq != x:
         return False
@@ -184,57 +152,30 @@ def perm_sign_of_map(images: list[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-class FieldCtx:
-    """The field F_q = F_p[x]/(poly) with a fixed generator g of F_q^x.
+class FieldCtx(RingCtx):
+    """The field F_q = O/pi = F_p[x]/(poly) with a fixed generator g of F_q^x.
 
-    For f > 1, _log[a] is the exponent of a != 0 to base g and
-    _exp[k] = g^k for 0 <= k < 2(q - 1); the antilog table is doubled so
-    that a sum of two logs indexes it directly.
+    As a ring it is O/pi^N at N = 1 and serves as its own field: the
+    encoding, addition and valuation are those of RingCtx.  For f > 1,
+    _log[a] is the exponent of a != 0 to base g and _exp[k] = g^k for
+    0 <= k < 2(q - 1); the antilog table is doubled so that a sum of two
+    logs indexes it directly.
     """
 
-    __slots__ = ("p", "f", "q", "poly", "g", "_log", "_exp", "_dlog")
+    __slots__ = ("q", "g", "_log", "_exp", "_dlog")
 
     def __init__(self, p: int, f: int, poly, g: int):
-        self.p = p
-        self.f = f
+        # RingCtx.__init__ reads p, f and poly from the field, which is self
+        self.p, self.f, self.poly = p, f, poly  # poly is None for f == 1
+        super().__init__(self, 1)
         self.q = p**f
-        self.poly = poly  # None for f == 1
         self.g = g
         self._log = self._exp = None
         if f > 1:
             self._log, self._exp = _power_tables(self)
         self._dlog: dict[int, dict[int, int]] = {}
 
-    def __repr__(self):
-        return f"FieldCtx(q={self.q})" if self.f > 1 else f"FieldCtx(p={self.p})"
-
-    # encoding ------------------------------------------------------------
-
-    def decode(self, a: int) -> list[int]:
-        p = self.p
-        return [(a // p**i) % p for i in range(self.f)]
-
-    def encode(self, coeffs) -> int:
-        p = self.p
-        return sum((c % p) * p**i for i, c in enumerate(coeffs))
-
-    def elements(self):
-        return range(self.q)
-
     # arithmetic ----------------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        if self.f == 1:
-            return (a + b) % self.p
-        return self.encode([x + y for x, y in zip(self.decode(a), self.decode(b))])
-
-    def neg(self, a: int) -> int:
-        if self.f == 1:
-            return (-a) % self.p
-        return self.encode([-x for x in self.decode(a)])
-
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
         if self.f == 1:

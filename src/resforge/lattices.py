@@ -37,15 +37,15 @@ class KMat:
         if any(len(r) != self.ncols for r in self.data):
             raise ValueError("ragged matrix")
         self.shift = shift
-        self.prec = prec if prec is not None else lf.default_precision
+        self.prec = lf.precision(prec)
 
     # construction ---------------------------------------------------------
 
     @classmethod
     def from_rows(cls, lf: LocalField, rows, prec: int | None = None) -> "KMat":
         """Entries may be 0, ints, Fractions, strings, or KElem."""
-        prec = prec or lf.default_precision
-        elems = [[None if _is_zero_spec(x) else _as_kelem(lf, x, prec) for x in row]
+        prec = lf.precision(prec)
+        elems = [[None if _is_zero_spec(x) else lf.as_kelem(x, prec) for x in row]
                  for row in rows]
         vals = [e.val for row in elems for e in row if e is not None]
         shift = min(vals, default=0)
@@ -65,7 +65,7 @@ class KMat:
     @classmethod
     def identity(cls, lf: LocalField, m: int, prec: int | None = None) -> "KMat":
         return cls(lf, [[1 if i == j else 0 for j in range(m)] for i in range(m)],
-                   0, prec or lf.default_precision)
+                   0, prec)
 
     @property
     def ring(self):
@@ -87,6 +87,8 @@ class KMat:
         return KMat(self.lf, data, self.shift, prec)
 
     def __matmul__(self, other: "KMat") -> "KMat":
+        if self.lf is not other.lf:
+            raise ValueError("matrices of different fields")
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         prec = min(self.prec, other.prec)
@@ -324,14 +326,6 @@ class KMat:
 
 def _is_zero_spec(x) -> bool:
     return x == 0 and not isinstance(x, KElem)
-
-
-def _as_kelem(lf: LocalField, x, prec: int) -> KElem:
-    if isinstance(x, KElem):
-        return x
-    if isinstance(x, str):
-        return lf.parse(x, prec)
-    return lf.from_rational(x, prec)
 
 
 def smith_normal_form(M: KMat):

@@ -112,7 +112,7 @@ class FiniteModule:
                 if best is None or v < best[0]:
                     best = (v, r, c)
         v, r, c = best
-        return r.reduce_to_field(r.div_pk(c, v))
+        return r.reduce_to(r.div_pk(c, v), self.lf.field)
 
     def view(self, n: int, rule: str = "least") -> OrbitView:
         key = (*self.key, n, rule)

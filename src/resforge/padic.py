@@ -20,17 +20,7 @@ from fractions import Fraction
 
 from .errors import PrecisionError
 from .fields import FieldCtx, field_make
-from .rings import RingCtx, ring_make
-
-
-def _vp(n: int, p: int) -> int:
-    if n == 0:
-        raise ValueError("valuation of 0")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+from .rings import RingCtx, _vp, ring_make
 
 
 class KElem:
@@ -80,7 +70,7 @@ class KElem:
         """Residue of a unit; valuation must be zero."""
         if self.val != 0:
             raise ValueError(f"cannot reduce mod pi: valuation is {self.val}")
-        return self.lf.ring(self.prec).reduce_to_field(self.unit)
+        return self.lf.ring(self.prec).reduce_to(self.unit, self.lf.field)
 
     # helpers ----------------------------------------------------------------
 
@@ -143,19 +133,39 @@ class LocalField:
             self._rings[N] = ctx
         return ctx
 
+    def precision(self, prec: int | None) -> int:
+        """prec, or the default precision for None; below 1 is an error."""
+        if prec is None:
+            return self.default_precision
+        if prec < 1:
+            raise ValueError("precision must be >= 1")
+        return prec
+
     # constructors -----------------------------------------------------------
 
     def one(self, prec: int | None = None) -> KElem:
-        return KElem(self, 0, 1, prec or self.default_precision)
+        return KElem(self, 0, 1, self.precision(prec))
 
     def pi(self, k: int = 1, prec: int | None = None) -> KElem:
-        return KElem(self, k, 1, prec or self.default_precision)
+        return KElem(self, k, 1, self.precision(prec))
+
+    def as_kelem(self, x, prec: int | None = None) -> KElem:
+        """x as an element of K^x: a KElem of this field, an int, a Fraction or a string."""
+        if isinstance(x, KElem):
+            if x.lf is not self:
+                raise ValueError("element of a different field")
+            return x
+        if isinstance(x, str):
+            return self.parse(x, prec)
+        if isinstance(x, (int, Fraction)):
+            return self.from_rational(x, prec)
+        raise TypeError(f"cannot interpret {x!r} as an element of K^x")
 
     def from_rational(self, r, prec: int | None = None) -> KElem:
         r = Fraction(r)
         if r == 0:
             raise ValueError("0 is not in K^x")
-        prec = prec or self.default_precision
+        prec = self.precision(prec)
         ring = self.ring(prec)
         vn = _vp(r.numerator, self.p)
         vd = _vp(r.denominator, self.p)
@@ -168,7 +178,7 @@ class LocalField:
 
     def from_coeffs(self, coeffs, prec: int | None = None) -> KElem:
         """Element with the given integer polynomial coefficients, exactly."""
-        prec = prec or self.default_precision
+        prec = self.precision(prec)
         ring = self.ring(prec)
         enc = ring.encode(coeffs)
         v = ring.val(enc)
@@ -182,7 +192,7 @@ class LocalField:
 
     def parse(self, text: str, prec: int | None = None) -> KElem:
         """Parse the element grammar described in the module docstring."""
-        prec = prec or self.default_precision
+        prec = self.precision(prec)
         s = text.strip().replace(" ", "")
         vshift = 0
         if s.startswith("pi"):

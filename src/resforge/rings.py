@@ -1,4 +1,4 @@
-"""Truncated unramified local rings O/pi^N.
+"""Truncated unramified local rings O/pi^N, the residue field among them.
 
 For f = 1 this is Z/p^N; for f > 1 it is the Galois ring
 Z/p^N [x]/(poly), where poly is the fixed integer lift of the canonical
@@ -7,14 +7,67 @@ unramified, pi = p, and dividing by pi^k is exact coefficient-wise
 division by p^k.
 
 Elements are encoded as integers: sum(c_i * (p^N)**i) with coefficients
-c_i in [0, p^N).  For f = 1 the encoding is the representative itself;
-at N = 1 it is the F_q encoding, so O/pi multiplies, powers and inverts
-through the residue field's tables.
+c_i in [0, p^N).  For f = 1 the encoding is the representative itself.
+The residue field F_q = O/pi is the ring at N = 1: fields.FieldCtx is a
+RingCtx that serves as its own field, inherits the encoding, addition
+and valuation, and multiplies, powers and inverts through its tables.
+ring_make(field, 1) returns the field context itself.
 """
 
 from __future__ import annotations
 
-from .fields import FieldCtx
+from math import gcd
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .fields import FieldCtx
+
+
+def _vp(n: int, p: int) -> int:
+    """The p-adic valuation of a nonzero integer."""
+    if n == 0:
+        raise ValueError("valuation of 0")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+# ---------------------------------------------------------------------------
+# polynomials over Z/m; lists of coefficients, lowest degree first
+
+
+def _poly_mulmod(a, b, mod, m):
+    """a * b reduced by the monic polynomial mod, coefficients in [0, m).
+
+    a and b have len(mod) - 1 coefficients each; the product is reduced
+    in place, and only the remainder is taken mod m coefficient-wise.
+    """
+    d = len(mod) - 1
+    res = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b, i):
+                res[j] += ai * bj
+    for k in range(len(res) - 1, d - 1, -1):
+        c = res[k] % m
+        if c:
+            for i in range(d):
+                res[k - d + i] -= c * mod[i]
+    return [c % m for c in res[:d]]
+
+
+def _poly_powmod(a, e, mod, m):
+    """a^e for e >= 0 by square-and-multiply, reduced as in _poly_mulmod."""
+    acc = [1] + [0] * (len(mod) - 2)
+    while e:
+        if e & 1:
+            acc = _poly_mulmod(acc, a, mod, m)
+        e >>= 1
+        if e:
+            a = _poly_mulmod(a, a, mod, m)
+    return acc
 
 
 class RingCtx:
@@ -36,7 +89,7 @@ class RingCtx:
         self._teich: dict[int, int] = {}
 
     def __repr__(self):
-        return f"RingCtx(p={self.p}, f={self.f}, N={self.N})"
+        return f"{type(self).__name__}(p={self.p}, f={self.f}, N={self.N})"
 
     @property
     def size(self) -> int:
@@ -45,12 +98,17 @@ class RingCtx:
     # encoding ------------------------------------------------------------
 
     def decode(self, a: int) -> list[int]:
-        pN = self.pN
-        return [(a // pN**i) % pN for i in range(self.f)]
+        pN, coeffs = self.pN, []
+        for _ in range(self.f):
+            a, c = divmod(a, pN)
+            coeffs.append(c)
+        return coeffs
 
     def encode(self, coeffs) -> int:
-        pN = self.pN
-        return sum((c % pN) * pN**i for i, c in enumerate(coeffs))
+        pN, a = self.pN, 0
+        for c in reversed(coeffs):
+            a = a * pN + c % pN
+        return a
 
     def one(self) -> int:
         return 1
@@ -73,39 +131,14 @@ class RingCtx:
     def mul(self, a: int, b: int) -> int:
         if self.f == 1:
             return (a * b) % self.pN
-        if self.N == 1:
-            return self.field.mul(a, b)
-        A, B = self.decode(a), self.decode(b)
-        pN, f = self.pN, self.f
-        res = [0] * (2 * f - 1)
-        for i, ai in enumerate(A):
-            if ai:
-                for j, bj in enumerate(B):
-                    if bj:
-                        res[i + j] = (res[i + j] + ai * bj) % pN
-        # reduce by the monic defining polynomial
-        for k in range(2 * f - 2, f - 1, -1):
-            c = res[k]
-            if c:
-                res[k] = 0
-                for i in range(f):
-                    res[k - f + i] = (res[k - f + i] - c * self.poly[i]) % pN
-        return self.encode(res[:f])
+        return self.encode(_poly_mulmod(self.decode(a), self.decode(b), self.poly, self.pN))
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
             a, e = self.inv(a), -e
         if self.f == 1:
             return pow(a, e, self.pN)
-        if self.N == 1:
-            return self.field.pow(a, e)
-        acc, base = 1, a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
+        return self.encode(_poly_powmod(self.decode(a), e, self.poly, self.pN))
 
     def inv(self, a: int) -> int:
         """Inverse of a unit, by Newton lifting from the residue field."""
@@ -113,9 +146,8 @@ class RingCtx:
             raise ZeroDivisionError("not a unit in O/pi^N")
         if self.f == 1:
             return pow(a, -1, self.pN)
-        if self.N == 1:
-            return self.field.inv(a)
-        x = self.lift_field(self.field.inv(self.reduce_to_field(a)))
+        k = self.field
+        x = k.lift_naive(k.inv(self.reduce_to(a, k)), self)
         for _ in range(max(1, (self.N - 1).bit_length())):
             x = self.mul(x, self.sub(2, self.mul(a, x)))
         if self.mul(a, x) != 1:
@@ -128,25 +160,11 @@ class RingCtx:
         """pi-adic valuation, capped at N (val(0) = N)."""
         if a == 0:
             return self.N
+        if a % self.p:
+            return 0  # a = c_0 mod p, so the constant coefficient is a unit
         if self.f == 1:
-            v, p = 0, self.p
-            while a % p == 0:
-                a //= p
-                v += 1
-            return v
-        best = self.N
-        p = self.p
-        for c in self.decode(a):
-            if c:
-                v = 0
-                while c % p == 0:
-                    c //= p
-                    v += 1
-                if v < best:
-                    best = v
-                    if best == 0:
-                        return 0
-        return best
+            return _vp(a, self.p)
+        return _vp(gcd(*self.decode(a)), self.p)
 
     def mul_pk(self, a: int, k: int) -> int:
         """Multiply by pi^k = p^k (k >= 0)."""
@@ -171,29 +189,19 @@ class RingCtx:
 
     # precision moves -------------------------------------------------------
 
-    def reduce_to(self, a: int, other: "RingCtx") -> int:
+    def reduce_to(self, a: int, other: RingCtx) -> int:
         """Reduce mod pi^M for M = other.N <= N."""
         if other.N > self.N:
             raise ValueError("cannot reduce to higher precision")
         if self.f == 1:
             return a % other.pN
-        return other.encode([c % other.pN for c in self.decode(a)])
+        return other.encode(self.decode(a))
 
-    def lift_naive(self, a: int, other: "RingCtx") -> int:
+    def lift_naive(self, a: int, other: RingCtx) -> int:
         """Re-encode with the same integer coefficients at precision other.N."""
         if self.f == 1:
             return a % other.pN
         return other.encode(self.decode(a))
-
-    def reduce_to_field(self, a: int) -> int:
-        if self.f == 1:
-            return a % self.p
-        return self.field.encode([c % self.p for c in self.decode(a)])
-
-    def lift_field(self, x: int) -> int:
-        if self.f == 1:
-            return x % self.pN
-        return self.encode(self.field.decode(x))
 
     # Teichmueller section ---------------------------------------------------
 
@@ -208,7 +216,7 @@ class RingCtx:
         hit = self._teich.get(x)
         if hit is not None:
             return hit
-        t = self.pow(self.lift_field(x), self.field.q ** (self.N - 1))
+        t = self.pow(self.field.lift_naive(x, self), self.field.q ** (self.N - 1))
         self._teich[x] = t
         return t
 
@@ -231,6 +239,9 @@ _RING_CACHE: dict[tuple[int, int, int], RingCtx] = {}
 
 
 def ring_make(field: FieldCtx, N: int) -> RingCtx:
+    """The shared context of O/pi^N; at the field's own precision, the field."""
+    if N == field.N:
+        return field
     key = (field.p, field.f, N)
     ctx = _RING_CACHE.get(key)
     if ctx is None:

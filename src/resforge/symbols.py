@@ -96,7 +96,10 @@ class SymbolReport:
 def crosscheck(lf: LocalField, a: KElem, b: KElem, n: int,
                engine: SymbolEngine | None = None) -> SymbolReport:
     """Compute the symbol by all three routes and compare."""
-    engine = engine or get_engine(lf, n)
+    if engine is None:
+        engine = get_engine(lf, n)
+    elif engine.lf is not lf or engine.n != n:
+        raise ValueError(f"engine is for {engine.lf} and n = {engine.n}, not {lf} and n = {n}")
     t0 = time.perf_counter_ns()
     direct = power_residue_symbol(lf, a, b, n)
     via_muset = delta_route_symbol(lf, a, b, n, engine.rule)

@@ -30,7 +30,7 @@ def _det_exp_fast(T: FiniteModule, g: ModuleHom, n: int) -> int:
     det_total = 1
     for i in range(T.exps[-1] if T.exps else 0):
         idx = [j for j, e in enumerate(T.exps) if e > i]
-        rows = [[T.rings[j].reduce_to_field(g.cols[k][j]) for k in idx] for j in idx]
+        rows = [[T.rings[j].reduce_to(g.cols[k][j], field) for k in idx] for j in idx]
         d = field_det(field, rows)
         if d == 0:
             raise ValueError("map is not an automorphism (graded piece singular)")

@@ -295,3 +295,15 @@ def test_theorem_small_sweep_q13_n4():
                     u = (a**vb) * (b**va).inverse()
                     want = power_residue_char(lf.field, u.reduce_mod_pi(), 4)
                     assert comm_symbol(a, b, eng).exp == want.exp
+
+
+def test_gl_m_route_rejects_matrices_of_another_field():
+    lf7, lf13 = local_field(7), local_field(13)
+    eng = get_engine(lf7, 6)
+    f, g = KMat.from_rows(lf13, [["13"]]), KMat.from_rows(lf13, [["2"]])
+    with pytest.raises(ValueError):
+        comm_symbol(f, g, eng)
+    with pytest.raises(ValueError):
+        cocycle_exp(KMat.from_rows(lf7, [[7]]), g, eng)
+    with pytest.raises(ValueError):
+        cocycle_exp(KMat.identity(lf13, 2), KMat.identity(lf13, 2), eng)

@@ -117,7 +117,7 @@ def test_generator_order_is_maximal():
 
 def test_field_arithmetic_axioms_f2():
     c = field_make(3, 2)
-    elts = list(c.elements())
+    elts = range(c.q)
     for a in elts:
         for b in elts:
             assert c.mul(a, b) == c.mul(b, a)

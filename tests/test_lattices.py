@@ -182,3 +182,24 @@ def test_precision_failure_is_loud():
     lf = LocalField(7, default_precision=4)
     with pytest.raises(PrecisionError):
         KMat.from_rows(lf, [[1, 1], [1, lf.from_rational(1 + 7**3, 4)]], 4).inverse()
+
+
+def test_entries_and_products_of_another_field_are_rejected():
+    lf7, lf13 = local_field(7), local_field(13)
+    with pytest.raises(ValueError):
+        KMat.from_rows(lf7, [[lf13.parse("3")]])
+    with pytest.raises(ValueError):
+        Lattice.from_rows(lf7, [[lf13.parse("pi^2*5")]])
+    with pytest.raises(TypeError):
+        KMat.from_rows(lf7, [[0.5]])
+    with pytest.raises(ValueError):
+        KMat.from_rows(lf7, [[1]]) @ KMat.from_rows(lf13, [[2]])
+
+
+def test_precision_zero_is_an_error(q7):
+    for prec in (0, -2):
+        with pytest.raises(ValueError):
+            KMat.from_rows(q7, [[1, 0], [0, 7]], prec)
+        with pytest.raises(ValueError):
+            KMat.identity(q7, 2, prec)
+    assert KMat.from_rows(q7, [[1]], None).prec == q7.default_precision

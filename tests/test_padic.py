@@ -148,3 +148,28 @@ def test_grammar_round_trip(p, f):
                 assert y == x and (y.val, y.unit, y.prec) == (x.val, x.unit, x.prec), x.as_str()
                 cases += 1
     assert cases >= 280
+
+
+def test_precision_zero_is_an_error(q7):
+    for prec in (0, -2):
+        with pytest.raises(ValueError):
+            q7.pi(1, prec=prec)
+        with pytest.raises(ValueError):
+            q7.one(prec)
+        with pytest.raises(ValueError):
+            q7.from_rational(3, prec)
+        with pytest.raises(ValueError):
+            q7.parse("5", prec)
+        with pytest.raises(ValueError):
+            local_field(3, 2).from_coeffs([1, 2], prec)
+    assert q7.parse("5", None).prec == q7.pi(1).prec == q7.default_precision
+
+
+def test_as_kelem_coerces_into_its_own_field_only(q7):
+    assert q7.as_kelem("pi^2*3") == q7.as_kelem(Fraction(147)) == q7.as_kelem(147)
+    x = q7.parse("3", prec=5)
+    assert q7.as_kelem(x) is x
+    with pytest.raises(ValueError):
+        q7.as_kelem(local_field(13).parse("3"))
+    with pytest.raises(TypeError):
+        q7.as_kelem(3.0)

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
-from resforge.fields import field_make
-from resforge.rings import ring_make
+from resforge.fields import FieldCtx, field_make
+from resforge.padic import LocalField
+from resforge.rings import RingCtx, ring_make
 
 
 def poly_mul(ring, a, b):
@@ -27,9 +30,23 @@ def poly_pow(ring, a, e):
 
 
 def newton_inv(ring, a):
-    """Inverse by one Newton step from the residue field, the f > 1 path of RingCtx.inv."""
-    x = ring.lift_field(ring.field.inv(ring.reduce_to_field(a)))
-    return poly_mul(ring, x, ring.sub(2, poly_mul(ring, a, x)))
+    """Inverse by Newton steps from the residue field, each doubling the known pi-digits."""
+    x = ring.field.lift_naive(ring.field.inv(ring.reduce_to(a, ring.field)), ring)
+    for _ in range(max(1, (ring.N - 1).bit_length())):
+        x = poly_mul(ring, x, ring.sub(2, poly_mul(ring, a, x)))
+    return x
+
+
+def coeff_val(ring, a):
+    """The least p-adic valuation of a nonzero coefficient."""
+    vals = []
+    for c in ring.decode(a):
+        v = 0
+        while c and c % ring.p == 0:
+            c //= ring.p
+            v += 1
+        vals.append(v if c else ring.N)
+    return min(vals)
 
 
 @pytest.mark.parametrize("p,f", [(3, 2), (5, 2), (3, 3), (7, 2)])
@@ -49,3 +66,45 @@ def test_residue_ring_arithmetic_equals_the_polynomial_path(p, f):
         ring.inv(0)
     with pytest.raises(ZeroDivisionError):
         ring.pow(0, -1)
+
+
+@pytest.mark.parametrize("N", [2, 5, 24])
+@pytest.mark.parametrize("p,f", [(3, 2), (5, 2), (3, 3), (7, 2)])
+def test_galois_ring_arithmetic_equals_the_polynomial_oracle(p, f, N):
+    ring = ring_make(field_make(p, f), N)
+    assert type(ring) is RingCtx and ring.N == N
+    rng = random.Random(1000 * p + 10 * f + N)
+    elems = [rng.randrange(ring.size) for _ in range(40)]
+    elems += [ring.mul_pk(a, rng.randrange(1, N + 1)) for a in elems[:10]]
+    units = [a for a in elems if ring.val(a) == 0]
+    assert len(units) >= 20
+    for a, b in zip(elems, reversed(elems)):
+        assert ring.mul(a, b) == poly_mul(ring, a, b), (a, b)
+        assert ring.val(a) == coeff_val(ring, a), a
+    for a in units:
+        inv = ring.inv(a)
+        assert inv == newton_inv(ring, a), a
+        assert poly_mul(ring, a, inv) == 1, a
+        for e in (0, 1, 2, 7, 13):
+            assert ring.pow(a, e) == poly_pow(ring, a, e), (a, e)
+            assert ring.pow(a, -e) == poly_pow(ring, inv, e), (a, -e)
+    for a in elems:
+        if ring.val(a):
+            with pytest.raises(ZeroDivisionError):
+                ring.inv(a)
+    assert ring.pow(0, 3) == 0 and ring.pow(0, 0) == 1
+
+
+@pytest.mark.parametrize("p,f", [(7, 1), (3, 2), (5, 2)])
+def test_the_residue_field_is_the_ring_at_precision_one(p, f):
+    assert issubclass(FieldCtx, RingCtx)
+    lf = LocalField(p, f)
+    assert lf.ring(1) is lf.field
+    assert ring_make(lf.field, 1) is lf.field
+    assert lf.field.field is lf.field and lf.field.N == 1 and lf.field.pN == p
+    ring = lf.ring(3)
+    a = ring.inv(ring.teichmuller(lf.field.g))
+    assert ring.reduce_to(a, lf.field) == lf.field.inv(lf.field.g)
+    for x in range(lf.q):
+        assert ring.reduce_to(lf.field.lift_naive(x, ring), lf.field) == x
+        assert lf.field.teichmuller(x) == x

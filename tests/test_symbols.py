@@ -34,7 +34,7 @@ def random_kelem(lf, rng):
     ring = lf.ring(prec)
     while True:
         unit = rng.randrange(ring.size)
-        if ring.reduce_to_field(unit):
+        if ring.reduce_to(unit, lf.field):
             return KElem(lf, rng.randint(-3, 3), unit, prec)
 
 
@@ -159,3 +159,12 @@ def test_symbol_value_str(q7):
     assert symbol_value_str(q7, MuScalar(2, 1)) == "6"
     lf9 = local_field(3, 2)
     assert "," in symbol_value_str(lf9, MuScalar(8, 1))
+
+
+def test_crosscheck_rejects_an_engine_of_another_n_or_field(q7):
+    a, b = q7.parse("pi*3"), q7.parse("3")
+    assert crosscheck(q7, a, b, 2, get_engine(q7, 2)).agree
+    with pytest.raises(ValueError):
+        crosscheck(q7, a, b, 2, get_engine(q7, 3))
+    with pytest.raises(ValueError):
+        crosscheck(q7, a, b, 2, get_engine(local_field(13), 2))
