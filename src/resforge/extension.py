@@ -32,9 +32,19 @@ where S(u) sums, over the least elements c of the cosets of mu_n in
 F_q^x, the position of u*c in its coset counted in powers of the residue
 of zeta_n.  Under it the symbols read a K^x argument as its valuation v
 and the residue of its unit, with no matrix, and S(u) by residue is the
-engine's only rank-one memo.  The least and second_least rules (afresh
-on every call), rho_exp, kappa_exp and all of m >= 2 enumerate, and
-serve the closed forms as their oracle.
+engine's only rank-one memo.
+
+At m >= 2 every iso exponent in rho_exp goes between quotients with the
+same exponents, so under the same rule it is the exponent of an
+automorphism of one module: the mu_n character of the residue
+determinants along the pi-filtration (torsor._det_exp_fast), which
+costs one d x d determinant per level, not the size of the module.
+The digit rule's sum of pos[lead(A_j v)] over the leading vectors v of
+each graded piece gives the same value.  kappa_exp still enumerates
+the middle module of each connecting exact sequence.  The least and
+second_least rules enumerate afresh on every call, and they and
+det_iso_scalar under the digit rule serve the closed forms as their
+oracle.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ from .lattices import (KMat, Lattice, LatticeQuotient, induced_hom, lat_apply,
                        lat_contains_lattice, lat_intersect, principal_lattice,
                        quotient_struct, standard_lattice)
 from .padic import KElem
-from .torsor import _exact_seq_exp, det_iso_scalar
+from .torsor import _det_exp_fast, _exact_seq_exp, det_iso_scalar
 
 
 @dataclass(frozen=True)
@@ -116,33 +126,49 @@ def _iso_exp(srcQ: LatticeQuotient, dstQ: LatticeQuotient, f: KMat | None,
     n = engine.n
     if n == 1:
         return 0
-    return det_iso_scalar(srcQ.module, dstQ.module, induced_hom(srcQ, dstQ, f),
-                          n, engine.rule).exp
+    g = induced_hom(srcQ, dstQ, f)
+    if engine.rule == "digit":
+        return _det_exp_fast(dstQ.module, g, n)
+    return det_iso_scalar(srcQ.module, dstQ.module, g, n, engine.rule).exp
 
 
 def rho_exp(f: KMat, A: Lattice, B: Lattice, engine: SymbolEngine) -> int:
     """Exponent of rho_f : (A|B) -> (f(A)|f(B)) on canonical bases."""
+    return _rho_exp(f, A, B, lat_apply(f, A), lat_apply(f, B), engine)
+
+
+def _rho_exp(f: KMat, A: Lattice, B: Lattice, fA: Lattice, fB: Lattice,
+             engine: SymbolEngine) -> int:
+    """rho_exp given fA = f(A) and fB = f(B).
+
+    rho_f acts on the right factor through f^-1, whose iso exponent is
+    minus that of f: if f(r) = zeta^e * r' for representatives r, r',
+    then f^-1(r') = zeta^-e * r.
+    """
     I = lat_intersect(A, B)
-    fA, fB, fI = lat_apply(f, A), lat_apply(f, B), lat_apply(f, I)
-    finv = f.inverse()
+    fI = lat_apply(f, I)
     tau = _iso_exp(quotient_struct(A, I), quotient_struct(fA, fI), f, engine)
-    psi = _iso_exp(quotient_struct(fB, fI), quotient_struct(B, I), finv, engine)
-    return (tau + psi) % engine.n
+    psi = _iso_exp(quotient_struct(B, I), quotient_struct(fB, fI), f, engine)
+    return (tau - psi) % engine.n
 
 
 # ---------------------------------------------------------------------------
 # the contraction isomorphism
 
 
-def _nested_desc_exp(X: Lattice, Y: Lattice, Z: Lattice, engine: SymbolEngine) -> int:
-    """kappa for X >= Y >= Z: the connecting sequence of the three quotients."""
-    QXZ = quotient_struct(X, Z)
-    QYZ = quotient_struct(Y, Z)
-    QXY = quotient_struct(X, Y)
+def _seq_exp(QXZ: LatticeQuotient, QYZ: LatticeQuotient, QXY: LatticeQuotient,
+             engine: SymbolEngine) -> int:
+    """kappa for X >= Y >= Z, given X/Z, Y/Z and X/Y: their connecting sequence."""
     incl = induced_hom(QYZ, QXZ)
     proj = induced_hom(QXZ, QXY)
     return _exact_seq_exp(QYZ.module, QXZ.module, QXY.module, incl, proj,
                           engine.n, engine.rule)
+
+
+def _nested_desc_exp(X: Lattice, Y: Lattice, Z: Lattice, engine: SymbolEngine) -> int:
+    """kappa for X >= Y >= Z."""
+    return _seq_exp(quotient_struct(X, Z), quotient_struct(Y, Z),
+                    quotient_struct(X, Y), engine)
 
 
 def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
@@ -159,17 +185,19 @@ def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
             return (-_nested_desc_exp(C, B, A, engine)) % n
     elif method != "general":
         raise ValueError(f"unknown method {method!r}")
-    # the general chain through the pairwise and triple intersections
+    # the general chain through the pairwise and triple intersections; its
+    # six sequences share their quotients, so each of the 12 is built once
     AB = lat_intersect(A, B)
     BC = lat_intersect(B, C)
     AC = lat_intersect(A, C)
     D3 = lat_intersect(AB, C)
-    total = _nested_desc_exp(A, AB, D3, engine)
-    total -= _nested_desc_exp(B, AB, D3, engine)       # ascending D3 <= AB <= B
-    total += _nested_desc_exp(B, BC, D3, engine)
-    total -= _nested_desc_exp(C, BC, D3, engine)       # ascending D3 <= BC <= C
-    total -= _nested_desc_exp(A, AC, D3, engine)       # inverse of descending
-    total += _nested_desc_exp(C, AC, D3, engine)       # inverse of ascending
+    QA, QB, QC, QAB, QBC, QAC = (quotient_struct(L, D3) for L in (A, B, C, AB, BC, AC))
+    total = _seq_exp(QA, QAB, quotient_struct(A, AB), engine)
+    total -= _seq_exp(QB, QAB, quotient_struct(B, AB), engine)   # ascending D3 <= AB <= B
+    total += _seq_exp(QB, QBC, quotient_struct(B, BC), engine)
+    total -= _seq_exp(QC, QBC, quotient_struct(C, BC), engine)   # ascending D3 <= BC <= C
+    total -= _seq_exp(QA, QAC, quotient_struct(A, AC), engine)   # inverse of descending
+    total += _seq_exp(QC, QAC, quotient_struct(C, AC), engine)   # inverse of ascending
     return total % n
 
 
@@ -258,9 +286,9 @@ def cocycle_exp(f: KMat, g: KMat, engine: SymbolEngine) -> int:
         return _cocycle_m1(x, w, engine)
     V = engine.standard(m)
     fV = lat_apply(f, V)
-    fgV = lat_apply(f @ g, V)
     gV = lat_apply(g, V)
-    r = rho_exp(f, V, gV, engine)
+    fgV = lat_apply(f, gV)
+    r = _rho_exp(f, V, gV, fV, fgV, engine)
     k = kappa_exp(V, fV, fgV, engine)
     return (r + k) % engine.n
 

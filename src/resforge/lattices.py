@@ -206,26 +206,9 @@ class KMat:
     # determinant and inverse -------------------------------------------------
 
     def _det_data(self) -> int:
-        m = self.nrows
-        if m != self.ncols:
+        if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        ring = self.ring
-        if m == 1:
-            return self.data[0][0]
-        # Leibniz expansion; fine at desk scale (m <= 4)
-        from itertools import permutations
-        total = 0
-        for perm in permutations(range(m)):
-            prod = 1
-            for i, j in enumerate(perm):
-                prod = ring.mul(prod, self.data[i][j])
-                if prod == 0:
-                    break
-            if prod:
-                inv = sum(1 for a in range(m) for b in range(a + 1, m)
-                          if perm[a] > perm[b])
-                total = ring.add(total, ring.neg(prod) if inv % 2 else prod)
-        return total
+        return _det_rows(self.ring, self.data)
 
     def det_val(self) -> int:
         d = self._det_data()
@@ -236,17 +219,14 @@ class KMat:
 
     def _adjugate(self):
         m = self.nrows
-        ring = self.ring
         if m == 1:
             return [[1]]
+        ring, data = self.ring, self.data
         adj = [[0] * m for _ in range(m)]
         for i in range(m):
+            rows = data[:i] + data[i + 1:]
             for j in range(m):
-                minor = KMat(self.lf,
-                             [[self.data[r][c] for c in range(m) if c != j]
-                              for r in range(m) if r != i],
-                             0, self.prec)
-                d = minor._det_data()
+                d = _det_rows(ring, [r[:j] + r[j + 1:] for r in rows])
                 adj[j][i] = ring.neg(d) if (i + j) % 2 else d
         return adj
 
@@ -321,7 +301,25 @@ class KMat:
                     T[i][j] = ring.sub(T[i][j], ring.mul(fac, T[i][r]))
         if cur < 2:
             raise PrecisionError("precision exhausted during column reduction")
-        return KMat(self.lf, T, self.shift, cur)
+        # T is encoded at self.prec; at f > 1 the encoding depends on the precision
+        return KMat(self.lf, T, self.shift, self.prec)._at_prec(cur)
+
+
+def _det_rows(ring, rows) -> int:
+    """Determinant of square rows of ring encodings, by expansion along
+    the first row; fine at desk scale (m <= 4)."""
+    if len(rows) == 1:
+        return rows[0][0]
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return ring.sub(ring.mul(a, d), ring.mul(b, c))
+    total = 0
+    rest = rows[1:]
+    for j, x in enumerate(rows[0]):
+        if x:
+            t = ring.mul(x, _det_rows(ring, [r[:j] + r[j + 1:] for r in rest]))
+            total = ring.sub(total, t) if j % 2 else ring.add(total, t)
+    return total
 
 
 def _is_zero_spec(x) -> bool:
@@ -389,7 +387,7 @@ def smith_normal_form(M: KMat):
         cur -= e
         if cur < 2:
             raise PrecisionError("precision exhausted during SNF")
-    Uinv = KMat(M.lf, U, 0, cur)
+    Uinv = KMat(M.lf, U, 0, M.prec)._at_prec(cur)   # re-encoded, as in canonical_hnf
     return exps, Uinv
 
 
@@ -400,7 +398,7 @@ def smith_normal_form(M: KMat):
 class Lattice:
     """A full-rank O-lattice in K^m, held by its canonical basis."""
 
-    __slots__ = ("lf", "m", "mat")
+    __slots__ = ("lf", "m", "mat", "_inv")
 
     def __init__(self, mat: KMat):
         if mat.ncols < mat.nrows:
@@ -419,6 +417,14 @@ class Lattice:
         ring_to = mat.lf.ring(target)
         data = [[hnf.ring.lift_naive(x, ring_to) for x in row] for row in hnf.data]
         self.mat = KMat(mat.lf, data, hnf.shift, target)
+        self._inv = None
+
+    @property
+    def inv(self) -> KMat:
+        """The inverse of the basis matrix, computed once."""
+        if self._inv is None:
+            self._inv = self.mat.inverse()
+        return self._inv
 
     @classmethod
     def from_rows(cls, lf: LocalField, rows, prec: int | None = None) -> "Lattice":
@@ -453,7 +459,7 @@ def lat_sum(A: Lattice, B: Lattice) -> Lattice:
 
 
 def _dual_mat(A: Lattice) -> KMat:
-    return A.mat.inverse().transpose()
+    return A.inv.transpose()
 
 
 def lat_intersect(A: Lattice, B: Lattice) -> Lattice:
@@ -464,11 +470,11 @@ def lat_intersect(A: Lattice, B: Lattice) -> Lattice:
 
 def lat_contains(A: Lattice, x: KMat) -> bool:
     """Is the column vector x in A?"""
-    return (A.mat.inverse() @ x).is_integral()
+    return (A.inv @ x).is_integral()
 
 
 def lat_contains_lattice(A: Lattice, B: Lattice) -> bool:
-    return (A.mat.inverse() @ B.mat).is_integral()
+    return (A.inv @ B.mat).is_integral()
 
 
 class LatticeQuotient:
@@ -477,7 +483,7 @@ class LatticeQuotient:
     __slots__ = ("A", "B", "module", "_P", "_Pinv", "_exps", "_idx")
 
     def __init__(self, A: Lattice, B: Lattice):
-        trans = A.mat.inverse() @ B.mat
+        trans = A.inv @ B.mat
         if not trans.is_integral():
             raise ValueError("B is not contained in A")
         exps, Uinv = smith_normal_form(trans)

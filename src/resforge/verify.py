@@ -297,6 +297,7 @@ def run_cocycle(seed: int = 0, **_):
                      {"p": p, "n": n, "a": a.as_str(), "b": b.as_str()})
 
     indep = _Check("trivialization_independence")
+    diag = _Check("gl2_diagonal_embedding")
     for _ in range(100):
         p = rng.choice((3, 5, 7, 13))
         lf = local_field(p)
@@ -306,22 +307,14 @@ def run_cocycle(seed: int = 0, **_):
         # the digit rule's closed form against both enumerating rules
         exps = {rule: comm_symbol(a, b, get_engine(lf, n, rule=rule)).exp
                 for rule in ("digit", "least", "second_least")}
-        indep.record(len(set(exps.values())) == 1,
-                     {"p": p, "n": n, "a": a.as_str(), "b": b.as_str(), **exps})
-
-    # exploratory, not asserted: diag(a,1) against diag(b,1) in GL_2
-    lf = local_field(7)
-    eng = get_engine(lf, 2)
-    agree = total = 0
-    for va, ua, vb, ub in [(1, 1, 0, 3), (1, 3, 1, 5), (0, 3, 1, 1), (2, 1, 1, 6)]:
-        a = lf.pi(va) * lf.from_rational(ua)
-        b = lf.pi(vb) * lf.from_rational(ub)
+        detail = {"p": p, "n": n, "a": a.as_str(), "b": b.as_str()}
+        indep.record(len(set(exps.values())) == 1, {**detail, **exps})
+        # K^x sits in GL_2 as diag(a, 1): {diag(a,1), diag(b,1)} = {a, b}
         fa = KMat.from_rows(lf, [[a, 0], [0, 1]])
         fb = KMat.from_rows(lf, [[b, 0], [0, 1]])
-        total += 1
-        agree += (comm_symbol(fa, fb, eng).exp == comm_symbol(a, b, eng).exp)
-    return _finish("cocycle", [ident, props, indep],
-                   exploratory={"gl2_diagonal_embedding_agreements": [agree, total]})
+        gl2 = comm_symbol(fa, fb, get_engine(lf, n)).exp
+        diag.record(gl2 == exps["digit"], {**detail, "gl2": gl2, "gl1": exps["digit"]})
+    return _finish("cocycle", [ident, props, indep, diag])
 
 
 def _sweep_inputs(lf, vrange):

@@ -3,15 +3,19 @@ import random
 import pytest
 
 from resforge.errors import EnumerationBound
-from resforge.extension import (SymbolEngine, _rel_dim_m1, cocycle,
-                                cocycle_exp, comm_symbol, corrected_symbol,
-                                ext_identity, ext_inverse, ext_lift, ext_mul,
-                                get_engine, kappa_exp, rho_exp)
+from resforge.extension import (SymbolEngine, _iso_exp, _rel_dim_m1,
+                                cocycle, cocycle_exp, comm_symbol,
+                                corrected_symbol, ext_identity, ext_inverse,
+                                ext_lift, ext_mul, get_engine, kappa_exp,
+                                rho_exp)
 from resforge.fields import power_residue_char
-from resforge.lattices import (KMat, Lattice, lat_apply, principal_lattice,
+from resforge.lattices import (KMat, Lattice, induced_hom, lat_apply,
+                               lat_intersect, principal_lattice, quotient_struct,
                                rel_dim, standard_lattice)
+from resforge.musets import OrbitView
 from resforge.padic import LocalField, local_field
 from resforge.symbols import power_residue_symbol
+from resforge.torsor import det_iso_scalar
 from resforge.verify import _random_matrix as rand_matrix
 
 RULES = ("digit", "least", "second_least")
@@ -307,3 +311,103 @@ def test_gl_m_route_rejects_matrices_of_another_field():
         cocycle_exp(KMat.from_rows(lf7, [[7]]), g, eng)
     with pytest.raises(ValueError):
         cocycle_exp(KMat.identity(lf13, 2), KMat.identity(lf13, 2), eng)
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2)])
+def test_digit_iso_exp_equals_enumeration(p, f):
+    """_iso_exp under the digit rule against det_iso_scalar(..., "digit") on
+    the map f induces from A/I to f(A)/f(I), for I = diag(pi^e) O^m inside
+    A = O^m and random f, wherever the module has <= 7000 elements."""
+    lf = local_field(p, f)
+    q = lf.q
+    rng = random.Random(p * f)
+    ns = [d for d in range(1, q) if (q - 1) % d == 0]
+    enumerated = 0
+    for exps in [(1,), (2,), (3,), (1, 1), (1, 2), (1, 1, 2)]:
+        if q ** sum(exps) > 7000:
+            continue
+        m = len(exps)
+        A = standard_lattice(lf, m)
+        I = Lattice.from_rows(lf, [[f"pi^{e}" if j == k else 0 for k in range(m)]
+                                   for j, e in enumerate(exps)])
+        srcQ = quotient_struct(A, I)
+        assert srcQ.module.exps == exps
+        for n in ns:
+            eng = SymbolEngine(lf, n)
+            for _ in range(3):
+                g = rand_matrix(lf, rng, m, (-1, 1))
+                dstQ = quotient_struct(lat_apply(g, A), lat_apply(g, I))
+                want = det_iso_scalar(srcQ.module, dstQ.module,
+                                      induced_hom(srcQ, dstQ, g), n, "digit").exp
+                assert _iso_exp(srcQ, dstQ, g, eng) == want, (exps, n)
+                enumerated += 1
+    assert enumerated >= 3 * 3 * len(ns)   # at least (1,), (2,) and (1, 1)
+
+
+def random_rho_input(lf, rng, m):
+    def lattice():
+        return lat_apply(rand_matrix(lf, rng, m, (-1, 1)), standard_lattice(lf, m))
+    return rand_matrix(lf, rng, m, (-1, 1)), lattice(), lattice()
+
+
+def rho_by_enumeration(f, A, B, n, rule):
+    """rho_f on (A|B) from its definition: the iso scalar of f on A/(A cap B)
+    plus that of f^-1 on f(B)/f(A cap B), both by orbit enumeration."""
+    I = lat_intersect(A, B)
+    fA, fB, fI = lat_apply(f, A), lat_apply(f, B), lat_apply(f, I)
+    total = 0
+    for src, dst, h in [(quotient_struct(A, I), quotient_struct(fA, fI), f),
+                        (quotient_struct(fB, fI), quotient_struct(B, I), f.inverse())]:
+        total += det_iso_scalar(src.module, dst.module, induced_hom(src, dst, h), n, rule).exp
+    return total % n
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (7, 2), (13, 2), (3, 3), (5, 3)])
+def test_graded_rho_equals_enumeration(p, m):
+    """rho_exp under the digit rule against its definition enumerated under
+    each rule; rho on canonical bases does not depend on the rule."""
+    lf = local_field(p)
+    rng = random.Random(100 * p + m)
+    done = 0
+    while done < 6:
+        n = rng.choice([d for d in range(2, p) if (p - 1) % d == 0])
+        f, A, B = random_rho_input(lf, rng, m)
+        try:
+            want = [rho_by_enumeration(f, A, B, n, rule) for rule in RULES]
+        except EnumerationBound:
+            continue
+        got = rho_exp(f, A, B, SymbolEngine(lf, n))
+        assert want == [got] * 3, (n, got, want)
+        assert rho_exp(f, A, B, SymbolEngine(lf, n, "least")) == got
+        done += 1
+
+
+def test_digit_rho_builds_no_orbit_view(monkeypatch):
+    def refuse(*_args, **_kw):
+        raise AssertionError("an OrbitView was built for rho under the digit rule")
+
+    monkeypatch.setattr(OrbitView, "__init__", refuse)
+    rng = random.Random(17)
+    for p, m in [(7, 2), (13, 2), (5, 3)]:
+        lf = local_field(p)
+        for _ in range(4):
+            f, A, B = random_rho_input(lf, rng, m)
+            rho_exp(f, A, B, SymbolEngine(lf, p - 1))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_gl2_cocycle_identity_at_f2(p):
+    lf = local_field(p, 2)
+    rng = random.Random(p)
+    done = 0
+    while done < 4:
+        n = rng.choice([d for d in range(2, lf.q) if (lf.q - 1) % d == 0])
+        eng = get_engine(lf, n)
+        f, g, h = (rand_matrix(lf, rng, 2, (-1, 1)) for _ in range(3))
+        try:
+            lhs = (cocycle_exp(f, g @ h, eng) + cocycle_exp(g, h, eng)) % n
+            rhs = (cocycle_exp(f @ g, h, eng) + cocycle_exp(f, g, eng)) % n
+        except EnumerationBound:
+            continue
+        assert lhs == rhs, (n, done)
+        done += 1

@@ -178,6 +178,40 @@ def test_f2_backend_quotients():
         assert Q.proj(Q.lift(t)) == t
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_f2_projection_kills_the_sublattice(p):
+    # at f > 1 an encoding depends on its precision, so the Hermite and
+    # Smith transforms must be re-encoded at the digits they keep
+    lf = local_field(p, 2)
+    F = KMat.from_rows(lf, [[1, "pi^-1"], [0, "pi"]], 60)
+    A = lat_apply(F, Lattice.from_rows(lf, [["pi^-1", 0], [0, "pi^-1"]], 60))
+    B = lat_apply(F, Lattice.from_rows(lf, [[1, 0], [0, "pi"]], 60))
+    rng = random.Random(p)
+    pairs = [(A, B)]
+    for _ in range(6):
+        X = rand_lattice(lf, rng, 2, 1)
+        pairs.append((X, Lattice(X.mat @ rand_matrix(lf, rng, 2, (0, 2), 0.9))))
+    for X, Y in pairs:
+        Q = quotient_struct(X, Y)
+        M = Y.mat
+        for j in range(2):
+            col = KMat(lf, [[M.data[0][j]], [M.data[1][j]]], M.shift, M.prec)
+            assert Q.proj(col) == Q.module.zero
+        for M in (X.mat, Y.mat, Q._P, Q._Pinv):
+            assert all(0 <= x < M.ring.size for row in M.data for x in row)
+
+
+def test_lattice_inverts_its_basis_once(q7):
+    rng = random.Random(3)
+    for m in (1, 2, 3):
+        L = rand_lattice(q7, rng, m)
+        inv = L.inv
+        assert inv is L.inv
+        want = L.mat.inverse()
+        assert (inv.shift, inv.prec, inv.data) == (want.shift, want.prec, want.data)
+        assert inv @ L.mat == KMat.identity(q7, m)
+
+
 def test_precision_failure_is_loud():
     lf = LocalField(7, default_precision=4)
     with pytest.raises(PrecisionError):
