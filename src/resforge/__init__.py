@@ -25,8 +25,7 @@ from .padic import KElem, LocalField, k_add, k_one_minus, k_sub, local_field
 from .rings import RingCtx, ring_make
 from .symbols import (SymbolReport, crosscheck, delta_route_symbol,
                       power_residue_symbol, steinberg_check, tame_symbol)
-from .torsor import (det_iso_scalar, det_of_module_aut, exact_seq_iso,
-                     fiber_iso)
+from .torsor import det_iso_scalar, det_of_module_aut, exact_seq_iso
 from .verify import run_suite
 
 __version__ = "0.1.0"

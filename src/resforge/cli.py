@@ -21,7 +21,7 @@ import sys
 
 from .errors import EnumerationBound, PrecisionError
 from .extension import corrected_symbol, get_engine
-from .fields import MuScalar, field_make
+from .fields import MuScalar, _check_n, field_make
 from .padic import LocalField
 from .symbols import (crosscheck, delta_route_symbol, power_residue_symbol,
                       symbol_value_str)
@@ -51,8 +51,10 @@ def _add_field_args(sub):
                      help="working pi-adic precision")
     sub.add_argument("--bound", type=int, default=_env("BOUND", int, 100_000),
                      help="enumeration bound for finite modules")
-    sub.add_argument("--format", choices=("human", "json", "csv"),
-                     default=_env("FORMAT", str, "human"))
+
+
+_FORMATS = {"symbol": ("human", "json"), "verify": ("human", "json"),
+            "table": ("human", "json", "csv")}
 
 
 class _UsageError(Exception):
@@ -70,10 +72,9 @@ def _field(args) -> LocalField:
         kw["default_precision"] = args.precision
     try:
         lf = LocalField(args.p, args.f, **kw)
+        _check_n(lf.field, args.n)
     except ValueError as exc:
         raise _UsageError(exc) from None
-    if args.n < 1 or (lf.q - 1) % args.n:
-        raise _UsageError(f"n = {args.n} does not divide q - 1 = {lf.q - 1}")
     return lf
 
 
@@ -193,8 +194,6 @@ def main(argv=None) -> int:
     ver.add_argument("--p", type=int, action="append",
                      help="restrict sweep primes (repeatable)")
     ver.add_argument("--seed", type=int, default=_env("SEED", int, 0))
-    ver.add_argument("--format", choices=("human", "json"),
-                     default=_env("FORMAT", str, "human"))
     ver.set_defaults(func=_cmd_verify)
 
     tab = subs.add_parser("table", help="emit a symbol table over a grid")
@@ -204,7 +203,15 @@ def main(argv=None) -> int:
     tab.add_argument("--max-entries", type=int, default=250_000)
     tab.set_defaults(func=_cmd_table)
 
+    fmt = _env("FORMAT", str, "human")
+    for name, sub in subs.choices.items():
+        sub.add_argument("--format", choices=_FORMATS[name], default=fmt)
     args = parser.parse_args(argv)
+    # argparse checks a given --format only, so a RESFORGE_FORMAT default is
+    # checked here, against the choices of the invoked command
+    if args.format not in _FORMATS[args.command]:
+        print(f"error: bad RESFORGE_FORMAT={args.format!r}", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except _UsageError as exc:

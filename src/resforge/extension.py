@@ -17,7 +17,8 @@ The contraction is evaluated case by case: by the duality pairing when
 the outer lattices agree, through the connecting exact sequence for
 nested triples, and for arbitrary triples by composing those two kinds
 of steps along the standard eight-line chain through the pairwise and
-triple intersections.
+triple intersections (_kappa_chain, which also serves the first two
+cases as their reference).
 
 A SymbolEngine fixes the field, n, and the representative rule.  Its
 default rule is digit (see musets), under which the rank-one building
@@ -171,22 +172,21 @@ def _nested_desc_exp(X: Lattice, Y: Lattice, Z: Lattice, engine: SymbolEngine) -
                     quotient_struct(X, Y), engine)
 
 
-def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
-              method: str = "auto") -> int:
+def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine) -> int:
     """Exponent of kappa : (A|B) (x) (B|C) -> (A|C) on canonical bases."""
-    n = engine.n
-    if method == "auto":
-        if A == C:
-            # duality pairing; canonical bases pair to 1
-            return 0
-        if lat_contains_lattice(A, B) and lat_contains_lattice(B, C):
-            return _nested_desc_exp(A, B, C, engine)
-        if lat_contains_lattice(C, B) and lat_contains_lattice(B, A):
-            return (-_nested_desc_exp(C, B, A, engine)) % n
-    elif method != "general":
-        raise ValueError(f"unknown method {method!r}")
-    # the general chain through the pairwise and triple intersections; its
-    # six sequences share their quotients, so each of the 12 is built once
+    if A == C:
+        # duality pairing; canonical bases pair to 1
+        return 0
+    if lat_contains_lattice(A, B) and lat_contains_lattice(B, C):
+        return _nested_desc_exp(A, B, C, engine)
+    if lat_contains_lattice(C, B) and lat_contains_lattice(B, A):
+        return (-_nested_desc_exp(C, B, A, engine)) % engine.n
+    return _kappa_chain(A, B, C, engine)
+
+
+def _kappa_chain(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine) -> int:
+    """kappa along the chain through the pairwise and triple intersections;
+    its six sequences share their quotients, so each of the 12 is built once."""
     AB = lat_intersect(A, B)
     BC = lat_intersect(B, C)
     AC = lat_intersect(A, C)
@@ -198,7 +198,7 @@ def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
     total -= _seq_exp(QC, QBC, quotient_struct(C, BC), engine)   # ascending D3 <= BC <= C
     total -= _seq_exp(QA, QAC, quotient_struct(A, AC), engine)   # inverse of descending
     total += _seq_exp(QC, QAC, quotient_struct(C, AC), engine)   # inverse of ascending
-    return total % n
+    return total % engine.n
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ equivariant.
 
 Homomorphisms are stored by the images of the standard generators; the
 entry condition v(a_jk) >= e_j - e_k makes the map well defined.
+
+Counting orbits needs no enumeration (module_as_muset); element views
+(OrbitView) pin representatives for maps read as (sigma, mu) data.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from itertools import product, repeat
 
 from .errors import EnumerationBound
+from .fields import _check_n
 from .musets import MuSet, MuSetAut, OrbitView
 
 # views of module element sets, keyed by (p, f, exps, n, rule)
@@ -94,9 +98,6 @@ class FiniteModule:
             return tuple(r.mul(z, c) for r, z, c in zip(rings, zetas, x))
 
         return act
-
-    def add(self, x, y):
-        return tuple(r.add(a, b) for r, a, b in zip(self.rings, x, y))
 
     def lead_digit(self, x: tuple) -> int:
         """The lowest nonzero pi-adic digit of x != 0, in F_q.
@@ -213,7 +214,7 @@ def scalar_hom(M: FiniteModule, u, from_ring=None) -> ModuleHom:
     for k in range(M.rank):
         col = [0] * M.rank
         if from_ring is None:
-            col[k] = u % M.rings[k].pN if M.lf.f == 1 else M.rings[k].encode([u])
+            col[k] = M.rings[k].encode([u])
         else:
             col[k] = (from_ring.reduce_to(u, M.rings[k])
                       if from_ring.N >= M.rings[k].N
@@ -225,9 +226,10 @@ def scalar_hom(M: FiniteModule, u, from_ring=None) -> ModuleHom:
 # mu_n-set views of modules ------------------------------------------------------
 
 
-def module_as_muset(T: FiniteModule, n: int, rule: str = "least") -> MuSet:
-    """The underlying finite free pointed mu_n-set (orbit count only)."""
-    return T.view(n, rule).muset
+def module_as_muset(T: FiniteModule, n: int) -> MuSet:
+    """The underlying finite free pointed mu_n-set: mu_n acts freely off zero."""
+    _check_n(T.lf.field, n)
+    return MuSet(n, T.dim(n))
 
 
 def module_aut_as_musetaut(T: FiniteModule, g: ModuleHom, n: int,

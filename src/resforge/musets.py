@@ -83,9 +83,6 @@ class MuSetAut:
         i, e = elt
         return (self.sigma[i], (e + self.mu[i]) % self.X.n)
 
-    def __mul__(self, other: "MuSetAut") -> "MuSetAut":
-        return aut_compose(self, other)
-
 
 def aut_identity(X: MuSet) -> MuSetAut:
     return MuSetAut(X, tuple(range(X.t)), (0,) * X.t)
@@ -198,8 +195,6 @@ class OrbitView:
                 raise ValueError("map does not preserve the nonzero part") from None
             sigma.append(j)
             mu.append(e)
-        if sorted(sigma) != list(range(self.t)):
-            raise ValueError("map is not bijective on orbits")
         return MuSetAut(self.muset, tuple(sigma), tuple(mu))
 
 
@@ -237,7 +232,7 @@ def muset_product(X: MuSet, Y: MuSet) -> MuSet:
     return MuSet(X.n, X.t + Y.t + X.n * X.t * Y.t)
 
 
-def _product_view(X: MuSet, Y: MuSet, rule: str = "least") -> OrbitView:
+def _product_view(X: MuSet, Y: MuSet) -> OrbitView:
     n = X.n
     elems = []
     for a in X.elements():
@@ -252,15 +247,15 @@ def _product_view(X: MuSet, Y: MuSet, rule: str = "least") -> OrbitView:
         a2, b2 = X.act(a), Y.act(b)
         return (X.index(a2), Y.index(b2), a2, b2)
 
-    return OrbitView(n, elems, act, rule)
+    return OrbitView(n, elems, act)
 
 
-def aut_extend(f: MuSetAut, Y: MuSet, rule: str = "least") -> MuSetAut:
+def aut_extend(f: MuSetAut, Y: MuSet) -> MuSetAut:
     """f x Id acting on the pointed cartesian product of f's set with Y."""
     X = f.X
     if X.n != Y.n:
         raise ValueError("mismatched n")
-    view = _product_view(X, Y, rule)
+    view = _product_view(X, Y)
 
     def fn(lbl):
         _, _, a, b = lbl

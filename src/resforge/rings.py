@@ -11,7 +11,8 @@ c_i in [0, p^N).  For f = 1 the encoding is the representative itself.
 The residue field F_q = O/pi is the ring at N = 1: fields.FieldCtx is a
 RingCtx that serves as its own field, inherits the encoding, addition
 and valuation, and multiplies, powers and inverts through its tables.
-ring_make(field, 1) returns the field context itself.
+ring_make(field, 1) returns the field context itself; LocalField.ring
+caches the rings at other precisions, each of which memoizes its zeta_n.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _poly_powmod(a, e, mod, m):
 class RingCtx:
     """The ring O/pi^N over a fixed residue field context."""
 
-    __slots__ = ("field", "p", "f", "N", "pN", "poly", "_zeta", "_teich")
+    __slots__ = ("field", "p", "f", "N", "pN", "poly", "_zeta")
 
     def __init__(self, field: FieldCtx, N: int):
         if N < 1:
@@ -86,7 +87,6 @@ class RingCtx:
         # integer lift of the defining polynomial, coefficients in [0, p)
         self.poly = tuple(field.poly) if field.f > 1 else None
         self._zeta: dict[int, int] = {}
-        self._teich: dict[int, int] = {}
 
     def __repr__(self):
         return f"{type(self).__name__}(p={self.p}, f={self.f}, N={self.N})"
@@ -109,9 +109,6 @@ class RingCtx:
         for c in reversed(coeffs):
             a = a * pN + c % pN
         return a
-
-    def one(self) -> int:
-        return 1
 
     # arithmetic ----------------------------------------------------------
 
@@ -213,12 +210,7 @@ class RingCtx:
         """
         if x == 0:
             return 0
-        hit = self._teich.get(x)
-        if hit is not None:
-            return hit
-        t = self.pow(self.field.lift_naive(x, self), self.field.q ** (self.N - 1))
-        self._teich[x] = t
-        return t
+        return self.pow(self.field.lift_naive(x, self), self.field.q ** (self.N - 1))
 
     def zeta(self, n: int) -> int:
         """Teichmueller lift of the canonical zeta_n of the residue field."""
@@ -235,16 +227,8 @@ class RingCtx:
         return z
 
 
-_RING_CACHE: dict[tuple[int, int, int], RingCtx] = {}
-
-
 def ring_make(field: FieldCtx, N: int) -> RingCtx:
-    """The shared context of O/pi^N; at the field's own precision, the field."""
+    """A new context of O/pi^N; at the field's own precision, the field."""
     if N == field.N:
         return field
-    key = (field.p, field.f, N)
-    ctx = _RING_CACHE.get(key)
-    if ctx is None:
-        ctx = RingCtx(field, N)
-        _RING_CACHE[key] = ctx
-    return ctx
+    return RingCtx(field, N)

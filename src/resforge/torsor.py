@@ -7,21 +7,25 @@ scalar by which it moves one canonical base onto another.  No line is
 built as an object; a line is named by the module whose determinant it
 is.  Composing isomorphisms adds exponents, duals preserve them, and the
 pairing of a base with its dual base is 1, so its exponent is 0.
+
+Automorphism determinants are read from residue determinants along the
+pi-filtration; orbit enumeration stays as their oracle, _det_exp_brute.
 """
 from __future__ import annotations
 
 from .errors import EnumerationBound
 from .fields import MuScalar, field_det, mu_dlog
 from .modules import FiniteModule, ModuleHom, module_aut_as_musetaut
-from .musets import OrbitView, aut_delta, iso_scalar
+from .musets import aut_delta, iso_scalar
 
 
 # ---------------------------------------------------------------------------
 # determinants of module automorphisms
 
 
-def _det_exp_brute(T: FiniteModule, g: ModuleHom, n: int, rule: str) -> int:
-    return aut_delta(module_aut_as_musetaut(T, g, n, rule)).exp
+def _det_exp_brute(T: FiniteModule, g: ModuleHom, n: int) -> int:
+    """delta of g by enumeration, the oracle of _det_exp_fast (any rule serves)."""
+    return aut_delta(module_aut_as_musetaut(T, g, n)).exp
 
 
 def _det_exp_fast(T: FiniteModule, g: ModuleHom, n: int) -> int:
@@ -35,28 +39,14 @@ def _det_exp_fast(T: FiniteModule, g: ModuleHom, n: int) -> int:
         if d == 0:
             raise ValueError("map is not an automorphism (graded piece singular)")
         det_total = field.mul(det_total, d)
-    if (field.q - 1) % n != 0:
-        raise ValueError("n does not divide q - 1")
     return mu_dlog(field, field.pow(det_total, (field.q - 1) // n), n).exp
 
 
-def det_of_module_aut(T: FiniteModule, g: ModuleHom, n: int,
-                      rule: str = "least", method: str = "auto") -> MuScalar:
-    """The scalar by which g acts on det(T).
-
-    method "brute" enumerates orbits; "fast" works along the
-    pi-filtration; "auto" prefers brute force within the enumeration
-    bound.  The two paths agree (this is exercised by the test suite).
-    """
+def det_of_module_aut(T: FiniteModule, g: ModuleHom, n: int) -> MuScalar:
+    """The scalar by which g acts on det(T), along the pi-filtration."""
     if g.src != T or g.dst != T:
         raise ValueError("not an endomorphism of T")
-    if method == "auto":
-        method = "brute" if T.size <= T.lf.enum_bound else "fast"
-    if method == "brute":
-        return MuScalar(n, _det_exp_brute(T, g, n, rule))
-    if method == "fast":
-        return MuScalar(n, _det_exp_fast(T, g, n))
-    raise ValueError(f"unknown method {method!r}")
+    return MuScalar(n, _det_exp_fast(T, g, n))
 
 
 def det_iso_scalar(S: FiniteModule, T: FiniteModule, g: ModuleHom, n: int,
@@ -72,44 +62,7 @@ def det_iso_scalar(S: FiniteModule, T: FiniteModule, g: ModuleHom, n: int,
 
 
 # ---------------------------------------------------------------------------
-# fiber isomorphism and exact sequences
-
-
-def _as_view(X, n: int, rule: str) -> OrbitView:
-    if isinstance(X, OrbitView):
-        if X.n != n:
-            raise ValueError("view has the wrong n")
-        return X
-    if isinstance(X, FiniteModule):
-        return X.view(n, rule)
-    raise TypeError("expected a FiniteModule or OrbitView")
-
-
-def fiber_iso(Y, Z, f, n: int, rule: str = "least") -> MuScalar:
-    """Canonical scalar for det(Z) -> det(Y) along a fiberwise-trivial map.
-
-    f maps the elements of Y onto Z (marked points to marked points) and
-    every nonzero fiber must have size congruent to 1 mod n.  Per orbit L
-    of Z, the preimage splits into orbits M_1..M_r with r = 1 mod n; the
-    scalar collects, over all L and i, the twist of the unique preimage
-    of L's representative inside M_i relative to M_i's representative.
-    """
-    vY = _as_view(Y, n, rule)
-    vZ = _as_view(Z, n, rule)
-    fibers: dict = {}
-    for y in vY.table:
-        fibers.setdefault(f(y), []).append(y)
-    if set(fibers) != set(vZ.table):
-        raise ValueError("map is not a surjection of the nonzero parts")
-    if n > 1:
-        for z, fib in fibers.items():
-            if len(fib) % n != 1:
-                raise ValueError(f"fiber of {z!r} has size {len(fib)} != 1 mod n")
-    total = 0
-    for rep_z in vZ.reps:
-        for y in fibers[rep_z]:
-            total += vY.exp_of(y)
-    return MuScalar(n, total)
+# exact sequences
 
 
 def _exact_seq_exp(X: FiniteModule, Y: FiniteModule, Z: FiniteModule,
@@ -159,7 +112,6 @@ def _exact_seq_exp(X: FiniteModule, Y: FiniteModule, Z: FiniteModule,
 
 
 def exact_seq_iso(X: FiniteModule, Y: FiniteModule, Z: FiniteModule,
-                  incl: ModuleHom, proj: ModuleHom, n: int,
-                  rule: str = "least") -> MuScalar:
+                  incl: ModuleHom, proj: ModuleHom, n: int) -> MuScalar:
     """Canonical scalar relating base(det X) (x) base(det Z) to base(det Y)."""
-    return MuScalar(n, _exact_seq_exp(X, Y, Z, incl, proj, n, rule))
+    return MuScalar(n, _exact_seq_exp(X, Y, Z, incl, proj, n, "least"))

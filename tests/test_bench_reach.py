@@ -1,13 +1,16 @@
 """Every resforge name the benchmark reaches resolves.
 
 Tier-1 collects only tests/, so a retired name that bench/spans.py wraps
-or bench/workloads.py calls would otherwise break only the benchmark.
-Both files are read, never changed: spans.py is loaded (it imports only
-the standard library) and workloads.py is scanned for ``rf.<name>``.
+or bench/workloads.py calls, or a retired parameter that a workload
+passes, would otherwise break only the benchmark.  Both files are read,
+never changed: spans.py is loaded (it imports only the standard library)
+and workloads.py is scanned for ``rf.<name>`` and parsed for its calls.
 """
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import re
 
@@ -51,3 +54,37 @@ def test_workload_names_resolve():
         if obj is None:
             missing.append(f"resforge.{chain}")
     assert not missing
+
+
+def _rf_calls(tree):
+    """(dotted name, positional count, keyword names) of each rf.<name>(...) call."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        parts, func = [], node.func
+        while isinstance(func, ast.Attribute):
+            parts.append(func.attr)
+            func = func.value
+        if isinstance(func, ast.Name) and func.id == "rf" and parts:
+            assert not any(isinstance(a, ast.Starred) for a in node.args)
+            assert all(k.arg is not None for k in node.keywords)
+            yield ".".join(reversed(parts)), len(node.args), [k.arg for k in node.keywords]
+
+
+def test_workload_calls_bind_to_current_signatures():
+    """Each call the benchmark makes still fits the signature it reaches, so
+    retiring a parameter the bench passes (say, delta_route_symbol's rule)
+    fails here and not only in the benchmark."""
+    with open(os.path.join(BENCH, "workloads.py")) as fh:
+        calls = list(_rf_calls(ast.parse(fh.read())))
+    assert len(calls) >= 14
+    unbound = []
+    for chain, npos, kwnames in calls:
+        obj = resforge
+        for part in chain.split("."):
+            obj = getattr(obj, part)
+        try:
+            inspect.signature(obj).bind(*[None] * npos, **dict.fromkeys(kwnames))
+        except TypeError as exc:
+            unbound.append(f"rf.{chain}: {exc}")
+    assert not unbound

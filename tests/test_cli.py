@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from resforge import verify
 from resforge.cli import main
 
 
@@ -121,3 +122,87 @@ def test_bad_env_value_is_a_usage_error(capsys, monkeypatch):
         main(["symbol", "--n", "2", "3", "5"])
     assert exc.value.code == 2
     assert capsys.readouterr().err == "error: bad RESFORGE_P='x'\n"
+
+
+@pytest.mark.parametrize("method", ["direct", "muset", "extension"])
+def test_symbol_each_method(capsys, method):
+    code, out, _ = run_cli(capsys, "symbol", "--p", "7", "--n", "2",
+                           "--method", method, "7", "7")
+    assert (code, out) == (0, "zeta^1 = 6\n")
+    code, out, _ = run_cli(capsys, "symbol", "--p", "7", "--n", "3", "--f", "2",
+                           "--method", method, "--format", "json", "pi", "2")
+    assert code == 0
+    assert json.loads(out) == {"p": 7, "f": 2, "n": 3, "a": "pi", "b": "2",
+                               "method": method, "exp": 1, "value": "[4,0]"}
+    assert list(json.loads(out)) == ["p", "f", "n", "a", "b", "method", "exp", "value"]
+
+
+def test_format_choices_per_command(capsys, monkeypatch):
+    with pytest.raises(SystemExit) as exc:
+        main(["symbol", "--p", "7", "--n", "2", "--format", "csv", "3", "5"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    # RESFORGE_FORMAT is held to the invoked command's choices, not the union
+    monkeypatch.setenv("RESFORGE_FORMAT", "json")
+    code, out, _ = run_cli(capsys, "symbol", "--p", "7", "--n", "2", "7", "7")
+    assert code == 0 and json.loads(out)["agree"] is True
+    monkeypatch.setenv("RESFORGE_FORMAT", "csv")
+    code, out, _ = run_cli(capsys, "table", "--p", "3", "--n", "2", "--vmax", "0")
+    assert code == 0
+    assert out.splitlines()[0] == "p,f,n,a,b,exp,value"
+
+
+@pytest.mark.parametrize("value,argv", [
+    ("xml", ("symbol", "--p", "7", "--n", "2", "3", "7")),
+    ("csv", ("symbol", "--p", "7", "--n", "2", "3", "7")),
+    ("csv", ("verify", "zolotarev", "--p", "7")),
+    ("xml", ("table", "--p", "3", "--n", "2")),
+])
+def test_bad_env_format_is_a_usage_error(capsys, monkeypatch, value, argv):
+    monkeypatch.setenv("RESFORGE_FORMAT", value)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad RESFORGE_FORMAT='{value}'\n"
+
+
+@pytest.mark.parametrize("argv,missing", [
+    (("symbol", "--n", "2", "3", "5"), "--p"),
+    (("symbol", "--p", "7", "3", "5"), "--n"),
+    (("table", "--n", "2"), "--p"),
+    (("table", "--p", "7"), "--n"),
+])
+def test_missing_field_flags_are_usage_errors(capsys, monkeypatch, argv, missing):
+    monkeypatch.delenv("RESFORGE_P", raising=False)
+    monkeypatch.delenv("RESFORGE_N", raising=False)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {missing} is required (or set RESFORGE_{missing[2:].upper()})\n"
+
+
+def test_verify_human_output(capsys):
+    code, out, _ = run_cli(capsys, "verify", "zolotarev", "--p", "7", "--p", "11")
+    assert code == 0
+    assert out == "PASS  zolotarev.zolotarev_equals_euler: 16/16\nOK\n"
+
+
+def _planted_failure(**_):
+    chk = verify._Check("planted")
+    chk.record(True, {"case": 0})
+    chk.record(False, {"case": 1})
+    chk.record(False, {"case": 2})
+    return verify._finish("zolotarev", [chk])
+
+
+def test_failed_verification_exits_1(capsys, monkeypatch):
+    monkeypatch.setitem(verify.SUITES, "zolotarev", _planted_failure)
+    code, out, _ = run_cli(capsys, "verify", "zolotarev")
+    assert code == 1
+    assert out.splitlines() == ["FAIL  zolotarev.planted: 1/3",
+                                '      first counterexample: {"case": 1}',
+                                "FAILED"]
+    code, out, _ = run_cli(capsys, "verify", "zolotarev", "--format", "json")
+    assert code == 1
+    data = json.loads(out)
+    assert data["ok"] is False
+    assert data["checks"] == [{"name": "planted", "cases": 3, "failures": 2,
+                               "first_counterexample": {"case": 1}}]

@@ -3,8 +3,8 @@ import random
 import pytest
 
 from resforge.errors import EnumerationBound
-from resforge.extension import (SymbolEngine, _iso_exp, _rel_dim_m1,
-                                cocycle, cocycle_exp, comm_symbol,
+from resforge.extension import (SymbolEngine, _iso_exp, _kappa_chain,
+                                _rel_dim_m1, cocycle, cocycle_exp, comm_symbol,
                                 corrected_symbol, ext_identity, ext_inverse,
                                 ext_lift, ext_mul, get_engine, kappa_exp,
                                 rho_exp)
@@ -59,8 +59,8 @@ def test_kappa_degenerate_cases(eng7):
     assert kappa_exp(O, O, piO, eng7) == 0      # (A|A) (x) (A|C) -> (A|C)
     assert kappa_exp(O, piO, piO, eng7) == 0    # unit constraint on (B|B)
     assert kappa_exp(O, piO, O, eng7) == 0      # duality pairing case
-    assert kappa_exp(O, piO, O, eng7, method="general") == 0
-    assert kappa_exp(O, pi2O, O, eng7, method="general") == 0
+    assert _kappa_chain(O, piO, O, eng7) == 0
+    assert _kappa_chain(O, pi2O, O, eng7) == 0
 
 
 def test_kappa_path_independence():
@@ -70,7 +70,7 @@ def test_kappa_path_independence():
                     (2, 1, 0), (1, -1, -2)]:
             A, B, C = (eng.principal(v) for v in tri)
             auto = kappa_exp(A, B, C, eng)
-            general = kappa_exp(A, B, C, eng, method="general")
+            general = _kappa_chain(A, B, C, eng)
             assert auto == general, (p, n, tri)
 
 

@@ -134,6 +134,14 @@ def test_module_as_muset_orbit_counts():
     lf = local_field(7)
     assert module_as_muset(FiniteModule(lf, (1,)), 2).t == 3
     assert module_as_muset(FiniteModule(lf, (2,)), 2).t == 24
+    for p, f in [(3, 1), (7, 1), (3, 2)]:
+        K = local_field(p, f)
+        for exps in [(1,), (2,), (1, 1), (1, 2)]:
+            T = FiniteModule(K, exps)
+            for n in [d for d in range(1, K.q) if (K.q - 1) % d == 0]:
+                assert module_as_muset(T, n) == MuSet(n, len(T.view(n, "least").reps))
+            with pytest.raises(ValueError, match="does not divide"):
+                module_as_muset(T, K.q)
     g = module_aut_as_musetaut(FiniteModule(lf, (1,)), scalar_hom(FiniteModule(lf, (1,)), 3), 2)
     assert aut_delta(g).exp == 1
 

@@ -2,14 +2,15 @@ import random
 
 import pytest
 
+from resforge import modules
 from resforge.fields import MuScalar, mu_dlog
 from resforge.lattices import (KMat, Lattice, induced_hom, principal_lattice,
                                quotient_struct, standard_lattice)
 from resforge.modules import FiniteModule, ModuleHom, scalar_hom
 from resforge.musets import OrbitView
 from resforge.padic import local_field
-from resforge.torsor import (det_iso_scalar, det_of_module_aut, exact_seq_iso,
-                             fiber_iso, _exact_seq_exp)
+from resforge.torsor import (_det_exp_brute, _exact_seq_exp, det_iso_scalar,
+                             det_of_module_aut, exact_seq_iso)
 from resforge.verify import _random_matrix as rand_matrix
 
 
@@ -49,8 +50,8 @@ def test_det_of_module_aut_examples():
     T = FiniteModule(lf, (1,))
     T2 = FiniteModule(lf, (2,))
     assert det_of_module_aut(T, scalar_hom(T, 3), 2).exp == 1
-    assert det_of_module_aut(T2, scalar_hom(T2, 3), 2, method="brute").exp == 0
-    assert det_of_module_aut(T2, scalar_hom(T2, 3), 2, method="fast").exp == 0
+    assert _det_exp_brute(T2, scalar_hom(T2, 3), 2) == 0
+    assert det_of_module_aut(T2, scalar_hom(T2, 3), 2).exp == 0
     assert det_of_module_aut(T2, scalar_hom(T2, 1), 2).is_identity
 
 
@@ -65,9 +66,9 @@ def test_det_multiplicative_on_random_automorphisms():
         for _ in range(10):
             g = random_matrix_aut(lf, rng, M)
             h = random_matrix_aut(lf, rng, M)
-            lhs = det_of_module_aut(M, g.compose(h), n)
-            rhs = det_of_module_aut(M, g, n) * det_of_module_aut(M, h, n)
-            assert lhs == rhs
+            lhs = _det_exp_brute(M, g.compose(h), n)
+            rhs = _det_exp_brute(M, g, n) + _det_exp_brute(M, h, n)
+            assert lhs == rhs % n
 
 
 def test_fast_equals_brute_on_cyclic_modules():
@@ -82,8 +83,7 @@ def test_fast_equals_brute_on_cyclic_modules():
             for _ in range(50):
                 g = random_scalar_aut(lf, rng, M)
                 for n in [n for n in range(1, q) if (q - 1) % n == 0]:
-                    assert (det_of_module_aut(M, g, n, method="brute").exp
-                            == det_of_module_aut(M, g, n, method="fast").exp)
+                    assert _det_exp_brute(M, g, n) == det_of_module_aut(M, g, n).exp
 
 
 def test_fast_equals_brute_on_mixed_modules():
@@ -94,8 +94,7 @@ def test_fast_equals_brute_on_mixed_modules():
         for _ in range(10):
             g = random_matrix_aut(lf, rng, M)
             for n in (1, 2, 4):
-                assert (det_of_module_aut(M, g, n, method="brute").exp
-                        == det_of_module_aut(M, g, n, method="fast").exp)
+                assert _det_exp_brute(M, g, n) == det_of_module_aut(M, g, n).exp
 
 
 def test_mu_det_equals_classical_det_gl2():
@@ -114,9 +113,25 @@ def test_mu_det_equals_classical_det_gl2():
                         if det == 0:
                             continue
                         g = ModuleHom(V, V, [(a, c), (b, d)])
-                        assert det_of_module_aut(V, g, n) == mu_dlog(lf.field, det, n)
+                        assert _det_exp_brute(V, g, n) == mu_dlog(lf.field, det, n).exp
                         count += 1
         assert count == (p**2 - 1) * (p**2 - p)
+
+
+def test_det_of_module_aut_builds_no_orbit_view(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an OrbitView was built")
+
+    lf = local_field(7)
+    M = FiniteModule(lf, (1, 2))
+    g = random_matrix_aut(lf, random.Random(13), M)
+    want = {n: _det_exp_brute(M, g, n) for n in (1, 2, 3, 6)}
+    monkeypatch.setattr(modules, "_VIEW_CACHE", {})
+    monkeypatch.setattr(OrbitView, "__init__", refuse)
+    for n in (1, 2, 3, 6):
+        assert det_of_module_aut(M, g, n).exp == want[n]
+    with pytest.raises(AssertionError, match="OrbitView"):
+        _det_exp_brute(M, g, 2)
 
 
 def test_det_iso_scalar_specializes_and_composes():
@@ -137,57 +152,6 @@ def test_det_iso_scalar_specializes_and_composes():
         c1 = det_iso_scalar(QS.module, QT.module, div7, n)
         c2 = det_iso_scalar(QT.module, QS.module, mul7, n)
         assert (c1 * c2).is_identity
-
-
-def test_fiber_iso_trivial_cases():
-    lf = local_field(7)
-    T = FiniteModule(lf, (1,))
-    # bijective map: per orbit a single fiber, scalar tracks the twist sum
-    v = T.view(2, "least")
-    assert fiber_iso(T, T, lambda x: x, 2).is_identity
-    assert fiber_iso(T, T, lambda x: x, 1).is_identity
-    g = scalar_hom(T, 3)
-    c = fiber_iso(T, T, g.apply, 2)
-    # for a bijection, the fiber scalar is the twist sum of the inverse map
-    assert (c * det_of_module_aut(T, g, 2)).is_identity
-
-
-def test_fiber_iso_rejects_bad_fibers():
-    lf = local_field(7)
-    T2 = FiniteModule(lf, (2,))
-    T = FiniteModule(lf, (1,))
-    # the raw projection O/49 -> O/7 has nonzero kernel, so the zero fiber
-    # is too big and the nonzero-part surjection check fails
-    proj = induced_hom(quotient_struct(standard_lattice(lf, 1), principal_lattice(lf, 2)),
-                       quotient_struct(standard_lattice(lf, 1), principal_lattice(lf, 1)))
-    with pytest.raises(ValueError):
-        fiber_iso(T2, T, proj.apply, 2)
-
-
-def test_fiber_iso_consistent_with_exact_sequence():
-    # 0 -> 7O/49O -> O/49O -> O/7O -> 0 over Z_7
-    lf = local_field(7)
-    O1 = standard_lattice(lf, 1)
-    pi1 = principal_lattice(lf, 1)
-    pi2 = principal_lattice(lf, 2)
-    QX = quotient_struct(pi1, pi2)
-    QY = quotient_struct(O1, pi2)
-    QZ = quotient_struct(O1, pi1)
-    incl = induced_hom(QX, QY)
-    proj = induced_hom(QY, QZ)
-    X, Y, Z = QX.module, QY.module, QZ.module
-    for n in (1, 2, 3, 6):
-        total = exact_seq_iso(X, Y, Z, incl, proj, n).exp
-        vY = Y.view(n, "least")
-        vX = X.view(n, "least")
-        image = {incl.apply(x) for x in X.elements()}
-        part_incl = sum(vY.exp_of(incl.apply(r)) for r in vX.reps) % n
-        # the quotient set Y // X with Y's element order and representatives
-        quo_elems = [y for y in vY.table if y not in image]
-        act = Y.mu_act(n)
-        quo_view = OrbitView(n, quo_elems, act, "least")
-        fib = fiber_iso(quo_view, Z, proj.apply, n).exp
-        assert total == (part_incl + fib) % n
 
 
 def test_exact_seq_degenerate_ends():
@@ -250,9 +214,9 @@ def test_naturality_of_exact_sequence_scalar():
         gX = scalar_hom(X, u, from_ring=lf.ring(1))
         gY = scalar_hom(Y, u, from_ring=lf.ring(1))
         gZ = scalar_hom(Z, u, from_ring=lf.ring(1))
-        dX = det_of_module_aut(X, gX, n).exp
-        dY = det_of_module_aut(Y, gY, n).exp
-        dZ = det_of_module_aut(Z, gZ, n).exp
+        dX = _det_exp_brute(X, gX, n)
+        dY = _det_exp_brute(Y, gY, n)
+        dZ = _det_exp_brute(Z, gZ, n)
         assert (dX + dZ) % n == dY % n
 
 
@@ -294,7 +258,7 @@ def test_exact_seq_exp_matches_per_element_oracle():
             incl = induced_hom(QXZ, QYZ)
             proj = induced_hom(QYZ, QXY)
             for n in ns:
-                for rule in ("least", "second_least"):
+                for rule in ("least", "second_least", "digit"):
                     assert (_exact_seq_exp(X, Y, Z, incl, proj, n, rule)
                             == _exact_seq_exp_per_element(X, Y, Z, incl, proj, n, rule))
             checked += 1
