@@ -28,33 +28,23 @@ from .symbols import (crosscheck, delta_route_symbol, power_residue_symbol,
 from .verify import _sweep_inputs, run_suite
 
 
-def _env(name, cast, default):
-    raw = os.environ.get(f"RESFORGE_{name}")
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except ValueError:
-        print(f"error: bad RESFORGE_{name}={raw!r}", file=sys.stderr)
-        raise SystemExit(2) from None
-
-
 def _add_field_args(sub):
-    sub.add_argument("--p", type=int, default=_env("P", int, None),
-                     help="residue characteristic (prime)")
-    sub.add_argument("--f", type=int, default=_env("F", int, 1),
-                     help="residue degree (default 1)")
-    sub.add_argument("--n", type=int, default=_env("N", int, None),
+    sub.add_argument("--p", type=int, help="residue characteristic (prime)")
+    sub.add_argument("--f", type=int, help="residue degree (default 1)")
+    sub.add_argument("--n", type=int,
                      help="order of the root-of-unity group, dividing q - 1")
-    sub.add_argument("--precision", type=int,
-                     default=_env("PRECISION", int, None),
-                     help="working pi-adic precision")
-    sub.add_argument("--bound", type=int, default=_env("BOUND", int, 100_000),
-                     help="enumeration bound for finite modules")
+    sub.add_argument("--precision", type=int, help="working pi-adic precision")
+    sub.add_argument("--bound", type=int, help="enumeration bound for finite modules")
 
 
 _FORMATS = {"symbol": ("human", "json"), "verify": ("human", "json"),
             "table": ("human", "json", "csv")}
+
+# each command's flags that fall back to RESFORGE_<name>, besides --format:
+# flag -> (name, cast, default); main reads a variable only for a flag left out
+_FIELD_ENV = {"p": ("P", int, None), "f": ("F", int, 1), "n": ("N", int, None),
+              "precision": ("PRECISION", int, None), "bound": ("BOUND", int, 100_000)}
+_ENV = {"symbol": _FIELD_ENV, "table": _FIELD_ENV, "verify": {"seed": ("SEED", int, 0)}}
 
 
 class _UsageError(Exception):
@@ -193,7 +183,7 @@ def main(argv=None) -> int:
                                        "cocycle", "theorem", "corollary", "all"))
     ver.add_argument("--p", type=int, action="append",
                      help="restrict sweep primes (repeatable)")
-    ver.add_argument("--seed", type=int, default=_env("SEED", int, 0))
+    ver.add_argument("--seed", type=int)
     ver.set_defaults(func=_cmd_verify)
 
     tab = subs.add_parser("table", help="emit a symbol table over a grid")
@@ -203,11 +193,19 @@ def main(argv=None) -> int:
     tab.add_argument("--max-entries", type=int, default=250_000)
     tab.set_defaults(func=_cmd_table)
 
-    fmt = _env("FORMAT", str, "human")
     for name, sub in subs.choices.items():
-        sub.add_argument("--format", choices=_FORMATS[name], default=fmt)
+        sub.add_argument("--format", choices=_FORMATS[name])
     args = parser.parse_args(argv)
-    # argparse checks a given --format only, so a RESFORGE_FORMAT default is
+    env = {**_ENV[args.command], "format": ("FORMAT", str, "human")}
+    for dest, (name, cast, default) in env.items():
+        if getattr(args, dest) is None:
+            raw = os.environ.get(f"RESFORGE_{name}")
+            try:
+                setattr(args, dest, default if raw is None else cast(raw))
+            except ValueError:
+                print(f"error: bad RESFORGE_{name}={raw!r}", file=sys.stderr)
+                raise SystemExit(2) from None
+    # argparse checks a given --format only, so a RESFORGE_FORMAT value is
     # checked here, against the choices of the invoked command
     if args.format not in _FORMATS[args.command]:
         print(f"error: bad RESFORGE_FORMAT={args.format!r}", file=sys.stderr)

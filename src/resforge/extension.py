@@ -35,17 +35,17 @@ of zeta_n.  Under it the symbols read a K^x argument as its valuation v
 and the residue of its unit, with no matrix, and S(u) by residue is the
 engine's only rank-one memo.
 
-At m >= 2 every iso exponent in rho_exp goes between quotients with the
-same exponents, so under the same rule it is the exponent of an
-automorphism of one module: the mu_n character of the residue
-determinants along the pi-filtration (torsor._det_exp_fast), which
-costs one d x d determinant per level, not the size of the module.
-The digit rule's sum of pos[lead(A_j v)] over the leading vectors v of
-each graded piece gives the same value.  kappa_exp still enumerates
-the middle module of each connecting exact sequence.  The least and
-second_least rules enumerate afresh on every call, and they and
-det_iso_scalar under the digit rule serve the closed forms as their
-oracle.
+Every iso exponent in rho_exp goes between quotients with the same
+exponents, which carry the same pinned representatives under every
+rule, so it is the exponent of an automorphism of one module: the mu_n
+character of the residue determinants along the pi-filtration
+(torsor._det_exp_fast), one d x d determinant per level, not the size
+of the module.  Under the digit rule the sum of pos[lead(A_j v)] over
+the leading vectors v of each graded piece gives the same value.
+kappa_exp still enumerates the middle module of each connecting exact
+sequence; under the least and second_least rules it does so afresh on
+every rank-one call, and those rules and torsor.det_iso_scalar
+(enumeration under any rule) serve the closed forms as their oracle.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from .lattices import (KMat, Lattice, LatticeQuotient, induced_hom, lat_apply,
                        lat_contains_lattice, lat_intersect, principal_lattice,
                        quotient_struct, standard_lattice)
 from .padic import KElem
-from .torsor import _det_exp_fast, _exact_seq_exp, det_iso_scalar
+from .torsor import _det_exp_fast, _exact_seq_exp
 
 
 @dataclass(frozen=True)
@@ -124,13 +124,9 @@ def get_engine(lf, n: int, rule: str = "digit") -> SymbolEngine:
 def _iso_exp(srcQ: LatticeQuotient, dstQ: LatticeQuotient, f: KMat | None,
              engine: SymbolEngine) -> int:
     """Exponent of the determinant scalar of lift-(f)-project on quotients."""
-    n = engine.n
-    if n == 1:
+    if engine.n == 1:
         return 0
-    g = induced_hom(srcQ, dstQ, f)
-    if engine.rule == "digit":
-        return _det_exp_fast(dstQ.module, g, n)
-    return det_iso_scalar(srcQ.module, dstQ.module, g, n, engine.rule).exp
+    return _det_exp_fast(dstQ.module, induced_hom(srcQ, dstQ, f), engine.n)
 
 
 def rho_exp(f: KMat, A: Lattice, B: Lattice, engine: SymbolEngine) -> int:

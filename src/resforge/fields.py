@@ -16,9 +16,9 @@ encoding, addition and valuation.  For f = 1 products are modular
 integers.  For f > 1 multiplication, powers and inverses are lookups in
 log/antilog tables of the canonical generator, built once per context
 (Lidl-Niederreiter, Finite Fields, ch. 9); addition stays
-coefficient-wise on the encodings.  Contexts are shared per (p, f), and
-q is capped at MAX_Q because the log/antilog tables and the Zolotarev
-sign enumerate F_q.
+coefficient-wise on the encodings.  field_make keeps no context; each
+LocalField owns the one it builds.  q is capped at MAX_Q because the
+log/antilog tables and the Zolotarev sign enumerate F_q.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import EnumerationBound
-from .rings import RingCtx, _poly_mulmod, _poly_powmod
+from .rings import RingCtx, _det_rows, _poly_mulmod, _poly_powmod
 
 
 def is_prime(n: int) -> bool:
@@ -263,25 +263,19 @@ def _power_tables(ctx: FieldCtx) -> tuple[array, array]:
     return log, exp + exp
 
 
-_FIELD_CACHE: dict[tuple[int, int], FieldCtx] = {}
 MAX_Q = 1_000_000
 
 
 def field_make(p: int, f: int = 1) -> FieldCtx:
-    """Build the canonical context for F_{p^f}."""
+    """Build a new canonical context for F_{p^f}; each LocalField keeps its own."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if f < 1:
         raise ValueError("extension degree must be >= 1")
     if p**f > MAX_Q:
         raise EnumerationBound(f"q = {p}^{f} exceeds the bound {MAX_Q}")
-    key = (p, f)
-    ctx = _FIELD_CACHE.get(key)
-    if ctx is None:
-        poly = canonical_defining_poly(p, f) if f > 1 else None
-        ctx = FieldCtx(p, f, poly, _least_generator(p, f, poly))
-        _FIELD_CACHE[key] = ctx
-    return ctx
+    poly = canonical_defining_poly(p, f) if f > 1 else None
+    return FieldCtx(p, f, poly, _least_generator(p, f, poly))
 
 
 # ---------------------------------------------------------------------------
@@ -365,22 +359,5 @@ def zolotarev_sign(ctx: FieldCtx, a: int) -> int:
 
 
 def field_det(ctx: FieldCtx, rows: list[list[int]]) -> int:
-    """Determinant over F_q by Gaussian elimination."""
-    m = len(rows)
-    a = [list(r) for r in rows]
-    det = 1
-    for c in range(m):
-        piv = next((r for r in range(c, m) if a[r][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            det = ctx.neg(det)
-        det = ctx.mul(det, a[c][c])
-        inv = ctx.inv(a[c][c])
-        for r in range(c + 1, m):
-            if a[r][c]:
-                fac = ctx.mul(a[r][c], inv)
-                for k in range(c, m):
-                    a[r][k] = ctx.sub(a[r][k], ctx.mul(fac, a[c][k]))
-    return det
+    """Determinant over F_q of a square matrix of at least one row."""
+    return _det_rows(ctx, rows)

@@ -22,6 +22,7 @@ from __future__ import annotations
 from .errors import PrecisionError
 from .modules import FiniteModule, ModuleHom
 from .padic import KElem, LocalField
+from .rings import _det_rows
 
 
 class KMat:
@@ -303,23 +304,6 @@ class KMat:
             raise PrecisionError("precision exhausted during column reduction")
         # T is encoded at self.prec; at f > 1 the encoding depends on the precision
         return KMat(self.lf, T, self.shift, self.prec)._at_prec(cur)
-
-
-def _det_rows(ring, rows) -> int:
-    """Determinant of square rows of ring encodings, by expansion along
-    the first row; fine at desk scale (m <= 4)."""
-    if len(rows) == 1:
-        return rows[0][0]
-    if len(rows) == 2:
-        (a, b), (c, d) = rows
-        return ring.sub(ring.mul(a, d), ring.mul(b, c))
-    total = 0
-    rest = rows[1:]
-    for j, x in enumerate(rows[0]):
-        if x:
-            t = ring.mul(x, _det_rows(ring, [r[:j] + r[j + 1:] for r in rest]))
-            total = ring.sub(total, t) if j % 2 else ring.add(total, t)
-    return total
 
 
 def _is_zero_spec(x) -> bool:

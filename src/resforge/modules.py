@@ -11,7 +11,8 @@ Homomorphisms are stored by the images of the standard generators; the
 entry condition v(a_jk) >= e_j - e_k makes the map well defined.
 
 Counting orbits needs no enumeration (module_as_muset); element views
-(OrbitView) pin representatives for maps read as (sigma, mu) data.
+(OrbitView, kept by the module's LocalField) pin representatives for
+maps read as (sigma, mu) data.
 """
 
 from __future__ import annotations
@@ -21,9 +22,6 @@ from itertools import product, repeat
 from .errors import EnumerationBound
 from .fields import _check_n
 from .musets import MuSet, MuSetAut, OrbitView
-
-# views of module element sets, keyed by (p, f, exps, n, rule)
-_VIEW_CACHE: dict[tuple, OrbitView] = {}
 
 
 class FiniteModule:
@@ -116,12 +114,13 @@ class FiniteModule:
         return r.reduce_to(r.div_pk(c, v), self.lf.field)
 
     def view(self, n: int, rule: str = "least") -> OrbitView:
-        key = (*self.key, n, rule)
-        v = _VIEW_CACHE.get(key)
+        """The mu_n-set of the elements, memoized in the field's _views."""
+        key = (self.exps, n, rule)
+        v = self.lf._views.get(key)
         if v is None:
             elems = [x for x in self.elements() if x != self.zero]
             v = OrbitView(n, elems, self.mu_act(n), rule, self.lead_digit)
-            _VIEW_CACHE[key] = v
+            self.lf._views[key] = v
         return v
 
 

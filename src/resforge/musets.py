@@ -142,7 +142,7 @@ class OrbitView:
     during construction.
     """
 
-    __slots__ = ("n", "rule", "reps", "table", "muset")
+    __slots__ = ("n", "reps", "table", "muset")
 
     def __init__(self, n: int, elements, act, rule: str = "least", digit=None):
         if rule not in ("least", "second_least", "digit"):
@@ -150,7 +150,6 @@ class OrbitView:
         if rule == "digit" and digit is None:
             raise ValueError("the digit rule needs the leading digit of each element")
         self.n = n
-        self.rule = rule
         table: dict = {}
         reps: list = []
         for x in sorted(elements):

@@ -108,7 +108,8 @@ class KElem:
 
 
 class LocalField:
-    """The unramified extension of Q_p with residue field F_{p^f}."""
+    """The unramified extension of Q_p with residue field F_{p^f}; it owns
+    its F_q context, rings, engines and module views, which go with it."""
 
     def __init__(self, p: int, f: int = 1, default_precision: int = 24,
                  enum_bound: int = 100_000):
@@ -122,6 +123,7 @@ class LocalField:
         self.enum_bound = enum_bound
         self._rings: dict[int, RingCtx] = {}
         self._engines: dict = {}
+        self._views: dict = {}   # FiniteModule.view, by (exps, n, rule)
 
     def __repr__(self):
         return f"LocalField(p={self.p}, f={self.f})"
@@ -231,7 +233,8 @@ _LF_CACHE: dict[tuple[int, int], LocalField] = {}
 
 
 def local_field(p: int, f: int = 1) -> LocalField:
-    """Shared LocalField instances, so engine caches are reused."""
+    """One LocalField per (p, f) for the life of the process, so that its
+    tables, engines and views are shared; LocalField(p, f) builds its own."""
     key = (p, f)
     lf = _LF_CACHE.get(key)
     if lf is None:

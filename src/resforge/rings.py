@@ -232,3 +232,20 @@ def ring_make(field: FieldCtx, N: int) -> RingCtx:
     if N == field.N:
         return field
     return RingCtx(field, N)
+
+
+def _det_rows(ring, rows) -> int:
+    """Determinant of square rows of ring encodings, by expansion along
+    the first row; fine at desk scale (m <= 4)."""
+    if len(rows) == 1:
+        return rows[0][0]
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return ring.sub(ring.mul(a, d), ring.mul(b, c))
+    total = 0
+    rest = rows[1:]
+    for j, x in enumerate(rows[0]):
+        if x:
+            t = ring.mul(x, _det_rows(ring, [r[:j] + r[j + 1:] for r in rest]))
+            total = ring.sub(total, t) if j % 2 else ring.add(total, t)
+    return total

@@ -124,6 +124,18 @@ def test_bad_env_value_is_a_usage_error(capsys, monkeypatch):
     assert capsys.readouterr().err == "error: bad RESFORGE_P='x'\n"
 
 
+@pytest.mark.parametrize("name,argv", [
+    ("P", ("verify", "zolotarev", "--p", "7")),          # verify's --p reads no variable
+    ("SEED", ("table", "--p", "3", "--n", "2", "--vmax", "0")),   # table has no seed
+    ("P", ("symbol", "--p", "7", "--n", "2", "3", "5")),  # the flag wins
+])
+def test_env_value_read_only_for_an_absent_flag_of_the_command(capsys, monkeypatch,
+                                                                name, argv):
+    monkeypatch.setenv(f"RESFORGE_{name}", "x")
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+
+
 @pytest.mark.parametrize("method", ["direct", "muset", "extension"])
 def test_symbol_each_method(capsys, method):
     code, out, _ = run_cli(capsys, "symbol", "--p", "7", "--n", "2",

@@ -315,9 +315,9 @@ def test_gl_m_route_rejects_matrices_of_another_field():
 
 @pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2)])
 def test_digit_iso_exp_equals_enumeration(p, f):
-    """_iso_exp under the digit rule against det_iso_scalar(..., "digit") on
-    the map f induces from A/I to f(A)/f(I), for I = diag(pi^e) O^m inside
-    A = O^m and random f, wherever the module has <= 7000 elements."""
+    """_iso_exp of an engine of each rule against det_iso_scalar under that
+    rule on the map f induces from A/I to f(A)/f(I), for I = diag(pi^e) O^m
+    inside A = O^m and random f, wherever the module has <= 7000 elements."""
     lf = local_field(p, f)
     q = lf.q
     rng = random.Random(p * f)
@@ -333,13 +333,14 @@ def test_digit_iso_exp_equals_enumeration(p, f):
         srcQ = quotient_struct(A, I)
         assert srcQ.module.exps == exps
         for n in ns:
-            eng = SymbolEngine(lf, n)
+            engines = [SymbolEngine(lf, n, rule) for rule in RULES]
             for _ in range(3):
                 g = rand_matrix(lf, rng, m, (-1, 1))
                 dstQ = quotient_struct(lat_apply(g, A), lat_apply(g, I))
-                want = det_iso_scalar(srcQ.module, dstQ.module,
-                                      induced_hom(srcQ, dstQ, g), n, "digit").exp
-                assert _iso_exp(srcQ, dstQ, g, eng) == want, (exps, n)
+                for eng in engines:
+                    want = det_iso_scalar(srcQ.module, dstQ.module,
+                                          induced_hom(srcQ, dstQ, g), n, eng.rule).exp
+                    assert _iso_exp(srcQ, dstQ, g, eng) == want, (exps, n, eng.rule)
                 enumerated += 1
     assert enumerated >= 3 * 3 * len(ns)   # at least (1,), (2,) and (1, 1)
 
@@ -362,10 +363,11 @@ def rho_by_enumeration(f, A, B, n, rule):
     return total % n
 
 
-@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (7, 2), (13, 2), (3, 3), (5, 3)])
+@pytest.mark.parametrize("p,m", [(5, 1), (7, 1), (13, 1), (3, 2), (5, 2), (7, 2),
+                                 (13, 2), (3, 3), (5, 3)])
 def test_graded_rho_equals_enumeration(p, m):
-    """rho_exp under the digit rule against its definition enumerated under
-    each rule; rho on canonical bases does not depend on the rule."""
+    """rho_exp of an engine of each rule against its definition enumerated
+    under each rule; rho on canonical bases does not depend on the rule."""
     lf = local_field(p)
     rng = random.Random(100 * p + m)
     done = 0
@@ -376,9 +378,8 @@ def test_graded_rho_equals_enumeration(p, m):
             want = [rho_by_enumeration(f, A, B, n, rule) for rule in RULES]
         except EnumerationBound:
             continue
-        got = rho_exp(f, A, B, SymbolEngine(lf, n))
-        assert want == [got] * 3, (n, got, want)
-        assert rho_exp(f, A, B, SymbolEngine(lf, n, "least")) == got
+        got = [rho_exp(f, A, B, SymbolEngine(lf, n, rule)) for rule in RULES]
+        assert want == got == [got[0]] * 3, (n, got, want)
         done += 1
 
 

@@ -1,9 +1,12 @@
+import random
+from itertools import permutations
+
 import pytest
 
 from resforge.errors import EnumerationBound
-from resforge.fields import (FieldCtx, MuScalar, _poly_mulmod, field_make,
-                             is_prime, mu_dlog, mu_embed, power_residue_char,
-                             zolotarev_sign)
+from resforge.fields import (FieldCtx, MuScalar, _poly_mulmod, field_det,
+                             field_make, is_prime, mu_dlog, mu_embed,
+                             power_residue_char, zolotarev_sign)
 
 
 def brute_order(ctx, x):
@@ -209,3 +212,27 @@ def test_mu_scalar_group_laws():
     assert (a**3).exp == 0
     with pytest.raises(ValueError):
         a * MuScalar(4, 1)
+
+
+def leibniz_det(ctx, rows):
+    """sum over permutations s of sign(s) * prod_i rows[i][s(i)]."""
+    total = 0
+    for perm in permutations(range(len(rows))):
+        term = 1
+        for i, j in enumerate(perm):
+            term = ctx.mul(term, rows[i][j])
+        total = ctx.add(total, term if inversion_sign(perm) == 1 else ctx.neg(term))
+    return total
+
+
+@pytest.mark.parametrize("p,f", [(7, 1), (3, 2)])
+def test_field_det_equals_leibniz(p, f):
+    c = field_make(p, f)
+    rng = random.Random(p * f)
+    for m in (1, 2, 3):
+        for _ in range(40):
+            rows = [[rng.randrange(c.q) for _ in range(m)] for _ in range(m)]
+            assert field_det(c, rows) == leibniz_det(c, rows), rows
+    row = [1, 2, 3]
+    singular = [row, [c.mul(c.g, x) for x in row], [5, 1, 0]]   # row 2 is g * row 1
+    assert field_det(c, singular) == leibniz_det(c, singular) == 0

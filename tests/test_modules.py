@@ -1,9 +1,14 @@
+import gc
 import random
 
 import pytest
 
 from resforge.errors import EnumerationBound
+from resforge.extension import cocycle_exp, get_engine
+from resforge.fields import FieldCtx
+from resforge.lattices import KMat
 from resforge.modules import FiniteModule, ModuleHom
+from resforge.musets import OrbitView
 from resforge.padic import LocalField, local_field
 
 
@@ -80,3 +85,26 @@ def test_digit_views_of_the_residue_field_are_the_least_views(p, f):
     for n in [d for d in range(1, lf.q) if (lf.q - 1) % d == 0]:
         digit, least = k.view(n, "digit"), k.view(n, "least")
         assert digit.reps == least.reps and digit.table == least.table
+
+
+def test_dropping_a_field_frees_its_views_and_field_context():
+    """A LocalField owns its module views and its F_q context: a GL_2
+    cocycle builds views, and once the field is dropped none of them, and
+    no context of its (p, f), is left alive.  No other test builds p = 53."""
+
+    def live():
+        gc.collect()
+        objs = gc.get_objects()
+        return (sum(isinstance(o, OrbitView) for o in objs),
+                sum(isinstance(o, FieldCtx) and (o.p, o.f) == (53, 1) for o in objs))
+
+    def run_gl2_cocycle():
+        lf = LocalField(53)
+        f = KMat.from_rows(lf, [["pi", 0], [0, 1]])
+        g = KMat.from_rows(lf, [[1, 0], [0, "pi"]])
+        cocycle_exp(f, g, get_engine(lf, 4))   # kappa enumerates V/fgV
+        return live()
+
+    (views, contexts), during = live(), run_gl2_cocycle()
+    assert during[0] > views and during[1] == contexts + 1
+    assert live() == (views, contexts)

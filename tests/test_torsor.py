@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from resforge import modules
 from resforge.fields import MuScalar, mu_dlog
 from resforge.lattices import (KMat, Lattice, induced_hom, principal_lattice,
                                quotient_struct, standard_lattice)
@@ -126,7 +125,7 @@ def test_det_of_module_aut_builds_no_orbit_view(monkeypatch):
     M = FiniteModule(lf, (1, 2))
     g = random_matrix_aut(lf, random.Random(13), M)
     want = {n: _det_exp_brute(M, g, n) for n in (1, 2, 3, 6)}
-    monkeypatch.setattr(modules, "_VIEW_CACHE", {})
+    monkeypatch.setattr(lf, "_views", {})
     monkeypatch.setattr(OrbitView, "__init__", refuse)
     for n in (1, 2, 3, 6):
         assert det_of_module_aut(M, g, n).exp == want[n]
