@@ -204,7 +204,7 @@ def main(argv=None) -> int:
                 setattr(args, dest, default if raw is None else cast(raw))
             except ValueError:
                 print(f"error: bad RESFORGE_{name}={raw!r}", file=sys.stderr)
-                raise SystemExit(2) from None
+                return 2
     # argparse checks a given --format only, so a RESFORGE_FORMAT value is
     # checked here, against the choices of the invoked command
     if args.format not in _FORMATS[args.command]:

@@ -10,8 +10,10 @@ exponents on those bases (rho_exp, kappa_exp).  The cocycle
     c(f, g):   iota(base (x) base) = zeta^c(f,g) * base
 
 with iota = kappa(V+, fV+, fgV+) after (id (x) rho_f) presents the
-extension, and the commutator of commuting lifts is c(f,g) - c(g,f),
-independent of all trivialization choices.
+extension: lifts multiply as (f, s)(g, t) = (fg, zeta^c(f,g) * s t), so
+the group law is cocycle_exp and no element type is built.  The
+commutator of commuting lifts is c(f,g) - c(g,f), independent of all
+trivialization choices.
 
 The contraction is evaluated case by case: by the duality pairing when
 the outer lattices agree, through the connecting exact sequence for
@@ -44,13 +46,12 @@ of the module.  Under the digit rule the sum of pos[lead(A_j v)] over
 the leading vectors v of each graded piece gives the same value.
 kappa_exp still enumerates the middle module of each connecting exact
 sequence; under the least and second_least rules it does so afresh on
-every rank-one call, and those rules and torsor.det_iso_scalar
-(enumeration under any rule) serve the closed forms as their oracle.
+every rank-one call.  Those rules, and torsor._det_exp_brute (orbit
+enumeration, whose value no rule changes), serve the closed forms as
+their oracle.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .fields import MuScalar, _check_n, power_residue_char
 from .lattices import (KMat, Lattice, LatticeQuotient, induced_hom, lat_apply,
@@ -58,14 +59,6 @@ from .lattices import (KMat, Lattice, LatticeQuotient, induced_hom, lat_apply,
                        quotient_struct, standard_lattice)
 from .padic import KElem
 from .torsor import _det_exp_fast, _exact_seq_exp
-
-
-@dataclass(frozen=True)
-class ExtElem:
-    """A lift (f, zeta^exp * base) in the extension of GL_m(K) by mu_n."""
-
-    f: KMat
-    exp: int
 
 
 class SymbolEngine:
@@ -256,7 +249,7 @@ def _rho_m1_digit(engine: SymbolEngine, x: KElem, w: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the cocycle and the extension group law
+# the cocycle
 
 
 def _cocycle_m1(x: KElem, w: int, engine: SymbolEngine) -> int:
@@ -295,26 +288,6 @@ def cocycle(f, g, engine: SymbolEngine) -> MuScalar:
         return MuScalar(engine.n, cocycle_exp(engine.as_kmat(f), engine.as_kmat(g), engine))
     x, y = engine.lf.as_kelem(f), engine.lf.as_kelem(g)
     return MuScalar(engine.n, _cocycle_m1(x, y.val, engine))
-
-
-def ext_identity(engine: SymbolEngine, m: int = 1) -> ExtElem:
-    return ExtElem(KMat.identity(engine.lf, m, engine.prec), 0)
-
-
-def ext_lift(engine: SymbolEngine, f) -> ExtElem:
-    """The lift of f through the canonical base point of (V+|fV+)."""
-    return ExtElem(engine.as_kmat(f), 0)
-
-
-def ext_mul(engine: SymbolEngine, x: ExtElem, y: ExtElem) -> ExtElem:
-    c = cocycle_exp(x.f, y.f, engine)
-    return ExtElem(x.f @ y.f, (x.exp + y.exp + c) % engine.n)
-
-
-def ext_inverse(engine: SymbolEngine, x: ExtElem) -> ExtElem:
-    finv = x.f.inverse()
-    c = cocycle_exp(x.f, finv, engine)
-    return ExtElem(finv, (-x.exp - c) % engine.n)
 
 
 # ---------------------------------------------------------------------------

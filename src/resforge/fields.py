@@ -302,9 +302,6 @@ class MuScalar:
     def inverse(self) -> "MuScalar":
         return MuScalar(self.n, -self.exp)
 
-    def __pow__(self, k: int) -> "MuScalar":
-        return MuScalar(self.n, self.exp * k)
-
     @property
     def is_identity(self) -> bool:
         return self.exp == 0

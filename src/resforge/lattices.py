@@ -452,11 +452,6 @@ def lat_intersect(A: Lattice, B: Lattice) -> Lattice:
     return Lattice(_dual_mat(dual_sum))
 
 
-def lat_contains(A: Lattice, x: KMat) -> bool:
-    """Is the column vector x in A?"""
-    return (A.inv @ x).is_integral()
-
-
 def lat_contains_lattice(A: Lattice, B: Lattice) -> bool:
     return (A.inv @ B.mat).is_integral()
 

@@ -192,17 +192,6 @@ class ModuleHom:
         return ModuleHom(other.src, self.dst,
                          [self.apply(c) for c in other.cols])
 
-    def is_bijective(self) -> bool:
-        if self.src.size != self.dst.size:
-            return False
-        seen = set()
-        for x in self.src.elements():
-            y = self.apply(x)
-            if y in seen:
-                return False
-            seen.add(y)
-        return True
-
     def __repr__(self):
         return f"ModuleHom({self.src!r} -> {self.dst!r})"
 

@@ -84,10 +84,6 @@ class MuSetAut:
         return (self.sigma[i], (e + self.mu[i]) % self.X.n)
 
 
-def aut_identity(X: MuSet) -> MuSetAut:
-    return MuSetAut(X, tuple(range(X.t)), (0,) * X.t)
-
-
 def aut_compose(f: MuSetAut, g: MuSetAut) -> MuSetAut:
     """f after g.  (sigma_f sigma_g, i -> mu_g[i] + mu_f[sigma_g[i]])."""
     if f.X != g.X:
@@ -95,15 +91,6 @@ def aut_compose(f: MuSetAut, g: MuSetAut) -> MuSetAut:
     sigma = tuple(f.sigma[g.sigma[i]] for i in range(f.X.t))
     mu = tuple(g.mu[i] + f.mu[g.sigma[i]] for i in range(f.X.t))
     return MuSetAut(f.X, sigma, mu)
-
-
-def aut_inverse(f: MuSetAut) -> MuSetAut:
-    t = f.X.t
-    inv = [0] * t
-    for i, j in enumerate(f.sigma):
-        inv[j] = i
-    mu = tuple(-f.mu[inv[i]] for i in range(t))
-    return MuSetAut(f.X, tuple(inv), mu)
 
 
 def aut_delta(f: MuSetAut) -> MuScalar:

@@ -10,13 +10,17 @@ pairing of a base with its dual base is 1, so its exponent is 0.
 
 Automorphism determinants are read from residue determinants along the
 pi-filtration; orbit enumeration stays as their oracle, _det_exp_brute.
+Modules are equal when their exponents are, so an isomorphism between
+two quotients with the same exponents, as in the extension route's iso
+exponents, is an automorphism of one module with one memoized view, and
+_det_exp_brute is its enumeration oracle too.
 """
 from __future__ import annotations
 
 from .errors import EnumerationBound
 from .fields import MuScalar, field_det, mu_dlog
-from .modules import FiniteModule, ModuleHom, module_aut_as_musetaut
-from .musets import aut_delta, iso_scalar
+from .modules import FiniteModule, ModuleHom
+from .musets import iso_scalar
 
 
 # ---------------------------------------------------------------------------
@@ -24,8 +28,16 @@ from .musets import aut_delta, iso_scalar
 
 
 def _det_exp_brute(T: FiniteModule, g: ModuleHom, n: int) -> int:
-    """delta of g by enumeration, the oracle of _det_exp_fast (any rule serves)."""
-    return aut_delta(module_aut_as_musetaut(T, g, n)).exp
+    """delta of g by enumeration, the oracle of _det_exp_fast.
+
+    Any rule serves: moving representative r_i to zeta^k_i * r_i adds k_i
+    to the twist of orbit i and -k_i to that of sigma^-1(i), so the sum
+    of the twists stays the same.
+    """
+    if g.src != T or g.dst != T:
+        raise ValueError("not an endomorphism of T")
+    view = T.view(n)
+    return iso_scalar(view, view, g.apply)
 
 
 def _det_exp_fast(T: FiniteModule, g: ModuleHom, n: int) -> int:
@@ -47,18 +59,6 @@ def det_of_module_aut(T: FiniteModule, g: ModuleHom, n: int) -> MuScalar:
     if g.src != T or g.dst != T:
         raise ValueError("not an endomorphism of T")
     return MuScalar(n, _det_exp_fast(T, g, n))
-
-
-def det_iso_scalar(S: FiniteModule, T: FiniteModule, g: ModuleHom, n: int,
-                   rule: str = "least") -> MuScalar:
-    """Scalar c with (tensor of g(reps of S)) = zeta^c * (tensor of reps of T)."""
-    if g.src != S or g.dst != T:
-        raise ValueError("map does not match the given modules")
-    if S.size != T.size:
-        raise ValueError("modules of different size cannot be isomorphic")
-    if n == 1:
-        return MuScalar(1, 0)
-    return MuScalar(n, iso_scalar(S.view(n, rule), T.view(n, rule), g.apply))
 
 
 # ---------------------------------------------------------------------------

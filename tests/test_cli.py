@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from resforge import verify
+from resforge import symbols, verify
 from resforge.cli import main
+from resforge.fields import MuScalar
 
 
 def run_cli(capsys, *argv):
@@ -118,10 +119,9 @@ def test_bad_field_flags_are_usage_errors(capsys, argv):
 
 def test_bad_env_value_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("RESFORGE_P", "x")
-    with pytest.raises(SystemExit) as exc:
-        main(["symbol", "--n", "2", "3", "5"])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err == "error: bad RESFORGE_P='x'\n"
+    code, out, err = run_cli(capsys, "symbol", "--n", "2", "3", "5")
+    assert (code, out) == (2, "")
+    assert err == "error: bad RESFORGE_P='x'\n"
 
 
 @pytest.mark.parametrize("name,argv", [
@@ -218,3 +218,20 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
     assert data["ok"] is False
     assert data["checks"] == [{"name": "planted", "cases": 3, "failures": 2,
                                "first_counterexample": {"case": 1}}]
+
+
+def test_failed_sweep_json_is_deterministic(capsys, monkeypatch):
+    """A route disagreement's counterexample carries no timing, so two runs
+    of a failing sweep print the same bytes."""
+    real = symbols.delta_route_symbol
+
+    def off_by_one(lf, a, b, n, rule="least"):
+        return MuScalar(n, real(lf, a, b, n, rule).exp + 1)
+
+    monkeypatch.setattr(symbols, "delta_route_symbol", off_by_one)
+    argv = ("verify", "corollary", "--p", "3", "--format", "json")
+    code, first, _ = run_cli(capsys, *argv)
+    assert code == 1
+    case = json.loads(first)["checks"][0]["first_counterexample"]
+    assert case["muset"] != case["direct"] and "micros" not in case
+    assert run_cli(capsys, *argv) == (1, first, "")

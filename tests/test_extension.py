@@ -5,8 +5,7 @@ import pytest
 from resforge.errors import EnumerationBound
 from resforge.extension import (SymbolEngine, _iso_exp, _kappa_chain,
                                 _rel_dim_m1, cocycle, cocycle_exp, comm_symbol,
-                                corrected_symbol, ext_identity, ext_inverse,
-                                ext_lift, ext_mul, get_engine, kappa_exp,
+                                corrected_symbol, get_engine, kappa_exp,
                                 rho_exp)
 from resforge.fields import power_residue_char
 from resforge.lattices import (KMat, Lattice, induced_hom, lat_apply,
@@ -15,7 +14,7 @@ from resforge.lattices import (KMat, Lattice, induced_hom, lat_apply,
 from resforge.musets import OrbitView
 from resforge.padic import LocalField, local_field
 from resforge.symbols import power_residue_symbol
-from resforge.torsor import det_iso_scalar
+from resforge.torsor import _det_exp_brute
 from resforge.verify import _random_matrix as rand_matrix
 
 RULES = ("digit", "least", "second_least")
@@ -116,23 +115,15 @@ def test_cocycle_identity_random():
 
 
 def test_ext_group_law(eng7):
+    """Lifts multiply as (f, s)(g, t) = (fg, zeta^c(f,g) * s t), so the lift
+    of 1 is the unit iff c(1, f) = c(f, 1) = 0, and mu_n = {(1, zeta^e)} is
+    central iff c(1, f) = c(f, 1).  Associativity is the cocycle identity."""
     lf = eng7.lf
     rng = random.Random(12)
-    e = ext_identity(eng7)
+    one = KMat.identity(lf, 1, eng7.prec)
     for _ in range(10):
-        x = ext_lift(eng7, rand_matrix(lf, rng, 1))
-        y = ext_lift(eng7, rand_matrix(lf, rng, 1))
-        z = ext_lift(eng7, rand_matrix(lf, rng, 1))
-        a1 = ext_mul(eng7, ext_mul(eng7, x, y), z)
-        a2 = ext_mul(eng7, x, ext_mul(eng7, y, z))
-        assert a1.f == a2.f and a1.exp == a2.exp
-        assert ext_mul(eng7, e, x).exp == x.exp
-        assert ext_mul(eng7, x, ext_inverse(eng7, x)).exp == 0
-    # mu_n embeds centrally
-    from resforge.extension import ExtElem
-    mu = ExtElem(KMat.identity(lf, 1), 1)
-    g = ext_lift(eng7, rand_matrix(lf, rng, 1))
-    assert ext_mul(eng7, mu, g).exp == ext_mul(eng7, g, mu).exp == (g.exp + 1) % 2
+        f = rand_matrix(lf, rng, 1)
+        assert cocycle_exp(one, f, eng7) == cocycle_exp(f, one, eng7) == 0
 
 
 def test_comm_symbol_requires_commuting(eng7):
@@ -158,11 +149,13 @@ def test_comm_symbol_via_lifts(eng7):
     for _ in range(15):
         a = lf.pi(rng.randint(-2, 2)) * lf.from_rational(rng.randint(1, 6))
         b = lf.pi(rng.randint(-2, 2)) * lf.from_rational(rng.randint(1, 6))
-        x, y = ext_lift(eng7, eng7.as_kmat(a)), ext_lift(eng7, eng7.as_kmat(b))
-        via_lifts = ext_mul(eng7, ext_mul(eng7, ext_mul(eng7, x, y),
-                                          ext_inverse(eng7, x)),
-                            ext_inverse(eng7, y))
-        assert via_lifts.exp == comm_symbol(a, b, eng7).exp
+        f, g = eng7.as_kmat(a), eng7.as_kmat(b)
+        finv, ginv = f.inverse(), g.inverse()
+        # (f,0)(g,0)(f,0)^-1(g,0)^-1 with (f,0)^-1 = (f^-1, -c(f,f^-1))
+        via_lifts = (cocycle_exp(f, g, eng7) + cocycle_exp(f @ g, finv, eng7)
+                     + cocycle_exp(f @ g @ finv, ginv, eng7)
+                     - cocycle_exp(f, finv, eng7) - cocycle_exp(g, ginv, eng7))
+        assert via_lifts % 2 == comm_symbol(a, b, eng7).exp
 
 
 def test_comm_symbol_gl2_units(eng7):
@@ -315,9 +308,10 @@ def test_gl_m_route_rejects_matrices_of_another_field():
 
 @pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2)])
 def test_digit_iso_exp_equals_enumeration(p, f):
-    """_iso_exp of an engine of each rule against det_iso_scalar under that
-    rule on the map f induces from A/I to f(A)/f(I), for I = diag(pi^e) O^m
-    inside A = O^m and random f, wherever the module has <= 7000 elements."""
+    """_iso_exp of an engine of each rule against _det_exp_brute on the map
+    f induces from A/I to f(A)/f(I), for I = diag(pi^e) O^m inside A = O^m
+    and random f, wherever the module has <= 7000 elements.  The two
+    quotients are equal modules, so the map is an automorphism."""
     lf = local_field(p, f)
     q = lf.q
     rng = random.Random(p * f)
@@ -337,9 +331,8 @@ def test_digit_iso_exp_equals_enumeration(p, f):
             for _ in range(3):
                 g = rand_matrix(lf, rng, m, (-1, 1))
                 dstQ = quotient_struct(lat_apply(g, A), lat_apply(g, I))
+                want = _det_exp_brute(dstQ.module, induced_hom(srcQ, dstQ, g), n)
                 for eng in engines:
-                    want = det_iso_scalar(srcQ.module, dstQ.module,
-                                          induced_hom(srcQ, dstQ, g), n, eng.rule).exp
                     assert _iso_exp(srcQ, dstQ, g, eng) == want, (exps, n, eng.rule)
                 enumerated += 1
     assert enumerated >= 3 * 3 * len(ns)   # at least (1,), (2,) and (1, 1)
@@ -351,23 +344,24 @@ def random_rho_input(lf, rng, m):
     return rand_matrix(lf, rng, m, (-1, 1)), lattice(), lattice()
 
 
-def rho_by_enumeration(f, A, B, n, rule):
+def rho_by_enumeration(f, A, B, n):
     """rho_f on (A|B) from its definition: the iso scalar of f on A/(A cap B)
-    plus that of f^-1 on f(B)/f(A cap B), both by orbit enumeration."""
+    plus that of f^-1 on f(B)/f(A cap B), both by orbit enumeration.  Each
+    iso runs between equal modules, so its scalar is an automorphism's."""
     I = lat_intersect(A, B)
     fA, fB, fI = lat_apply(f, A), lat_apply(f, B), lat_apply(f, I)
     total = 0
     for src, dst, h in [(quotient_struct(A, I), quotient_struct(fA, fI), f),
                         (quotient_struct(fB, fI), quotient_struct(B, I), f.inverse())]:
-        total += det_iso_scalar(src.module, dst.module, induced_hom(src, dst, h), n, rule).exp
+        total += _det_exp_brute(dst.module, induced_hom(src, dst, h), n)
     return total % n
 
 
 @pytest.mark.parametrize("p,m", [(5, 1), (7, 1), (13, 1), (3, 2), (5, 2), (7, 2),
                                  (13, 2), (3, 3), (5, 3)])
 def test_graded_rho_equals_enumeration(p, m):
-    """rho_exp of an engine of each rule against its definition enumerated
-    under each rule; rho on canonical bases does not depend on the rule."""
+    """rho_exp of an engine of each rule against its definition by
+    enumeration; rho on canonical bases does not depend on the rule."""
     lf = local_field(p)
     rng = random.Random(100 * p + m)
     done = 0
@@ -375,11 +369,11 @@ def test_graded_rho_equals_enumeration(p, m):
         n = rng.choice([d for d in range(2, p) if (p - 1) % d == 0])
         f, A, B = random_rho_input(lf, rng, m)
         try:
-            want = [rho_by_enumeration(f, A, B, n, rule) for rule in RULES]
+            want = rho_by_enumeration(f, A, B, n)
         except EnumerationBound:
             continue
         got = [rho_exp(f, A, B, SymbolEngine(lf, n, rule)) for rule in RULES]
-        assert want == got == [got[0]] * 3, (n, got, want)
+        assert got == [want] * 3, (n, got, want)
         done += 1
 
 

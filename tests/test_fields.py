@@ -209,7 +209,7 @@ def test_mu_scalar_group_laws():
     b = MuScalar(6, 5)
     assert (a * b).exp == 3
     assert (a * a.inverse()).is_identity
-    assert (a**3).exp == 0
+    assert (a * a * a).exp == 0
     with pytest.raises(ValueError):
         a * MuScalar(4, 1)
 
