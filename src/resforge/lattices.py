@@ -14,10 +14,15 @@ happened to produce it: quotient presentations, and with them the pinned
 base points of determinant lines, are reproducible.
 
 Smith normal form over O uses the minimal-valuation pivot, ties broken
-by row then column.
+by row then column, and yields its left transform U with U^-1.  A
+quotient A/B keeps P = A U^-1, whose columns lift its generators, and
+P^-1 = U A^-1 from the basis inverse the lattice computes once; the map
+induced on quotients is the one product P'^-1 f P, read mod exponents.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .errors import PrecisionError
 from .modules import FiniteModule, ModuleHom
@@ -31,14 +36,19 @@ class KMat:
     __slots__ = ("lf", "nrows", "ncols", "shift", "prec", "data")
 
     def __init__(self, lf: LocalField, data, shift: int = 0, prec: int | None = None):
-        self.lf = lf
-        self.data = [list(row) for row in data]
-        self.nrows = len(self.data)
-        self.ncols = len(self.data[0]) if self.data else 0
-        if any(len(r) != self.ncols for r in self.data):
+        data = [list(row) for row in data]
+        if data and any(len(r) != len(data[0]) for r in data):
             raise ValueError("ragged matrix")
-        self.shift = shift
-        self.prec = lf.precision(prec)
+        self.lf, self.data, self.shift, self.prec = lf, data, shift, lf.precision(prec)
+        self.nrows, self.ncols = len(data), len(data[0]) if data else 0
+
+    @classmethod
+    def _of(cls, lf: LocalField, data, shift: int, prec: int) -> "KMat":
+        """Over fresh rectangular rows built in this module: no copy, no check."""
+        M = cls.__new__(cls)
+        M.lf, M.data, M.shift, M.prec = lf, data, shift, prec
+        M.nrows, M.ncols = len(data), len(data[0]) if data else 0
+        return M
 
     # construction ---------------------------------------------------------
 
@@ -61,7 +71,7 @@ class KMat:
                     u = lf.ring(e.prec).lift_naive(e.unit, ring)
                     out.append(ring.mul_pk(u, e.val - shift))
             data.append(out)
-        return cls(lf, data, shift, prec)
+        return cls._of(lf, data, shift, prec)
 
     @classmethod
     def identity(cls, lf: LocalField, m: int, prec: int | None = None) -> "KMat":
@@ -85,7 +95,7 @@ class KMat:
             raise PrecisionError("cannot raise matrix precision")
         src, dst = self.ring, self.lf.ring(prec)
         data = [[src.reduce_to(x, dst) for x in row] for row in self.data]
-        return KMat(self.lf, data, self.shift, prec)
+        return KMat._of(self.lf, data, self.shift, prec)
 
     def __matmul__(self, other: "KMat") -> "KMat":
         if self.lf is not other.lf:
@@ -93,25 +103,30 @@ class KMat:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         prec = min(self.prec, other.prec)
-        A, B = self._at_prec(prec), other._at_prec(prec)
-        ring = A.ring
-        data = []
-        for i in range(A.nrows):
-            row = []
-            for j in range(B.ncols):
-                acc = 0
-                for k in range(A.ncols):
-                    x = A.data[i][k]
-                    if x:
-                        y = B.data[k][j]
-                        if y:
+        ring = self.lf.ring(prec)
+        if ring.f == 1:
+            # reducing mod p^prec commutes with sums of products, so the
+            # operands are not reduced first
+            pN = ring.pN
+            cols = list(zip(*other.data))
+            data = [[sum(map(mul, row, col)) % pN for col in cols] for row in self.data]
+        else:
+            # a Galois-ring encoding depends on the precision
+            cols = list(zip(*other._at_prec(prec).data))
+            data = []
+            for row in self._at_prec(prec).data:
+                out = []
+                for col in cols:
+                    acc = 0
+                    for x, y in zip(row, col):
+                        if x and y:
                             acc = ring.add(acc, ring.mul(x, y))
-                row.append(acc)
-            data.append(row)
-        return KMat(self.lf, data, A.shift + B.shift, prec)
+                    out.append(acc)
+                data.append(out)
+        return KMat._of(self.lf, data, self.shift + other.shift, prec)
 
     def scale_pi(self, k: int) -> "KMat":
-        return KMat(self.lf, self.data, self.shift + k, self.prec)
+        return KMat._of(self.lf, self.data, self.shift + k, self.prec)
 
     def with_shift(self, shift: int) -> "KMat":
         """Re-express with a different shift.
@@ -126,7 +141,7 @@ class KMat:
         if shift < self.shift:
             k = self.shift - shift
             data = [[ring.mul_pk(x, k) for x in row] for row in self.data]
-            return KMat(self.lf, data, shift, self.prec)
+            return KMat._of(self.lf, data, shift, self.prec)
         k = shift - self.shift
         if k >= self.prec - 1:
             raise PrecisionError("cannot raise the shift that far")
@@ -135,7 +150,7 @@ class KMat:
         data = [[ring.div_pk(x, k) for x in row] for row in self.data]
         red = self.lf.ring(self.prec - k)
         data = [[ring.reduce_to(x, red) for x in row] for row in data]
-        return KMat(self.lf, data, shift, self.prec - k)
+        return KMat._of(self.lf, data, shift, self.prec - k)
 
     def hstack(self, other: "KMat") -> "KMat":
         if self.nrows != other.nrows:
@@ -144,11 +159,11 @@ class KMat:
         prec = min(self.prec, other.prec)
         A = self._at_prec(prec).with_shift(s)
         B = other._at_prec(prec).with_shift(s)
-        return KMat(self.lf, [ra + rb for ra, rb in zip(A.data, B.data)], s, prec)
+        return KMat._of(self.lf, [ra + rb for ra, rb in zip(A.data, B.data)], s, prec)
 
     def transpose(self) -> "KMat":
         data = [[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return KMat(self.lf, data, self.shift, self.prec)
+        return KMat._of(self.lf, data, self.shift, self.prec)
 
     def entry_val(self, i: int, j: int) -> int | None:
         """Valuation of an entry, or None when it vanishes at this precision."""
@@ -175,6 +190,8 @@ class KMat:
                 raise PrecisionError("not enough digits for the residue")
             return ring_e.mul_pk(self.ring.lift_naive(x, ring_e), self.shift)
         need = -self.shift
+        if need >= self.prec:
+            raise PrecisionError("cannot decide integrality at this precision")
         if self.ring.val(x) < need:
             raise ValueError("entry is not integral")
         if self.prec - need < e:
@@ -242,7 +259,7 @@ class KMat:
         uinv = ring2.inv(ring.reduce_to(ring.div_pk(d, v), ring2))
         adj = self._adjugate()
         data = [[ring2.mul(ring.reduce_to(x, ring2), uinv) for x in row] for row in adj]
-        return KMat(self.lf, data, -self.shift - v, newprec)
+        return KMat._of(self.lf, data, -self.shift - v, newprec)
 
     # normal forms -------------------------------------------------------------
 
@@ -303,7 +320,7 @@ class KMat:
         if cur < 2:
             raise PrecisionError("precision exhausted during column reduction")
         # T is encoded at self.prec; at f > 1 the encoding depends on the precision
-        return KMat(self.lf, T, self.shift, self.prec)._at_prec(cur)
+        return KMat._of(self.lf, T, self.shift, self.prec)._at_prec(cur)
 
 
 def _is_zero_spec(x) -> bool:
@@ -313,9 +330,10 @@ def _is_zero_spec(x) -> bool:
 def smith_normal_form(M: KMat):
     """SNF of an integral square matrix: exponents and the left transform.
 
-    Returns (exps, Uinv) with U M W = diag(units * pi^exps) for unimodular
-    U, W and Uinv = U^(-1); exps come out ascending.  Only Uinv is
-    accumulated since the right transform never enters quotient data.
+    Returns (exps, U, Uinv) with U M W = diag(units * pi^exps) for
+    unimodular U, W and Uinv = U^(-1); exps come out ascending.  Each row
+    operation on M is applied to the rows of U and, undone, to the columns
+    of Uinv, so neither is inverted; W never enters quotient data.
     """
     if not M.is_integral():
         raise ValueError("SNF needs an integral matrix")
@@ -325,7 +343,8 @@ def smith_normal_form(M: KMat):
         raise ValueError("SNF of a non-square matrix")
     ring = M.ring
     D = [row[:] for row in M.data]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]  # Uinv, by columns
+    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]     # by rows
+    Ui = [[1 if i == j else 0 for j in range(m)] for i in range(m)]    # Uinv, by columns
     cur = M.prec
     exps = []
     for k in range(m):
@@ -339,10 +358,11 @@ def smith_normal_form(M: KMat):
             raise PrecisionError("SNF pivot vanished; precision exhausted")
         if best >= cur - 1:
             raise PrecisionError("SNF pivot valuation ambiguous at this precision")
-        if bi != k:   # row swap; record col swap on Uinv
+        if bi != k:   # row swap on U; col swap on Uinv
             D[k], D[bi] = D[bi], D[k]
+            U[k], U[bi] = U[bi], U[k]
             for r in range(m):
-                U[r][k], U[r][bi] = U[r][bi], U[r][k]
+                Ui[r][k], Ui[r][bi] = Ui[r][bi], Ui[r][k]
         if bj != k:   # column swap; unrecorded
             for r in range(m):
                 D[r][k], D[r][bj] = D[r][bj], D[r][k]
@@ -356,8 +376,9 @@ def smith_normal_form(M: KMat):
                 fac = ring.mul(ring.div_pk(x, e), piv_inv)
                 for j in range(k, m):
                     D[i][j] = ring.sub(D[i][j], ring.mul(fac, D[k][j]))
-                for r in range(m):  # Uinv col_k += fac * col_i
-                    U[r][k] = ring.add(U[r][k], ring.mul(fac, U[r][i]))
+                for r in range(m):  # U row_i -= fac * row_k; Uinv col_k += fac * col_i
+                    U[i][r] = ring.sub(U[i][r], ring.mul(fac, U[k][r]))
+                    Ui[r][k] = ring.add(Ui[r][k], ring.mul(fac, Ui[r][i]))
             D[i][k] = 0
         # clear row k to the right; pure column operations
         for j in range(k + 1, m):
@@ -371,8 +392,8 @@ def smith_normal_form(M: KMat):
         cur -= e
         if cur < 2:
             raise PrecisionError("precision exhausted during SNF")
-    Uinv = KMat(M.lf, U, 0, M.prec)._at_prec(cur)   # re-encoded, as in canonical_hnf
-    return exps, Uinv
+    U, Ui = (KMat._of(M.lf, T, 0, M.prec)._at_prec(cur) for T in (U, Ui))  # as in canonical_hnf
+    return exps, U, Ui
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +421,7 @@ class Lattice:
                      6 * (piv + self.m * abs(hnf.shift)) + 12)
         ring_to = mat.lf.ring(target)
         data = [[hnf.ring.lift_naive(x, ring_to) for x in row] for row in hnf.data]
-        self.mat = KMat(mat.lf, data, hnf.shift, target)
+        self.mat = KMat._of(mat.lf, data, hnf.shift, target)
         self._inv = None
 
     @property
@@ -465,9 +486,9 @@ class LatticeQuotient:
         trans = A.inv @ B.mat
         if not trans.is_integral():
             raise ValueError("B is not contained in A")
-        exps, Uinv = smith_normal_form(trans)
+        exps, U, Uinv = smith_normal_form(trans)
         self._P = A.mat @ Uinv
-        self._Pinv = self._P.inverse()
+        self._Pinv = U @ A.inv    # (A.mat @ Uinv)^-1, with no inverse of its own
         self._exps = exps
         self._idx = [k for k, e in enumerate(exps) if e > 0]
         self.A, self.B = A, B
@@ -489,7 +510,7 @@ class LatticeQuotient:
             c = t[pos]
             if c:
                 col[k][0] = lf.ring(self._exps[k]).lift_naive(c, ring)
-        return self._P @ KMat(lf, col, 0, prec)
+        return self._P @ KMat._of(lf, col, 0, prec)
 
 
 def quotient_struct(A: Lattice, B: Lattice) -> LatticeQuotient:
@@ -499,13 +520,10 @@ def quotient_struct(A: Lattice, B: Lattice) -> LatticeQuotient:
 
 def induced_hom(srcQ: LatticeQuotient, dstQ: LatticeQuotient,
                 f: KMat | None = None) -> ModuleHom:
-    """The map of abstract quotients obtained by lift, optionally f, project."""
-    cols = []
-    for g in srcQ.module.generators():
-        vec = srcQ.lift(g)
-        if f is not None:
-            vec = f @ vec
-        cols.append(dstQ.proj(vec))
+    """The map of abstract quotients obtained by lift, optionally f, project:
+    column k of dstQ._Pinv @ f @ srcQ._P is f(lift(generator k)) in dstQ."""
+    M = dstQ._Pinv @ (srcQ._P if f is None else f @ srcQ._P)
+    cols = [[M.entry_residue(j, k, dstQ._exps[j]) for j in dstQ._idx] for k in srcQ._idx]
     return ModuleHom(srcQ.module, dstQ.module, cols)
 
 

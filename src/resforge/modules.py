@@ -71,12 +71,6 @@ class FiniteModule:
         self._check_bound()
         return product(*(range(self.lf.q**e) for e in self.exps))
 
-    def generators(self):
-        for k in range(len(self.exps)):
-            g = [0] * len(self.exps)
-            g[k] = 1
-            yield tuple(g)
-
     def dim(self, n: int) -> int:
         """Number of mu_n orbits off zero: (|T| - 1) / n."""
         return (self.size - 1) // n

@@ -70,7 +70,8 @@ def steinberg_check(lf: LocalField, a: KElem, n: int) -> bool:
 
 @dataclass
 class SymbolReport:
-    """Three independently computed values for one input pair."""
+    """Three independently computed values for one input pair; micros, the
+    routes' wall time, stays out of to_dict and to_json."""
 
     p: int
     f: int
@@ -86,8 +87,7 @@ class SymbolReport:
     def to_dict(self) -> dict:
         return {"p": self.p, "f": self.f, "n": self.n, "a": self.a, "b": self.b,
                 "direct": self.direct, "muset": self.muset,
-                "extension": self.extension, "agree": self.agree,
-                "micros": self.micros}
+                "extension": self.extension, "agree": self.agree}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

@@ -346,13 +346,6 @@ def run_theorem(ps=(3, 5, 7, 13), vmax: int = 2, **_):
     return _finish("theorem", [chk])
 
 
-def _untimed(rep) -> dict:
-    """A crosscheck report as a case detail, without its timing."""
-    d = rep.to_dict()
-    del d["micros"]
-    return d
-
-
 def run_corollary(ps=(3, 5, 7, 13), vmax: int = 2, seed: int = 0, **_):
     """Three-way agreement, Steinberg relation, and the q = 9 smoke sweep."""
     rng = random.Random(seed)
@@ -365,7 +358,7 @@ def run_corollary(ps=(3, 5, 7, 13), vmax: int = 2, seed: int = 0, **_):
             for a in inputs:
                 for b in inputs:
                     rep = crosscheck(lf, a, b, n, eng)
-                    agree.record(rep.agree, _untimed(rep))
+                    agree.record(rep.agree, rep.to_dict())
 
     stein = _Check("steinberg_relation")
     for p in ps:
@@ -390,7 +383,7 @@ def run_corollary(ps=(3, 5, 7, 13), vmax: int = 2, seed: int = 0, **_):
         for a in inputs:
             for b in inputs:
                 rep = crosscheck(lf9, a, b, n, eng)
-                smoke.record(rep.agree, _untimed(rep))
+                smoke.record(rep.agree, rep.to_dict())
     return _finish("corollary", [agree, stein, smoke])
 
 

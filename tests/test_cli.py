@@ -34,8 +34,15 @@ def test_symbol_json_schema(capsys):
     assert code == 0
     rep = json.loads(out)
     assert list(rep) == ["p", "f", "n", "a", "b", "direct", "muset",
-                         "extension", "agree", "micros"]
+                         "extension", "agree"]
     assert rep["agree"] is True and rep["direct"] == 1
+
+
+def test_symbol_json_is_the_same_bytes_on_every_run(capsys):
+    argv = ("symbol", "--p", "7", "--n", "2", "--format", "json", "3", "7")
+    first = run_cli(capsys, *argv)
+    assert first[0] == 0
+    assert run_cli(capsys, *argv) == first
 
 
 def test_symbol_single_method(capsys):

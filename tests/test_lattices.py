@@ -3,10 +3,10 @@ import random
 import pytest
 
 from resforge.errors import PrecisionError
-from resforge.lattices import (KMat, Lattice, lat_apply, lat_contains_lattice,
-                               lat_intersect, lat_sum, principal_lattice,
-                               quotient_struct, rel_dim, smith_normal_form,
-                               standard_lattice)
+from resforge.lattices import (KMat, Lattice, induced_hom, lat_apply,
+                               lat_contains_lattice, lat_intersect, lat_sum,
+                               principal_lattice, quotient_struct, rel_dim,
+                               smith_normal_form, standard_lattice)
 from resforge.padic import LocalField, local_field
 from resforge.verify import _random_matrix as rand_matrix
 
@@ -160,10 +160,10 @@ def test_dimension_additivity_mod_divisors(q7):
 
 def test_snf_pivot_order_and_exponents(q7):
     M = KMat.from_rows(q7, [[7, 7], [0, 7]])
-    exps, _ = smith_normal_form(M)
+    exps, _, _ = smith_normal_form(M)
     assert exps == [1, 1]
     M2 = KMat.from_rows(q7, [[1, 0], [0, 49]])
-    exps2, _ = smith_normal_form(M2)
+    exps2, _, _ = smith_normal_form(M2)
     assert exps2 == [0, 2]
 
 
@@ -211,6 +211,87 @@ def test_lattice_inverts_its_basis_once(q7):
         want = L.mat.inverse()
         assert (inv.shift, inv.prec, inv.data) == (want.shift, want.prec, want.data)
         assert inv @ L.mat == KMat.identity(q7, m)
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2)])
+def test_induced_hom_equals_lift_then_project(p, f):
+    # the one product dstQ._Pinv @ g @ srcQ._P against the class of
+    # g(lift(generator)), generator by generator
+    lf = local_field(p, f)
+    rng = random.Random(10 * p + f)
+    nonzero = 0
+    for m in (1, 2, 3):
+        for _ in range(2):
+            X = rand_lattice(lf, rng, m, 1)
+            Y = Lattice(X.mat @ rand_matrix(lf, rng, m, (1, 2), 0.9))
+            Z = Lattice(Y.mat @ rand_matrix(lf, rng, m, (0, 1), 0.9))
+            g = rand_matrix(lf, rng, m, (-1, 1))
+            QXZ, QYZ, QXY = (quotient_struct(X, Z), quotient_struct(Y, Z),
+                             quotient_struct(X, Y))
+            QgXZ = quotient_struct(lat_apply(g, X), lat_apply(g, Z))
+            for src, dst, h in ((QYZ, QXZ, None), (QXZ, QXY, None), (QXZ, QgXZ, g)):
+                want = []
+                for k in range(src.module.rank):
+                    vec = src.lift(tuple(int(i == k) for i in range(src.module.rank)))
+                    want.append(dst.proj(vec if h is None else h @ vec))
+                got = induced_hom(src, dst, h).cols
+                assert got == tuple(want)
+                nonzero += any(any(c) for c in got)
+    assert nonzero >= 12
+
+
+@pytest.mark.parametrize("p,f", [(7, 1), (3, 2)])
+def test_snf_left_transform_and_its_inverse(p, f):
+    lf = local_field(p, f)
+    rng = random.Random(p + f)
+    for m in (1, 2, 3):
+        for _ in range(4):
+            M = rand_matrix(lf, rng, m, (0, 2), 0.8)
+            exps, U, Uinv = smith_normal_form(M)
+            assert U @ Uinv == KMat.identity(lf, m)
+            assert Uinv @ U == KMat.identity(lf, m)
+            # U M = diag(pi^exps) W^-1 with W unimodular: row i has valuation exps[i]
+            UM = U @ M
+            vals = [[UM.entry_val(i, j) for j in range(m)] for i in range(m)]
+            assert [min(v for v in row if v is not None) for row in vals] == exps
+
+
+def test_quotient_inverts_no_matrix(q7, monkeypatch):
+    rng = random.Random(5)
+    calls = []
+    real = KMat.inverse
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    for m in (1, 2, 3):
+        A = rand_lattice(q7, rng, m)
+        B = Lattice(A.mat @ rand_matrix(q7, rng, m, (0, 2), 0.9))
+        A.inv
+        monkeypatch.setattr(KMat, "inverse", counted)
+        Q = quotient_struct(A, B)
+        monkeypatch.setattr(KMat, "inverse", real)
+        assert calls == []
+        assert Q._Pinv @ Q._P == KMat.identity(q7, m)
+
+
+def test_public_constructor_copies_and_checks_rows(q7):
+    with pytest.raises(ValueError):
+        KMat(q7, [[1, 2], [3]])
+    rows = [[1, 2], [3, 4]]
+    M = KMat(q7, rows)
+    rows[0][0] = 5
+    assert M.data == [[1, 2], [3, 4]]
+
+
+def test_residue_past_the_known_digits_is_a_precision_error(q7):
+    # an entry of pi^-3 * (0 + O(pi^2)) may or may not be integral
+    with pytest.raises(PrecisionError):
+        KMat(q7, [[0]], -3, 2).entry_residue(0, 0, 1)
+    with pytest.raises(ValueError):
+        KMat(q7, [[1]], -1, 10).entry_residue(0, 0, 1)
+    assert KMat(q7, [[14]], -1, 10).entry_residue(0, 0, 1) == 2
 
 
 def test_precision_failure_is_loud():
