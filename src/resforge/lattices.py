@@ -22,8 +22,6 @@ induced on quotients is the one product P'^-1 f P, read mod exponents.
 
 from __future__ import annotations
 
-from operator import mul
-
 from .errors import PrecisionError
 from .modules import FiniteModule, ModuleHom
 from .padic import KElem, LocalField
@@ -71,7 +69,7 @@ class KMat:
                     u = lf.ring(e.prec).lift_naive(e.unit, ring)
                     out.append(ring.mul_pk(u, e.val - shift))
             data.append(out)
-        return cls._of(lf, data, shift, prec)
+        return cls(lf, data, shift, prec)
 
     @classmethod
     def identity(cls, lf: LocalField, m: int, prec: int | None = None) -> "KMat":
@@ -103,26 +101,7 @@ class KMat:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
         prec = min(self.prec, other.prec)
-        ring = self.lf.ring(prec)
-        if ring.f == 1:
-            # reducing mod p^prec commutes with sums of products, so the
-            # operands are not reduced first
-            pN = ring.pN
-            cols = list(zip(*other.data))
-            data = [[sum(map(mul, row, col)) % pN for col in cols] for row in self.data]
-        else:
-            # a Galois-ring encoding depends on the precision
-            cols = list(zip(*other._at_prec(prec).data))
-            data = []
-            for row in self._at_prec(prec).data:
-                out = []
-                for col in cols:
-                    acc = 0
-                    for x, y in zip(row, col):
-                        if x and y:
-                            acc = ring.add(acc, ring.mul(x, y))
-                    out.append(acc)
-                data.append(out)
+        data = self.lf.ring(prec).matmul(self.data, self.ring, other.data, other.ring)
         return KMat._of(self.lf, data, self.shift + other.shift, prec)
 
     def scale_pi(self, k: int) -> "KMat":
@@ -190,9 +169,10 @@ class KMat:
                 raise PrecisionError("not enough digits for the residue")
             return ring_e.mul_pk(self.ring.lift_naive(x, ring_e), self.shift)
         need = -self.shift
-        if need >= self.prec:
-            raise PrecisionError("cannot decide integrality at this precision")
-        if self.ring.val(x) < need:
+        v = self.ring.val(x)
+        if v < need:
+            if v >= self.prec:
+                raise PrecisionError("cannot decide integrality at this precision")
             raise ValueError("entry is not integral")
         if self.prec - need < e:
             raise PrecisionError("not enough digits for the residue")
@@ -494,10 +474,14 @@ class LatticeQuotient:
         self.A, self.B = A, B
         self.module = FiniteModule(A.lf, [exps[k] for k in self._idx])
 
+    def _classes(self, X: KMat, cols) -> list[tuple]:
+        """Classes in the abstract module of the columns cols of X, vectors of A."""
+        Y = self._Pinv @ X
+        return [tuple(Y.entry_residue(j, k, self._exps[j]) for j in self._idx) for k in cols]
+
     def proj(self, x: KMat) -> tuple:
         """Class of a vector of A in the abstract module."""
-        y = self._Pinv @ x
-        return tuple(y.entry_residue(k, 0, self._exps[k]) for k in self._idx)
+        return self._classes(x, (0,))[0]
 
     def lift(self, t: tuple) -> KMat:
         """A vector of A representing the class t."""
@@ -522,8 +506,7 @@ def induced_hom(srcQ: LatticeQuotient, dstQ: LatticeQuotient,
                 f: KMat | None = None) -> ModuleHom:
     """The map of abstract quotients obtained by lift, optionally f, project:
     column k of dstQ._Pinv @ f @ srcQ._P is f(lift(generator k)) in dstQ."""
-    M = dstQ._Pinv @ (srcQ._P if f is None else f @ srcQ._P)
-    cols = [[M.entry_residue(j, k, dstQ._exps[j]) for j in dstQ._idx] for k in srcQ._idx]
+    cols = dstQ._classes(srcQ._P if f is None else f @ srcQ._P, srcQ._idx)
     return ModuleHom(srcQ.module, dstQ.module, cols)
 
 

@@ -18,6 +18,7 @@ caches the rings at other precisions, each of which memoizes its zeta_n.
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -129,6 +130,31 @@ class RingCtx:
         if self.f == 1:
             return (a * b) % self.pN
         return self.encode(_poly_mulmod(self.decode(a), self.decode(b), self.poly, self.pN))
+
+    def matmul(self, a, ring_a: RingCtx, b, ring_b: RingCtx) -> list[list[int]]:
+        """Rows of a @ b encoded here, for the rows a and b of encodings in
+        ring_a and ring_b, both at precision >= N."""
+        cols = list(zip(*b))
+        if self.f == 1:
+            # reducing mod p^N commutes with sums of products: one reduction per entry
+            pN = self.pN
+            return [[sum(map(mul, row, col)) % pN for col in cols] for row in a]
+        # a Galois-ring encoding depends on the precision
+        if ring_a is not self:
+            a = [[ring_a.reduce_to(x, self) for x in row] for row in a]
+        if ring_b is not self:
+            cols = [[ring_b.reduce_to(y, self) for y in col] for col in cols]
+        out = []
+        for row in a:
+            out_row = []
+            for col in cols:
+                acc = 0
+                for x, y in zip(row, col):
+                    if x and y:
+                        acc = self.add(acc, self.mul(x, y))
+                out_row.append(acc)
+            out.append(out_row)
+        return out
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:

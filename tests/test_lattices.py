@@ -279,6 +279,10 @@ def test_quotient_inverts_no_matrix(q7, monkeypatch):
 def test_public_constructor_copies_and_checks_rows(q7):
     with pytest.raises(ValueError):
         KMat(q7, [[1, 2], [3]])
+    with pytest.raises(ValueError):
+        KMat.from_rows(q7, [[1, 2], [3]])
+    with pytest.raises(ValueError):
+        Lattice.from_rows(q7, [[1, 0], [0]])
     rows = [[1, 2], [3, 4]]
     M = KMat(q7, rows)
     rows[0][0] = 5
@@ -291,6 +295,9 @@ def test_residue_past_the_known_digits_is_a_precision_error(q7):
         KMat(q7, [[0]], -3, 2).entry_residue(0, 0, 1)
     with pytest.raises(ValueError):
         KMat(q7, [[1]], -1, 10).entry_residue(0, 0, 1)
+    # pi^-3 * (1 + O(pi^2)) has a known valuation -3: not integral
+    with pytest.raises(ValueError):
+        KMat(q7, [[1]], -3, 2).entry_residue(0, 0, 1)
     assert KMat(q7, [[14]], -1, 10).entry_residue(0, 0, 1) == 2
 
 

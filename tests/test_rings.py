@@ -108,3 +108,28 @@ def test_the_residue_field_is_the_ring_at_precision_one(p, f):
     for x in range(lf.q):
         assert ring.reduce_to(lf.field.lift_naive(x, ring), lf.field) == x
         assert lf.field.teichmuller(x) == x
+
+
+@pytest.mark.parametrize("p,f", [(7, 1), (3, 2), (5, 2)])
+def test_matrix_product_reduces_operands_of_higher_precision(p, f):
+    # operands encoded at precisions 6 and 4, product at 3, against
+    # reduce-first then add and multiply entry by entry
+    lf = LocalField(p, f)
+    rng = random.Random(p + f)
+    ring_a, ring_b, ring = lf.ring(6), lf.ring(4), lf.ring(3)
+    for m, k, n in ((1, 1, 1), (2, 3, 1), (3, 2, 3)):
+        a = [[rng.randrange(ring_a.size) for _ in range(k)] for _ in range(m)]
+        b = [[rng.randrange(ring_b.size) for _ in range(n)] for _ in range(k)]
+        want = []
+        for row in a:
+            out = []
+            for j in range(n):
+                acc = 0
+                for x, brow in zip(row, b):
+                    acc = ring.add(acc, poly_mul(ring, ring_a.reduce_to(x, ring),
+                                                 ring_b.reduce_to(brow[j], ring)))
+                out.append(acc)
+            want.append(out)
+        assert ring.matmul(a, ring_a, b, ring_b) == want
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert ring.matmul(want, ring, eye, ring) == want
