@@ -6,6 +6,18 @@ known.  Reductions never happen silently: any pivot or determinant whose
 valuation cannot be separated from the known digits raises
 PrecisionError instead of guessing.
 
+Each precision rule has one home.  _pivot picks the pivot for both
+normal forms: least valuation below the known digits, first in row-major
+order, PrecisionError when none is separated from them.  _clear_row
+clears a pivot row by column operations and drops what vanishes, for
+both.  KMat._det separates a determinant from zero for det_val and
+inverse.  KMat._aligned takes two matrices to their common precision and
+least shift for __eq__ and hstack.  KMat.with_shift spends k digits to
+raise a shift by k and refuses an entry it cannot divide.  A quotient
+decides integrality once, by KMat.is_integral.  canonical_hnf and
+smith_normal_form truncate their results, by _at_prec, to the digits
+their pivots left.
+
 A Lattice always normalizes its basis to the canonical column Hermite
 form (lower triangular, diagonal pi^e, entries to the left of a pivot
 reduced mod that pivot).  This makes every downstream construction a
@@ -111,8 +123,8 @@ class KMat:
         """Re-express with a different shift.
 
         Lowering multiplies entries by pi-powers; raising divides them
-        exactly (every entry must have enough valuation) and costs the
-        same number of known digits.
+        exactly (ValueError for an entry without enough valuation) and
+        costs the same number of known digits.
         """
         if shift == self.shift:
             return self
@@ -124,21 +136,20 @@ class KMat:
         k = shift - self.shift
         if k >= self.prec - 1:
             raise PrecisionError("cannot raise the shift that far")
-        if any(ring.val(x) < k for row in self.data for x in row):
-            raise ValueError("entries are not divisible by the requested pi-power")
-        data = [[ring.div_pk(x, k) for x in row] for row in self.data]
         red = self.lf.ring(self.prec - k)
-        data = [[ring.reduce_to(x, red) for x in row] for row in data]
+        data = [[ring.reduce_to(ring.div_pk(x, k), red) for x in row] for row in self.data]
         return KMat._of(self.lf, data, shift, self.prec - k)
+
+    def _aligned(self, other: "KMat") -> tuple["KMat", "KMat"]:
+        """Both matrices at their common precision and their least shift."""
+        prec, s = min(self.prec, other.prec), min(self.shift, other.shift)
+        return self._at_prec(prec).with_shift(s), other._at_prec(prec).with_shift(s)
 
     def hstack(self, other: "KMat") -> "KMat":
         if self.nrows != other.nrows:
             raise ValueError("row mismatch")
-        s = min(self.shift, other.shift)
-        prec = min(self.prec, other.prec)
-        A = self._at_prec(prec).with_shift(s)
-        B = other._at_prec(prec).with_shift(s)
-        return KMat._of(self.lf, [ra + rb for ra, rb in zip(A.data, B.data)], s, prec)
+        A, B = self._aligned(other)
+        return KMat._of(self.lf, [ra + rb for ra, rb in zip(A.data, B.data)], A.shift, A.prec)
 
     def transpose(self) -> "KMat":
         data = [[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
@@ -191,11 +202,8 @@ class KMat:
             return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             return False
-        prec = min(self.prec, other.prec)
-        s = min(self.shift, other.shift)
-        A = self._at_prec(prec).with_shift(s)
-        B = other._at_prec(prec).with_shift(s)
-        avail = prec - (max(self.shift, other.shift) - s)
+        A, B = self._aligned(other)
+        avail = A.prec - (max(self.shift, other.shift) - A.shift)
         ring = A.ring
         red = self.lf.ring(max(1, avail))
         return all(ring.reduce_to(A.data[i][j], red) == ring.reduce_to(B.data[i][j], red)
@@ -203,17 +211,19 @@ class KMat:
 
     # determinant and inverse -------------------------------------------------
 
-    def _det_data(self) -> int:
+    def _det(self) -> tuple[int, int]:
+        """The determinant of the integral part and its valuation v, which
+        must be separated from the known digits."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
-        return _det_rows(self.ring, self.data)
-
-    def det_val(self) -> int:
-        d = self._det_data()
+        d = _det_rows(self.ring, self.data)
         v = self.ring.val(d)
         if v >= self.prec - 1:
             raise PrecisionError("determinant vanishes at this precision")
-        return self.nrows * self.shift + v
+        return d, v
+
+    def det_val(self) -> int:
+        return self.nrows * self.shift + self._det()[1]
 
     def _adjugate(self):
         m = self.nrows
@@ -229,11 +239,8 @@ class KMat:
         return adj
 
     def inverse(self) -> "KMat":
-        d = self._det_data()
+        d, v = self._det()
         ring = self.ring
-        v = ring.val(d)
-        if v >= self.prec - 1:
-            raise PrecisionError("matrix is singular at this precision")
         newprec = self.prec - v
         ring2 = self.lf.ring(newprec)
         uinv = ring2.inv(ring.reduce_to(ring.div_pk(d, v), ring2))
@@ -257,43 +264,27 @@ class KMat:
         D = [row[:] for row in self.data]
         cur = self.prec
         for r in range(m):
-            best, bj = None, None
-            for j in range(r, c):
-                v = ring.val(D[r][j])
-                if v < cur and (best is None or v < best):
-                    best, bj = v, j
-            if best is None:
-                raise PrecisionError("no usable pivot (precision exhausted or rank deficient)")
-            if best >= cur - 1:
-                raise PrecisionError("pivot valuation is ambiguous at this precision")
+            best, _, bj = _pivot(ring, D, (r,), range(r, c), cur)
             if bj != r:
                 for i in range(m):
                     D[i][r], D[i][bj] = D[i][bj], D[i][r]
+            uinv = ring.inv(ring.div_pk(D[r][r], best))
+            _clear_row(ring, D, r, best, uinv, cur)
             # normalize the pivot column so the pivot becomes pi^best
-            u = ring.div_pk(D[r][r], best)
-            uinv = ring.inv(u)
             for i in range(r, m):
                 D[i][r] = ring.mul(D[i][r], uinv)
-            # clear the rest of the row
-            for j in range(r + 1, c):
-                x = D[r][j]
-                if ring.val(x) < cur:
-                    fac = ring.div_pk(x, best)
-                    for i in range(r, m):
-                        D[i][j] = ring.sub(D[i][j], ring.mul(fac, D[i][r]))
-                D[r][j] = 0
             cur -= best
         # drop the spent columns; they are 0 to the working precision
         T = [row[:m] for row in D]
         # reduce entries left of each pivot modulo that pivot
         for r in range(m):
             e = ring.val(T[r][r])
-            pe = self.lf.p**e
+            ring_e = self.lf.ring(e) if e > 0 else None
             for j in range(r):
                 x = T[r][j]
                 if x == 0:
                     continue
-                rem = ring.encode([ci % pe for ci in ring.decode(x)]) if e > 0 else 0
+                rem = ring_e.lift_naive(ring.reduce_to(x, ring_e), ring) if e > 0 else 0
                 fac = ring.div_pk(ring.sub(x, rem), e)
                 for i in range(r, m):
                     T[i][j] = ring.sub(T[i][j], ring.mul(fac, T[i][r]))
@@ -307,16 +298,46 @@ def _is_zero_spec(x) -> bool:
     return x == 0 and not isinstance(x, KElem)
 
 
+def _pivot(ring, D, rows, cols, cur: int) -> tuple[int, int, int]:
+    """(v, i, j) for the entry D[i][j] of least valuation v < cur over
+    rows x cols, first in row-major order; its valuation must be
+    separated from the cur known digits."""
+    best = None
+    for i in rows:
+        for j in cols:
+            v = ring.val(D[i][j])
+            if v < cur and (best is None or v < best[0]):
+                best = (v, i, j)
+    if best is None:
+        raise PrecisionError("no usable pivot (precision exhausted or rank deficient)")
+    if best[0] >= cur - 1:
+        raise PrecisionError("pivot valuation is ambiguous at this precision")
+    return best
+
+
+def _clear_row(ring, D, k: int, e: int, uinv: int, cur: int) -> None:
+    """Clear row k right of its pivot D[k][k] = u pi^e, uinv = u^-1, by
+    column operations on rows k and below; what vanishes at the cur known
+    digits is dropped."""
+    row = D[k]
+    for j in range(k + 1, len(row)):
+        x = row[j]
+        if ring.val(x) < cur:
+            fac = ring.mul(ring.div_pk(x, e), uinv)
+            for i in range(k, len(D)):
+                D[i][j] = ring.sub(D[i][j], ring.mul(fac, D[i][k]))
+        row[j] = 0
+
+
 def smith_normal_form(M: KMat):
     """SNF of an integral square matrix: exponents and the left transform.
 
     Returns (exps, U, Uinv) with U M W = diag(units * pi^exps) for
     unimodular U, W and Uinv = U^(-1); exps come out ascending.  Each row
     operation on M is applied to the rows of U and, undone, to the columns
-    of Uinv, so neither is inverted; W never enters quotient data.
+    of Uinv, so neither is inverted; W never enters quotient data.  A
+    non-integral M fails in with_shift(0).
     """
-    if not M.is_integral():
-        raise ValueError("SNF needs an integral matrix")
     M = M.with_shift(0)
     m = M.nrows
     if m != M.ncols:
@@ -328,16 +349,7 @@ def smith_normal_form(M: KMat):
     cur = M.prec
     exps = []
     for k in range(m):
-        best, bi, bj = None, None, None
-        for i in range(k, m):
-            for j in range(k, m):
-                v = ring.val(D[i][j])
-                if v < cur and (best is None or v < best):
-                    best, bi, bj = v, i, j
-        if best is None:
-            raise PrecisionError("SNF pivot vanished; precision exhausted")
-        if best >= cur - 1:
-            raise PrecisionError("SNF pivot valuation ambiguous at this precision")
+        e, bi, bj = _pivot(ring, D, range(k, m), range(k, m), cur)
         if bi != k:   # row swap on U; col swap on Uinv
             D[k], D[bi] = D[bi], D[k]
             U[k], U[bi] = U[bi], U[k]
@@ -346,9 +358,7 @@ def smith_normal_form(M: KMat):
         if bj != k:   # column swap; unrecorded
             for r in range(m):
                 D[r][k], D[r][bj] = D[r][bj], D[r][k]
-        e = best
-        piv_unit = ring.div_pk(D[k][k], e)
-        piv_inv = ring.inv(piv_unit)
+        piv_inv = ring.inv(ring.div_pk(D[k][k], e))
         # clear column k below the pivot
         for i in range(k + 1, m):
             x = D[i][k]
@@ -360,14 +370,7 @@ def smith_normal_form(M: KMat):
                     U[i][r] = ring.sub(U[i][r], ring.mul(fac, U[k][r]))
                     Ui[r][k] = ring.add(Ui[r][k], ring.mul(fac, Ui[r][i]))
             D[i][k] = 0
-        # clear row k to the right; pure column operations
-        for j in range(k + 1, m):
-            x = D[k][j]
-            if ring.val(x) < cur:
-                fac = ring.mul(ring.div_pk(x, e), piv_inv)
-                for i in range(k, m):
-                    D[i][j] = ring.sub(D[i][j], ring.mul(fac, D[i][k]))
-            D[k][j] = 0
+        _clear_row(ring, D, k, e, piv_inv, cur)
         exps.append(e)
         cur -= e
         if cur < 2:

@@ -198,9 +198,7 @@ def scalar_hom(M: FiniteModule, u, from_ring=None) -> ModuleHom:
         if from_ring is None:
             col[k] = M.rings[k].encode([u])
         else:
-            col[k] = (from_ring.reduce_to(u, M.rings[k])
-                      if from_ring.N >= M.rings[k].N
-                      else from_ring.lift_naive(u, M.rings[k]))
+            col[k] = from_ring.lift_naive(u, M.rings[k])
         cols.append(tuple(col))
     return ModuleHom(M, M, cols)
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from resforge.errors import EnumerationBound
+from resforge.errors import EnumerationBound, PrecisionError
 from resforge.extension import (SymbolEngine, _iso_exp, _kappa_chain,
                                 _rel_dim_m1, cocycle, cocycle_exp, comm_symbol,
                                 corrected_symbol, get_engine, kappa_exp,
@@ -112,6 +112,25 @@ def test_cocycle_identity_random():
             continue
         assert lhs == rhs, (p, n, m)
         done += 1
+
+
+def test_gl3_cocycle_identity_holds_or_runs_out():
+    # GL_3 lattices may still run out of digits or past the enumeration
+    # bound, but no draw may break the identity or call an entry non-integral
+    rng = random.Random(7)
+    held = 0
+    for k in range(20):
+        lf = local_field((3, 5, 7)[k % 3])
+        eng = get_engine(lf, 2)
+        f, g, h = (rand_matrix(lf, rng, 3) for _ in range(3))
+        try:
+            lhs = (cocycle_exp(f, g @ h, eng) + cocycle_exp(g, h, eng)) % 2
+            rhs = (cocycle_exp(f @ g, h, eng) + cocycle_exp(f, g, eng)) % 2
+        except (PrecisionError, EnumerationBound):
+            continue
+        assert lhs == rhs, k
+        held += 1
+    assert held
 
 
 def test_ext_group_law(eng7):

@@ -64,7 +64,7 @@ def test_quotient_examples(q7):
 
 
 def test_quotient_requires_containment(q7):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not contained"):
         quotient_struct(principal_lattice(q7, 1), standard_lattice(q7, 1))
 
 
@@ -274,6 +274,30 @@ def test_quotient_inverts_no_matrix(q7, monkeypatch):
         monkeypatch.setattr(KMat, "inverse", real)
         assert calls == []
         assert Q._Pinv @ Q._P == KMat.identity(q7, m)
+
+
+def test_quotient_decides_integrality_once(q7, monkeypatch):
+    rng = random.Random(5)
+    calls = []
+    real = KMat.is_integral
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(KMat, "is_integral", counted)
+    for m in (1, 2, 3):
+        A = rand_lattice(q7, rng, m)
+        B = Lattice(A.mat @ rand_matrix(q7, rng, m, (0, 2), 0.9))
+        calls.clear()
+        quotient_struct(A, B)
+        assert len(calls) == 1
+        calls.clear()
+        smith_normal_form(A.inv @ B.mat)
+        assert calls == []
+    # with no check of its own, SNF still refuses a non-integral input
+    with pytest.raises(ValueError):
+        smith_normal_form(KMat.from_rows(q7, [["1/7", 0], [0, 1]]))
 
 
 def test_public_constructor_copies_and_checks_rows(q7):
