@@ -63,8 +63,14 @@ class KElem:
         return KElem(self.lf, self.val, ring.neg(self.unit), self.prec)
 
     def unit_part(self) -> "KElem":
-        """The unit u with self = pi^val * u, at the same precision."""
-        return KElem(self.lf, 0, self.unit, self.prec)
+        """The unit u with self = pi^val * u, at the same precision.
+
+        self.unit was checked when self was built, so __init__'s ring
+        lookup and unit check are skipped.
+        """
+        u = KElem.__new__(KElem)
+        u.lf, u.val, u.unit, u.prec = self.lf, 0, self.unit, self.prec
+        return u
 
     def reduce_mod_pi(self) -> int:
         """Residue of a unit; valuation must be zero."""
@@ -124,6 +130,7 @@ class LocalField:
         self._rings: dict[int, RingCtx] = {}
         self._engines: dict = {}
         self._views: dict = {}   # FiniteModule.view, by (exps, n, rule)
+        self._residue = None     # modules.residue_module
 
     def __repr__(self):
         return f"LocalField(p={self.p}, f={self.f})"

@@ -4,10 +4,12 @@ direct     the closed formula: the unit (-1)^(v(a)v(b)) a^v(b) / b^v(a)
            reduced mod pi, then raised to (q-1)/n.  The unit is formed in
            F_q from the residues of the unit parts of a and b, since its
            residue is all the character reads.
-muset      the same unit, but the character is evaluated as the orbit
-           determinant of multiplication on the residue field viewed as
-           a pointed mu_n-set, so the mu_n-set machinery genuinely sits
-           on this route.
+muset      the same unit u, but the character is evaluated as the orbit
+           determinant of multiplication by u on the residue field viewed
+           as a pointed mu_n-set, so the mu_n-set machinery genuinely sits
+           on this route.  u*x is read off the O/pi view that the field
+           memoizes, one lookup per orbit: O((q-1)/n) per call, with no
+           module or map built.
 extension  the commutator of lifts in the central extension of K^x by
            mu_n, with the relative-dimension sign correction; under the
            engine's default digit rule its rank-one scalars are closed
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 from .extension import SymbolEngine, corrected_symbol, get_engine
 from .fields import MuScalar, mu_embed, power_residue_char
-from .modules import FiniteModule, module_aut_as_musetaut, scalar_hom
+from .modules import residue_module
 from .musets import aut_delta
 from .padic import KElem, LocalField, k_one_minus
 
@@ -55,12 +57,14 @@ def delta_route_symbol(lf: LocalField, a: KElem, b: KElem, n: int,
     """The symbol with the character computed as an orbit determinant.
 
     The tame unit u acts on k = O/pi by multiplication; the value is the
-    determinant of that automorphism of k as a pointed mu_n-set.
+    determinant of that automorphism of k as a pointed mu_n-set.  The
+    elements of k's view are 1-tuples of F_q encodings, which are also
+    the encodings of O/pi.
     """
     u = tame_symbol(lf, a, b)
-    k_mod = FiniteModule(lf, (1,))
-    mult_u = scalar_hom(k_mod, u, from_ring=lf.ring(1))
-    return aut_delta(module_aut_as_musetaut(k_mod, mult_u, n, rule))
+    field = lf.field
+    view = residue_module(lf).view(n, rule)
+    return aut_delta(view.as_aut(lambda x: (field.mul(u, x[0]),)))
 
 
 def steinberg_check(lf: LocalField, a: KElem, n: int) -> bool:

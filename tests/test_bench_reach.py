@@ -1,10 +1,12 @@
-"""Every resforge name the benchmark reaches resolves.
+"""Every resforge name the benchmark reaches resolves, and every layer it
+traces is reached.
 
 Tier-1 collects only tests/, so a retired name that bench/spans.py wraps
-or bench/workloads.py calls, or a retired parameter that a workload
-passes, would otherwise break only the benchmark.  Both files are read,
-never changed: spans.py is loaded (it imports only the standard library)
-and workloads.py is scanned for ``rf.<name>`` and parsed for its calls.
+or bench/workloads.py calls, a retired parameter that a workload passes,
+or a layer whose wrapped entry points stop being called would otherwise
+break only the benchmark.  Both files are read, never changed: they are
+loaded (they import only the standard library), and workloads.py is also
+scanned for ``rf.<name>`` and parsed for its calls.
 """
 
 import ast
@@ -19,9 +21,9 @@ import resforge
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
-def _load_spans():
+def _load(name):
     spec = importlib.util.spec_from_file_location(
-        "bench_spans", os.path.join(BENCH, "spans.py"))
+        f"bench_{name}", os.path.join(BENCH, f"{name}.py"))
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
@@ -29,7 +31,7 @@ def _load_spans():
 
 def test_span_entry_points_resolve():
     missing = []
-    for _layer, modname, qual in _load_spans().ENTRY_POINTS:
+    for _layer, modname, qual in _load("spans").ENTRY_POINTS:
         mod = importlib.import_module(f"resforge.{modname}")
         if "." in qual:
             # the tracer wraps methods where they are defined, on the class
@@ -88,3 +90,28 @@ def test_workload_calls_bind_to_current_signatures():
         except TypeError as exc:
             unbound.append(f"rf.{chain}: {exc}")
     assert not unbound
+
+
+def test_tiny_extension_ops_and_route_probes_reach_every_layer():
+    """The traced run reports calls per layer; a layer at 0 means the
+    program stopped calling its wrapped entry points (say, tame_symbol no
+    longer reading residues through KElem.reduce_mod_pi).  One pass of the
+    tiny extension_deep ops and of each route on its pairs, in-process,
+    must call every layer."""
+    spans, workloads = _load("spans"), _load("workloads")
+    ctx = workloads.setup(resforge, "extension_deep", tiny=True)
+    wl = workloads.build(resforge, "extension_deep", ctx, 4, tiny=True)
+    tracer = spans.Tracer(resforge)
+    try:
+        tracer.install()
+        for op in wl.ops:
+            workloads.run_op(resforge, wl, op)
+        for _route, call in workloads.route_calls(resforge):
+            for pair in wl.pairs:
+                try:
+                    call(pair)
+                except (resforge.EnumerationBound, resforge.PrecisionError):
+                    pass
+    finally:
+        tracer.uninstall()
+    assert [layer for layer in spans.LAYERS if not tracer.calls[layer]] == []

@@ -10,6 +10,7 @@ from resforge.lattices import KMat
 from resforge.modules import FiniteModule, ModuleHom
 from resforge.musets import OrbitView
 from resforge.padic import LocalField, local_field
+from resforge.symbols import delta_route_symbol
 
 
 def random_hom(lf, rng, src, dst):
@@ -88,9 +89,10 @@ def test_digit_views_of_the_residue_field_are_the_least_views(p, f):
 
 
 def test_dropping_a_field_frees_its_views_and_field_context():
-    """A LocalField owns its module views and its F_q context: a GL_2
-    cocycle builds views, and once the field is dropped none of them, and
-    no context of its (p, f), is left alive.  No other test builds p = 53."""
+    """A LocalField owns its module views, its O/pi module and its F_q
+    context: a GL_2 cocycle and the muset route build views, and once the
+    field is dropped none of them, and no context of its (p, f), is left
+    alive.  No other test builds p = 53."""
 
     def live():
         gc.collect()
@@ -103,6 +105,7 @@ def test_dropping_a_field_frees_its_views_and_field_context():
         f = KMat.from_rows(lf, [["pi", 0], [0, 1]])
         g = KMat.from_rows(lf, [[1, 0], [0, "pi"]])
         cocycle_exp(f, g, get_engine(lf, 4))   # kappa enumerates V/fgV
+        delta_route_symbol(lf, lf.pi(), lf.from_rational(2), 4)
         return live()
 
     (views, contexts), during = live(), run_gl2_cocycle()

@@ -4,8 +4,10 @@ import random
 import pytest
 
 from resforge.extension import corrected_symbol, get_engine
-from resforge.fields import mu_embed
-from resforge.padic import KElem, local_field
+from resforge.fields import mu_embed, power_residue_char
+from resforge.modules import FiniteModule, ModuleHom, module_aut_as_musetaut, scalar_hom
+from resforge.musets import OrbitView, aut_delta
+from resforge.padic import KElem, LocalField, local_field
 from resforge.symbols import (crosscheck, delta_route_symbol,
                               power_residue_symbol, steinberg_check,
                               symbol_value_str, tame_symbol)
@@ -134,6 +136,52 @@ def test_delta_route_equals_direct(q7):
             b = q7.pi(rng.randint(-2, 2)) * q7.from_rational(rng.randint(1, 6))
             assert (delta_route_symbol(q7, a, b, n).exp
                     == power_residue_symbol(q7, a, b, n).exp)
+
+
+@pytest.mark.parametrize("p,f", [(2, 1), (5, 1), (7, 1), (3, 2), (13, 1), (5, 2)])
+def test_delta_route_equals_module_oracle_for_every_tame_unit(p, f):
+    """a has residue u and b = pi, so the tame unit is u: the route's
+    value is compared with the orbit determinant of the ModuleHom of
+    multiplication by u, and with the character of u."""
+    lf = local_field(p, f)
+    k = FiniteModule(lf, (1,))
+    b = lf.pi()
+    for n in [d for d in range(1, lf.q) if (lf.q - 1) % d == 0]:
+        for rule in ("least", "second_least", "digit"):
+            for u in range(1, lf.q):
+                a = KElem(lf, 0, lf.field.lift_naive(u, lf.ring(lf.default_precision)),
+                          lf.default_precision)
+                assert tame_symbol(lf, a, b) == u
+                oracle = aut_delta(module_aut_as_musetaut(
+                    k, scalar_hom(k, u, from_ring=lf.ring(1)), n, rule))
+                got = delta_route_symbol(lf, a, b, n, rule)
+                assert got == oracle == power_residue_char(lf.field, u, n), (n, rule, u)
+
+
+def test_warm_delta_route_builds_no_module_map_or_view(monkeypatch):
+    lf = LocalField(7)
+    a, b = lf.parse("pi*3"), lf.parse("pi^2*5")
+    with pytest.raises(ValueError):
+        delta_route_symbol(lf, a, b, 4)                     # 4 does not divide 6
+    with pytest.raises(ValueError):
+        delta_route_symbol(lf, a, b, 3, "largest")
+    with pytest.raises(ValueError):
+        delta_route_symbol(lf, local_field(13).parse("3"), b, 3)
+    tame = tame_symbol(lf, a, b)
+    want = {n: delta_route_symbol(lf, a, b, n, "digit") for n in (1, 2, 3, 6)}
+
+    def refuse(cls):
+        def init(*_args, **_kw):
+            raise AssertionError(f"a {cls.__name__} was built")
+        monkeypatch.setattr(cls, "__init__", init)
+
+    for cls in (FiniteModule, ModuleHom, OrbitView, KElem):
+        refuse(cls)
+    assert tame_symbol(lf, a, b) == tame
+    for n in (1, 2, 3, 6):
+        assert delta_route_symbol(lf, a, b, n, "digit") == want[n]
+    with pytest.raises(AssertionError, match="FiniteModule"):
+        FiniteModule(lf, (1,))
 
 
 def test_crosscheck_report_fields(q7):
