@@ -22,6 +22,12 @@ of steps along the standard eight-line chain through the pairwise and
 triple intersections (_kappa_chain, which also serves the first two
 cases as their reference).
 
+cocycle_exp builds I = V cap gV and f(I) once and shares them between
+rho and the chain: f is invertible, so fV cap fgV = f(I), and the
+quotients fV/f(I) and fgV/f(I) that rho maps onto are the chain's
+B/(B cap C) and C/(B cap C).  A chain cocycle so builds 4 intersections
+and 14 quotients, none of them kept past the call.
+
 A SymbolEngine fixes the field, n, and the representative rule.  Its
 default rule is digit (see musets), under which the rank-one building
 blocks have closed forms and the route enumerates nothing at m = 1: for
@@ -124,21 +130,22 @@ def _iso_exp(srcQ: LatticeQuotient, dstQ: LatticeQuotient, f: KMat | None,
 
 def rho_exp(f: KMat, A: Lattice, B: Lattice, engine: SymbolEngine) -> int:
     """Exponent of rho_f : (A|B) -> (f(A)|f(B)) on canonical bases."""
-    return _rho_exp(f, A, B, lat_apply(f, A), lat_apply(f, B), engine)
+    I = lat_intersect(A, B)
+    fI = lat_apply(f, I)
+    return _rho_exp(f, A, B, I, quotient_struct(lat_apply(f, A), fI),
+                    quotient_struct(lat_apply(f, B), fI), engine)
 
 
-def _rho_exp(f: KMat, A: Lattice, B: Lattice, fA: Lattice, fB: Lattice,
-             engine: SymbolEngine) -> int:
-    """rho_exp given fA = f(A) and fB = f(B).
+def _rho_exp(f: KMat, A: Lattice, B: Lattice, I: Lattice, QfA: LatticeQuotient,
+             QfB: LatticeQuotient, engine: SymbolEngine) -> int:
+    """rho_exp given I = A cap B and the quotients f(A)/f(I) and f(B)/f(I).
 
     rho_f acts on the right factor through f^-1, whose iso exponent is
     minus that of f: if f(r) = zeta^e * r' for representatives r, r',
     then f^-1(r') = zeta^-e * r.
     """
-    I = lat_intersect(A, B)
-    fI = lat_apply(f, I)
-    tau = _iso_exp(quotient_struct(A, I), quotient_struct(fA, fI), f, engine)
-    psi = _iso_exp(quotient_struct(B, I), quotient_struct(fB, fI), f, engine)
+    tau = _iso_exp(quotient_struct(A, I), QfA, f, engine)
+    psi = _iso_exp(quotient_struct(B, I), QfB, f, engine)
     return (tau - psi) % engine.n
 
 
@@ -163,6 +170,13 @@ def _nested_desc_exp(X: Lattice, Y: Lattice, Z: Lattice, engine: SymbolEngine) -
 
 def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine) -> int:
     """Exponent of kappa : (A|B) (x) (B|C) -> (A|C) on canonical bases."""
+    return _kappa_exp(A, B, C, engine)
+
+
+def _kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
+               QB_BC: LatticeQuotient | None = None,
+               QC_BC: LatticeQuotient | None = None) -> int:
+    """kappa_exp, handing the chain B/(B cap C) and C/(B cap C) when the caller has them."""
     if A == C:
         # duality pairing; canonical bases pair to 1
         return 0
@@ -170,21 +184,25 @@ def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine) -> int:
         return _nested_desc_exp(A, B, C, engine)
     if lat_contains_lattice(C, B) and lat_contains_lattice(B, A):
         return (-_nested_desc_exp(C, B, A, engine)) % engine.n
-    return _kappa_chain(A, B, C, engine)
+    return _kappa_chain(A, B, C, engine, QB_BC, QC_BC)
 
 
-def _kappa_chain(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine) -> int:
+def _kappa_chain(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
+                 QB_BC: LatticeQuotient | None = None,
+                 QC_BC: LatticeQuotient | None = None) -> int:
     """kappa along the chain through the pairwise and triple intersections;
-    its six sequences share their quotients, so each of the 12 is built once."""
+    its six sequences share their quotients, so each of the 12 is built once.
+    Given B/BC and C/BC, BC = B cap C is read off them."""
     AB = lat_intersect(A, B)
-    BC = lat_intersect(B, C)
+    BC = lat_intersect(B, C) if QB_BC is None else QB_BC.B
     AC = lat_intersect(A, C)
     D3 = lat_intersect(AB, C)
     QA, QB, QC, QAB, QBC, QAC = (quotient_struct(L, D3) for L in (A, B, C, AB, BC, AC))
     total = _seq_exp(QA, QAB, quotient_struct(A, AB), engine)
     total -= _seq_exp(QB, QAB, quotient_struct(B, AB), engine)   # ascending D3 <= AB <= B
-    total += _seq_exp(QB, QBC, quotient_struct(B, BC), engine)
-    total -= _seq_exp(QC, QBC, quotient_struct(C, BC), engine)   # ascending D3 <= BC <= C
+    total += _seq_exp(QB, QBC, QB_BC or quotient_struct(B, BC), engine)
+    # ascending D3 <= BC <= C
+    total -= _seq_exp(QC, QBC, QC_BC or quotient_struct(C, BC), engine)
     total -= _seq_exp(QA, QAC, quotient_struct(A, AC), engine)   # inverse of descending
     total += _seq_exp(QC, QAC, quotient_struct(C, AC), engine)   # inverse of ascending
     return total % engine.n
@@ -277,8 +295,12 @@ def cocycle_exp(f: KMat, g: KMat, engine: SymbolEngine) -> int:
     fV = lat_apply(f, V)
     gV = lat_apply(g, V)
     fgV = lat_apply(f, gV)
-    r = _rho_exp(f, V, gV, fV, fgV, engine)
-    k = kappa_exp(V, fV, fgV, engine)
+    # f(V cap gV) = fV cap fgV, so rho's f-side quotients are the chain's B/BC and C/BC
+    I = lat_intersect(V, gV)
+    fI = lat_apply(f, I)
+    QfV, QfgV = quotient_struct(fV, fI), quotient_struct(fgV, fI)
+    r = _rho_exp(f, V, gV, I, QfV, QfgV, engine)
+    k = _kappa_exp(V, fV, fgV, engine, QfV, QfgV)
     return (r + k) % engine.n
 
 

@@ -28,8 +28,13 @@ base points of determinant lines, are reproducible.
 Smith normal form over O uses the minimal-valuation pivot, ties broken
 by row then column, and yields its left transform U with U^-1.  A
 quotient A/B keeps P = A U^-1, whose columns lift its generators, and
-P^-1 = U A^-1 from the basis inverse the lattice computes once; the map
+P^-1 = U A^-1 from the basis inverse the lattice computes once; each is
+built on first use, since many quotients read only one of them.  The map
 induced on quotients is the one product P'^-1 f P, read mod exponents.
+A trivial quotient (B = A, seen from the pivots of the two canonical
+bases once B is known to lie in A) is the zero module: it runs no SNF,
+builds neither P nor P^-1 (it is presented by A's own basis), and a map
+induced from or to it is the empty or the zero map, with no product.
 """
 
 from __future__ import annotations
@@ -41,22 +46,27 @@ from .rings import _det_rows
 
 
 class KMat:
-    """pi^shift times an integral matrix with entries in O/pi^prec."""
+    """pi^shift times an integral matrix with entries in O/pi^prec.
 
-    __slots__ = ("lf", "nrows", "ncols", "shift", "prec", "data")
+    ring is O/pi^prec, the context of the entries, kept from construction.
+    """
+
+    __slots__ = ("lf", "nrows", "ncols", "shift", "prec", "ring", "data")
 
     def __init__(self, lf: LocalField, data, shift: int = 0, prec: int | None = None):
         data = [list(row) for row in data]
         if data and any(len(r) != len(data[0]) for r in data):
             raise ValueError("ragged matrix")
         self.lf, self.data, self.shift, self.prec = lf, data, shift, lf.precision(prec)
+        self.ring = lf.ring(self.prec)
         self.nrows, self.ncols = len(data), len(data[0]) if data else 0
 
     @classmethod
-    def _of(cls, lf: LocalField, data, shift: int, prec: int) -> "KMat":
-        """Over fresh rectangular rows built in this module: no copy, no check."""
+    def _of(cls, lf: LocalField, data, shift: int, ring) -> "KMat":
+        """Over fresh rectangular rows built in this module, encoded in
+        ring = lf.ring(prec): no copy, no check."""
         M = cls.__new__(cls)
-        M.lf, M.data, M.shift, M.prec = lf, data, shift, prec
+        M.lf, M.data, M.shift, M.prec, M.ring = lf, data, shift, ring.N, ring
         M.nrows, M.ncols = len(data), len(data[0]) if data else 0
         return M
 
@@ -88,10 +98,6 @@ class KMat:
         return cls(lf, [[1 if i == j else 0 for j in range(m)] for i in range(m)],
                    0, prec)
 
-    @property
-    def ring(self):
-        return self.lf.ring(self.prec)
-
     def __repr__(self):
         return (f"KMat({self.nrows}x{self.ncols}, shift={self.shift}, "
                 f"prec={self.prec})")
@@ -105,19 +111,19 @@ class KMat:
             raise PrecisionError("cannot raise matrix precision")
         src, dst = self.ring, self.lf.ring(prec)
         data = [[src.reduce_to(x, dst) for x in row] for row in self.data]
-        return KMat._of(self.lf, data, self.shift, prec)
+        return KMat._of(self.lf, data, self.shift, dst)
 
     def __matmul__(self, other: "KMat") -> "KMat":
         if self.lf is not other.lf:
             raise ValueError("matrices of different fields")
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        prec = min(self.prec, other.prec)
-        data = self.lf.ring(prec).matmul(self.data, self.ring, other.data, other.ring)
-        return KMat._of(self.lf, data, self.shift + other.shift, prec)
+        ring = self.ring if self.prec <= other.prec else other.ring
+        data = ring.matmul(self.data, self.ring, other.data, other.ring)
+        return KMat._of(self.lf, data, self.shift + other.shift, ring)
 
     def scale_pi(self, k: int) -> "KMat":
-        return KMat._of(self.lf, self.data, self.shift + k, self.prec)
+        return KMat._of(self.lf, self.data, self.shift + k, self.ring)
 
     def with_shift(self, shift: int) -> "KMat":
         """Re-express with a different shift.
@@ -132,13 +138,13 @@ class KMat:
         if shift < self.shift:
             k = self.shift - shift
             data = [[ring.mul_pk(x, k) for x in row] for row in self.data]
-            return KMat._of(self.lf, data, shift, self.prec)
+            return KMat._of(self.lf, data, shift, ring)
         k = shift - self.shift
         if k >= self.prec - 1:
             raise PrecisionError("cannot raise the shift that far")
         red = self.lf.ring(self.prec - k)
         data = [[ring.reduce_to(ring.div_pk(x, k), red) for x in row] for row in self.data]
-        return KMat._of(self.lf, data, shift, self.prec - k)
+        return KMat._of(self.lf, data, shift, red)
 
     def _aligned(self, other: "KMat") -> tuple["KMat", "KMat"]:
         """Both matrices at their common precision and their least shift."""
@@ -149,11 +155,11 @@ class KMat:
         if self.nrows != other.nrows:
             raise ValueError("row mismatch")
         A, B = self._aligned(other)
-        return KMat._of(self.lf, [ra + rb for ra, rb in zip(A.data, B.data)], A.shift, A.prec)
+        return KMat._of(self.lf, [ra + rb for ra, rb in zip(A.data, B.data)], A.shift, A.ring)
 
     def transpose(self) -> "KMat":
         data = [[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return KMat._of(self.lf, data, self.shift, self.prec)
+        return KMat._of(self.lf, data, self.shift, self.ring)
 
     def entry_val(self, i: int, j: int) -> int | None:
         """Valuation of an entry, or None when it vanishes at this precision."""
@@ -246,7 +252,7 @@ class KMat:
         uinv = ring2.inv(ring.reduce_to(ring.div_pk(d, v), ring2))
         adj = self._adjugate()
         data = [[ring2.mul(ring.reduce_to(x, ring2), uinv) for x in row] for row in adj]
-        return KMat._of(self.lf, data, -self.shift - v, newprec)
+        return KMat._of(self.lf, data, -self.shift - v, ring2)
 
     # normal forms -------------------------------------------------------------
 
@@ -291,7 +297,7 @@ class KMat:
         if cur < 2:
             raise PrecisionError("precision exhausted during column reduction")
         # T is encoded at self.prec; at f > 1 the encoding depends on the precision
-        return KMat._of(self.lf, T, self.shift, self.prec)._at_prec(cur)
+        return KMat._of(self.lf, T, self.shift, ring)._at_prec(cur)
 
 
 def _is_zero_spec(x) -> bool:
@@ -375,7 +381,7 @@ def smith_normal_form(M: KMat):
         cur -= e
         if cur < 2:
             raise PrecisionError("precision exhausted during SNF")
-    U, Ui = (KMat._of(M.lf, T, 0, M.prec)._at_prec(cur) for T in (U, Ui))  # as in canonical_hnf
+    U, Ui = (KMat._of(M.lf, T, 0, ring)._at_prec(cur) for T in (U, Ui))  # as in canonical_hnf
     return exps, U, Ui
 
 
@@ -386,7 +392,7 @@ def smith_normal_form(M: KMat):
 class Lattice:
     """A full-rank O-lattice in K^m, held by its canonical basis."""
 
-    __slots__ = ("lf", "m", "mat", "_inv")
+    __slots__ = ("lf", "m", "mat", "det_val", "_inv")
 
     def __init__(self, mat: KMat):
         if mat.ncols < mat.nrows:
@@ -404,7 +410,8 @@ class Lattice:
                      6 * (piv + self.m * abs(hnf.shift)) + 12)
         ring_to = mat.lf.ring(target)
         data = [[hnf.ring.lift_naive(x, ring_to) for x in row] for row in hnf.data]
-        self.mat = KMat._of(mat.lf, data, hnf.shift, target)
+        self.mat = KMat._of(mat.lf, data, hnf.shift, ring_to)
+        self.det_val = piv + self.m * hnf.shift   # of the basis: its pivots are pi-powers
         self._inv = None
 
     @property
@@ -463,22 +470,41 @@ def lat_contains_lattice(A: Lattice, B: Lattice) -> bool:
 class LatticeQuotient:
     """A/B presented as a FiniteModule plus projection and lift maps."""
 
-    __slots__ = ("A", "B", "module", "_P", "_Pinv", "_exps", "_idx")
+    __slots__ = ("A", "B", "module", "_exps", "_idx", "_U", "_Uinv", "_lift", "_proj")
 
     def __init__(self, A: Lattice, B: Lattice):
         trans = A.inv @ B.mat
         if not trans.is_integral():
             raise ValueError("B is not contained in A")
-        exps, U, Uinv = smith_normal_form(trans)
-        self._P = A.mat @ Uinv
-        self._Pinv = U @ A.inv    # (A.mat @ Uinv)^-1, with no inverse of its own
+        self.A, self.B = A, B
+        if B.det_val == A.det_val:
+            # B = A: the zero module, presented by A's own basis
+            exps, self._lift, self._proj = [0] * A.m, A.mat, A.inv
+        else:
+            exps, self._U, self._Uinv = smith_normal_form(trans)
+            self._lift = self._proj = None
         self._exps = exps
         self._idx = [k for k, e in enumerate(exps) if e > 0]
-        self.A, self.B = A, B
         self.module = FiniteModule(A.lf, [exps[k] for k in self._idx])
+
+    @property
+    def _P(self) -> KMat:
+        """A U^-1: its columns lift the generators."""
+        if self._lift is None:
+            self._lift = self.A.mat @ self._Uinv
+        return self._lift
+
+    @property
+    def _Pinv(self) -> KMat:
+        """U A^-1 = (A U^-1)^-1, with no inverse of its own."""
+        if self._proj is None:
+            self._proj = self._U @ self.A.inv
+        return self._proj
 
     def _classes(self, X: KMat, cols) -> list[tuple]:
         """Classes in the abstract module of the columns cols of X, vectors of A."""
+        if not self._idx:
+            return [()] * len(cols)
         Y = self._Pinv @ X
         return [tuple(Y.entry_residue(j, k, self._exps[j]) for j in self._idx) for k in cols]
 
@@ -497,7 +523,7 @@ class LatticeQuotient:
             c = t[pos]
             if c:
                 col[k][0] = lf.ring(self._exps[k]).lift_naive(c, ring)
-        return self._P @ KMat._of(lf, col, 0, prec)
+        return self._P @ KMat._of(lf, col, 0, ring)
 
 
 def quotient_struct(A: Lattice, B: Lattice) -> LatticeQuotient:
@@ -508,7 +534,10 @@ def quotient_struct(A: Lattice, B: Lattice) -> LatticeQuotient:
 def induced_hom(srcQ: LatticeQuotient, dstQ: LatticeQuotient,
                 f: KMat | None = None) -> ModuleHom:
     """The map of abstract quotients obtained by lift, optionally f, project:
-    column k of dstQ._Pinv @ f @ srcQ._P is f(lift(generator k)) in dstQ."""
+    column k of dstQ._Pinv @ f @ srcQ._P is f(lift(generator k)) in dstQ.
+    From or to the zero module it is the empty or the zero map."""
+    if not (srcQ._idx and dstQ._idx):
+        return ModuleHom(srcQ.module, dstQ.module, [()] * len(srcQ._idx))
     cols = dstQ._classes(srcQ._P if f is None else f @ srcQ._P, srcQ._idx)
     return ModuleHom(srcQ.module, dstQ.module, cols)
 

@@ -71,6 +71,13 @@ class FiniteModule:
         self._check_bound()
         return product(*(range(self.lf.q**e) for e in self.exps))
 
+    def index(self, x: tuple) -> int:
+        """Position of x in elements() order."""
+        i = 0
+        for r, c in zip(self.rings, x):
+            i = i * r.size + c
+        return i
+
     def dim(self, n: int) -> int:
         """Number of mu_n orbits off zero: (|T| - 1) / n."""
         return (self.size - 1) // n

@@ -72,11 +72,14 @@ def _exact_seq_exp(X: FiniteModule, Y: FiniteModule, Z: FiniteModule,
     The two-step mechanism: det(Y) = det(X) (x) det(Y // X) via the orbit
     partition, then det(Z) = det(Y // X) via the fiber map induced by
     proj.  Collapsed into the image set of incl and one streamed pass
-    over the elements of Y beside their images under proj.
+    over the elements of Y beside their images under proj.  The twists
+    of the orbits inside X are read off incl's image stream, at the
+    positions of X's representatives, so no element is mapped twice.
     """
     if Y.size > Y.lf.enum_bound:
         raise EnumerationBound(f"middle module of size {Y.size} exceeds the bound")
-    image = set(incl.images())
+    images = list(incl.images())
+    image = set(images)
     if len(image) != X.size:
         raise ValueError("sequence not exact: inclusion is not injective")
     if X.size * Z.size != Y.size:
@@ -107,7 +110,7 @@ def _exact_seq_exp(X: FiniteModule, Y: FiniteModule, Z: FiniteModule,
         return 0
     # orbits of Y lying inside X: twist of incl(rep) against Y's representative
     for r in vX.reps:
-        total += vY.exp_of(incl.apply(r))
+        total += table[images[X.index(r)]][1]
     return total % n
 
 

@@ -8,7 +8,7 @@ from resforge.extension import (SymbolEngine, _iso_exp, _kappa_chain,
                                 corrected_symbol, get_engine, kappa_exp,
                                 rho_exp)
 from resforge.fields import power_residue_char
-from resforge.lattices import (KMat, Lattice, induced_hom, lat_apply,
+from resforge.lattices import (KMat, Lattice, induced_hom, lat_apply, lat_contains_lattice,
                                lat_intersect, principal_lattice, quotient_struct,
                                rel_dim, standard_lattice)
 from resforge.musets import OrbitView
@@ -425,3 +425,80 @@ def test_gl2_cocycle_identity_at_f2(p):
             continue
         assert lhs == rhs, (n, done)
         done += 1
+
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except EnumerationBound:
+        return "EnumerationBound"
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2)])
+def test_cocycle_equals_rho_plus_kappa_from_public_pieces(p, f):
+    """cocycle_exp builds V cap gV, f(V cap gV) and the quotients of fV and
+    fgV by the latter once, for rho and for kappa's chain alike; against
+    rho_exp + kappa_exp, each building its own, under every rule.  The
+    draws take kappa through the chain (random f, g), the nested case
+    (integral f, g: V >= fV >= fgV) and the pairing (g = f^-1: fgV = V).
+    The enumeration bound is q^2, so that some draws reach it."""
+    lf = LocalField(p, f, enum_bound=p ** (2 * f))
+    rng = random.Random(31 * p + f)
+    ns = [d for d in range(2, lf.q) if (lf.q - 1) % d == 0]
+    V = standard_lattice(lf, 2)
+    seen = set()
+    for i, vals in enumerate([(-1, 1)] * 3 + [(-2, 2)] * 3 + [(-1, 1)] * 3 + [(0, 1)] * 3):
+        eng = SymbolEngine(lf, rng.choice(ns), RULES[i % 3])
+        F = rand_matrix(lf, rng, 2, vals)
+        G = F.inverse() if 6 <= i < 9 else rand_matrix(lf, rng, 2, vals)
+        gV = lat_apply(G, V)
+        fV, fgV = lat_apply(F, V), lat_apply(F, gV)
+        if V == fgV:
+            kind = "pairing"
+        elif lat_contains_lattice(V, fV) and lat_contains_lattice(fV, fgV):
+            kind = "nested"
+        else:
+            kind = "chain"
+        got = _outcome(lambda: cocycle_exp(F, G, eng))
+        want = _outcome(lambda: (rho_exp(F, V, gV, eng) + kappa_exp(V, fV, fgV, eng)) % eng.n)
+        assert got == want, (i, eng.n, eng.rule)
+        seen.add((kind, got == "EnumerationBound"))
+    assert {("chain", False), ("nested", False), ("pairing", False)} <= seen
+    assert any(bound for _, bound in seen)
+
+
+def test_chain_cocycle_work_count(monkeypatch):
+    """One GL_2 cocycle through kappa's chain: 4 intersections (V cap gV
+    and three of the chain's; B cap C is f(V cap gV)), 14 quotients (rho's
+    4 and the chain's 12 share fV/f(V cap gV) and fgV/f(V cap gV)), no SNF
+    for a zero quotient, and no ModuleHom.apply in the exact-sequence walks."""
+    import resforge.extension as extension
+    import resforge.lattices as lattices
+    from resforge.modules import ModuleHom
+
+    lf = local_field(3)
+    rng = random.Random(3)
+    f, g = rand_matrix(lf, rng, 2), rand_matrix(lf, rng, 2)
+    eng = get_engine(lf, 2)
+    calls = {"intersect": [], "quotient": [], "chain": [], "snf": [], "apply": []}
+
+    def recorded(key, fn):
+        def wrapper(*args):
+            res = fn(*args)
+            calls[key].append(res)
+            return res
+        return wrapper
+
+    monkeypatch.setattr(extension, "lat_intersect", recorded("intersect", lat_intersect))
+    monkeypatch.setattr(extension, "quotient_struct", recorded("quotient", quotient_struct))
+    monkeypatch.setattr(extension, "_kappa_chain", recorded("chain", extension._kappa_chain))
+    monkeypatch.setattr(lattices, "smith_normal_form",
+                        recorded("snf", lattices.smith_normal_form))
+    monkeypatch.setattr(ModuleHom, "apply", recorded("apply", ModuleHom.apply))
+    cocycle_exp(f, g, eng)
+    zero = sum(Q.module.rank == 0 for Q in calls["quotient"])
+    assert len(calls["chain"]) == 1 and zero >= 1
+    assert len(calls["intersect"]) == 4 and len(calls["quotient"]) == 14
+    assert len(calls["snf"]) == 14 - zero
+    assert calls["apply"] == []

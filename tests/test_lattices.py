@@ -300,6 +300,50 @@ def test_quotient_decides_integrality_once(q7, monkeypatch):
         smith_normal_form(KMat.from_rows(q7, [["1/7", 0], [0, 1]]))
 
 
+def test_trivial_quotient_is_the_zero_module_and_runs_no_snf(q7, monkeypatch):
+    import resforge.lattices as lattices
+    rng = random.Random(8)
+    snf_calls, integral_calls = [], []
+    real_snf, real_integral = lattices.smith_normal_form, KMat.is_integral
+
+    def counted_snf(M):
+        snf_calls.append(M)
+        return real_snf(M)
+
+    def counted_integral(self):
+        integral_calls.append(self)
+        return real_integral(self)
+
+    for m in (1, 2, 3):
+        A = rand_lattice(q7, rng, m)
+        # the same lattice from another basis: A/A is seen from the lattices, not the objects
+        U = KMat.from_rows(q7, [[1 if i == j else rng.randint(0, 48) * (j > i)
+                                 for j in range(m)] for i in range(m)], 60)
+        A2 = Lattice(A.mat @ U)
+        assert A2 == A
+        B = Lattice(A.mat @ rand_matrix(q7, rng, m, (1, 2), 0.9))
+        QB = quotient_struct(A, B)
+        snf_calls.clear()
+        integral_calls.clear()
+        monkeypatch.setattr(lattices, "smith_normal_form", counted_snf)
+        monkeypatch.setattr(KMat, "is_integral", counted_integral)
+        Q = quotient_struct(A, A2)
+        monkeypatch.undo()
+        assert snf_calls == [] and len(integral_calls) == 1
+        assert Q.module.exps == () and Q.module.size == 1
+        assert Q._Pinv @ Q._P == KMat.identity(q7, m)
+        x = A.mat @ KMat.from_rows(q7, [[rng.randint(0, 48)] for _ in range(m)], 60)
+        assert Q.proj(x) == ()
+        zero = Q.lift(())
+        assert all(zero.entry_val(i, 0) is None for i in range(m))
+        g = rand_matrix(q7, rng, m)
+        for src, dst, h in ((Q, QB, None), (QB, Q, None), (Q, QB, g)):
+            hom = induced_hom(src, dst, h)
+            assert (hom.src, hom.dst) == (src.module, dst.module)
+            assert hom.cols == ((),) * src.module.rank
+            assert all(hom.apply(t) == dst.module.zero for t in src.module.elements())
+
+
 def test_public_constructor_copies_and_checks_rows(q7):
     with pytest.raises(ValueError):
         KMat(q7, [[1, 2], [3]])
