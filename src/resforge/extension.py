@@ -59,6 +59,8 @@ their oracle.
 
 from __future__ import annotations
 
+from array import array
+
 from .fields import MuScalar, _check_n, power_residue_char
 from .lattices import (KMat, Lattice, LatticeQuotient, induced_hom, lat_apply,
                        lat_contains_lattice, lat_intersect, principal_lattice,
@@ -176,13 +178,21 @@ def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine) -> int:
 def _kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
                QB_BC: LatticeQuotient | None = None,
                QC_BC: LatticeQuotient | None = None) -> int:
-    """kappa_exp, handing the chain B/(B cap C) and C/(B cap C) when the caller has them."""
+    """kappa_exp, handing the chain B/(B cap C) and C/(B cap C) when the caller has them.
+
+    Those quotients also say how B and C nest: B >= C exactly when C/(B cap C)
+    is zero, and C >= B exactly when B/(B cap C) is.
+    """
     if A == C:
         # duality pairing; canonical bases pair to 1
         return 0
-    if lat_contains_lattice(A, B) and lat_contains_lattice(B, C):
+    if QB_BC is None:
+        b_has_c, c_has_b = lat_contains_lattice(B, C), lat_contains_lattice(C, B)
+    else:
+        b_has_c, c_has_b = not QC_BC.module.exps, not QB_BC.module.exps
+    if b_has_c and lat_contains_lattice(A, B):
         return _nested_desc_exp(A, B, C, engine)
-    if lat_contains_lattice(C, B) and lat_contains_lattice(B, A):
+    if c_has_b and lat_contains_lattice(B, A):
         return (-_nested_desc_exp(C, B, A, engine)) % engine.n
     return _kappa_chain(A, B, C, engine, QB_BC, QC_BC)
 
@@ -212,15 +222,15 @@ def _kappa_chain(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
 # rank-one closed forms under the digit rule
 
 
-def _coset_walk(field, zbar: int, n: int) -> tuple[list[int], list[int]]:
+def _coset_walk(field, zbar: int, n: int) -> tuple[array, array]:
     """pos[y] = e with zbar^e * c = y, for c the least element of y's coset
-    of mu_n in F_q^x (pos[0] = -1); and the list of those least elements.
+    of mu_n in F_q^x (pos[0] = -1); and the array of those least elements.
 
     Walking zbar-orbits from each unit not yet reached, in encoding
     order, starts every walk at the least element of its coset.
     """
-    pos = [-1] * field.q
-    least = []
+    pos = array("i", [-1]) * field.q
+    least = array("i")
     for c in range(1, field.q):
         if pos[c] >= 0:
             continue

@@ -197,15 +197,6 @@ class ModuleHom:
         return f"ModuleHom({self.src!r} -> {self.dst!r})"
 
 
-def residue_module(lf) -> FiniteModule:
-    """k = O/pi as a module, built once per field and kept on it, so that
-    its views are one memo lookup away."""
-    k = lf._residue
-    if k is None:
-        k = lf._residue = FiniteModule(lf, (1,))
-    return k
-
-
 def scalar_hom(M: FiniteModule, u, from_ring=None) -> ModuleHom:
     """Multiplication by u; u is an integer, or an encoding in from_ring."""
     cols = []

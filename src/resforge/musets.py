@@ -18,13 +18,20 @@ digit         for module views: the element whose lowest nonzero pi-adic
               orbit are distinct and the choice is unique.  This is the
               default rule of the extension route, whose rank-one
               scalars have closed forms under it.
+
+residue_walk is the muset route's own view of k = O/pi = F_q: flat
+arrays, not labels, and bounded by q <= fields.MAX_Q rather than by the
+enumeration bound.  On k the least and digit rules pin the same element.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
-from .fields import MuScalar, perm_sign_of_map
+from .fields import MuScalar, _check_n, perm_sign_of_map
+
+RULES = ("least", "second_least", "digit")
 
 
 @dataclass(frozen=True)
@@ -132,7 +139,7 @@ class OrbitView:
     __slots__ = ("n", "reps", "table", "muset")
 
     def __init__(self, n: int, elements, act, rule: str = "least", digit=None):
-        if rule not in ("least", "second_least", "digit"):
+        if rule not in RULES:
             raise ValueError(f"unknown representative rule {rule!r}")
         if rule == "digit" and digit is None:
             raise ValueError("the digit rule needs the leading digit of each element")
@@ -182,6 +189,41 @@ class OrbitView:
             sigma.append(j)
             mu.append(e)
         return MuSetAut(self.muset, tuple(sigma), tuple(mu))
+
+
+def residue_walk(lf, n: int) -> tuple[array, array]:
+    """k = O/pi of lf as a pointed mu_n-set: (pos, least), built once per n
+    in O(q) and kept on the field.
+
+    zeta, the residue of the canonical zeta_n, acts by multiplication.
+    least lists the least element of each coset of mu_n in F_q^x, in
+    increasing order; pos[y] = e with y = zeta^e * c for c the least
+    element of y's coset (pos[0] = -1: the marked point has no coset).
+    Walking zeta-orbits from each unit not yet reached, in encoding
+    order, starts every walk at the least element of its coset; freeness
+    (every orbit of length exactly n) is checked on the way.
+    """
+    walk = lf._walks.get(n)
+    if walk is None:
+        field = lf.field
+        _check_n(field, n)
+        zeta, q, mul = field.zeta(n), field.q, field.mul
+        pos = array("i", [-1]) * q
+        least = array("i")
+        for c in range(1, q):
+            if pos[c] >= 0:
+                continue
+            least.append(c)
+            y = c
+            for e in range(n):
+                pos[y] = e
+                y = mul(zeta, y)
+            if y != c:
+                raise ArithmeticError("the residue of zeta_n is not an n-th root of unity")
+        if len(least) * n != q - 1:
+            raise ArithmeticError("the residue of zeta_n has order below n")
+        walk = lf._walks[n] = (pos, least)
+    return walk
 
 
 def iso_scalar(src: OrbitView, dst: OrbitView, fn) -> int:

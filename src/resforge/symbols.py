@@ -7,9 +7,11 @@ direct     the closed formula: the unit (-1)^(v(a)v(b)) a^v(b) / b^v(a)
 muset      the same unit u, but the character is evaluated as the orbit
            determinant of multiplication by u on the residue field viewed
            as a pointed mu_n-set, so the mu_n-set machinery genuinely sits
-           on this route.  u*x is read off the O/pi view that the field
-           memoizes, one lookup per orbit: O((q-1)/n) per call, with no
-           module or map built.
+           on this route.  The twists are read off the field's walk of
+           k = O/pi (musets.residue_walk, two flat arrays built once per
+           n), one lookup per orbit: O((q-1)/n) per call, with no module,
+           view or map built, up to q = MAX_Q whatever the enumeration
+           bound.
 extension  the commutator of lifts in the central extension of K^x by
            mu_n, with the relative-dimension sign correction; under the
            engine's default digit rule its rank-one scalars are closed
@@ -24,8 +26,7 @@ from dataclasses import dataclass
 
 from .extension import SymbolEngine, corrected_symbol, get_engine
 from .fields import MuScalar, mu_embed, power_residue_char
-from .modules import residue_module
-from .musets import aut_delta
+from .musets import RULES, residue_walk
 from .padic import KElem, LocalField, k_one_minus
 
 
@@ -56,15 +57,22 @@ def delta_route_symbol(lf: LocalField, a: KElem, b: KElem, n: int,
                        rule: str = "least") -> MuScalar:
     """The symbol with the character computed as an orbit determinant.
 
-    The tame unit u acts on k = O/pi by multiplication; the value is the
-    determinant of that automorphism of k as a pointed mu_n-set.  The
-    elements of k's view are 1-tuples of F_q encodings, which are also
-    the encodings of O/pi.
+    The tame unit u acts on k = O/pi by multiplication, an automorphism
+    of k as a pointed mu_n-set; the value is its determinant delta, the
+    sum of its orbit twists.  Pin the least element c_i of each coset as
+    the representative of orbit i (on k the least and digit rules both
+    pin it).  Then u * c_i = zeta^pos[u*c_i] * c_sigma(i), so
+    mu_i = pos[u * c_i] and delta = sum_i pos[u * c_i].  Moving the
+    representative of orbit i to zeta^k * c_i adds k to mu_i and takes k
+    from the twist of the orbit that u sends onto orbit i, so the sum is
+    the same under every rule.
     """
+    if rule not in RULES:
+        raise ValueError(f"unknown representative rule {rule!r}")
     u = tame_symbol(lf, a, b)
-    field = lf.field
-    view = residue_module(lf).view(n, rule)
-    return aut_delta(view.as_aut(lambda x: (field.mul(u, x[0]),)))
+    pos, least = residue_walk(lf, n)
+    mul = lf.field.mul
+    return MuScalar(n, sum(pos[mul(u, c)] for c in least))
 
 
 def steinberg_check(lf: LocalField, a: KElem, n: int) -> bool:

@@ -28,6 +28,14 @@ def test_symbol_past_the_enumeration_ceiling(capsys):
     assert "agree: True" in out
 
 
+def test_symbol_muset_route_past_the_enumeration_bound(capsys):
+    """The muset route walks O/pi as arrays, so a bound below |O/pi| = 7
+    stops none of the three routes."""
+    code, out, _ = run_cli(capsys, "symbol", "--p", "7", "--n", "2", "--bound", "5", "7", "7")
+    assert code == 0
+    assert "agree: True" in out
+
+
 def test_symbol_json_schema(capsys):
     code, out, _ = run_cli(capsys, "symbol", "--p", "13", "--n", "3",
                            "--format", "json", "2", "13")

@@ -472,7 +472,9 @@ def test_chain_cocycle_work_count(monkeypatch):
     """One GL_2 cocycle through kappa's chain: 4 intersections (V cap gV
     and three of the chain's; B cap C is f(V cap gV)), 14 quotients (rho's
     4 and the chain's 12 share fV/f(V cap gV) and fgV/f(V cap gV)), no SNF
-    for a zero quotient, and no ModuleHom.apply in the exact-sequence walks."""
+    for a zero quotient, no ModuleHom.apply in the exact-sequence walks,
+    and no containment check: neither of the shared quotients is zero, so
+    fV and fgV do not nest and kappa goes straight to the chain."""
     import resforge.extension as extension
     import resforge.lattices as lattices
     from resforge.modules import ModuleHom
@@ -481,7 +483,8 @@ def test_chain_cocycle_work_count(monkeypatch):
     rng = random.Random(3)
     f, g = rand_matrix(lf, rng, 2), rand_matrix(lf, rng, 2)
     eng = get_engine(lf, 2)
-    calls = {"intersect": [], "quotient": [], "chain": [], "snf": [], "apply": []}
+    calls = {"intersect": [], "quotient": [], "chain": [], "snf": [], "apply": [],
+             "contains": []}
 
     def recorded(key, fn):
         def wrapper(*args):
@@ -493,6 +496,8 @@ def test_chain_cocycle_work_count(monkeypatch):
     monkeypatch.setattr(extension, "lat_intersect", recorded("intersect", lat_intersect))
     monkeypatch.setattr(extension, "quotient_struct", recorded("quotient", quotient_struct))
     monkeypatch.setattr(extension, "_kappa_chain", recorded("chain", extension._kappa_chain))
+    monkeypatch.setattr(extension, "lat_contains_lattice",
+                        recorded("contains", lattices.lat_contains_lattice))
     monkeypatch.setattr(lattices, "smith_normal_form",
                         recorded("snf", lattices.smith_normal_form))
     monkeypatch.setattr(ModuleHom, "apply", recorded("apply", ModuleHom.apply))
@@ -501,4 +506,4 @@ def test_chain_cocycle_work_count(monkeypatch):
     assert len(calls["chain"]) == 1 and zero >= 1
     assert len(calls["intersect"]) == 4 and len(calls["quotient"]) == 14
     assert len(calls["snf"]) == 14 - zero
-    assert calls["apply"] == []
+    assert calls["apply"] == [] and calls["contains"] == []

@@ -1,12 +1,15 @@
+import gc
 import json
 import random
+import tracemalloc
 
 import pytest
 
+from resforge.errors import EnumerationBound
 from resforge.extension import corrected_symbol, get_engine
 from resforge.fields import mu_embed, power_residue_char
 from resforge.modules import FiniteModule, ModuleHom, module_aut_as_musetaut, scalar_hom
-from resforge.musets import OrbitView, aut_delta
+from resforge.musets import OrbitView, aut_delta, residue_walk
 from resforge.padic import KElem, LocalField, local_field
 from resforge.symbols import (crosscheck, delta_route_symbol,
                               power_residue_symbol, steinberg_check,
@@ -141,12 +144,20 @@ def test_delta_route_equals_direct(q7):
 @pytest.mark.parametrize("p,f", [(2, 1), (5, 1), (7, 1), (3, 2), (13, 1), (5, 2)])
 def test_delta_route_equals_module_oracle_for_every_tame_unit(p, f):
     """a has residue u and b = pi, so the tame unit is u: the route's
-    value is compared with the orbit determinant of the ModuleHom of
-    multiplication by u, and with the character of u."""
+    value, read off its walk of O/pi, is compared with the orbit
+    determinant of the ModuleHom of multiplication by u on the OrbitView
+    of O/pi, and with the character of u."""
     lf = local_field(p, f)
     k = FiniteModule(lf, (1,))
     b = lf.pi()
     for n in [d for d in range(1, lf.q) if (lf.q - 1) % d == 0]:
+        # the walk pins the representatives of the least and digit views,
+        # and reads each element's twist against them
+        pos, least = residue_walk(lf, n)
+        for rule in ("least", "digit"):
+            view = k.view(n, rule)
+            assert [c for (c,) in view.reps] == list(least)
+            assert [view.exp_of((y,)) for y in range(1, lf.q)] == list(pos[1:])
         for rule in ("least", "second_least", "digit"):
             for u in range(1, lf.q):
                 a = KElem(lf, 0, lf.field.lift_naive(u, lf.ring(lf.default_precision)),
@@ -156,6 +167,36 @@ def test_delta_route_equals_module_oracle_for_every_tame_unit(p, f):
                     k, scalar_hom(k, u, from_ring=lf.ring(1)), n, rule))
                 got = delta_route_symbol(lf, a, b, n, rule)
                 assert got == oracle == power_residue_char(lf.field, u, n), (n, rule, u)
+
+
+def test_delta_route_answers_past_the_enumeration_bound():
+    """|O/pi| = 7 is past the bound, which limits only enumeration."""
+    lf = LocalField(7, enum_bound=5)
+    with pytest.raises(EnumerationBound):
+        FiniteModule(lf, (1,)).view(2)
+    for n in (1, 2, 3, 6):
+        for a, b in (("7", "7"), ("pi*3", "pi^-2*5"), ("2", "pi")):
+            a, b = lf.parse(a), lf.parse(b)
+            assert delta_route_symbol(lf, a, b, n) == power_residue_symbol(lf, a, b, n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_residue_walk_is_a_few_bytes_per_element(n):
+    """At q = 10007 the walk holds 4 bytes per element of k for pos and at
+    most 5 per coset for least (an array's growth slack included); an
+    OrbitView of O/pi, the route's oracle, holds about 200 per element."""
+    lf = LocalField(10007)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        walk = residue_walk(lf, n)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(walk[1]) == (lf.q - 1) // n
+    assert held <= 4 * lf.q + 5 * (lf.q - 1) // n + 1024
 
 
 def test_warm_delta_route_builds_no_module_map_or_view(monkeypatch):
