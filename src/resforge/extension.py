@@ -20,13 +20,18 @@ the outer lattices agree, through the connecting exact sequence for
 nested triples, and for arbitrary triples by composing those two kinds
 of steps along the standard eight-line chain through the pairwise and
 triple intersections (_kappa_chain, which also serves the first two
-cases as their reference).
+cases as their reference).  kappa_exp reads its case from what it
+holds: A = C is equal det_val and then one containment product
+(Lattice.__eq__), and B and C nest exactly when one of B/(B cap C) and
+C/(B cap C), which the chain needs anyway, is the zero module.
 
-cocycle_exp builds I = V cap gV and f(I) once and shares them between
-rho and the chain: f is invertible, so fV cap fgV = f(I), and the
-quotients fV/f(I) and fgV/f(I) that rho maps onto are the chain's
-B/(B cap C) and C/(B cap C).  A chain cocycle so builds 4 intersections
-and 14 quotients, none of them kept past the call.
+c(f, g) has one body, in cocycle_exp: it builds fV, gV, fgV,
+I = V cap gV and f(I) once.  f is invertible, so fV cap fgV = f(I), and
+the quotients fV/f(I) and fgV/f(I) that rho_exp maps onto are kappa_exp's
+B/(B cap C) and C/(B cap C); both get them handed over, and a direct
+caller of either gets them built, with the same value.  A chain cocycle
+so builds 4 intersections and 14 quotients, none of them kept past the
+call.
 
 A SymbolEngine fixes the field, n, and the representative rule.  Its
 default rule is digit (see musets), under which the rank-one building
@@ -51,8 +56,9 @@ character of the residue determinants along the pi-filtration
 of the module.  Under the digit rule the sum of pos[lead(A_j v)] over
 the leading vectors v of each graded piece gives the same value.
 kappa_exp still enumerates the middle module of each connecting exact
-sequence; under the least and second_least rules it does so afresh on
-every rank-one call.  Those rules, and torsor._det_exp_brute (orbit
+sequence.  Under the least and second_least rules c(f, g) at m = 1 runs
+cocycle_exp's body on the 1 x 1 matrices f and g = pi^w, enumerating
+afresh on every call.  Those rules, and torsor._det_exp_brute (orbit
 enumeration, whose value no rule changes), serve the closed forms as
 their oracle.
 """
@@ -63,23 +69,25 @@ from array import array
 
 from .fields import MuScalar, _check_n, power_residue_char
 from .lattices import (KMat, Lattice, LatticeQuotient, induced_hom, lat_apply,
-                       lat_contains_lattice, lat_intersect, principal_lattice,
-                       quotient_struct, standard_lattice)
+                       lat_contains_lattice, lat_intersect, quotient_struct,
+                       standard_lattice)
+from .musets import RULES
 from .padic import KElem
 from .torsor import _det_exp_fast, _exact_seq_exp
 
 
 class SymbolEngine:
-    """Fixes (K, n, representative rule); memoizes lattices and S(u) by residue."""
+    """Fixes (K, n, representative rule); memoizes V = O^m and S(u) by residue."""
 
     def __init__(self, lf, n: int, rule: str = "digit"):
         _check_n(lf.field, n)
+        if rule not in RULES:
+            raise ValueError(f"unknown representative rule {rule!r}")
         self.lf = lf
         self.n = n
         self.rule = rule
         self.prec = lf.default_precision
         self._std: dict[int, Lattice] = {}
-        self._plat: dict[int, Lattice] = {}
         # digit rule: S(u) by residue u, and the coset walk it reads
         self._digit_sums: dict[int, int] = {}
         self._cosets = None
@@ -93,13 +101,6 @@ class SymbolEngine:
         if L is None:
             L = standard_lattice(self.lf, m, self.prec)
             self._std[m] = L
-        return L
-
-    def principal(self, v: int) -> Lattice:
-        L = self._plat.get(v)
-        if L is None:
-            L = principal_lattice(self.lf, v, self.prec)
-            self._plat[v] = L
         return L
 
     def as_kmat(self, x) -> KMat:
@@ -130,22 +131,20 @@ def _iso_exp(srcQ: LatticeQuotient, dstQ: LatticeQuotient, f: KMat | None,
     return _det_exp_fast(dstQ.module, induced_hom(srcQ, dstQ, f), engine.n)
 
 
-def rho_exp(f: KMat, A: Lattice, B: Lattice, engine: SymbolEngine) -> int:
-    """Exponent of rho_f : (A|B) -> (f(A)|f(B)) on canonical bases."""
-    I = lat_intersect(A, B)
-    fI = lat_apply(f, I)
-    return _rho_exp(f, A, B, I, quotient_struct(lat_apply(f, A), fI),
-                    quotient_struct(lat_apply(f, B), fI), engine)
+def rho_exp(f: KMat, A: Lattice, B: Lattice, engine: SymbolEngine,
+            I: Lattice | None = None, QfA: LatticeQuotient | None = None,
+            QfB: LatticeQuotient | None = None) -> int:
+    """Exponent of rho_f : (A|B) -> (f(A)|f(B)) on canonical bases.
 
-
-def _rho_exp(f: KMat, A: Lattice, B: Lattice, I: Lattice, QfA: LatticeQuotient,
-             QfB: LatticeQuotient, engine: SymbolEngine) -> int:
-    """rho_exp given I = A cap B and the quotients f(A)/f(I) and f(B)/f(I).
-
-    rho_f acts on the right factor through f^-1, whose iso exponent is
-    minus that of f: if f(r) = zeta^e * r' for representatives r, r',
-    then f^-1(r') = zeta^-e * r.
+    I = A cap B and the quotients f(A)/f(I) and f(B)/f(I) are built unless
+    the caller hands them over.  rho_f acts on the right factor through
+    f^-1, whose iso exponent is minus that of f: if f(r) = zeta^e * r' for
+    representatives r, r', then f^-1(r') = zeta^-e * r.
     """
+    if I is None:
+        I = lat_intersect(A, B)
+        fI = lat_apply(f, I)
+        QfA, QfB = quotient_struct(lat_apply(f, A), fI), quotient_struct(lat_apply(f, B), fI)
     tau = _iso_exp(quotient_struct(A, I), QfA, f, engine)
     psi = _iso_exp(quotient_struct(B, I), QfB, f, engine)
     return (tau - psi) % engine.n
@@ -170,49 +169,42 @@ def _nested_desc_exp(X: Lattice, Y: Lattice, Z: Lattice, engine: SymbolEngine) -
                     quotient_struct(X, Y), engine)
 
 
-def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine) -> int:
-    """Exponent of kappa : (A|B) (x) (B|C) -> (A|C) on canonical bases."""
-    return _kappa_exp(A, B, C, engine)
+def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
+              QB_BC: LatticeQuotient | None = None,
+              QC_BC: LatticeQuotient | None = None) -> int:
+    """Exponent of kappa : (A|B) (x) (B|C) -> (A|C) on canonical bases.
 
-
-def _kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
-               QB_BC: LatticeQuotient | None = None,
-               QC_BC: LatticeQuotient | None = None) -> int:
-    """kappa_exp, handing the chain B/(B cap C) and C/(B cap C) when the caller has them.
-
-    Those quotients also say how B and C nest: B >= C exactly when C/(B cap C)
-    is zero, and C >= B exactly when B/(B cap C) is.
+    B/(B cap C) and C/(B cap C) are built unless the caller hands them
+    over.  They say how B and C nest: B >= C exactly when C/(B cap C) is
+    zero, and C >= B exactly when B/(B cap C) is.
     """
     if A == C:
         # duality pairing; canonical bases pair to 1
         return 0
     if QB_BC is None:
-        b_has_c, c_has_b = lat_contains_lattice(B, C), lat_contains_lattice(C, B)
-    else:
-        b_has_c, c_has_b = not QC_BC.module.exps, not QB_BC.module.exps
-    if b_has_c and lat_contains_lattice(A, B):
+        BC = lat_intersect(B, C)
+        QB_BC, QC_BC = quotient_struct(B, BC), quotient_struct(C, BC)
+    if not QC_BC.module.exps and lat_contains_lattice(A, B):
         return _nested_desc_exp(A, B, C, engine)
-    if c_has_b and lat_contains_lattice(B, A):
+    if not QB_BC.module.exps and lat_contains_lattice(B, A):
         return (-_nested_desc_exp(C, B, A, engine)) % engine.n
     return _kappa_chain(A, B, C, engine, QB_BC, QC_BC)
 
 
 def _kappa_chain(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
-                 QB_BC: LatticeQuotient | None = None,
-                 QC_BC: LatticeQuotient | None = None) -> int:
-    """kappa along the chain through the pairwise and triple intersections;
-    its six sequences share their quotients, so each of the 12 is built once.
-    Given B/BC and C/BC, BC = B cap C is read off them."""
+                 QB_BC: LatticeQuotient, QC_BC: LatticeQuotient) -> int:
+    """kappa along the chain through the pairwise and triple intersections,
+    given B/BC and C/BC for BC = B cap C; its six sequences share their
+    quotients, so each of the 12 is built once."""
     AB = lat_intersect(A, B)
-    BC = lat_intersect(B, C) if QB_BC is None else QB_BC.B
+    BC = QB_BC.B
     AC = lat_intersect(A, C)
     D3 = lat_intersect(AB, C)
     QA, QB, QC, QAB, QBC, QAC = (quotient_struct(L, D3) for L in (A, B, C, AB, BC, AC))
     total = _seq_exp(QA, QAB, quotient_struct(A, AB), engine)
     total -= _seq_exp(QB, QAB, quotient_struct(B, AB), engine)   # ascending D3 <= AB <= B
-    total += _seq_exp(QB, QBC, QB_BC or quotient_struct(B, BC), engine)
-    # ascending D3 <= BC <= C
-    total -= _seq_exp(QC, QBC, QC_BC or quotient_struct(C, BC), engine)
+    total += _seq_exp(QB, QBC, QB_BC, engine)
+    total -= _seq_exp(QC, QBC, QC_BC, engine)                    # ascending D3 <= BC <= C
     total -= _seq_exp(QA, QAC, quotient_struct(A, AC), engine)   # inverse of descending
     total += _seq_exp(QC, QAC, quotient_struct(C, AC), engine)   # inverse of ascending
     return total % engine.n
@@ -281,13 +273,11 @@ def _rho_m1_digit(engine: SymbolEngine, x: KElem, w: int) -> int:
 
 
 def _cocycle_m1(x: KElem, w: int, engine: SymbolEngine) -> int:
-    """c(f, g) at m = 1, for f = x and g of valuation w."""
+    """c(f, g) at m = 1, for f = x and g of valuation w; the enumerating
+    rules run cocycle_exp's lattice body on f = x and g = pi^w."""
     if engine.rule == "digit":
         return _rho_m1_digit(engine, x, w)   # kappa is 0
-    O = engine.principal(0)
-    r = rho_exp(engine.as_kmat(x), O, engine.principal(w), engine)
-    k = kappa_exp(O, engine.principal(x.val), engine.principal(x.val + w), engine)
-    return (r + k) % engine.n
+    return cocycle_exp(engine.as_kmat(x), engine.as_kmat(engine.lf.pi(w)), engine)
 
 
 def cocycle_exp(f: KMat, g: KMat, engine: SymbolEngine) -> int:
@@ -300,18 +290,18 @@ def cocycle_exp(f: KMat, g: KMat, engine: SymbolEngine) -> int:
         x, w = f.entry_kelem(0, 0), g.entry_val(0, 0)
         if x is None or w is None:
             raise ValueError("singular input")
-        return _cocycle_m1(x, w, engine)
+        if engine.rule == "digit":
+            return _rho_m1_digit(engine, x, w)   # kappa is 0
     V = engine.standard(m)
     fV = lat_apply(f, V)
     gV = lat_apply(g, V)
     fgV = lat_apply(f, gV)
-    # f(V cap gV) = fV cap fgV, so rho's f-side quotients are the chain's B/BC and C/BC
+    # f(V cap gV) = fV cap fgV, so rho's f-side quotients are kappa's B/BC and C/BC
     I = lat_intersect(V, gV)
     fI = lat_apply(f, I)
     QfV, QfgV = quotient_struct(fV, fI), quotient_struct(fgV, fI)
-    r = _rho_exp(f, V, gV, I, QfV, QfgV, engine)
-    k = _kappa_exp(V, fV, fgV, engine, QfV, QfgV)
-    return (r + k) % engine.n
+    return (rho_exp(f, V, gV, engine, I, QfV, QfgV)
+            + kappa_exp(V, fV, fgV, engine, QfV, QfgV)) % engine.n
 
 
 def cocycle(f, g, engine: SymbolEngine) -> MuScalar:
@@ -326,10 +316,6 @@ def cocycle(f, g, engine: SymbolEngine) -> MuScalar:
 # commutator and corrected symbols
 
 
-def _commute(f: KMat, g: KMat) -> bool:
-    return (f @ g) == (g @ f)
-
-
 def comm_symbol(f, g, engine: SymbolEngine) -> MuScalar:
     """{f, g} = [lift(f), lift(g)] for commuting f, g; equals c(f,g) - c(g,f)."""
     if not (isinstance(f, KMat) or isinstance(g, KMat)):
@@ -338,7 +324,7 @@ def comm_symbol(f, g, engine: SymbolEngine) -> MuScalar:
     f = engine.as_kmat(f)
     g = engine.as_kmat(g)
     # K^x is commutative, so only m >= 2 needs the check
-    if f.nrows > 1 and not _commute(f, g):
+    if f.nrows > 1 and (f @ g) != (g @ f):
         raise ValueError("commutator symbol needs commuting arguments")
     return MuScalar(engine.n, cocycle_exp(f, g, engine) - cocycle_exp(g, f, engine))
 

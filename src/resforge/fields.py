@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import EnumerationBound
-from .rings import RingCtx, _det_rows, _poly_mulmod, _poly_powmod
+from .rings import RingCtx, _check_n, _det_rows, _poly_mulmod, _poly_powmod
 
 
 def is_prime(n: int) -> bool:
@@ -65,13 +65,6 @@ def distinct_prime_factors(n: int) -> list[int]:
 # products and powers are rings._poly_mulmod and rings._poly_powmod at m = p
 
 
-def _poly_frobenius(a, mod, p, times=1):
-    # a -> a^(p^times) mod (mod, p)
-    for _ in range(times):
-        a = _poly_powmod(a, p, mod, p)
-    return a
-
-
 def _poly_gcd(a, b, p):
     a, b = list(a), list(b)
 
@@ -100,11 +93,11 @@ def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
     if f == 1:
         return True
     x = [0, 1] + [0] * (f - 2)
-    xq = _poly_frobenius(x, poly, p, times=f)
+    xq = _poly_powmod(x, p**f, poly, p)
     if xq != x:
         return False
     for ell in distinct_prime_factors(f):
-        t = _poly_frobenius(x, poly, p, times=f // ell)
+        t = _poly_powmod(x, p**(f // ell), poly, p)
         diff = [(ti - xi) % p for ti, xi in zip(t, x)]
         g = _poly_gcd(diff, list(poly), p)
         if len(g) != 1:
@@ -310,24 +303,16 @@ class MuScalar:
         return f"zeta_{self.n}^{self.exp}"
 
 
-def _check_n(ctx: FieldCtx, n: int):
-    if n < 1 or (ctx.q - 1) % n != 0:
-        raise ValueError(f"n = {n} does not divide q - 1 = {ctx.q - 1}")
-
-
 def mu_embed(ctx: FieldCtx, s: MuScalar) -> int:
     """The field element zeta_n**exp, zeta_n = g^((q-1)/n)."""
-    _check_n(ctx, s.n)
-    zeta = ctx.pow(ctx.g, (ctx.q - 1) // s.n)
-    return ctx.pow(zeta, s.exp)
+    return ctx.pow(ctx.zeta(s.n), s.exp)
 
 
 def mu_dlog(ctx: FieldCtx, x: int, n: int) -> MuScalar:
     """Inverse of mu_embed on the n-torsion of F_q^x."""
-    _check_n(ctx, n)
     table = ctx._dlog.get(n)
     if table is None:
-        zeta = ctx.pow(ctx.g, (ctx.q - 1) // n)
+        zeta = ctx.zeta(n)   # checks n
         table = {}
         y = 1
         for e in range(n):

@@ -35,6 +35,8 @@ A trivial quotient (B = A, seen from the pivots of the two canonical
 bases once B is known to lie in A) is the zero module: it runs no SNF,
 builds neither P nor P^-1 (it is presented by A's own basis), and a map
 induced from or to it is the empty or the zero map, with no product.
+Lattice.__eq__ decides equality by the same rule: equal det_val first,
+then one containment product.
 """
 
 from __future__ import annotations
@@ -431,7 +433,7 @@ class Lattice:
     def __eq__(self, other):
         if not isinstance(other, Lattice):
             return NotImplemented
-        return lat_contains_lattice(self, other) and lat_contains_lattice(other, self)
+        return self.det_val == other.det_val and lat_contains_lattice(self, other)
 
 
 def standard_lattice(lf: LocalField, m: int, prec: int | None = None) -> Lattice:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from .fields import MuScalar, _check_n, perm_sign_of_map
+from .fields import MuScalar, perm_sign_of_map
 
 RULES = ("least", "second_least", "digit")
 
@@ -175,9 +175,6 @@ class OrbitView:
     def t(self) -> int:
         return len(self.reps)
 
-    def exp_of(self, x) -> int:
-        return self.table[x][1]
-
     def as_aut(self, fn) -> MuSetAut:
         """Express an equivariant pointed bijection as (sigma, mu) data."""
         sigma, mu = [], []
@@ -206,8 +203,7 @@ def residue_walk(lf, n: int) -> tuple[array, array]:
     walk = lf._walks.get(n)
     if walk is None:
         field = lf.field
-        _check_n(field, n)
-        zeta, q, mul = field.zeta(n), field.q, field.mul
+        zeta, q, mul = field.zeta(n), field.q, field.mul   # zeta checks n
         pos = array("i", [-1]) * q
         least = array("i")
         for c in range(1, q):

@@ -25,6 +25,12 @@ if TYPE_CHECKING:
     from .fields import FieldCtx
 
 
+def _check_n(field: FieldCtx, n: int):
+    """mu_n lies in F_q^x exactly when n divides its order q - 1."""
+    if n < 1 or (field.q - 1) % n != 0:
+        raise ValueError(f"n = {n} does not divide q - 1 = {field.q - 1}")
+
+
 def _vp(n: int, p: int) -> int:
     """The p-adic valuation of a nonzero integer."""
     if n == 0:
@@ -243,10 +249,8 @@ class RingCtx:
         hit = self._zeta.get(n)
         if hit is not None:
             return hit
-        q = self.field.q
-        if n < 1 or (q - 1) % n != 0:
-            raise ValueError(f"n = {n} does not divide q - 1")
-        z = self.teichmuller(self.field.pow(self.field.g, (q - 1) // n))
+        _check_n(self.field, n)
+        z = self.teichmuller(self.field.pow(self.field.g, (self.field.q - 1) // n))
         if self.pow(z, n) != 1:
             raise ArithmeticError("Teichmueller lift is not an n-th root of 1")
         self._zeta[n] = z

@@ -18,7 +18,7 @@ _det_exp_brute is its enumeration oracle too.
 from __future__ import annotations
 
 from .errors import EnumerationBound
-from .fields import MuScalar, field_det, mu_dlog
+from .fields import MuScalar, field_det, power_residue_char
 from .modules import FiniteModule, ModuleHom
 from .musets import iso_scalar
 
@@ -51,7 +51,7 @@ def _det_exp_fast(T: FiniteModule, g: ModuleHom, n: int) -> int:
         if d == 0:
             raise ValueError("map is not an automorphism (graded piece singular)")
         det_total = field.mul(det_total, d)
-    return mu_dlog(field, field.pow(det_total, (field.q - 1) // n), n).exp
+    return power_residue_char(field, det_total, n).exp
 
 
 def det_of_module_aut(T: FiniteModule, g: ModuleHom, n: int) -> MuScalar:

@@ -157,7 +157,6 @@ def run_torsor(seed: int = 0, **_):
 
     natural = _Check("exact_sequence_naturality")
     lf = local_field(5)
-    eng = get_engine(lf, 4)
     for _ in range(200):
         m = rng.randint(1, 2)
         A = standard_lattice(lf, m)

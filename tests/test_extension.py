@@ -50,6 +50,12 @@ def test_rho_functor_composition(eng7):
             assert lhs == rhs
 
 
+def chain_pieces(B, C):
+    """B/(B cap C) and C/(B cap C), which _kappa_chain takes from its caller."""
+    BC = lat_intersect(B, C)
+    return quotient_struct(B, BC), quotient_struct(C, BC)
+
+
 def test_kappa_degenerate_cases(eng7):
     lf = eng7.lf
     O = standard_lattice(lf, 1)
@@ -58,8 +64,8 @@ def test_kappa_degenerate_cases(eng7):
     assert kappa_exp(O, O, piO, eng7) == 0      # (A|A) (x) (A|C) -> (A|C)
     assert kappa_exp(O, piO, piO, eng7) == 0    # unit constraint on (B|B)
     assert kappa_exp(O, piO, O, eng7) == 0      # duality pairing case
-    assert _kappa_chain(O, piO, O, eng7) == 0
-    assert _kappa_chain(O, pi2O, O, eng7) == 0
+    assert _kappa_chain(O, piO, O, eng7, *chain_pieces(piO, O)) == 0
+    assert _kappa_chain(O, pi2O, O, eng7, *chain_pieces(pi2O, O)) == 0
 
 
 def test_kappa_path_independence():
@@ -67,9 +73,9 @@ def test_kappa_path_independence():
         eng = get_engine(local_field(p), n)
         for tri in [(0, 1, 2), (0, 0, 3), (-1, 1, 2), (-3, -2, 0), (-2, 0, 2),
                     (2, 1, 0), (1, -1, -2)]:
-            A, B, C = (eng.principal(v) for v in tri)
+            A, B, C = (principal_lattice(eng.lf, v) for v in tri)
             auto = kappa_exp(A, B, C, eng)
-            general = _kappa_chain(A, B, C, eng)
+            general = _kappa_chain(A, B, C, eng, *chain_pieces(B, C))
             assert auto == general, (p, n, tri)
 
 
@@ -80,7 +86,7 @@ def test_kappa_contraction_associativity(eng7):
     rng = random.Random(10)
     for _ in range(15):
         vals = [rng.randint(-2, 2) for _ in range(4)]
-        A, B, C, D = (eng.principal(v) for v in vals)
+        A, B, C, D = (principal_lattice(eng.lf, v) for v in vals)
         left = (kappa_exp(A, B, C, eng) + kappa_exp(A, C, D, eng)) % 2
         right = (kappa_exp(B, C, D, eng) + kappa_exp(A, B, D, eng)) % 2
         assert left == right, vals
@@ -235,16 +241,16 @@ def test_rank_one_closed_forms_equal_enumeration(p, f):
     nonzero = 0
     for n in [d for d in range(1, q) if (q - 1) % d == 0]:
         eng = get_engine(lf, n)
-        O = eng.principal(0)
+        O = principal_lattice(lf, 0)
         for v in range(-K, K + 1):
-            assert _rel_dim_m1(q, n, v) == rel_dim(O, eng.principal(v), n), (n, v)
+            assert _rel_dim_m1(q, n, v) == rel_dim(O, principal_lattice(lf, v), n), (n, v)
         for vf, vg in cells:
-            k = kappa_exp(O, eng.principal(vf), eng.principal(vf + vg), eng)
+            k = kappa_exp(O, principal_lattice(lf, vf), principal_lattice(lf, vf + vg), eng)
             assert k == 0, (n, vf, vg)
             for i, x in enumerate(units):
                 F = KMat.from_rows(lf, [[lf.pi(vf) * x]])
                 G = KMat.from_rows(lf, [[lf.pi(vg) * units[i - 1]]])
-                r = rho_exp(F, O, eng.principal(vg), eng)
+                r = rho_exp(F, O, principal_lattice(lf, vg), eng)
                 assert cocycle_exp(F, G, eng) == r, (n, x.as_str(), vf, vg)
                 nonzero += r != 0
     assert nonzero > 0
@@ -438,34 +444,72 @@ def _outcome(fn):
 @pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2)])
 def test_cocycle_equals_rho_plus_kappa_from_public_pieces(p, f):
     """cocycle_exp builds V cap gV, f(V cap gV) and the quotients of fV and
-    fgV by the latter once, for rho and for kappa's chain alike; against
+    fgV by the latter once, and hands them to rho_exp and kappa_exp; against
     rho_exp + kappa_exp, each building its own, under every rule.  The
     draws take kappa through the chain (random f, g), the nested case
     (integral f, g: V >= fV >= fgV) and the pairing (g = f^-1: fgV = V).
-    The enumeration bound is q^2, so that some draws reach it."""
+    The enumeration bound is q^2, so that some GL_2 draws reach it.  At m = 1
+    the least and second_least rules run the same lattice body on 1 x 1
+    matrices; the digit rule's closed form is held to the lattices by
+    test_rank_one_closed_forms_equal_enumeration."""
     lf = LocalField(p, f, enum_bound=p ** (2 * f))
     rng = random.Random(31 * p + f)
     ns = [d for d in range(2, lf.q) if (lf.q - 1) % d == 0]
-    V = standard_lattice(lf, 2)
-    seen = set()
-    for i, vals in enumerate([(-1, 1)] * 3 + [(-2, 2)] * 3 + [(-1, 1)] * 3 + [(0, 1)] * 3):
-        eng = SymbolEngine(lf, rng.choice(ns), RULES[i % 3])
-        F = rand_matrix(lf, rng, 2, vals)
-        G = F.inverse() if 6 <= i < 9 else rand_matrix(lf, rng, 2, vals)
-        gV = lat_apply(G, V)
-        fV, fgV = lat_apply(F, V), lat_apply(F, gV)
-        if V == fgV:
-            kind = "pairing"
-        elif lat_contains_lattice(V, fV) and lat_contains_lattice(fV, fgV):
-            kind = "nested"
-        else:
-            kind = "chain"
-        got = _outcome(lambda: cocycle_exp(F, G, eng))
-        want = _outcome(lambda: (rho_exp(F, V, gV, eng) + kappa_exp(V, fV, fgV, eng)) % eng.n)
-        assert got == want, (i, eng.n, eng.rule)
-        seen.add((kind, got == "EnumerationBound"))
-    assert {("chain", False), ("nested", False), ("pairing", False)} <= seen
-    assert any(bound for _, bound in seen)
+    for m in (2, 1):
+        V = standard_lattice(lf, m)
+        seen = set()
+        for i, vals in enumerate([(-1, 1)] * 3 + [(-2, 2)] * 3 + [(-1, 1)] * 3 + [(0, 1)] * 3):
+            eng = SymbolEngine(lf, rng.choice(ns), RULES[i % 3] if m == 2 else RULES[1 + i % 2])
+            F = rand_matrix(lf, rng, m, vals)
+            G = F.inverse() if 6 <= i < 9 else rand_matrix(lf, rng, m, vals)
+            gV = lat_apply(G, V)
+            fV, fgV = lat_apply(F, V), lat_apply(F, gV)
+            if V == fgV:
+                kind = "pairing"
+            elif lat_contains_lattice(V, fV) and lat_contains_lattice(fV, fgV):
+                kind = "nested"
+            else:
+                kind = "chain"
+            got = _outcome(lambda: cocycle_exp(F, G, eng))
+            want = _outcome(lambda: (rho_exp(F, V, gV, eng)
+                                     + kappa_exp(V, fV, fgV, eng)) % eng.n)
+            assert got == want, (m, i, eng.n, eng.rule)
+            seen.add((kind, got == "EnumerationBound"))
+        assert {("chain", False), ("nested", False), ("pairing", False)} <= seen, m
+        assert m == 1 or any(bound for _, bound in seen)
+
+
+def test_gl2_cocycle_calls_public_rho_and_kappa_once(monkeypatch):
+    """cocycle_exp reaches rho and kappa through the module attributes
+    rho_exp and kappa_exp, the names a tracer wraps, once each."""
+    import resforge.extension as extension
+
+    calls = []
+
+    def recorded(name):
+        fn = getattr(extension, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("rho_exp", "kappa_exp"):
+        monkeypatch.setattr(extension, name, recorded(name))
+    lf = local_field(3)
+    rng = random.Random(3)
+    f, g = rand_matrix(lf, rng, 2), rand_matrix(lf, rng, 2)
+    cocycle_exp(f, g, get_engine(lf, 2))
+    assert sorted(calls) == ["kappa_exp", "rho_exp"]
+
+
+def test_engine_rejects_an_unknown_rule():
+    lf = LocalField(7)
+    with pytest.raises(ValueError, match="unknown representative rule 'bogus'"):
+        get_engine(lf, 2, "bogus")
+    with pytest.raises(ValueError, match="unknown representative rule"):
+        SymbolEngine(lf, 2, "digits")
+    assert not lf._engines
 
 
 def test_chain_cocycle_work_count(monkeypatch):

@@ -1,0 +1,86 @@
+"""Source hygiene of the package, read with the standard library's ast.
+
+A module-level import that no code of its module reads, and a function
+local that is stored but never read, are dead code that the routes'
+tests cannot see.  Names with a leading underscore are exempt as locals,
+the way ``_`` marks a value kept on purpose; ``__init__`` re-exports
+its imports, so it is not scanned.
+"""
+
+import ast
+import os
+
+import resforge
+
+SRC = os.path.dirname(os.path.abspath(resforge.__file__))
+
+
+def _modules():
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py") and name != "__init__.py":
+            with open(os.path.join(SRC, name)) as fh:
+                yield name, ast.parse(fh.read(), name)
+
+
+def _loaded(tree) -> set[str]:
+    """Names read anywhere in tree; an augmented assignment reads its target."""
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+             and not isinstance(n.ctx, ast.Store)}
+    names |= {n.target.id for n in ast.walk(tree)
+              if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)}
+    return names
+
+
+def _own_stores(fn) -> set[str]:
+    """Names fn stores in its own scope, not in functions nested in it."""
+    stored, todo = set(), list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            stored.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            stored.difference_update(node.names)
+        todo.extend(ast.iter_child_nodes(node))
+    return stored
+
+
+def test_no_unread_module_imports():
+    unread = []
+    for name, tree in _modules():
+        loaded = _loaded(tree)
+        for node in tree.body:
+            stmts = node.body if isinstance(node, ast.If) else [node]   # TYPE_CHECKING
+            for stmt in stmts:
+                if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                    continue
+                if isinstance(stmt, ast.ImportFrom) and stmt.module == "__future__":
+                    continue
+                for alias in stmt.names:
+                    bound = (alias.asname or alias.name).split(".")[0]
+                    if bound not in loaded:
+                        unread.append(f"{name}:{stmt.lineno} {bound}")
+    assert not unread
+
+
+def test_no_unread_function_locals():
+    unread = []
+    for name, tree in _modules():
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            # a nested function may read its enclosing function's locals
+            for local in sorted(_own_stores(fn) - _loaded(fn)):
+                if not local.startswith("_"):
+                    unread.append(f"{name}:{fn.lineno} {fn.name}: {local}")
+    assert not unread
+
+
+def test_the_checks_see_what_they_look_for():
+    tree = ast.parse("import os\nimport sys\n\n"
+                     "def f(a):\n    b, _c = a, 1\n    n = 0\n    n += 1\n"
+                     "    def g():\n        return b\n    unused = g()\n    return sys\n")
+    fn = tree.body[2]
+    assert "os" not in _loaded(tree) and "sys" in _loaded(tree)
+    assert _own_stores(fn) - _loaded(fn) == {"_c", "unused"}

@@ -251,14 +251,14 @@ def _exact_seq_exp_per_element(X, Y, Z, incl, proj, n, rule):
     if n == 1:
         return 0
     vX, vY, vZ = X.view(n, rule), Y.view(n, rule), Z.view(n, rule)
-    total = sum(vY.exp_of(incl.apply(r)) for r in vX.reps)
+    total = sum(vY.table[incl.apply(r)][1] for r in vX.reps)
     for y in vY.table:
         if y in image:
             continue
         z = proj.apply(y)
         assert z != Z.zero
-        if vZ.exp_of(z) == 0:
-            total += vY.exp_of(y)
+        if vZ.table[z][1] == 0:
+            total += vY.table[y][1]
     return total % n
 
 
