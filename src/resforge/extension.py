@@ -31,7 +31,9 @@ the quotients fV/f(I) and fgV/f(I) that rho_exp maps onto are kappa_exp's
 B/(B cap C) and C/(B cap C); both get them handed over, and a direct
 caller of either gets them built, with the same value.  A chain cocycle
 so builds 4 intersections and 14 quotients, none of them kept past the
-call.
+call.  When fV and fgV nest, the larger over the smaller is one of the
+shared quotients, so a nested cocycle builds 6 quotients: rho's 4 and
+the connecting sequence's other two.
 
 A SymbolEngine fixes the field, n, and the representative rule.  Its
 default rule is digit (see musets), under which the rank-one building
@@ -163,10 +165,15 @@ def _seq_exp(QXZ: LatticeQuotient, QYZ: LatticeQuotient, QXY: LatticeQuotient,
                           engine.n, engine.rule)
 
 
-def _nested_desc_exp(X: Lattice, Y: Lattice, Z: Lattice, engine: SymbolEngine) -> int:
-    """kappa for X >= Y >= Z."""
-    return _seq_exp(quotient_struct(X, Z), quotient_struct(Y, Z),
-                    quotient_struct(X, Y), engine)
+def _nested_desc_exp(X: Lattice, Y: Lattice, Z: Lattice, engine: SymbolEngine,
+                     QYZ: LatticeQuotient | None = None,
+                     QXY: LatticeQuotient | None = None) -> int:
+    """kappa for X >= Y >= Z; Y/Z or X/Y is built unless handed over."""
+    if QYZ is None:
+        QYZ = quotient_struct(Y, Z)
+    if QXY is None:
+        QXY = quotient_struct(X, Y)
+    return _seq_exp(quotient_struct(X, Z), QYZ, QXY, engine)
 
 
 def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
@@ -176,7 +183,9 @@ def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
 
     B/(B cap C) and C/(B cap C) are built unless the caller hands them
     over.  They say how B and C nest: B >= C exactly when C/(B cap C) is
-    zero, and C >= B exactly when B/(B cap C) is.
+    zero, and then B/(B cap C) is B/C; C >= B exactly when B/(B cap C)
+    is zero, and then C/(B cap C) is C/B.  A nested case reuses that
+    quotient.
     """
     if A == C:
         # duality pairing; canonical bases pair to 1
@@ -185,9 +194,9 @@ def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
         BC = lat_intersect(B, C)
         QB_BC, QC_BC = quotient_struct(B, BC), quotient_struct(C, BC)
     if not QC_BC.module.exps and lat_contains_lattice(A, B):
-        return _nested_desc_exp(A, B, C, engine)
+        return _nested_desc_exp(A, B, C, engine, QYZ=QB_BC)
     if not QB_BC.module.exps and lat_contains_lattice(B, A):
-        return (-_nested_desc_exp(C, B, A, engine)) % engine.n
+        return (-_nested_desc_exp(C, B, A, engine, QXY=QC_BC)) % engine.n
     return _kappa_chain(A, B, C, engine, QB_BC, QC_BC)
 
 

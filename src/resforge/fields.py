@@ -24,7 +24,7 @@ log/antilog tables and the Zolotarev sign enumerate F_q.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from itertools import product
 
 from .errors import EnumerationBound
@@ -275,17 +275,36 @@ def field_make(p: int, f: int = 1) -> FieldCtx:
 # roots of unity
 
 
-@dataclass(frozen=True)
 class MuScalar:
-    """A root of unity written as an exponent: (n, e) stands for zeta_n**e."""
+    """A root of unity written as an exponent: (n, e) stands for zeta_n**e.
 
-    n: int
-    exp: int
+    Immutable, equal and hashed by (n, exp), with exp reduced mod n.
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
+    __slots__ = ("n", "exp")
+
+    def __init__(self, n: int, exp: int):
+        if n < 1:
             raise ValueError("n must be positive")
-        object.__setattr__(self, "exp", self.exp % self.n)
+        _set_n(self, n)
+        _set_exp(self, exp % n)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return MuScalar, (self.n, self.exp)
+
+    def __eq__(self, other):
+        if other.__class__ is not MuScalar:
+            return NotImplemented
+        return self.n == other.n and self.exp == other.exp
+
+    def __hash__(self):
+        return hash((self.n, self.exp))
 
     def __mul__(self, other: "MuScalar") -> "MuScalar":
         if self.n != other.n:
@@ -301,6 +320,10 @@ class MuScalar:
 
     def __repr__(self):
         return f"zeta_{self.n}^{self.exp}"
+
+
+# __init__ writes the slots through their descriptors, past the raising __setattr__
+_set_n, _set_exp = MuScalar.n.__set__, MuScalar.exp.__set__
 
 
 def mu_embed(ctx: FieldCtx, s: MuScalar) -> int:

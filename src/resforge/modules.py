@@ -2,22 +2,25 @@
 
 A module is the list of its elementary divisor exponents (ascending);
 elements are tuples of ring encodings, component i living in
-O/pi^(e_i).  The group mu_n acts componentwise by the Teichmueller lift
-of the canonical zeta_n, which is compatible with every reduction map
-between precisions, so quotient maps between modules are automatically
-equivariant.
+O/pi^(e_i), and an element's position is its mixed-radix index in
+elements() order (index, label).  The group mu_n acts componentwise by
+the Teichmueller lift of the canonical zeta_n, which is compatible with
+every reduction map between precisions, so quotient maps between modules
+are automatically equivariant.
 
 Homomorphisms are stored by the images of the standard generators; the
 entry condition v(a_jk) >= e_j - e_k makes the map well defined.
 
 Counting orbits needs no enumeration (module_as_muset); element views
 (OrbitView, kept by the module's LocalField) pin representatives for
-maps read as (sigma, mu) data.
+maps read as (sigma, mu) data.  Views and images work on positions:
+zeta_n's action, the digit rule's keys and a map's images are built
+from one table per component, with no per-element tuple.
 """
 
 from __future__ import annotations
 
-from itertools import product, repeat
+from itertools import product
 
 from .errors import EnumerationBound
 from .fields import _check_n
@@ -27,7 +30,7 @@ from .musets import MuSet, MuSetAut, OrbitView
 class FiniteModule:
     """Direct sum of O/pi^(e_i) over the ring of integers of lf."""
 
-    __slots__ = ("lf", "exps", "rings", "size")
+    __slots__ = ("lf", "exps", "rings", "radix", "size")
 
     def __init__(self, lf, exps):
         exps = tuple(exps)
@@ -38,6 +41,7 @@ class FiniteModule:
         self.lf = lf
         self.exps = exps
         self.rings = tuple(lf.ring(e) for e in exps)
+        self.radix = tuple(r.size for r in self.rings)   # |O/pi^e_i|
         self.size = lf.q ** sum(exps)
 
     @property
@@ -72,57 +76,68 @@ class FiniteModule:
         return product(*(range(self.lf.q**e) for e in self.exps))
 
     def index(self, x: tuple) -> int:
-        """Position of x in elements() order."""
+        """Position of x in elements() order: mixed radix, first component
+        most significant."""
         i = 0
-        for r, c in zip(self.rings, x):
-            i = i * r.size + c
+        for s, c in zip(self.radix, x):
+            i = i * s + c
         return i
+
+    def label(self, i: int) -> tuple:
+        """The element at position i of elements() order; inverse of index."""
+        out = []
+        for s in reversed(self.radix):
+            i, c = divmod(i, s)
+            out.append(c)
+        return tuple(reversed(out))
 
     def dim(self, n: int) -> int:
         """Number of mu_n orbits off zero: (|T| - 1) / n."""
         return (self.size - 1) // n
 
-    def mu_act(self, n: int):
-        zetas = [r.zeta(n) for r in self.rings]
-        rings = self.rings
-        if self.lf.f == 1:
-            pairs = [(z, r.pN) for r, z in zip(rings, zetas)]
-
-            def act(x):
-                return tuple(z * c % pN for (z, pN), c in zip(pairs, x))
-
-            return act
-
-        def act(x):
-            return tuple(r.mul(z, c) for r, z, c in zip(rings, zetas, x))
-
-        return act
-
-    def lead_digit(self, x: tuple) -> int:
-        """The lowest nonzero pi-adic digit of x != 0, in F_q.
-
-        It is read from the first coordinate of least valuation.  Zero
-        coordinates are skipped: their valuation is capped at the
-        component's exponent and would tie with a nonzero one.
-        """
-        best = None
-        for r, c in zip(self.rings, x):
-            if c:
-                v = r.val(c)
-                if best is None or v < best[0]:
-                    best = (v, r, c)
-        v, r, c = best
-        return r.reduce_to(r.div_pk(c, v), self.lf.field)
-
     def view(self, n: int, rule: str = "least") -> OrbitView:
-        """The mu_n-set of the elements, memoized in the field's _views."""
+        """The mu_n-set of the elements on positions, memoized in the field's _views.
+
+        zeta_n acts componentwise by its Teichmueller lift, so its action on
+        positions combines one table per component by the mixed radix of
+        index.  The digit rule ranks the elements of an orbit by their
+        lowest nonzero pi-adic digit, read from the first coordinate of
+        least valuation; zeta_n keeps that valuation and that coordinate,
+        so ranking by _lead_codes ranks by the digit.
+        """
         key = (self.exps, n, rule)
         v = self.lf._views.get(key)
         if v is None:
-            elems = [x for x in self.elements() if x != self.zero]
-            v = OrbitView(n, elems, self.mu_act(n), rule, self.lead_digit)
+            self._check_bound()
+            act = [0]
+            for r in self.rings:
+                z, size = r.zeta(n), r.size
+                if r.f == 1:
+                    pN = r.pN
+                    tab = [z * c % pN for c in range(size)]
+                else:
+                    tab = [r.mul(z, c) for c in range(size)]
+                act = [a * size + b for a in act for b in tab]
+            digit = self._lead_codes() if rule == "digit" else None
+            v = OrbitView(n, act, self.index, self.label, rule, digit)
             self.lf._views[key] = v
         return v
+
+    def _lead_codes(self) -> list:
+        """Per position x != 0, (v * rank + k) * q + d for x's lowest nonzero
+        pi-adic digit d in F_q, read at the first coordinate k of least
+        valuation v: the least code over the coordinates.  Zero coordinates
+        get a code above every other, so they never lead."""
+        field, q, rank = self.lf.field, self.lf.q, self.rank
+        none = rank * max(self.exps, default=0) * q
+        acc = [none]
+        for k, r in enumerate(self.rings):
+            codes = [none]
+            for c in range(1, r.size):
+                v = r.val(c)
+                codes.append((v * rank + k) * q + r.reduce_to(r.div_pk(c, v), field))
+            acc = [a if a < b else b for a in acc for b in codes]
+        return acc
 
 
 class ModuleHom:
@@ -159,19 +174,19 @@ class ModuleHom:
             out.append(acc)
         return tuple(out)
 
-    def images(self):
-        """self.apply(x) for every x, in src.elements() order.
+    def images(self) -> list:
+        """The position of self.apply(x) in dst, for every x in
+        src.elements() order.
 
         apply is additive, so each output component is a sum over the
         same product as elements() of per-coordinate multiples
         t * cols[k][j]; one flat list per component is built by adding
-        those multiples, and the components are zipped lazily.
+        those multiples, and the components are combined by dst's mixed
+        radix into one list of positions.
         """
         src, dst = self.src, self.dst
         src._check_bound()
-        if not dst.rank:
-            return repeat((), src.size)
-        comps = []
+        pos = [0] * src.size
         for j, rj in enumerate(dst.rings):
             acc = [0]
             for k, rk in enumerate(src.rings):
@@ -183,8 +198,9 @@ class ModuleHom:
                 else:
                     mults = [rj.mul(rk.lift_naive(t, rj), c) for t in range(rk.size)]
                     acc = [rj.add(a, b) for a in acc for b in mults]
-            comps.append(acc)
-        return zip(*comps)
+            size = rj.size
+            pos = [a * size + b for a, b in zip(pos, acc)] if j else acc
+        return pos
 
     def compose(self, other: "ModuleHom") -> "ModuleHom":
         """self after other."""

@@ -5,10 +5,14 @@ pairs (i, e) meaning zeta^e * x_i for orbit representatives x_0..x_{t-1}.
 An automorphism is the pair (sigma, mu): it sends x_i to
 zeta^(mu[i]) * x_{sigma[i]}.
 
-OrbitView wraps a concrete pointed set (module elements, cartesian
-products, ...) and pins down orbit representatives by a deterministic
+OrbitView is a concrete pointed set (module elements, cartesian
+products, ...) on positions 0..S-1: 0 is the marked point and position
+order is the owner's label order.  It takes zeta_n's action as an array
+of positions, keeps each position's orbit and twist in two flat
+array('i'), and pins down orbit representatives by a deterministic
 rule, so that expressing concrete maps as (sigma, mu) data is
-reproducible.  Three rules exist:
+reproducible; maps of labels are read through the owner's index and
+label.  Three rules exist:
 
 least         the least element of each orbit in the container's order;
 second_least  the second least, which exists whenever n >= 2;
@@ -128,64 +132,76 @@ def perm_sign(f: MuSetAut) -> int:
 
 
 class OrbitView:
-    """A concrete finite free pointed mu_n-set with pinned representatives.
+    """A concrete finite free pointed mu_n-set on positions 0..S-1, with
+    pinned representatives.
 
-    elements: the non-marked labels, which must be sortable; act: the
-    action of the fixed zeta_n; digit: the leading-digit map the digit
-    rule ranks elements by.  Freeness (orbit length exactly n) is checked
-    during construction.
+    Position 0 is the marked point, and position order is the owner's
+    label order.  act[x] is the position of zeta_n times x (act[0] = 0);
+    under the digit rule digit[x] is a key that ranks the elements of x's
+    orbit, distinct on each orbit.  Orbits are walked in position order,
+    so each walk starts at the least element of its orbit.  Freeness
+    (orbit length exactly n) is checked during construction.
+
+    reps holds the representatives' positions; orbit[x] and twist[x] say
+    that x = zeta^twist[x] * reps[orbit[x]] (orbit[0] = -1).  index maps
+    a label to its position and label a position to its label, so maps
+    of labels (as_aut, iso_scalar) are read through them.
     """
 
-    __slots__ = ("n", "reps", "table", "muset")
+    __slots__ = ("n", "reps", "orbit", "twist", "muset", "index", "label")
 
-    def __init__(self, n: int, elements, act, rule: str = "least", digit=None):
+    def __init__(self, n: int, act, index, label, rule: str = "least", digit=None):
         if rule not in RULES:
             raise ValueError(f"unknown representative rule {rule!r}")
         if rule == "digit" and digit is None:
             raise ValueError("the digit rule needs the leading digit of each element")
-        self.n = n
-        table: dict = {}
-        reps: list = []
-        for x in sorted(elements):
-            if x in table:
+        size = len(act)
+        orbit = array("i", [-1]) * size
+        twist = array("i", [0]) * size
+        reps = array("i")
+        for x in range(1, size):
+            if orbit[x] >= 0:
                 continue
-            orbit = [x]
-            y = act(x)
+            cyc = [x]
+            y = act[x]
             while y != x:
-                orbit.append(y)
-                y = act(y)
-            if len(orbit) != n:
-                raise ValueError(f"orbit of {x!r} has length {len(orbit)}, not {n}")
-            idx = len(reps)
+                cyc.append(y)
+                y = act[y]
+            if len(cyc) != n:
+                raise ValueError(f"orbit of {label(x)!r} has length {len(cyc)}, not {n}")
             if rule == "least" or n == 1:
                 rep_pos = 0
             elif rule == "digit":
-                rep_pos = min(range(n), key=lambda i: digit(orbit[i]))
+                keys = [digit[y] for y in cyc]
+                rep_pos = keys.index(min(keys))
             else:
-                second = sorted(orbit)[1]
-                rep_pos = orbit.index(second)
-            reps.append(orbit[rep_pos])
-            for pos, y in enumerate(orbit):
-                table[y] = (idx, (pos - rep_pos) % n)
+                rep_pos = cyc.index(sorted(cyc)[1])
+            if rep_pos:
+                cyc = cyc[rep_pos:] + cyc[:rep_pos]
+            idx = len(reps)
+            reps.append(cyc[0])
+            for e, y in enumerate(cyc):
+                orbit[y] = idx
+                twist[y] = e
+        self.n = n
         self.reps = reps
-        self.table = table
+        self.orbit = orbit
+        self.twist = twist
         self.muset = MuSet(n, len(reps))
+        self.index = index
+        self.label = label
 
     @property
     def t(self) -> int:
         return len(self.reps)
 
     def as_aut(self, fn) -> MuSetAut:
-        """Express an equivariant pointed bijection as (sigma, mu) data."""
-        sigma, mu = [], []
-        for r in self.reps:
-            try:
-                j, e = self.table[fn(r)]
-            except KeyError:
-                raise ValueError("map does not preserve the nonzero part") from None
-            sigma.append(j)
-            mu.append(e)
-        return MuSetAut(self.muset, tuple(sigma), tuple(mu))
+        """Express an equivariant pointed bijection of labels as (sigma, mu) data."""
+        ys = [self.index(fn(self.label(r))) for r in self.reps]
+        if not all(0 < y < len(self.orbit) for y in ys):
+            raise ValueError("map does not preserve the nonzero part")
+        return MuSetAut(self.muset, tuple(self.orbit[y] for y in ys),
+                        tuple(self.twist[y] for y in ys))
 
 
 def residue_walk(lf, n: int) -> tuple[array, array]:
@@ -225,23 +241,24 @@ def residue_walk(lf, n: int) -> tuple[array, array]:
 def iso_scalar(src: OrbitView, dst: OrbitView, fn) -> int:
     """Exponent c with (tensor of fn(reps of src)) = zeta^c * (tensor of reps of dst).
 
-    fn must be an equivariant bijection between the underlying sets.
+    fn must be an equivariant bijection between the underlying sets,
+    given on labels.
     """
     if src.n != dst.n:
         raise ValueError("mismatched n")
     if src.t != dst.t:
         raise ValueError("sources of different dimension")
-    total = 0
-    seen = set()
+    index, label, orbit, twist = dst.index, src.label, dst.orbit, dst.twist
+    total, seen = 0, set()
     for r in src.reps:
-        try:
-            j, e = dst.table[fn(r)]
-        except KeyError:
-            raise ValueError("map does not preserve the nonzero part") from None
-        total += e
+        y = index(fn(label(r)))
+        if not 0 < y < len(orbit):
+            raise ValueError("map does not preserve the nonzero part")
+        j = orbit[y]
         if j in seen:
             raise ValueError("map is not bijective on orbits")
         seen.add(j)
+        total += twist[y]
     return total % src.n
 
 
@@ -257,21 +274,20 @@ def muset_product(X: MuSet, Y: MuSet) -> MuSet:
 
 
 def _product_view(X: MuSet, Y: MuSet) -> OrbitView:
-    n = X.n
-    elems = []
-    for a in X.elements():
-        for b in Y.elements():
-            if a is None and b is None:
-                continue
-            elems.append((X.index(a), Y.index(b), a, b))
-    # sort key is the pair of indices; keep labels alongside
+    """The pointed cartesian product; (a, b) sits at X.index(a) * |Y| + Y.index(b)."""
+    elems_x, elems_y, sy = list(X.elements()), list(Y.elements()), Y.size
+    act_x = [X.index(X.act(a)) for a in elems_x]
+    act_y = [Y.index(Y.act(b)) for b in elems_y]
 
-    def act(lbl):
-        _, _, a, b = lbl
-        a2, b2 = X.act(a), Y.act(b)
-        return (X.index(a2), Y.index(b2), a2, b2)
+    def index(lbl):
+        a, b = lbl
+        return X.index(a) * sy + Y.index(b)
 
-    return OrbitView(n, elems, act)
+    def label(i):
+        ia, ib = divmod(i, sy)
+        return elems_x[ia], elems_y[ib]
+
+    return OrbitView(X.n, [a * sy + b for a in act_x for b in act_y], index, label)
 
 
 def aut_extend(f: MuSetAut, Y: MuSet) -> MuSetAut:
@@ -279,11 +295,4 @@ def aut_extend(f: MuSetAut, Y: MuSet) -> MuSetAut:
     X = f.X
     if X.n != Y.n:
         raise ValueError("mismatched n")
-    view = _product_view(X, Y)
-
-    def fn(lbl):
-        _, _, a, b = lbl
-        a2 = f.apply(a)
-        return (X.index(a2), Y.index(b), a2, b)
-
-    return view.as_aut(fn)
+    return _product_view(X, Y).as_aut(lambda lbl: (f.apply(lbl[0]), lbl[1]))

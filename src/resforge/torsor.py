@@ -17,6 +17,9 @@ _det_exp_brute is its enumeration oracle too.
 """
 from __future__ import annotations
 
+from itertools import compress
+from operator import not_
+
 from .errors import EnumerationBound
 from .fields import MuScalar, field_det, power_residue_char
 from .modules import FiniteModule, ModuleHom
@@ -71,46 +74,35 @@ def _exact_seq_exp(X: FiniteModule, Y: FiniteModule, Z: FiniteModule,
 
     The two-step mechanism: det(Y) = det(X) (x) det(Y // X) via the orbit
     partition, then det(Z) = det(Y // X) via the fiber map induced by
-    proj.  Collapsed into the image set of incl and one streamed pass
-    over the elements of Y beside their images under proj.  The twists
-    of the orbits inside X are read off incl's image stream, at the
-    positions of X's representatives, so no element is mapped twice.
+    proj.  Collapsed into one stream of positions per map: incl's image
+    set is proj's kernel exactly when the sequence is exact, the orbits
+    of Y inside X add the twists of incl(reps of X), and every other
+    orbit of Y // X keeps Y's representatives, so it adds the twist of
+    its unique element over a representative of Z.
     """
     if Y.size > Y.lf.enum_bound:
         raise EnumerationBound(f"middle module of size {Y.size} exceeds the bound")
-    images = list(incl.images())
+    images = incl.images()
     image = set(images)
     if len(image) != X.size:
         raise ValueError("sequence not exact: inclusion is not injective")
     if X.size * Z.size != Y.size:
         raise ValueError("sequence not exact: cardinalities do not multiply")
-    if n > 1:
-        vX, vY, vZ = X.view(n, rule), Y.view(n, rule), Z.view(n, rule)
-        table, reps_z = vY.table, set(vZ.reps)
-    zero_z = Z.zero
-    # kernel of proj, counted as its part inside the image and a flag for
-    # any part outside it; kernel == image iff hits == |image| and no stray
-    hits, stray, total = 0, False, 0
-    for y, z in zip(Y.elements(), proj.images()):
-        if z == zero_z:
-            if y in image:
-                hits += 1
-            else:
-                stray = True
-        elif n > 1 and z in reps_z:
-            # fiber scalar for Y//X -> Z: orbits of Y//X keep Y's
-            # representatives, so each contributes the twist of its unique
-            # element over Z's representative
-            total += table[y][1]
-    if hits != len(image):
+    over = proj.images()
+    kernel = set(compress(range(Y.size), map(not_, over)))
+    if not image <= kernel:
         raise ValueError("sequence not exact: proj o incl != 0")
-    if stray:
+    if len(kernel) != len(image):
         raise ValueError("sequence not exact at the middle term")
     if n == 1:
         return 0
-    # orbits of Y lying inside X: twist of incl(rep) against Y's representative
-    for r in vX.reps:
-        total += table[images[X.index(r)]][1]
+    vX, vY, vZ = X.view(n, rule), Y.view(n, rule), Z.view(n, rule)
+    twist = vY.twist
+    total = sum(twist[images[r]] for r in vX.reps)
+    is_rep = bytearray(Z.size)
+    for r in vZ.reps:
+        is_rep[r] = 1
+    total += sum(compress(twist, map(is_rep.__getitem__, over)))
     return total % n
 
 

@@ -115,3 +115,27 @@ def test_tiny_extension_ops_and_route_probes_reach_every_layer():
     finally:
         tracer.uninstall()
     assert [layer for layer in spans.LAYERS if not tracer.calls[layer]] == []
+
+
+def test_traced_view_counters_count_the_views_built():
+    """musets.view_builds and musets.view_elements read OrbitView.__init__
+    (n * t after each build), and the extension route keeps every view it
+    builds in its field's _views.  So over one pass of the tiny
+    extension_deep ops on fresh fields, view_elements must equal the sum
+    of |M| - 1 over the views left in those fields, and the exact-sequence
+    counter must have seen the sequences that built them."""
+    spans, workloads = _load("spans"), _load("workloads")
+    ctx = workloads.setup(resforge, "extension_deep", tiny=True)
+    wl = workloads.build(resforge, "extension_deep", ctx, 4, tiny=True)
+    tracer = spans.Tracer(resforge)
+    try:
+        tracer.install()
+        for op in wl.ops:
+            workloads.run_op(resforge, wl, op)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    views = [(lf.q, exps) for lf, _engines in ctx.values() for exps, _n, _rule in lf._views]
+    assert views and metrics["musets.view_builds"] == len(views)
+    assert metrics["musets.view_elements"] == sum(q ** sum(exps) - 1 for q, exps in views)
+    assert metrics["torsor.exact_seq_elements"] > 0

@@ -551,3 +551,37 @@ def test_chain_cocycle_work_count(monkeypatch):
     assert len(calls["intersect"]) == 4 and len(calls["quotient"]) == 14
     assert len(calls["snf"]) == 14 - zero
     assert calls["apply"] == [] and calls["contains"] == []
+
+
+def test_nested_kappa_reuses_the_shared_quotient(monkeypatch):
+    """On the first seeded integral draw at p = 5, n = 4 whose fV and fgV
+    nest, the larger over the smaller is the shared quotient fV/f(V cap gV)
+    or fgV/f(V cap gV), which kappa reuses: the cocycle builds 6 quotients
+    (rho's 4, then the sequence's other two), not 7, and its value is the
+    chain's."""
+    import resforge.extension as extension
+
+    lf = local_field(5)
+    rng = random.Random(2)
+    eng = get_engine(lf, 4)
+    calls = {"quotient": [], "nested": []}
+
+    def recorded(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key].append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(extension, "quotient_struct", recorded("quotient", quotient_struct))
+    monkeypatch.setattr(extension, "_nested_desc_exp",
+                        recorded("nested", extension._nested_desc_exp))
+    while not calls["nested"]:
+        f, g = rand_matrix(lf, rng, 2, (0, 1)), rand_matrix(lf, rng, 2, (0, 1))
+        calls["quotient"].clear()
+        value = cocycle_exp(f, g, eng)
+    assert len(calls["quotient"]) == 6
+    V = standard_lattice(lf, 2)
+    gV = lat_apply(g, V)
+    fV, fgV = lat_apply(f, V), lat_apply(f, gV)
+    assert value == (rho_exp(f, V, gV, eng)
+                     + _kappa_chain(V, fV, fgV, eng, *chain_pieces(fV, fgV))) % 4

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import permutations
 
@@ -212,6 +214,33 @@ def test_mu_scalar_group_laws():
     assert (a * a * a).exp == 0
     with pytest.raises(ValueError):
         a * MuScalar(4, 1)
+
+
+def test_mu_scalar_is_an_immutable_value():
+    """Fields n and exp, exp reduced mod n; equal and hashed by (n, exp);
+    no attribute can be set or deleted; copies and pickles round-trip."""
+    a = MuScalar(6, 10)
+    assert (a.n, a.exp) == (6, 4)
+    assert MuScalar(6, -1).exp == 5 and MuScalar(1, 7).exp == 0
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n must be positive"):
+            MuScalar(n, 1)
+    assert a == MuScalar(6, 4) == MuScalar(6, -2)
+    assert a != MuScalar(3, 4) and a != MuScalar(6, 5) and a != (6, 4)
+    assert hash(a) == hash(MuScalar(6, -2)) == hash((6, 4))
+    assert len({a, MuScalar(6, 4), MuScalar(6, 5), MuScalar(12, 4)}) == 3
+    for name in ("n", "exp", "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert (a.n, a.exp) == (6, 4)
+    assert copy.copy(a) == copy.deepcopy(a) == pickle.loads(pickle.dumps(a)) == a
+    assert (a * MuScalar(6, 5), a.inverse()) == (MuScalar(6, 3), MuScalar(6, 2))
+    with pytest.raises(ValueError, match="mismatched root-of-unity orders"):
+        a * MuScalar(4, 1)
+    assert MuScalar(6, 6).is_identity and not a.is_identity
+    assert repr(a) == "zeta_6^4" and repr(MuScalar(2, -1)) == "zeta_2^1"
 
 
 def leibniz_det(ctx, rows):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -201,21 +202,37 @@ def test_exact_seq_degenerate_ends():
 
 
 def test_exact_seq_rejects_non_exact():
+    """One broken sequence per message, through exact_seq_iso and under
+    every rule: the first failed check names itself, with its whole
+    message.  In the last case proj o incl != 0 and proj's kernel is
+    also larger than the image; the composite is reported."""
     lf = local_field(7)
     T = FiniteModule(lf, (1,))
     TT = FiniteModule(lf, (1, 1))
     ident = scalar_hom(T, 1)
     first = ModuleHom(T, TT, [(1, 0)])                    # x -> (x, 0)
+    S, SS = FiniteModule(lf, (2,)), FiniteModule(lf, (2, 2))
     cases = [
         (T, T, T, ModuleHom(T, T, [(0,)]), ident, "not injective"),
         (T, T, T, ident, ident, "cardinalities"),
         (T, TT, T, first, ModuleHom(TT, T, [(1,), (0,)]), "proj o incl"),
         (T, TT, T, first, ModuleHom(TT, T, [(0,), (0,)]), "middle term"),
+        (S, SS, S, ModuleHom(S, SS, [(1, 0)]), ModuleHom(SS, S, [(7,), (7,)]),
+         "proj o incl"),                                  # (a, b) -> 7(a + b)
     ]
+    messages = {
+        "not injective": "sequence not exact: inclusion is not injective",
+        "cardinalities": "sequence not exact: cardinalities do not multiply",
+        "proj o incl": "sequence not exact: proj o incl != 0",
+        "middle term": "sequence not exact at the middle term",
+    }
     for X, Y, Z, incl, proj, msg in cases:
         for n in (1, 2, 6):
             with pytest.raises(ValueError, match=msg):
                 exact_seq_iso(X, Y, Z, incl, proj, n)
+            for rule in ("least", "second_least", "digit"):
+                with pytest.raises(ValueError, match=f"^{re.escape(messages[msg])}$"):
+                    _exact_seq_exp(X, Y, Z, incl, proj, n, rule)
 
 
 def test_naturality_of_exact_sequence_scalar():
@@ -251,14 +268,14 @@ def _exact_seq_exp_per_element(X, Y, Z, incl, proj, n, rule):
     if n == 1:
         return 0
     vX, vY, vZ = X.view(n, rule), Y.view(n, rule), Z.view(n, rule)
-    total = sum(vY.table[incl.apply(r)][1] for r in vX.reps)
-    for y in vY.table:
+    total = sum(vY.twist[Y.index(incl.apply(X.label(r)))] for r in vX.reps)
+    for y in Y.elements():
         if y in image:
             continue
         z = proj.apply(y)
         assert z != Z.zero
-        if vZ.table[z][1] == 0:
-            total += vY.table[y][1]
+        if vZ.twist[Z.index(z)] == 0:
+            total += vY.twist[Y.index(y)]
     return total % n
 
 
