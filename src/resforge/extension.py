@@ -41,14 +41,15 @@ blocks have closed forms and the route enumerates nothing at m = 1: for
 f = u * pi^v and g of valuation w,
 
     kappa(O, fO, fgO) = 0,
-    rho_f on (O | pi^w O) = sign(w) * (q^|w| - 1)/(q - 1) * S(u mod pi),
+    rho_f on (O | pi^w O) = w * S(u mod pi)  (mod n),
     rel_dim(O, pi^w O) = sign(w) * (q^|w| - 1)/n,
 
 where S(u) sums, over the least elements c of the cosets of mu_n in
 F_q^x, the position of u*c in its coset counted in powers of the residue
 of zeta_n.  Under it the symbols read a K^x argument as its valuation v
 and the residue of its unit, with no matrix, and S(u) by residue is the
-engine's only rank-one memo.
+engine's only rank-one memo.  The sign term of corrected_symbol is
+S(-1), read off the same walk of k = O/pi.
 
 Every iso exponent in rho_exp goes between quotients with the same
 exponents, which carry the same pinned representatives under every
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 from array import array
 
-from .fields import MuScalar, _check_n, power_residue_char
+from .fields import MuScalar, _check_n
 from .lattices import (KMat, Lattice, LatticeQuotient, induced_hom, lat_apply,
                        lat_contains_lattice, lat_intersect, quotient_struct,
                        standard_lattice)
@@ -93,8 +94,8 @@ class SymbolEngine:
         # digit rule: S(u) by residue u, and the coset walk it reads
         self._digit_sums: dict[int, int] = {}
         self._cosets = None
-        # the mu_n character of -1, the sign term of corrected_symbol
-        self._sign_exp = power_residue_char(lf.field, lf.field.neg(1), n).exp
+        # the sign term of corrected_symbol, chi(-1) (see corrected_symbol)
+        self._sign_exp = _digit_sum(self, lf.field.neg(1))
 
     # lattice helpers --------------------------------------------------------
 
@@ -266,15 +267,14 @@ def _rho_m1_digit(engine: SymbolEngine, x: KElem, w: int) -> int:
     by its valuation j < k, the coset of its leading digit, and the
     q^(k-1-j) choices of the digits above; multiplying by u adds the
     position of u*c to its twist, for c the least element of the coset.
-    For w < 0 the quotient is the right factor of (O | pi^w O), on which
-    rho acts through f^-1.
+    So rho is (q^k - 1)/(q - 1) * S(u) = (1 + q + ... + q^(k-1)) * S(u),
+    and q = 1 mod n makes that k * S(u) mod n.  For w < 0 the quotient is
+    the right factor of (O | pi^w O), on which rho acts through f^-1.
     """
     if w == 0:
         return 0
-    q = engine.lf.q
     u = engine.lf.ring(x.prec).reduce_to(x.unit, engine.lf.field)
-    r = (q**abs(w) - 1) // (q - 1) * _digit_sum(engine, u)
-    return (r if w > 0 else -r) % engine.n
+    return w * _digit_sum(engine, u) % engine.n
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +349,15 @@ def corrected_symbol(a, b, engine: SymbolEngine) -> MuScalar:
 
     The sign (-1)^(d_a * d_b) is applied through the mu_n character of -1,
     which agrees with the literal sign whenever q is odd and is trivial
-    for odd n.
+    for odd n.  That character is S(-1), with no call to the direct
+    route's character: S(u) is the mu_n-set delta of multiplication by u
+    on k, whose representatives c_i (the least elements of the cosets)
+    go to u*c_i = z^mu_i * c_sigma(i), z the residue of zeta_n, with
+    mu_i the position of u*c_i; so S(u) = sum of the mu_i.  Multiplying
+    over the t = (q - 1)/n representatives gives
+    u^t * prod c_i = z^S(u) * prod c_i, so z^S(u) = u^((q-1)/n) = chi(u):
+    the transfer identity that `verify muset` checks as
+    transfer_is_power_map.
     """
     x, y = engine.lf.as_kelem(a), engine.lf.as_kelem(b)
     comm = comm_symbol(x, y, engine)

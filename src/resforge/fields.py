@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import FrozenInstanceError
-from itertools import product
+from itertools import islice, product
 
 from .errors import EnumerationBound
 from .rings import RingCtx, _check_n, _det_rows, _poly_mulmod, _poly_powmod
@@ -176,6 +176,13 @@ class FieldCtx(RingCtx):
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
+
+    def mul_table(self, a: int) -> list[int]:
+        """a * c for every encoding c; for f > 1 read off the log tables."""
+        if self.f == 1 or a == 0:
+            return super().mul_table(a)
+        exp, la = self._exp, self._log[a]
+        return [0] + [exp[la + k] for k in islice(self._log, 1, None)]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:

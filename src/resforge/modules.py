@@ -13,9 +13,11 @@ entry condition v(a_jk) >= e_j - e_k makes the map well defined.
 
 Counting orbits needs no enumeration (module_as_muset); element views
 (OrbitView, kept by the module's LocalField) pin representatives for
-maps read as (sigma, mu) data.  Views and images work on positions:
-zeta_n's action, the digit rule's keys and a map's images are built
-from one table per component, with no per-element tuple.
+maps read as (sigma, mu) data.  Views and maps meet on positions only:
+zeta_n's action, the digit rule's keys and a map's images
+(ModuleHom.images) are built from one table per component, with no
+per-element tuple, and a view reads a map off its images.  index and
+label turn a map written on labels into positions.
 """
 
 from __future__ import annotations
@@ -111,15 +113,10 @@ class FiniteModule:
             self._check_bound()
             act = [0]
             for r in self.rings:
-                z, size = r.zeta(n), r.size
-                if r.f == 1:
-                    pN = r.pN
-                    tab = [z * c % pN for c in range(size)]
-                else:
-                    tab = [r.mul(z, c) for c in range(size)]
+                size, tab = r.size, r.mul_table(r.zeta(n))
                 act = [a * size + b for a in act for b in tab]
             digit = self._lead_codes() if rule == "digit" else None
-            v = OrbitView(n, act, self.index, self.label, rule, digit)
+            v = OrbitView(n, act, rule, digit)
             self.lf._views[key] = v
         return v
 
@@ -235,9 +232,14 @@ def module_as_muset(T: FiniteModule, n: int) -> MuSet:
     return MuSet(n, T.dim(n))
 
 
-def module_aut_as_musetaut(T: FiniteModule, g: ModuleHom, n: int,
-                           rule: str = "least") -> MuSetAut:
-    """Express an O-linear automorphism as (sigma, mu) data."""
+def _check_endo(T: FiniteModule, g: ModuleHom):
     if g.src != T or g.dst != T:
         raise ValueError("not an endomorphism of T")
-    return T.view(n, rule).as_aut(g.apply)
+
+
+def module_aut_as_musetaut(T: FiniteModule, g: ModuleHom, n: int,
+                           rule: str = "least") -> MuSetAut:
+    """Express an O-linear automorphism as (sigma, mu) data, read off the
+    positions of its images."""
+    _check_endo(T, g)
+    return T.view(n, rule).as_aut(g.images())

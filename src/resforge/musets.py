@@ -11,8 +11,9 @@ order is the owner's label order.  It takes zeta_n's action as an array
 of positions, keeps each position's orbit and twist in two flat
 array('i'), and pins down orbit representatives by a deterministic
 rule, so that expressing concrete maps as (sigma, mu) data is
-reproducible; maps of labels are read through the owner's index and
-label.  Three rules exist:
+reproducible.  A map is given on positions too, as the position of the
+image of every position (ModuleHom.images for module maps), so a view
+needs nothing of its owner's labels.  Three rules exist:
 
 least         the least element of each orbit in the container's order;
 second_least  the second least, which exists whenever n >= 2;
@@ -23,9 +24,12 @@ digit         for module views: the element whose lowest nonzero pi-adic
               default rule of the extension route, whose rank-one
               scalars have closed forms under it.
 
-residue_walk is the muset route's own view of k = O/pi = F_q: flat
-arrays, not labels, and bounded by q <= fields.MAX_Q rather than by the
+residue_walk is the muset route's own view of k = O/pi = F_q: the same
+orbit walk (_walk) under the least rule, kept as two flat arrays with
+no OrbitView, and bounded by q <= fields.MAX_Q rather than by the
 enumeration bound.  On k the least and digit rules pin the same element.
+The product of two sets sits on positions a * |Y| + b, so aut_extend
+reads f x Id off aut_to_permutation.
 """
 
 from __future__ import annotations
@@ -64,12 +68,6 @@ class MuSet:
             return 0
         i, e = elt
         return 1 + i * self.n + e
-
-    def act(self, elt, k: int = 1):
-        if elt is None:
-            return None
-        i, e = elt
-        return (i, (e + k) % self.n)
 
 
 @dataclass(frozen=True)
@@ -131,135 +129,121 @@ def perm_sign(f: MuSetAut) -> int:
 # concrete pointed mu_n-sets
 
 
+def _walk(act, n: int, rule: str = "least", digit=None) -> tuple[array, array, array]:
+    """(reps, orbit, twist) of the zeta_n-action act on positions 0..S-1.
+
+    act[x] is the position of zeta_n times x (act[0] = 0).  Orbits are
+    walked in position order, so each walk starts at the least element
+    of its orbit, and rule pins the representative; under the digit rule
+    digit[x] is a key that ranks the elements of x's orbit, distinct on
+    each orbit.  x = zeta^twist[x] * reps[orbit[x]], with orbit[0] = -1
+    and twist[0] = 0.  Freeness (orbit length exactly n) is checked on
+    the way.
+    """
+    size = len(act)
+    orbit = array("i", [-1]) * size
+    twist = array("i", [0]) * size
+    reps = array("i")
+    for x in range(1, size):
+        if orbit[x] >= 0:
+            continue
+        cyc = [x]
+        y = act[x]
+        while y != x:
+            cyc.append(y)
+            y = act[y]
+        if len(cyc) != n:
+            raise ValueError(f"orbit of position {x} has length {len(cyc)}, not {n}")
+        if rule == "least" or n == 1:
+            rep_pos = 0
+        elif rule == "digit":
+            keys = [digit[y] for y in cyc]
+            rep_pos = keys.index(min(keys))
+        else:
+            rep_pos = cyc.index(sorted(cyc)[1])
+        if rep_pos:
+            cyc = cyc[rep_pos:] + cyc[:rep_pos]
+        idx = len(reps)
+        reps.append(cyc[0])
+        for e, y in enumerate(cyc):
+            orbit[y] = idx
+            twist[y] = e
+    return reps, orbit, twist
+
+
 class OrbitView:
     """A concrete finite free pointed mu_n-set on positions 0..S-1, with
-    pinned representatives.
+    pinned representatives; act, rule and digit are _walk's.
 
-    Position 0 is the marked point, and position order is the owner's
-    label order.  act[x] is the position of zeta_n times x (act[0] = 0);
-    under the digit rule digit[x] is a key that ranks the elements of x's
-    orbit, distinct on each orbit.  Orbits are walked in position order,
-    so each walk starts at the least element of its orbit.  Freeness
-    (orbit length exactly n) is checked during construction.
-
-    reps holds the representatives' positions; orbit[x] and twist[x] say
-    that x = zeta^twist[x] * reps[orbit[x]] (orbit[0] = -1).  index maps
-    a label to its position and label a position to its label, so maps
-    of labels (as_aut, iso_scalar) are read through them.
+    reps holds the representatives' positions, and orbit[x] and twist[x]
+    say that x = zeta^twist[x] * reps[orbit[x]] (orbit[0] = -1).  A map
+    into the view is given on positions as well: images[x] is the
+    position of the image of x.
     """
 
-    __slots__ = ("n", "reps", "orbit", "twist", "muset", "index", "label")
+    __slots__ = ("n", "reps", "orbit", "twist", "muset")
 
-    def __init__(self, n: int, act, index, label, rule: str = "least", digit=None):
+    def __init__(self, n: int, act, rule: str = "least", digit=None):
         if rule not in RULES:
             raise ValueError(f"unknown representative rule {rule!r}")
         if rule == "digit" and digit is None:
             raise ValueError("the digit rule needs the leading digit of each element")
-        size = len(act)
-        orbit = array("i", [-1]) * size
-        twist = array("i", [0]) * size
-        reps = array("i")
-        for x in range(1, size):
-            if orbit[x] >= 0:
-                continue
-            cyc = [x]
-            y = act[x]
-            while y != x:
-                cyc.append(y)
-                y = act[y]
-            if len(cyc) != n:
-                raise ValueError(f"orbit of {label(x)!r} has length {len(cyc)}, not {n}")
-            if rule == "least" or n == 1:
-                rep_pos = 0
-            elif rule == "digit":
-                keys = [digit[y] for y in cyc]
-                rep_pos = keys.index(min(keys))
-            else:
-                rep_pos = cyc.index(sorted(cyc)[1])
-            if rep_pos:
-                cyc = cyc[rep_pos:] + cyc[:rep_pos]
-            idx = len(reps)
-            reps.append(cyc[0])
-            for e, y in enumerate(cyc):
-                orbit[y] = idx
-                twist[y] = e
         self.n = n
-        self.reps = reps
-        self.orbit = orbit
-        self.twist = twist
-        self.muset = MuSet(n, len(reps))
-        self.index = index
-        self.label = label
+        self.reps, self.orbit, self.twist = _walk(act, n, rule, digit)
+        self.muset = MuSet(n, len(self.reps))
 
     @property
     def t(self) -> int:
         return len(self.reps)
 
-    def as_aut(self, fn) -> MuSetAut:
-        """Express an equivariant pointed bijection of labels as (sigma, mu) data."""
-        ys = [self.index(fn(self.label(r))) for r in self.reps]
-        if not all(0 < y < len(self.orbit) for y in ys):
-            raise ValueError("map does not preserve the nonzero part")
-        return MuSetAut(self.muset, tuple(self.orbit[y] for y in ys),
-                        tuple(self.twist[y] for y in ys))
+    def as_aut(self, images) -> MuSetAut:
+        """Express an equivariant pointed bijection, given by the position of
+        the image of every position, as (sigma, mu) data."""
+        return MuSetAut(self.muset, *_orbit_images(self, self, images))
+
+
+def _orbit_images(src: OrbitView, dst: OrbitView, images) -> tuple[tuple, tuple]:
+    """(sigma, mu) with images[reps of src][i] = zeta^mu[i] * (rep sigma[i] of dst)."""
+    ys = [images[r] for r in src.reps]
+    if not all(0 < y < len(dst.orbit) for y in ys):
+        raise ValueError("map does not preserve the nonzero part")
+    sigma = tuple(dst.orbit[y] for y in ys)
+    if len(set(sigma)) != len(sigma):
+        raise ValueError("map is not bijective on orbits")
+    return sigma, tuple(dst.twist[y] for y in ys)
 
 
 def residue_walk(lf, n: int) -> tuple[array, array]:
     """k = O/pi of lf as a pointed mu_n-set: (pos, least), built once per n
     in O(q) and kept on the field.
 
-    zeta, the residue of the canonical zeta_n, acts by multiplication.
-    least lists the least element of each coset of mu_n in F_q^x, in
-    increasing order; pos[y] = e with y = zeta^e * c for c the least
-    element of y's coset (pos[0] = -1: the marked point has no coset).
-    Walking zeta-orbits from each unit not yet reached, in encoding
-    order, starts every walk at the least element of its coset; freeness
-    (every orbit of length exactly n) is checked on the way.
+    zeta, the residue of the canonical zeta_n, acts by multiplication on
+    positions, the encodings of F_q, and _walk walks it under the least
+    rule: least lists the least element of each coset of mu_n in F_q^x,
+    in increasing order, and pos[y] = e with y = zeta^e * c for c the
+    least element of y's coset (pos[0] = 0 at the marked point).  No
+    OrbitView is kept, and q <= fields.MAX_Q, not the enumeration bound,
+    limits the walk.
     """
     walk = lf._walks.get(n)
     if walk is None:
         field = lf.field
-        zeta, q, mul = field.zeta(n), field.q, field.mul   # zeta checks n
-        pos = array("i", [-1]) * q
-        least = array("i")
-        for c in range(1, q):
-            if pos[c] >= 0:
-                continue
-            least.append(c)
-            y = c
-            for e in range(n):
-                pos[y] = e
-                y = mul(zeta, y)
-            if y != c:
-                raise ArithmeticError("the residue of zeta_n is not an n-th root of unity")
-        if len(least) * n != q - 1:
-            raise ArithmeticError("the residue of zeta_n has order below n")
+        least, _, pos = _walk(array("i", field.mul_table(field.zeta(n))), n)   # zeta checks n
         walk = lf._walks[n] = (pos, least)
     return walk
 
 
-def iso_scalar(src: OrbitView, dst: OrbitView, fn) -> int:
-    """Exponent c with (tensor of fn(reps of src)) = zeta^c * (tensor of reps of dst).
+def iso_scalar(src: OrbitView, dst: OrbitView, images) -> int:
+    """Exponent c with (tensor of images of reps of src) = zeta^c * (tensor of reps of dst).
 
-    fn must be an equivariant bijection between the underlying sets,
-    given on labels.
+    images must be an equivariant bijection between the underlying sets,
+    given by the position in dst of the image of every position of src.
     """
     if src.n != dst.n:
         raise ValueError("mismatched n")
     if src.t != dst.t:
         raise ValueError("sources of different dimension")
-    index, label, orbit, twist = dst.index, src.label, dst.orbit, dst.twist
-    total, seen = 0, set()
-    for r in src.reps:
-        y = index(fn(label(r)))
-        if not 0 < y < len(orbit):
-            raise ValueError("map does not preserve the nonzero part")
-        j = orbit[y]
-        if j in seen:
-            raise ValueError("map is not bijective on orbits")
-        seen.add(j)
-        total += twist[y]
-    return total % src.n
+    return sum(_orbit_images(src, dst, images)[1]) % src.n
 
 
 # ---------------------------------------------------------------------------
@@ -273,26 +257,16 @@ def muset_product(X: MuSet, Y: MuSet) -> MuSet:
     return MuSet(X.n, X.t + Y.t + X.n * X.t * Y.t)
 
 
-def _product_view(X: MuSet, Y: MuSet) -> OrbitView:
-    """The pointed cartesian product; (a, b) sits at X.index(a) * |Y| + Y.index(b)."""
-    elems_x, elems_y, sy = list(X.elements()), list(Y.elements()), Y.size
-    act_x = [X.index(X.act(a)) for a in elems_x]
-    act_y = [Y.index(Y.act(b)) for b in elems_y]
-
-    def index(lbl):
-        a, b = lbl
-        return X.index(a) * sy + Y.index(b)
-
-    def label(i):
-        ia, ib = divmod(i, sy)
-        return elems_x[ia], elems_y[ib]
-
-    return OrbitView(X.n, [a * sy + b for a in act_x for b in act_y], index, label)
-
-
 def aut_extend(f: MuSetAut, Y: MuSet) -> MuSetAut:
-    """f x Id acting on the pointed cartesian product of f's set with Y."""
+    """f x Id acting on the pointed cartesian product of f's set with Y.
+
+    The product sits on positions ia * |Y| + ib, and zeta_n acts on each
+    factor as the automorphism (id, 1, ..., 1).
+    """
     X = f.X
     if X.n != Y.n:
         raise ValueError("mismatched n")
-    return _product_view(X, Y).as_aut(lambda lbl: (f.apply(lbl[0]), lbl[1]))
+    sy = Y.size
+    zx, zy = (aut_to_permutation(MuSetAut(Z, tuple(range(Z.t)), (1,) * Z.t)) for Z in (X, Y))
+    view = OrbitView(X.n, [a * sy + b for a in zx for b in zy])
+    return view.as_aut([a * sy + b for a in aut_to_permutation(f) for b in range(sy)])

@@ -137,6 +137,13 @@ class RingCtx:
             return (a * b) % self.pN
         return self.encode(_poly_mulmod(self.decode(a), self.decode(b), self.poly, self.pN))
 
+    def mul_table(self, a: int) -> list[int]:
+        """a * c for every encoding c, in encoding order."""
+        if self.f == 1:
+            pN = self.pN
+            return [a * c % pN for c in range(pN)]
+        return [self.mul(a, c) for c in range(self.size)]
+
     def matmul(self, a, ring_a: RingCtx, b, ring_b: RingCtx) -> list[list[int]]:
         """Rows of a @ b encoded here, for the rows a and b of encodings in
         ring_a and ring_b, both at precision >= N."""

@@ -9,7 +9,9 @@ is.  Composing isomorphisms adds exponents, duals preserve them, and the
 pairing of a base with its dual base is 1, so its exponent is 0.
 
 Automorphism determinants are read from residue determinants along the
-pi-filtration; orbit enumeration stays as their oracle, _det_exp_brute.
+pi-filtration; orbit enumeration stays as their oracle, _det_exp_brute,
+which reads the automorphism's image positions (ModuleHom.images) at the
+view's representatives.
 Modules are equal when their exponents are, so an isomorphism between
 two quotients with the same exponents, as in the extension route's iso
 exponents, is an automorphism of one module with one memoized view, and
@@ -22,7 +24,7 @@ from operator import not_
 
 from .errors import EnumerationBound
 from .fields import MuScalar, field_det, power_residue_char
-from .modules import FiniteModule, ModuleHom
+from .modules import FiniteModule, ModuleHom, _check_endo
 from .musets import iso_scalar
 
 
@@ -37,10 +39,9 @@ def _det_exp_brute(T: FiniteModule, g: ModuleHom, n: int) -> int:
     to the twist of orbit i and -k_i to that of sigma^-1(i), so the sum
     of the twists stays the same.
     """
-    if g.src != T or g.dst != T:
-        raise ValueError("not an endomorphism of T")
+    _check_endo(T, g)
     view = T.view(n)
-    return iso_scalar(view, view, g.apply)
+    return iso_scalar(view, view, g.images())
 
 
 def _det_exp_fast(T: FiniteModule, g: ModuleHom, n: int) -> int:
@@ -59,8 +60,7 @@ def _det_exp_fast(T: FiniteModule, g: ModuleHom, n: int) -> int:
 
 def det_of_module_aut(T: FiniteModule, g: ModuleHom, n: int) -> MuScalar:
     """The scalar by which g acts on det(T), along the pi-filtration."""
-    if g.src != T or g.dst != T:
-        raise ValueError("not an endomorphism of T")
+    _check_endo(T, g)
     return MuScalar(n, _det_exp_fast(T, g, n))
 
 

@@ -314,13 +314,9 @@ def run_cocycle(seed: int = 0, **_):
 
 
 def _sweep_inputs(lf, vrange):
-    units = range(1, lf.p) if lf.f == 1 else range(1, lf.q)
     for v in vrange:
-        for u in units:
-            if lf.f == 1:
-                yield lf.pi(v) * lf.from_rational(u)
-            else:
-                yield lf.pi(v) * lf.from_coeffs(lf.field.decode(u))
+        for u in range(1, lf.q):
+            yield lf.pi(v) * lf.from_coeffs(lf.field.decode(u))
 
 
 def run_theorem(ps=(3, 5, 7, 13), vmax: int = 2, **_):

@@ -4,8 +4,8 @@ import pytest
 
 from resforge.fields import field_make, power_residue_char
 from resforge.modules import FiniteModule, module_as_muset, module_aut_as_musetaut, scalar_hom
-from resforge.musets import (MuSet, MuSetAut, aut_abelianize, aut_compose,
-                             aut_delta, aut_extend, aut_to_permutation,
+from resforge.musets import (MuSet, MuSetAut, OrbitView, aut_abelianize, aut_compose,
+                             aut_delta, aut_extend, aut_to_permutation, iso_scalar,
                              muset_product, perm_sign)
 from resforge.padic import local_field
 
@@ -119,6 +119,69 @@ def test_product_preserves_delta():
         ext = aut_extend(f, Y)
         assert ext.X == muset_product(X, Y)
         assert aut_delta(ext) == aut_delta(f)
+
+
+def reference_extend(f, Y):
+    """f x Id on the product, read on labels: the orbits of the pairs (a, b)
+    walked in label order, each from its least pair, and the image of each
+    representative located by walking its orbit."""
+    X, n = f.X, f.X.n
+
+    def zeta(elt):
+        return None if elt is None else (elt[0], (elt[1] + 1) % n)
+
+    where, reps = {}, []
+    for lbl in [(a, b) for a in X.elements() for b in Y.elements()][1:]:
+        if lbl not in where:
+            y = lbl
+            for e in range(n):
+                where[y] = (len(reps), e)
+                y = (zeta(y[0]), zeta(y[1]))
+            reps.append(lbl)
+    images = [where[(f.apply(a), b)] for a, b in reps]
+    return MuSetAut(MuSet(n, len(reps)), tuple(i for i, _ in images), tuple(e for _, e in images))
+
+
+def test_product_extension_equals_the_label_walk():
+    rng = random.Random(5)
+    for _ in range(100):
+        n = rng.randint(1, 4)
+        X, Y = MuSet(n, rng.randint(0, 4)), MuSet(n, rng.randint(0, 4))
+        f = rand_aut(rng, X)
+        assert aut_extend(f, Y) == reference_extend(f, Y)
+
+
+def test_position_maps_that_are_not_bijections_of_orbits_are_rejected():
+    """images[x] is the position of the image of x: a representative sent
+    to the marked point or past the last position, or two orbits sent
+    onto one, is refused by as_aut and by iso_scalar alike."""
+    T = FiniteModule(local_field(7), (1,))
+    view = T.view(2)
+    r0 = view.reps[0]
+    for images in ([0] * 7, [0] + [7] * 6):
+        with pytest.raises(ValueError, match="map does not preserve the nonzero part"):
+            view.as_aut(images)
+        with pytest.raises(ValueError, match="map does not preserve the nonzero part"):
+            iso_scalar(view, view, images)
+    onto_one = [0] + [r0] * 6
+    with pytest.raises(ValueError, match="map is not bijective on orbits"):
+        view.as_aut(onto_one)
+    with pytest.raises(ValueError, match="map is not bijective on orbits"):
+        iso_scalar(view, view, onto_one)
+    assert view.as_aut(list(range(7))) == identity(view.muset)
+    assert iso_scalar(view, view, scalar_hom(T, 3).images()) == 1   # 3 is a non-residue mod 7
+
+
+def test_orbit_view_checks_freeness_by_position():
+    with pytest.raises(ValueError, match="orbit of position 1 has length 1, not 2"):
+        OrbitView(2, [0, 1, 2])
+    with pytest.raises(ValueError, match="orbit of position 1 has length 3, not 2"):
+        OrbitView(2, [0, 2, 3, 1])
+    with pytest.raises(ValueError, match="the digit rule needs"):
+        OrbitView(2, [0, 2, 1], "digit")
+    view = OrbitView(2, [0, 2, 1, 4, 3], "second_least")
+    assert (list(view.reps), list(view.orbit), list(view.twist)) == ([2, 4], [-1, 0, 0, 1, 1],
+                                                                     [0, 1, 0, 1, 0])
 
 
 def test_permutation_and_sign():

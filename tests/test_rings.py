@@ -95,6 +95,16 @@ def test_galois_ring_arithmetic_equals_the_polynomial_oracle(p, f, N):
     assert ring.pow(0, 3) == 0 and ring.pow(0, 0) == 1
 
 
+@pytest.mark.parametrize("p,f", [(7, 1), (2, 2), (3, 2), (5, 2), (2, 3)])
+def test_mul_table_lists_every_product_in_encoding_order(p, f):
+    """The field reads its tables (f > 1), the rings multiply; 0 and the
+    zeta_n that module views and the walk of O/pi scale by included."""
+    lf = LocalField(p, f)
+    for ring in (lf.field, lf.ring(2), lf.ring(3)):
+        for a in {0, 1, ring.size - 1, ring.zeta(lf.q - 1), lf.field.g}:
+            assert ring.mul_table(a) == [ring.mul(a, c) for c in range(ring.size)], (ring, a)
+
+
 @pytest.mark.parametrize("p,f", [(7, 1), (3, 2), (5, 2)])
 def test_the_residue_field_is_the_ring_at_precision_one(p, f):
     assert issubclass(FieldCtx, RingCtx)

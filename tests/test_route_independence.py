@@ -6,8 +6,9 @@ fresh field, so its cold set-up is covered too, under a call tracer
 (sys.setprofile) that records every resforge function it enters.  The
 muset route may reach no function of resforge.extension, and the
 extension route at m = 1 neither the muset route's walk of O/pi nor its
-delta.  Field and ring arithmetic, and the direct route's tame unit and
-character, are still shared; the tracer only records them.
+delta, nor the direct route's character: its sign term is read off its
+own walk of O/pi.  Field and ring arithmetic, and the direct route's
+tame unit, are still shared; the tracer only records them.
 """
 
 import sys
@@ -64,3 +65,4 @@ def test_extension_route_at_m1_reaches_neither_the_walk_nor_the_delta():
             assert ("resforge.extension", "_digit_sum") in seen
             assert ("resforge.musets", "residue_walk") not in seen
             assert ("resforge.symbols", "delta_route_symbol") not in seen
+            assert ("resforge.fields", "power_residue_char") not in seen

@@ -1,14 +1,16 @@
 """Source hygiene of the package, read with the standard library's ast.
 
-A module-level import that no code of its module reads, and a function
-local that is stored but never read, are dead code that the routes'
-tests cannot see.  Names with a leading underscore are exempt as locals,
-the way ``_`` marks a value kept on purpose; ``__init__`` re-exports
-its imports, so it is not scanned.
+A module-level import that no code of its module reads, a function
+local that is stored but never read, and a private module-level
+function that no code of the package calls are dead code that the
+routes' tests cannot see.  Names with a leading underscore are exempt as
+locals, the way ``_`` marks a value kept on purpose; ``__init__``
+re-exports its imports, so only its reads are scanned, as callers.
 """
 
 import ast
 import os
+from collections import Counter
 
 import resforge
 
@@ -44,6 +46,34 @@ def _own_stores(fn) -> set[str]:
             stored.difference_update(node.names)
         todo.extend(ast.iter_child_nodes(node))
     return stored
+
+
+def _read_names(tree) -> Counter:
+    """How often each name is read in tree, as a variable or as an attribute."""
+    return Counter([n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                    and not isinstance(n.ctx, ast.Store)]
+                   + [n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)])
+
+
+def _uncalled_private(named_trees) -> list[str]:
+    """Private module-level functions that nothing reads outside their own body."""
+    reads = Counter()
+    for _name, tree in named_trees:
+        reads += _read_names(tree)
+    uncalled = []
+    for name, tree in named_trees:
+        for fn in tree.body:
+            if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and fn.name.startswith("_") and not fn.name.endswith("__")
+                    and reads[fn.name] == _read_names(fn)[fn.name]):
+                uncalled.append(f"{name}:{fn.lineno} {fn.name}")
+    return uncalled
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    with open(os.path.join(SRC, "__init__.py")) as fh:
+        init = ast.parse(fh.read(), "__init__.py")
+    assert _uncalled_private([*_modules(), ("__init__.py", init)]) == []
 
 
 def test_no_unread_module_imports():
@@ -84,3 +114,10 @@ def test_the_checks_see_what_they_look_for():
     fn = tree.body[2]
     assert "os" not in _loaded(tree) and "sys" in _loaded(tree)
     assert _own_stores(fn) - _loaded(fn) == {"_c", "unused"}
+    mod = ast.parse("def _used(k):\n    return _used(k - 1) if k else 0\n\n"
+                    "def _left(x):\n    return _left(x)\n\n"
+                    "def public():\n    return _used(2)\n")
+    other = ast.parse("from m import _called_here\n\nclass C:\n"
+                      "    def _method(self):\n        return m._dotted()\n\n"
+                      "def _dotted():\n    return _called_here()\n")
+    assert _uncalled_private([("m.py", mod), ("o.py", other)]) == ["m.py:4 _left"]

@@ -113,7 +113,7 @@ def test_automorphism_delta_does_not_depend_on_the_rule():
             for _ in range(3):
                 g = random_matrix_aut(lf, rng, M)
                 for n in ns:
-                    deltas = {aut_delta(M.view(n, rule).as_aut(g.apply)).exp
+                    deltas = {aut_delta(M.view(n, rule).as_aut(g.images())).exp
                               for rule in ("least", "second_least", "digit")}
                     assert deltas == {_det_exp_brute(M, g, n)}, (p, f, exps, n)
                     assert deltas == {det_of_module_aut(M, g, n).exp}
