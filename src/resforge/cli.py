@@ -25,7 +25,7 @@ from .fields import MuScalar, _check_n, field_make
 from .padic import LocalField
 from .symbols import (crosscheck, delta_route_symbol, power_residue_symbol,
                       symbol_value_str)
-from .verify import _sweep_inputs, run_suite
+from .verify import SUITES, _sweep_inputs, run_suite
 
 
 def _add_field_args(sub):
@@ -179,8 +179,7 @@ def main(argv=None) -> int:
     sym.set_defaults(func=_cmd_symbol)
 
     ver = subs.add_parser("verify", help="run a verification suite")
-    ver.add_argument("suite", choices=("zolotarev", "muset", "torsor", "lattice",
-                                       "cocycle", "theorem", "corollary", "all"))
+    ver.add_argument("suite", choices=(*SUITES, "all"))
     ver.add_argument("--p", type=int, action="append",
                      help="restrict sweep primes (repeatable)")
     ver.add_argument("--seed", type=int)

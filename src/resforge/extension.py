@@ -47,9 +47,9 @@ f = u * pi^v and g of valuation w,
 where S(u) sums, over the least elements c of the cosets of mu_n in
 F_q^x, the position of u*c in its coset counted in powers of the residue
 of zeta_n.  Under it the symbols read a K^x argument as its valuation v
-and the residue of its unit, with no matrix, and S(u) by residue is the
-engine's only rank-one memo.  The sign term of corrected_symbol is
-S(-1), read off the same walk of k = O/pi.
+and the residue of its unit, with no matrix (_cocycle_m1).  The engine
+walks k = O/pi once, when it is built, and memoizes S(u) by residue; the
+sign term of corrected_symbol is S(-1), read off the same walk.
 
 Every iso exponent in rho_exp goes between quotients with the same
 exponents, which carry the same pinned representatives under every
@@ -91,9 +91,9 @@ class SymbolEngine:
         self.rule = rule
         self.prec = lf.default_precision
         self._std: dict[int, Lattice] = {}
-        # digit rule: S(u) by residue u, and the coset walk it reads
+        # digit rule: the coset walk of k = O/pi, and S(u) by residue u read off it
+        self._cosets = _coset_walk(lf.field, lf.field.zeta(n), n)
         self._digit_sums: dict[int, int] = {}
-        self._cosets = None
         # the sign term of corrected_symbol, chi(-1) (see corrected_symbol)
         self._sign_exp = _digit_sum(self, lf.field.neg(1))
 
@@ -129,8 +129,6 @@ def get_engine(lf, n: int, rule: str = "digit") -> SymbolEngine:
 def _iso_exp(srcQ: LatticeQuotient, dstQ: LatticeQuotient, f: KMat | None,
              engine: SymbolEngine) -> int:
     """Exponent of the determinant scalar of lift-(f)-project on quotients."""
-    if engine.n == 1:
-        return 0
     return _det_exp_fast(dstQ.module, induced_hom(srcQ, dstQ, f), engine.n)
 
 
@@ -166,17 +164,6 @@ def _seq_exp(QXZ: LatticeQuotient, QYZ: LatticeQuotient, QXY: LatticeQuotient,
                           engine.n, engine.rule)
 
 
-def _nested_desc_exp(X: Lattice, Y: Lattice, Z: Lattice, engine: SymbolEngine,
-                     QYZ: LatticeQuotient | None = None,
-                     QXY: LatticeQuotient | None = None) -> int:
-    """kappa for X >= Y >= Z; Y/Z or X/Y is built unless handed over."""
-    if QYZ is None:
-        QYZ = quotient_struct(Y, Z)
-    if QXY is None:
-        QXY = quotient_struct(X, Y)
-    return _seq_exp(quotient_struct(X, Z), QYZ, QXY, engine)
-
-
 def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
               QB_BC: LatticeQuotient | None = None,
               QC_BC: LatticeQuotient | None = None) -> int:
@@ -185,8 +172,8 @@ def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
     B/(B cap C) and C/(B cap C) are built unless the caller hands them
     over.  They say how B and C nest: B >= C exactly when C/(B cap C) is
     zero, and then B/(B cap C) is B/C; C >= B exactly when B/(B cap C)
-    is zero, and then C/(B cap C) is C/B.  A nested case reuses that
-    quotient.
+    is zero, and then C/(B cap C) is C/B.  A nested case is one
+    connecting sequence, which reuses that quotient.
     """
     if A == C:
         # duality pairing; canonical bases pair to 1
@@ -194,10 +181,10 @@ def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
     if QB_BC is None:
         BC = lat_intersect(B, C)
         QB_BC, QC_BC = quotient_struct(B, BC), quotient_struct(C, BC)
-    if not QC_BC.module.exps and lat_contains_lattice(A, B):
-        return _nested_desc_exp(A, B, C, engine, QYZ=QB_BC)
-    if not QB_BC.module.exps and lat_contains_lattice(B, A):
-        return (-_nested_desc_exp(C, B, A, engine, QXY=QC_BC)) % engine.n
+    if not QC_BC.module.exps and lat_contains_lattice(A, B):   # A >= B >= C
+        return _seq_exp(quotient_struct(A, C), QB_BC, quotient_struct(A, B), engine)
+    if not QB_BC.module.exps and lat_contains_lattice(B, A):   # C >= B >= A
+        return -_seq_exp(quotient_struct(C, A), quotient_struct(B, A), QC_BC, engine) % engine.n
     return _kappa_chain(A, B, C, engine, QB_BC, QC_BC)
 
 
@@ -221,7 +208,7 @@ def _kappa_chain(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
 
 
 # ---------------------------------------------------------------------------
-# rank-one closed forms under the digit rule
+# the walk of k = O/pi and S(u), for the digit rule
 
 
 def _coset_walk(field, zbar: int, n: int) -> tuple[array, array]:
@@ -229,8 +216,11 @@ def _coset_walk(field, zbar: int, n: int) -> tuple[array, array]:
     of mu_n in F_q^x (pos[0] = -1); and the array of those least elements.
 
     Walking zbar-orbits from each unit not yet reached, in encoding
-    order, starts every walk at the least element of its coset.
+    order, starts every walk at the least element of its coset.  It is
+    kept apart from musets.residue_walk, so that a bug in one route's
+    walk cannot reach the other route's value.
     """
+    times = field.mul_table(zbar)
     pos = array("i", [-1]) * field.q
     least = array("i")
     for c in range(1, field.q):
@@ -240,7 +230,7 @@ def _coset_walk(field, zbar: int, n: int) -> tuple[array, array]:
         y = c
         for e in range(n):
             pos[y] = e
-            y = field.mul(zbar, y)
+            y = times[y]
         if y != c:
             raise ArithmeticError("the residue of zeta_n does not have order n")
     return pos, least
@@ -250,31 +240,11 @@ def _digit_sum(engine: SymbolEngine, u: int) -> int:
     """S(u): over the least elements c of the cosets, the position of u*c."""
     s = engine._digit_sums.get(u)
     if s is None:
-        field, n = engine.lf.field, engine.n
-        if engine._cosets is None:
-            engine._cosets = _coset_walk(field, engine.lf.ring(1).zeta(n), n)
         pos, least = engine._cosets
+        field = engine.lf.field
         s = sum(pos[field.mul(u, c)] for c in least)
         engine._digit_sums[u] = s
     return s
-
-
-def _rho_m1_digit(engine: SymbolEngine, x: KElem, w: int) -> int:
-    """rho_f on (O | pi^w O) for f = x = pi^v * u, under the digit rule.
-
-    On O/pi^k, k = |w|, f acts as multiplication by u: the pi-power moves
-    digit-rule representatives onto representatives.  An orbit is fixed
-    by its valuation j < k, the coset of its leading digit, and the
-    q^(k-1-j) choices of the digits above; multiplying by u adds the
-    position of u*c to its twist, for c the least element of the coset.
-    So rho is (q^k - 1)/(q - 1) * S(u) = (1 + q + ... + q^(k-1)) * S(u),
-    and q = 1 mod n makes that k * S(u) mod n.  For w < 0 the quotient is
-    the right factor of (O | pi^w O), on which rho acts through f^-1.
-    """
-    if w == 0:
-        return 0
-    u = engine.lf.ring(x.prec).reduce_to(x.unit, engine.lf.field)
-    return w * _digit_sum(engine, u) % engine.n
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +252,26 @@ def _rho_m1_digit(engine: SymbolEngine, x: KElem, w: int) -> int:
 
 
 def _cocycle_m1(x: KElem, w: int, engine: SymbolEngine) -> int:
-    """c(f, g) at m = 1, for f = x and g of valuation w; the enumerating
-    rules run cocycle_exp's lattice body on f = x and g = pi^w."""
-    if engine.rule == "digit":
-        return _rho_m1_digit(engine, x, w)   # kappa is 0
-    return cocycle_exp(engine.as_kmat(x), engine.as_kmat(engine.lf.pi(w)), engine)
+    """c(f, g) at m = 1, for f = x = pi^v * u and g of valuation w.
+
+    The enumerating rules run cocycle_exp's lattice body on f = x and
+    g = pi^w.  Under the digit rule kappa is 0 and c is rho_f on
+    (O | pi^w O).  On O/pi^k, k = |w|, f acts as multiplication by u:
+    the pi-power moves digit-rule representatives onto representatives.
+    An orbit is fixed by its valuation j < k, the coset of its leading
+    digit, and the q^(k-1-j) choices of the digits above; multiplying by
+    u adds the position of u*c to its twist, for c the least element of
+    the coset.  So rho is (q^k - 1)/(q - 1) * S(u) =
+    (1 + q + ... + q^(k-1)) * S(u), and q = 1 mod n makes that
+    k * S(u) mod n.  For w < 0 the quotient is the right factor of
+    (O | pi^w O), on which rho acts through f^-1.
+    """
+    if engine.rule != "digit":
+        return cocycle_exp(engine.as_kmat(x), engine.as_kmat(engine.lf.pi(w)), engine)
+    if w == 0:
+        return 0
+    u = engine.lf.ring(x.prec).reduce_to(x.unit, engine.lf.field)
+    return w * _digit_sum(engine, u) % engine.n
 
 
 def cocycle_exp(f: KMat, g: KMat, engine: SymbolEngine) -> int:
@@ -300,7 +285,7 @@ def cocycle_exp(f: KMat, g: KMat, engine: SymbolEngine) -> int:
         if x is None or w is None:
             raise ValueError("singular input")
         if engine.rule == "digit":
-            return _rho_m1_digit(engine, x, w)   # kappa is 0
+            return _cocycle_m1(x, w, engine)
     V = engine.standard(m)
     fV = lat_apply(f, V)
     gV = lat_apply(g, V)

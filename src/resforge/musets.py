@@ -113,12 +113,10 @@ def aut_abelianize(f: MuSetAut) -> tuple[MuScalar, int]:
 
 
 def aut_to_permutation(f: MuSetAut) -> tuple:
-    """The underlying permutation of all n*t + 1 points, as an index map."""
-    X = f.X
-    images = [0] * X.size
-    for elt in X.elements():
-        images[X.index(elt)] = X.index(f.apply(elt))
-    return tuple(images)
+    """The underlying permutation of all n*t + 1 points, as an index map:
+    point 1 + i*n + e goes to 1 + sigma[i]*n + (e + mu[i]) mod n."""
+    n = f.X.n
+    return (0, *(1 + s * n + (e + mu) % n for s, mu in zip(f.sigma, f.mu) for e in range(n)))
 
 
 def perm_sign(f: MuSetAut) -> int:

@@ -220,6 +220,20 @@ def _planted_failure(**_):
     return verify._finish("zolotarev", [chk])
 
 
+def test_every_suite_and_all_parse(capsys, monkeypatch):
+    """The verify subcommand takes its choices from verify.SUITES, so every
+    suite there, and all, parses and runs."""
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name,
+                            lambda name=name, **_: verify._finish(name, [verify._Check("planted")]))
+    for name in (*verify.SUITES, "all"):
+        code, out, _ = run_cli(capsys, "verify", name)
+        assert (code, out.splitlines()[-1]) == (0, "OK")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "nosuch"])
+    assert exc.value.code == 2
+
+
 def test_failed_verification_exits_1(capsys, monkeypatch):
     monkeypatch.setitem(verify.SUITES, "zolotarev", _planted_failure)
     code, out, _ = run_cli(capsys, "verify", "zolotarev")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -69,14 +70,17 @@ def test_kappa_degenerate_cases(eng7):
 
 
 def test_kappa_path_independence():
-    for p, n in [(7, 2), (5, 4), (13, 3)]:
-        eng = get_engine(local_field(p), n)
+    """Both nested cases (descending and ascending triples) and the pairing
+    against the chain; under the digit rule a rank-one nested kappa is 0,
+    so the other rules are what tell the ascending case's sign."""
+    for (p, n), rule in itertools.product([(7, 2), (5, 4), (13, 3)], RULES):
+        eng = get_engine(local_field(p), n, rule)
         for tri in [(0, 1, 2), (0, 0, 3), (-1, 1, 2), (-3, -2, 0), (-2, 0, 2),
                     (2, 1, 0), (1, -1, -2)]:
             A, B, C = (principal_lattice(eng.lf, v) for v in tri)
             auto = kappa_exp(A, B, C, eng)
             general = _kappa_chain(A, B, C, eng, *chain_pieces(B, C))
-            assert auto == general, (p, n, tri)
+            assert auto == general, (p, n, rule, tri)
 
 
 def test_kappa_contraction_associativity(eng7):
@@ -564,21 +568,27 @@ def test_nested_kappa_reuses_the_shared_quotient(monkeypatch):
     lf = local_field(5)
     rng = random.Random(2)
     eng = get_engine(lf, 4)
-    calls = {"quotient": [], "nested": []}
+    calls = {"quotient": [], "contains": [], "chain": []}
 
     def recorded(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key].append(args)
-            return fn(*args, **kwargs)
+        def wrapper(*args):
+            res = fn(*args)
+            calls[key].append(res)
+            return res
         return wrapper
 
     monkeypatch.setattr(extension, "quotient_struct", recorded("quotient", quotient_struct))
-    monkeypatch.setattr(extension, "_nested_desc_exp",
-                        recorded("nested", extension._nested_desc_exp))
-    while not calls["nested"]:
+    monkeypatch.setattr(extension, "lat_contains_lattice",
+                        recorded("contains", lat_contains_lattice))
+    monkeypatch.setattr(extension, "_kappa_chain", recorded("chain", extension._kappa_chain))
+    nested = False
+    while not nested:
         f, g = rand_matrix(lf, rng, 2, (0, 1)), rand_matrix(lf, rng, 2, (0, 1))
-        calls["quotient"].clear()
+        for seen in calls.values():
+            seen.clear()
         value = cocycle_exp(f, g, eng)
+        # kappa took a nested case: a containment held and the chain did not run
+        nested = True in calls["contains"] and not calls["chain"]
     assert len(calls["quotient"]) == 6
     V = standard_lattice(lf, 2)
     gV = lat_apply(g, V)

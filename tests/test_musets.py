@@ -195,6 +195,18 @@ def test_permutation_and_sign():
     assert perm_sign(identity(X2)) == 1
 
 
+def test_permutation_equals_the_label_walk():
+    """The closed form of aut_to_permutation against apply and index on labels."""
+    rng = random.Random(6)
+    for _ in range(200):
+        X = MuSet(rng.randint(1, 5), rng.randint(0, 6))
+        f = rand_aut(rng, X)
+        want = [0] * X.size
+        for elt in X.elements():
+            want[X.index(elt)] = X.index(f.apply(elt))
+        assert aut_to_permutation(f) == tuple(want)
+
+
 def test_sign_equals_delta_for_n2():
     rng = random.Random(4)
     for _ in range(1000):

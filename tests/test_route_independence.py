@@ -9,12 +9,18 @@ extension route at m = 1 neither the muset route's walk of O/pi nor its
 delta, nor the direct route's character: its sign term is read off its
 own walk of O/pi.  Field and ring arithmetic, and the direct route's
 tame unit, are still shared; the tracer only records them.
+
+The two walks of O/pi (extension._coset_walk and musets.residue_walk)
+are kept apart on purpose, one loop per route over the shared field
+tables, and are compared here instead.
 """
 
 import sys
 
-from resforge.extension import corrected_symbol, get_engine
-from resforge.padic import LocalField
+from resforge.extension import _coset_walk, _digit_sum, corrected_symbol, get_engine
+from resforge.fields import power_residue_char
+from resforge.musets import residue_walk
+from resforge.padic import LocalField, local_field
 from resforge.symbols import delta_route_symbol
 
 
@@ -58,11 +64,42 @@ def extension_route(lf, a, b, n):
 
 
 def test_extension_route_at_m1_reaches_neither_the_walk_nor_the_delta():
+    """The route reaches no resforge.musets function at all: its walk of
+    O/pi is kept apart from the muset route's on purpose."""
     for lf, n, pairs in fields():
         for a, b in pairs:
             a, b = lf.parse(a), lf.parse(b)
             seen = reached(extension_route, lf, a, b, n)
             assert ("resforge.extension", "_digit_sum") in seen
-            assert ("resforge.musets", "residue_walk") not in seen
+            assert [f for f in seen if f[0] == "resforge.musets"] == []
             assert ("resforge.symbols", "delta_route_symbol") not in seen
             assert ("resforge.fields", "power_residue_char") not in seen
+
+
+WALK_FIELDS = [(7, 1), (13, 1), (3, 2), (5, 2), (3, 3), (2, 4)]
+
+
+def test_the_two_walks_of_the_residue_field_agree():
+    """Same least elements and the same positions off the marked point,
+    where pos[0] is -1 in the extension route's walk and 0 in the muset
+    route's."""
+    for p, f in WALK_FIELDS:
+        lf = local_field(p, f)
+        for n in (d for d in range(1, lf.q) if (lf.q - 1) % d == 0):
+            pos, least = _coset_walk(lf.field, lf.field.zeta(n), n)
+            mpos, mleast = residue_walk(lf, n)
+            assert list(least) == list(mleast)
+            assert (pos[0], mpos[0]) == (-1, 0)
+            assert pos[1:] == mpos[1:]
+
+
+def test_digit_sum_is_the_power_residue_character():
+    """S(u) read off the extension route's walk is the exponent of the
+    n-th power residue character of u, for every unit u of every field
+    above and every n | q - 1."""
+    for p, f in WALK_FIELDS:
+        lf = local_field(p, f)
+        for n in (d for d in range(1, lf.q) if (lf.q - 1) % d == 0):
+            eng = get_engine(lf, n)
+            for u in range(1, lf.q):
+                assert (_digit_sum(eng, u) - power_residue_char(lf.field, u, n).exp) % n == 0
