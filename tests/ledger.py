@@ -1,0 +1,93 @@
+"""The value ledger: exponents of the extension route, pinned cell by cell.
+
+Identities and commutators cannot see a change of c(f, g) by a
+coboundary, which is what a different choice of canonical bases does;
+the ledger can.  Each cell is named by a key and holds the value, or the
+class and message of the exception the computation raised:
+
+  gl2/...   cocycle_exp(f, g) on seeded verify._random_matrix draws, at
+            p in {3, 5, 7, 13} (f = 1) and q in {9, 25}, under every rule;
+  rank1/... cocycle, comm_symbol and corrected_symbol of K^x elements
+            pi^v * u, under every rule;
+  gl3/...   the 60 GL_3 cocycle identities of random.Random(7) (p cycles
+            through 3, 5, 7; n = 2): [c(f, gh), c(g, h), c(fg, h), c(f, g)]
+            in that order, or the first exception.
+
+tests/test_ledger.py recomputes every cell.  A change that moves a cell
+regenerates the file by hand and lists the moved cells:
+
+    PYTHONPATH=src python tests/ledger.py
+"""
+
+import json
+import os
+import random
+
+from resforge.extension import (cocycle, cocycle_exp, comm_symbol,
+                                corrected_symbol, get_engine)
+from resforge.musets import RULES
+from resforge.padic import local_field
+from resforge.verify import _random_matrix
+
+PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "ledger.json")
+FIELDS = ((3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2))
+GL2_DRAWS = 8
+RANK1_DRAWS = 6
+GL3_DRAWS = 60
+
+
+def _orders(q):
+    return [n for n in range(2, q) if (q - 1) % n == 0]
+
+
+def _cell(fn):
+    try:
+        return fn()
+    except (ArithmeticError, ValueError) as exc:   # PrecisionError, EnumerationBound, ...
+        return {"error": type(exc).__name__, "message": str(exc)}
+
+
+def cells():
+    """(key, value) for every cell, in ledger order."""
+    for p, f in FIELDS:
+        lf = local_field(p, f)
+        orders = _orders(lf.q)
+        rng = random.Random(100 * p + f)
+        vmax = 2 if f == 1 else 1   # q^2-sized steps reach the enumeration bound sooner
+        for k in range(GL2_DRAWS):
+            n = orders[k % len(orders)]
+            a, b = (_random_matrix(lf, rng, 2, (-vmax, vmax)) for _ in range(2))
+            for rule in RULES:
+                eng = get_engine(lf, n, rule)
+                yield f"gl2/q{lf.q}/{k}/n{n}/{rule}", _cell(lambda: cocycle_exp(a, b, eng))
+        for k in range(RANK1_DRAWS):
+            n = orders[k % len(orders)]
+            x, y = (lf.pi(rng.randint(-vmax, vmax)) * lf.from_coeffs(lf.field.decode(rng.randrange(1, lf.q)))
+                    for _ in range(2))
+            for rule in RULES:
+                eng = get_engine(lf, n, rule)
+                for fn in (cocycle, comm_symbol, corrected_symbol):
+                    yield (f"rank1/q{lf.q}/{k}/n{n}/{rule}/{fn.__name__}",
+                           _cell(lambda: fn(x, y, eng).exp))
+    rng = random.Random(7)
+    for k in range(GL3_DRAWS):
+        lf = local_field((3, 5, 7)[k % 3])
+        eng = get_engine(lf, 2)
+        a, b, c = (_random_matrix(lf, rng, 3) for _ in range(3))
+        yield f"gl3/p{lf.p}/{k}", _cell(lambda: [cocycle_exp(*fg, eng) for fg in
+                                                ((a, b @ c), (b, c), (a @ b, c), (a, b))])
+
+
+def load():
+    with open(PATH) as fh:
+        return json.load(fh)
+
+
+def write():
+    lines = [f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in cells()]
+    with open(PATH, "w") as fh:
+        fh.write("{\n" + ",\n".join(lines) + "\n}\n")
+
+
+if __name__ == "__main__":
+    write()
