@@ -30,8 +30,10 @@ I = V cap gV and f(I) once.  f is invertible, so fV cap fgV = f(I), and
 the quotients fV/f(I) and fgV/f(I) that rho_exp maps onto are kappa_exp's
 B/(B cap C) and C/(B cap C); both get them handed over, and a direct
 caller of either gets them built, with the same value.  A chain cocycle
-so builds 4 intersections and 14 quotients, none of them kept past the
-call.  When fV and fgV nest, the larger over the smaller is one of the
+so builds at most 4 intersections and 14 quotients, none of them kept
+past the call: a nested intersection is one of its operands, and a link
+of the chain whose lattices coincide builds nothing (_kappa_chain).
+When fV and fgV nest, the larger over the smaller is one of the
 shared quotients, so a nested cocycle builds 6 quotients: rho's 4 and
 the connecting sequence's other two.
 
@@ -191,19 +193,38 @@ def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
 def _kappa_chain(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
                  QB_BC: LatticeQuotient, QC_BC: LatticeQuotient) -> int:
     """kappa along the chain through the pairwise and triple intersections,
-    given B/BC and C/BC for BC = B cap C; its six sequences share their
-    quotients, so each of the 12 is built once."""
+    given B/BC and C/BC for BC = B cap C.
+
+    Each of the six links is the connecting sequence of some
+    X >= Y >= D3 = A cap B cap C, and nests by construction, so equal
+    det_val is equality: Y = D3 when det_val(Y) = det_val(D3), X = Y when
+    det_val(X) = det_val(Y).  Then the link's other two quotients, X/D3
+    and X/Y or Y/D3 and X/D3, present one lattice pair on one canonical
+    basis, so the map between them is the identity of one presentation:
+    it takes each representative to itself, and the exponent is 0 under
+    every rule.  Such a link builds no quotient and no induced hom and
+    enumerates nothing; the others build each quotient over D3 on first
+    use, once.
+    """
     AB = lat_intersect(A, B)
     BC = QB_BC.B
     AC = lat_intersect(A, C)
     D3 = lat_intersect(AB, C)
-    QA, QB, QC, QAB, QBC, QAC = (quotient_struct(L, D3) for L in (A, B, C, AB, BC, AC))
-    total = _seq_exp(QA, QAB, quotient_struct(A, AB), engine)
-    total -= _seq_exp(QB, QAB, quotient_struct(B, AB), engine)   # ascending D3 <= AB <= B
-    total += _seq_exp(QB, QBC, QB_BC, engine)
-    total -= _seq_exp(QC, QBC, QC_BC, engine)                    # ascending D3 <= BC <= C
-    total -= _seq_exp(QA, QAC, quotient_struct(A, AC), engine)   # inverse of descending
-    total += _seq_exp(QC, QAC, quotient_struct(C, AC), engine)   # inverse of ascending
+    over_D3: dict[int, LatticeQuotient] = {}
+
+    def over(L: Lattice) -> LatticeQuotient:
+        if id(L) not in over_D3:
+            over_D3[id(L)] = quotient_struct(L, D3)
+        return over_D3[id(L)]
+
+    # (sign, X, Y, X/Y when held): D3 <= AB <= B and D3 <= BC <= C ascend,
+    # and the last two links are inverses of a descending one and an ascending one
+    links = ((1, A, AB, None), (-1, B, AB, None), (1, B, BC, QB_BC),
+             (-1, C, BC, QC_BC), (-1, A, AC, None), (1, C, AC, None))
+    total = 0
+    for sign, X, Y, QXY in links:
+        if X.det_val < Y.det_val < D3.det_val:   # else X = Y or Y = D3
+            total += sign * _seq_exp(over(X), over(Y), QXY or quotient_struct(X, Y), engine)
     return total % engine.n
 
 

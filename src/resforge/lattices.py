@@ -36,7 +36,11 @@ bases once B is known to lie in A) is the zero module: it runs no SNF,
 builds neither P nor P^-1 (it is presented by A's own basis), and a map
 induced from or to it is the empty or the zero map, with no product.
 Lattice.__eq__ decides equality by the same rule: equal det_val first,
-then one containment product.
+then one containment product.  lat_intersect uses nesting the same way:
+of nested lattices the larger has the smaller det_val, so one
+containment product in that direction decides whether the intersection
+is the other operand, which is then returned itself; only a proper pair
+builds the dual of the sum of the duals.
 """
 
 from __future__ import annotations
@@ -460,6 +464,10 @@ def _dual_mat(A: Lattice) -> KMat:
 
 
 def lat_intersect(A: Lattice, B: Lattice) -> Lattice:
+    # of nested lattices the larger has the smaller det_val
+    big, small = (A, B) if A.det_val <= B.det_val else (B, A)
+    if lat_contains_lattice(big, small):
+        return small
     # (A cap B)* = A* + B*
     dual_sum = Lattice(_dual_mat(A).hstack(_dual_mat(B)))
     return Lattice(_dual_mat(dual_sum))

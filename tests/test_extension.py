@@ -15,7 +15,7 @@ from resforge.lattices import (KMat, Lattice, induced_hom, lat_apply, lat_contai
 from resforge.musets import OrbitView
 from resforge.padic import LocalField, local_field
 from resforge.symbols import power_residue_symbol
-from resforge.torsor import _det_exp_brute
+from resforge.torsor import _det_exp_brute, _exact_seq_exp
 from resforge.verify import _random_matrix as rand_matrix
 
 RULES = ("digit", "least", "second_least")
@@ -516,23 +516,70 @@ def test_engine_rejects_an_unknown_rule():
     assert not lf._engines
 
 
-def test_chain_cocycle_work_count(monkeypatch):
-    """One GL_2 cocycle through kappa's chain: 4 intersections (V cap gV
-    and three of the chain's; B cap C is f(V cap gV)), 14 quotients (rho's
-    4 and the chain's 12 share fV/f(V cap gV) and fgV/f(V cap gV)), no SNF
-    for a zero quotient, no ModuleHom.apply in the exact-sequence walks,
-    and no containment check: neither of the shared quotients is zero, so
-    fV and fgV do not nest and kappa goes straight to the chain."""
+def six_links(A, B, C, engine, cap):
+    """Every link of kappa's chain, built afresh: each link's three
+    quotients and both induced homs, with nothing shared.  Yields
+    (sign, whether X = Y or Y = D3, exponent), or nothing when some middle
+    module X/D3 has more than cap elements."""
+    AB, BC, AC = lat_intersect(A, B), lat_intersect(B, C), lat_intersect(A, C)
+    D3 = lat_intersect(AB, C)
+    if max(quotient_struct(X, D3).module.size for X in (A, B, C)) > cap:
+        return
+    for sign, X, Y in ((1, A, AB), (-1, B, AB), (1, B, BC), (-1, C, BC), (-1, A, AC),
+                       (1, C, AC)):
+        QXZ, QYZ, QXY = quotient_struct(X, D3), quotient_struct(Y, D3), quotient_struct(X, Y)
+        exp = _exact_seq_exp(QYZ.module, QXZ.module, QXY.module, induced_hom(QYZ, QXZ),
+                             induced_hom(QXZ, QXY), engine.n, engine.rule)
+        yield sign, X == Y or Y == D3, exp
+
+
+def test_kappa_chain_skips_only_links_that_enumerate_to_zero():
+    """_kappa_chain against all six links of the chain, on random triples of
+    rank m <= 3: B and C each inside, around or apart from the lattice
+    before it.  A link with X = Y or Y = D3 is skipped by the code, and
+    enumerated here it gives 0 under every rule."""
+    rng = random.Random(21)
+    skipped = run = nonzero = 0
+    for (p, f), rule in itertools.product([(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2)],
+                                          RULES):
+        lf = local_field(p, f)
+        ns = [d for d in range(2, lf.q) if (lf.q - 1) % d == 0]
+        for _ in range(8):
+            eng = get_engine(lf, rng.choice(ns), rule)
+            m = rng.randint(1, 3)
+            lats = [lat_apply(rand_matrix(lf, rng, m, (-1, 1)), standard_lattice(lf, m))]
+            for _ in range(2):
+                M = rand_matrix(lf, rng, m, (0, 1), 0.9)
+                apart = lat_apply(rand_matrix(lf, rng, m, (-1, 1)), standard_lattice(lf, m))
+                lats.append(rng.choice([Lattice(lats[-1].mat @ M),
+                                        Lattice(lats[-1].mat @ M.inverse()), apart, apart]))
+            A, B, C = lats
+            try:
+                links = list(six_links(A, B, C, eng, 5000))
+            except PrecisionError:   # GL_3 lattices may run out of digits
+                continue
+            if not links:
+                continue
+            assert all(exp == 0 for _, skip, exp in links if skip), (p, f, rule, m)
+            full = sum(sign * exp for sign, _, exp in links) % eng.n
+            assert _kappa_chain(A, B, C, eng, *chain_pieces(B, C)) == full, (p, f, rule, m)
+            skipped += sum(skip for _, skip, _ in links)
+            run += sum(not skip for _, skip, _ in links)
+            nonzero += sum(exp != 0 for _, _, exp in links)
+    assert skipped >= 100 and run >= 50 and nonzero >= 20, (skipped, run, nonzero)
+
+
+def record_cocycle_work(monkeypatch, calls):
+    """Record into calls what cocycle_exp builds: intersections, the
+    canonical HNFs run inside them and in all, quotients, SNFs, kappa's
+    chain and exact sequences, ModuleHom.apply and containment checks."""
     import resforge.extension as extension
     import resforge.lattices as lattices
     from resforge.modules import ModuleHom
 
-    lf = local_field(3)
-    rng = random.Random(3)
-    f, g = rand_matrix(lf, rng, 2), rand_matrix(lf, rng, 2)
-    eng = get_engine(lf, 2)
-    calls = {"intersect": [], "quotient": [], "chain": [], "snf": [], "apply": [],
-             "contains": []}
+    for key in ("intersect", "hnf", "hnf_in_intersect", "quotient", "snf", "chain",
+                "seq", "apply", "contains"):
+        calls[key] = []
 
     def recorded(key, fn):
         def wrapper(*args):
@@ -541,20 +588,69 @@ def test_chain_cocycle_work_count(monkeypatch):
             return res
         return wrapper
 
-    monkeypatch.setattr(extension, "lat_intersect", recorded("intersect", lat_intersect))
+    def intersect(A, B):
+        hnfs = len(calls["hnf"])
+        res = lat_intersect(A, B)
+        calls["hnf_in_intersect"].extend(calls["hnf"][hnfs:])
+        calls["intersect"].append(res)
+        return res
+
+    monkeypatch.setattr(extension, "lat_intersect", intersect)
+    monkeypatch.setattr(KMat, "canonical_hnf", recorded("hnf", KMat.canonical_hnf))
     monkeypatch.setattr(extension, "quotient_struct", recorded("quotient", quotient_struct))
     monkeypatch.setattr(extension, "_kappa_chain", recorded("chain", extension._kappa_chain))
+    monkeypatch.setattr(extension, "_seq_exp", recorded("seq", extension._seq_exp))
     monkeypatch.setattr(extension, "lat_contains_lattice",
                         recorded("contains", lattices.lat_contains_lattice))
     monkeypatch.setattr(lattices, "smith_normal_form",
                         recorded("snf", lattices.smith_normal_form))
     monkeypatch.setattr(ModuleHom, "apply", recorded("apply", ModuleHom.apply))
+
+
+def test_chain_cocycle_work_count(monkeypatch):
+    """One GL_2 cocycle through kappa's chain.  Neither of the shared
+    quotients fV/f(V cap gV), fgV/f(V cap gV) is zero, so fV and fgV do
+    not nest and kappa goes straight to the chain, with no containment
+    check.  4 intersections: V cap gV and three of the chain's, B cap C
+    being f(V cap gV).  D3 = AB cap C is nested, AB <= C, so it is the
+    operand AB and runs no canonical_hnf: 10 HNFs, one for each of fV,
+    gV, fgV and f(V cap gV) and 2 for each proper intersection.  With
+    D3 = AB the two links through AB are skipped, so 4 exact sequences
+    run and the chain builds 7 quotients: A, B, C, BC and AC over D3,
+    A/AC and C/AC.  11 quotients with rho's 4, none of them zero, so 11
+    SNFs; no ModuleHom.apply in the exact-sequence walks."""
+    lf = local_field(3)
+    rng = random.Random(3)
+    f, g = rand_matrix(lf, rng, 2), rand_matrix(lf, rng, 2)
+    eng = get_engine(lf, 2)
+    eng.standard(2)
+    calls = {}
+    record_cocycle_work(monkeypatch, calls)
     cocycle_exp(f, g, eng)
-    zero = sum(Q.module.rank == 0 for Q in calls["quotient"])
-    assert len(calls["chain"]) == 1 and zero >= 1
-    assert len(calls["intersect"]) == 4 and len(calls["quotient"]) == 14
-    assert len(calls["snf"]) == 14 - zero
+    assert len(calls["chain"]) == 1 and len(calls["seq"]) == 4
+    assert len(calls["intersect"]) == 4 and len(calls["hnf_in_intersect"]) == 6
+    assert len(calls["hnf"]) == 10
+    assert len(calls["quotient"]) == 11 and len(calls["snf"]) == 11
+    assert all(Q.module.rank for Q in calls["quotient"])
     assert calls["apply"] == [] and calls["contains"] == []
+
+
+def test_nested_cocycle_intersection_runs_no_hnf(monkeypatch):
+    """f and g integral, of det_val 2 and 1: V > gV and V > fV > fgV.  The
+    cocycle's one intersection, V cap gV, is the operand gV and runs no
+    canonical_hnf, and kappa is one connecting sequence with no
+    intersection of its own."""
+    lf = local_field(3)
+    rng = random.Random(6)
+    f, g = rand_matrix(lf, rng, 2, (0, 2)), rand_matrix(lf, rng, 2, (0, 2))
+    eng = get_engine(lf, 2)
+    eng.standard(2)
+    calls = {}
+    record_cocycle_work(monkeypatch, calls)
+    cocycle_exp(f, g, eng)
+    assert len(calls["intersect"]) == 1 and calls["hnf_in_intersect"] == []
+    assert calls["intersect"][0] == lat_apply(g, standard_lattice(lf, 2))
+    assert calls["chain"] == [] and len(calls["seq"]) == 1
 
 
 def test_nested_kappa_reuses_the_shared_quotient(monkeypatch):
@@ -563,24 +659,11 @@ def test_nested_kappa_reuses_the_shared_quotient(monkeypatch):
     or fgV/f(V cap gV), which kappa reuses: the cocycle builds 6 quotients
     (rho's 4, then the sequence's other two), not 7, and its value is the
     chain's."""
-    import resforge.extension as extension
-
     lf = local_field(5)
     rng = random.Random(2)
     eng = get_engine(lf, 4)
-    calls = {"quotient": [], "contains": [], "chain": []}
-
-    def recorded(key, fn):
-        def wrapper(*args):
-            res = fn(*args)
-            calls[key].append(res)
-            return res
-        return wrapper
-
-    monkeypatch.setattr(extension, "quotient_struct", recorded("quotient", quotient_struct))
-    monkeypatch.setattr(extension, "lat_contains_lattice",
-                        recorded("contains", lat_contains_lattice))
-    monkeypatch.setattr(extension, "_kappa_chain", recorded("chain", extension._kappa_chain))
+    calls = {}
+    record_cocycle_work(monkeypatch, calls)
     nested = False
     while not nested:
         f, g = rand_matrix(lf, rng, 2, (0, 1)), rand_matrix(lf, rng, 2, (0, 1))

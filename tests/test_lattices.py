@@ -126,6 +126,34 @@ def test_random_containments_and_cardinality(q7):
         assert rel_dim(A, B, 2) == -rel_dim(B, A, 2)
 
 
+def dual_sum_intersection(A, B):
+    """A cap B as the dual of A* + B*, for every pair."""
+    def dual(L):
+        return L.inv.transpose()
+    return Lattice(dual(Lattice(dual(A).hstack(dual(B)))))
+
+
+@pytest.mark.parametrize("p,f", [(3, 1), (7, 1), (3, 2), (5, 2)])
+def test_intersection_of_nested_lattices_is_the_contained_operand(p, f):
+    lf = local_field(p, f)
+    rng = random.Random(p + f)
+    nested = proper = 0
+    for _ in range(12):
+        m = rng.randint(1, 3)
+        A = rand_lattice(lf, rng, m, 2)
+        inside = Lattice(A.mat @ rand_matrix(lf, rng, m, (0, 2), 0.9))   # inside A
+        other = rand_lattice(lf, rng, m, 2)
+        for B, C in ((A, inside), (inside, A), (A, other)):
+            got = lat_intersect(B, C)
+            assert got == dual_sum_intersection(B, C)
+            if lat_contains_lattice(B, C) or lat_contains_lattice(C, B):
+                assert got is (C if lat_contains_lattice(B, C) else B)
+                nested += 1
+            else:
+                proper += 1
+    assert nested >= 24 and proper >= 3
+
+
 def test_commensurability_always_finite(q7):
     rng = random.Random(2)
     O = standard_lattice(q7, 2)
