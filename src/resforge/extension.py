@@ -56,14 +56,17 @@ sign term of corrected_symbol is S(-1), read off the same walk.
 Every iso exponent in rho_exp goes between quotients with the same
 exponents, which carry the same pinned representatives under every
 rule, so it is the exponent of an automorphism of one module: the mu_n
-character of the residue determinants along the pi-filtration
-(torsor._det_exp_fast), one d x d determinant per level, not the size
-of the module.  Under the digit rule the sum of pos[lead(A_j v)] over
-the leading vectors v of each graded piece gives the same value.
-kappa_exp still enumerates the middle module of each connecting exact
-sequence.  Under the least and second_least rules c(f, g) at m = 1 runs
-cocycle_exp's body on the 1 x 1 matrices f and g = pi^w, enumerating
-afresh on every call.  Those rules, and torsor._det_exp_brute (orbit
+character of the product of the residue determinants along the
+pi-filtration (torsor._graded_det), one d x d determinant per level,
+not the size of the module.  _iso_exp reads that character as S off
+the engine's walk, so the route does not call the direct route's
+power_residue_char at any m.  Under the digit rule the sum of
+pos[lead(A_j v)] over the leading vectors v of each graded piece gives
+the same value.  kappa_exp still walks the middle module of each
+connecting exact sequence, over the fibers of Z's representatives only
+(torsor._exact_seq_exp).  Under the least and second_least rules
+c(f, g) at m = 1 runs cocycle_exp's body on the 1 x 1 matrices f and
+g = pi^w, enumerating afresh on every call.  Those rules, and torsor._det_exp_brute (orbit
 enumeration, whose value no rule changes), serve the closed forms as
 their oracle.
 """
@@ -78,7 +81,7 @@ from .lattices import (KMat, Lattice, LatticeQuotient, induced_hom, lat_apply,
                        standard_lattice)
 from .musets import RULES
 from .padic import KElem
-from .torsor import _det_exp_fast, _exact_seq_exp
+from .torsor import _exact_seq_exp, _graded_det
 
 
 class SymbolEngine:
@@ -130,8 +133,9 @@ def get_engine(lf, n: int, rule: str = "digit") -> SymbolEngine:
 
 def _iso_exp(srcQ: LatticeQuotient, dstQ: LatticeQuotient, f: KMat | None,
              engine: SymbolEngine) -> int:
-    """Exponent of the determinant scalar of lift-(f)-project on quotients."""
-    return _det_exp_fast(dstQ.module, induced_hom(srcQ, dstQ, f), engine.n)
+    """Exponent of the determinant scalar of lift-(f)-project on quotients:
+    S of its graded residue determinant, read off the engine's own walk."""
+    return _digit_sum(engine, _graded_det(dstQ.module, induced_hom(srcQ, dstQ, f))) % engine.n
 
 
 def rho_exp(f: KMat, A: Lattice, B: Lattice, engine: SymbolEngine,

@@ -16,8 +16,11 @@ Counting orbits needs no enumeration (module_as_muset); element views
 maps read as (sigma, mu) data.  Views and maps meet on positions only:
 zeta_n's action, the digit rule's keys and a map's images
 (ModuleHom.images) are built from one table per component, with no
-per-element tuple, and a view reads a map off its images.  index and
-label turn a map written on labels into positions.
+per-element tuple, and a view reads a map off its images.  The value
+lists of a map's components come from one builder, component_values,
+which torsor's exact-sequence walk uses as well; positions combines
+them by the mixed radix.  index and label turn a map written on labels
+into positions.
 """
 
 from __future__ import annotations
@@ -92,6 +95,16 @@ class FiniteModule:
             i, c = divmod(i, s)
             out.append(c)
         return tuple(reversed(out))
+
+    def positions(self, values, count: int) -> list:
+        """The positions of the elements whose component j runs through
+        values[j], all lists of length count: the mixed radix of index."""
+        if not values:
+            return [0] * count
+        pos = values[0]
+        for size, vals in zip(self.radix[1:], values[1:]):
+            pos = [a * size + b for a, b in zip(pos, vals)]
+        return pos
 
     def dim(self, n: int) -> int:
         """Number of mu_n orbits off zero: (|T| - 1) / n."""
@@ -173,31 +186,10 @@ class ModuleHom:
 
     def images(self) -> list:
         """The position of self.apply(x) in dst, for every x in
-        src.elements() order.
-
-        apply is additive, so each output component is a sum over the
-        same product as elements() of per-coordinate multiples
-        t * cols[k][j]; one flat list per component is built by adding
-        those multiples, and the components are combined by dst's mixed
-        radix into one list of positions.
-        """
+        src.elements() order: component_values on self.cols, combined
+        by dst's mixed radix."""
         src, dst = self.src, self.dst
-        src._check_bound()
-        pos = [0] * src.size
-        for j, rj in enumerate(dst.rings):
-            acc = [0]
-            for k, rk in enumerate(src.rings):
-                c = self.cols[k][j]
-                if rj.f == 1:
-                    pj = rj.pN
-                    mults = [t * c % pj for t in range(rk.size)]
-                    acc = [(a + b) % pj for a in acc for b in mults]
-                else:
-                    mults = [rj.mul(rk.lift_naive(t, rj), c) for t in range(rk.size)]
-                    acc = [rj.add(a, b) for a in acc for b in mults]
-            size = rj.size
-            pos = [a * size + b for a, b in zip(pos, acc)] if j else acc
-        return pos
+        return dst.positions(component_values(src, dst, self.cols), src.size)
 
     def compose(self, other: "ModuleHom") -> "ModuleHom":
         """self after other."""
@@ -208,6 +200,52 @@ class ModuleHom:
 
     def __repr__(self):
         return f"ModuleHom({self.src!r} -> {self.dst!r})"
+
+
+def sums(ring, parts) -> list:
+    """The sum in ring of one entry of each list in parts, for every
+    choice, the first list most significant; [0] for no lists.
+
+    The fold runs from the last list, so the accumulated list is the
+    inner loop of each comprehension; a caller puts its longest list
+    last.
+    """
+    if not parts:
+        return [0]
+    acc = parts[-1]
+    if ring.f == 1:
+        pN = ring.pN
+        for vals in reversed(parts[:-1]):
+            acc = [(a + b) % pN for a in vals for b in acc]
+    else:
+        add = ring.add
+        for vals in reversed(parts[:-1]):
+            acc = [add(a, b) for a in vals for b in acc]
+    return acc
+
+
+def component_values(src: FiniteModule, dst: FiniteModule, cols) -> list:
+    """Per component j of dst, the list of sum_k x_k * cols[k][j] over
+    every x in src.elements() order, x_k lifted naively into dst's ring j.
+
+    The value is additive in x, so each list is the sums of the
+    per-coordinate multiples t * cols[k][j].  cols need not define a
+    ModuleHom: a section of a surjection, read on labels, is such a
+    list of columns too.
+    """
+    src._check_bound()
+    out = []
+    for j, rj in enumerate(dst.rings):
+        parts = []
+        for rk, col in zip(src.rings, cols):
+            c, size = col[j], rk.size
+            if rj.f == 1:
+                pN = rj.pN
+                parts.append([t * c % pN for t in range(size)])
+            else:
+                parts.append([rj.mul(rk.lift_naive(t, rj), c) for t in range(size)])
+        out.append(sums(rj, parts))
+    return out
 
 
 def scalar_hom(M: FiniteModule, u, from_ring=None) -> ModuleHom:

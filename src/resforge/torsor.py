@@ -9,22 +9,31 @@ is.  Composing isomorphisms adds exponents, duals preserve them, and the
 pairing of a base with its dual base is 1, so its exponent is 0.
 
 Automorphism determinants are read from residue determinants along the
-pi-filtration; orbit enumeration stays as their oracle, _det_exp_brute,
-which reads the automorphism's image positions (ModuleHom.images) at the
-view's representatives.
+pi-filtration (_graded_det); orbit enumeration stays as their oracle,
+_det_exp_brute, which reads the automorphism's image positions
+(ModuleHom.images) at the view's representatives.
 Modules are equal when their exponents are, so an isomorphism between
 two quotients with the same exponents, as in the extension route's iso
 exponents, is an automorphism of one module with one memoized view, and
 _det_exp_brute is its enumeration oracle too.
+
+The exact sequence 0 -> X -> Y -> Z -> 0 is checked on generators and
+walked on fibers.  Exactness: incl is injective (its |X| image
+positions are distinct), |X| |Z| = |Y|, proj o incl vanishes on X's
+generators, and proj is onto, which Nakayama reduces to proj mod pi:
+column elimination finds a unit pivot in every row (_section).  Then
+incl(X) lies in ker proj, which has |Y| / |Z| = |X| elements, so the
+two are equal.  The same elimination, run over O/pi^E for E the
+largest exponent of Z, gives lifts s_k of Z's generators, and the
+fiber of proj over z is s(z) + incl(X) with s(z) = sum_k z_k s_k.  The
+scalar's fiber half sums the twists of Y over the fibers of Z's
+representatives only: |X| (|Z| - 1) / n positions, not |Y|.
 """
 from __future__ import annotations
 
-from itertools import compress
-from operator import not_
-
 from .errors import EnumerationBound
 from .fields import MuScalar, field_det, power_residue_char
-from .modules import FiniteModule, ModuleHom, _check_endo
+from .modules import FiniteModule, ModuleHom, _check_endo, component_values, sums
 from .musets import iso_scalar
 
 
@@ -44,8 +53,8 @@ def _det_exp_brute(T: FiniteModule, g: ModuleHom, n: int) -> int:
     return iso_scalar(view, view, g.images())
 
 
-def _det_exp_fast(T: FiniteModule, g: ModuleHom, n: int) -> int:
-    """Product over the pi-filtration of residue determinants, to the (q-1)/n."""
+def _graded_det(T: FiniteModule, g: ModuleHom) -> int:
+    """The product over the pi-filtration of g's residue determinants, in F_q^x."""
     field = T.lf.field
     det_total = 1
     for i in range(T.exps[-1] if T.exps else 0):
@@ -55,7 +64,12 @@ def _det_exp_fast(T: FiniteModule, g: ModuleHom, n: int) -> int:
         if d == 0:
             raise ValueError("map is not an automorphism (graded piece singular)")
         det_total = field.mul(det_total, d)
-    return power_residue_char(field, det_total, n).exp
+    return det_total
+
+
+def _det_exp_fast(T: FiniteModule, g: ModuleHom, n: int) -> int:
+    """The mu_n character of the graded residue determinant, _det_exp_brute's value."""
+    return power_residue_char(T.lf.field, _graded_det(T, g), n).exp
 
 
 def det_of_module_aut(T: FiniteModule, g: ModuleHom, n: int) -> MuScalar:
@@ -68,41 +82,90 @@ def det_of_module_aut(T: FiniteModule, g: ModuleHom, n: int) -> MuScalar:
 # exact sequences
 
 
+def _section(proj: ModuleHom) -> list:
+    """Columns s_k of encodings in Y with proj(s_k) = e_k, for the
+    generators e_k of Z; "sequence not exact at the middle term" when
+    proj is not onto.
+
+    Column elimination over O/pi^E, E the largest exponent of Z, on the
+    naive lifts a_jk of proj's entries, carrying an identity U along:
+    row i needs a unit pivot among the columns not yet used, and when
+    row i has none, row i mod pi is a combination of the rows above, so
+    proj mod pi is not onto and neither is proj; when every row has one,
+    proj mod pi is onto, so proj is onto by Nakayama.  Then A U = [I 0],
+    so sum_k a_jk u_kl = delta_jl mod pi^E, and mod pi^(f_j) for Z's
+    exponent f_j <= E.  Coordinate k of s_l is u_kl read at Y's exponent
+    e_k: moving u_kl by a multiple of pi^(e_k) moves a_jk u_kl by a
+    multiple of pi^(f_j), since v(a_jk) >= f_j - e_k.  s is no
+    ModuleHom: z -> sum_k z_k s_k, on naive lifts of labels, lifts z but
+    is not additive.
+    """
+    Y, Z = proj.src, proj.dst
+    if not Z.exps:
+        return []
+    ring = Y.lf.ring(Z.exps[-1])
+    rz = Z.rank
+    # column k: proj's entries on generator k of Y, then column k of U
+    cols = [[rj.lift_naive(a, ring) for rj, a in zip(Z.rings, col)]
+            + [int(i == k) for i in range(Y.rank)] for k, col in enumerate(proj.cols)]
+    for i in range(rz):
+        k = next((k for k in range(i, len(cols)) if ring.val(cols[k][i]) == 0), None)
+        if k is None:
+            raise ValueError("sequence not exact at the middle term")
+        cols[i], cols[k] = cols[k], cols[i]
+        u = ring.inv(cols[i][i])
+        piv = cols[i] = [ring.mul(u, a) for a in cols[i]]
+        for k, col in enumerate(cols):
+            t = col[i]
+            if k != i and t:
+                cols[k] = [ring.sub(a, ring.mul(t, b)) for a, b in zip(col, piv)]
+    return [tuple(ring.lift_naive(a, rk) for rk, a in zip(Y.rings, col[rz:]))
+            for col in cols[:rz]]
+
+
 def _exact_seq_exp(X: FiniteModule, Y: FiniteModule, Z: FiniteModule,
                    incl: ModuleHom, proj: ModuleHom, n: int, rule: str) -> int:
     """Exponent of the canonical map det(X) (x) det(Z) -> det(Y).
 
     The two-step mechanism: det(Y) = det(X) (x) det(Y // X) via the orbit
     partition, then det(Z) = det(Y // X) via the fiber map induced by
-    proj.  Collapsed into one stream of positions per map: incl's image
-    set is proj's kernel exactly when the sequence is exact, the orbits
-    of Y inside X add the twists of incl(reps of X), and every other
-    orbit of Y // X keeps Y's representatives, so it adds the twist of
-    its unique element over a representative of Z.
+    proj.  On positions: the orbits of Y inside incl(X) add the twists
+    of incl(reps of X), and every other orbit of Y // X keeps Y's
+    representatives, so it adds the twist of its unique element over a
+    representative of Z.  Those elements are the fibers over reps(Z):
+    the fiber over z is s(z) + incl(X) for any lift s(z), so the walk
+    visits |X| (|Z| - 1) / n positions of Y, not all of Y.
+
+    Exactness is read off generators.  incl is injective (the set of
+    its |X| images), |X| |Z| = |Y|, proj o incl vanishes on X's
+    generators, so incl(X) lies in the kernel, and proj is onto
+    (_section, by Nakayama), so the kernel has |Y| / |Z| = |X|
+    elements: it is incl(X).  The section that proves proj onto lifts
+    reps(Z).
     """
     if Y.size > Y.lf.enum_bound:
         raise EnumerationBound(f"middle module of size {Y.size} exceeds the bound")
-    images = incl.images()
-    image = set(images)
-    if len(image) != X.size:
+    xs = component_values(X, Y, incl.cols)
+    images = Y.positions(xs, X.size)
+    if len(set(images)) != X.size:
         raise ValueError("sequence not exact: inclusion is not injective")
     if X.size * Z.size != Y.size:
         raise ValueError("sequence not exact: cardinalities do not multiply")
-    over = proj.images()
-    kernel = set(compress(range(Y.size), map(not_, over)))
-    if not image <= kernel:
+    if any(any(proj.apply(c)) for c in incl.cols):
         raise ValueError("sequence not exact: proj o incl != 0")
-    if len(kernel) != len(image):
-        raise ValueError("sequence not exact at the middle term")
+    section = _section(proj)
     if n == 1:
         return 0
     vX, vY, vZ = X.view(n, rule), Y.view(n, rule), Z.view(n, rule)
     twist = vY.twist
     total = sum(twist[images[r]] for r in vX.reps)
-    is_rep = bytearray(Z.size)
-    for r in vZ.reps:
-        is_rep[r] = 1
-    total += sum(compress(twist, map(is_rep.__getitem__, over)))
+    reps = vZ.reps
+    lifts = [[v[r] for r in reps] for v in component_values(Z, Y, section)]
+    # the longer list is the inner loop
+    pairs = zip(lifts, xs) if len(reps) <= X.size else zip(xs, lifts)
+    fibers = Y.positions([sums(rj, pair) for rj, pair in zip(Y.rings, pairs)],
+                         len(reps) * X.size)
+    total += sum(map(twist.__getitem__, fibers))
     return total % n
 
 

@@ -618,7 +618,9 @@ def test_chain_cocycle_work_count(monkeypatch):
     D3 = AB the two links through AB are skipped, so 4 exact sequences
     run and the chain builds 7 quotients: A, B, C, BC and AC over D3,
     A/AC and C/AC.  11 quotients with rho's 4, none of them zero, so 11
-    SNFs; no ModuleHom.apply in the exact-sequence walks."""
+    SNFs.  Each exact sequence checks proj o incl = 0 on the generators
+    of its X, here of rank 1, by one ModuleHom.apply each, and applies
+    nothing per element: 4 applies, each giving zero."""
     lf = local_field(3)
     rng = random.Random(3)
     f, g = rand_matrix(lf, rng, 2), rand_matrix(lf, rng, 2)
@@ -632,7 +634,7 @@ def test_chain_cocycle_work_count(monkeypatch):
     assert len(calls["hnf"]) == 10
     assert len(calls["quotient"]) == 11 and len(calls["snf"]) == 11
     assert all(Q.module.rank for Q in calls["quotient"])
-    assert calls["apply"] == [] and calls["contains"] == []
+    assert calls["apply"] == [(0,)] * 4 and calls["contains"] == []
 
 
 def test_nested_cocycle_intersection_runs_no_hnf(monkeypatch):

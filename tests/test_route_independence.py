@@ -7,8 +7,12 @@ fresh field, so its cold set-up is covered too, under a call tracer
 muset route may reach no function of resforge.extension, and the
 extension route at m = 1 neither the muset route's walk of O/pi nor its
 delta, nor the direct route's character: its sign term is read off its
-own walk of O/pi.  Field and ring arithmetic, and the direct route's
-tame unit, are still shared; the tracer only records them.
+own walk of O/pi.  At m = 2 the extension route reads the character of
+each graded residue determinant as S off that walk too, so a GL_2
+cocycle reaches neither the direct route's character nor the muset
+route; its exact sequences still build OrbitViews of finite modules,
+which no other route uses.  Field and ring arithmetic, and the direct
+route's tame unit, are still shared; the tracer only records them.
 
 The two walks of O/pi (extension._coset_walk and musets.residue_walk)
 are kept apart on purpose, one loop per route over the shared field
@@ -17,8 +21,10 @@ tables, and are compared here instead.
 
 import sys
 
-from resforge.extension import _coset_walk, _digit_sum, corrected_symbol, get_engine
+from resforge.extension import (_coset_walk, _digit_sum, cocycle_exp, corrected_symbol,
+                                get_engine)
 from resforge.fields import power_residue_char
+from resforge.lattices import KMat
 from resforge.musets import residue_walk
 from resforge.padic import LocalField, local_field
 from resforge.symbols import delta_route_symbol
@@ -74,6 +80,21 @@ def test_extension_route_at_m1_reaches_neither_the_walk_nor_the_delta():
             assert [f for f in seen if f[0] == "resforge.musets"] == []
             assert ("resforge.symbols", "delta_route_symbol") not in seen
             assert ("resforge.fields", "power_residue_char") not in seen
+
+
+def test_gl2_extension_route_reaches_neither_the_character_nor_the_muset_route():
+    """One GL_2 cocycle through kappa's chain at q = 13 and at q = 25:
+    rho's iso exponents are S of graded residue determinants, and kappa
+    walks exact sequences, whose OrbitViews are allowed."""
+    for lf, n in ((LocalField(13), 12), (LocalField(5, 2), 8)):
+        f = KMat.from_rows(lf, [["pi", "1"], [0, "pi^-1*3"]])
+        g = KMat.from_rows(lf, [["2", 0], ["pi", "pi^2"]])
+        seen = reached(cocycle_exp, f, g, get_engine(lf, n))
+        assert {("resforge.torsor", "_graded_det"), ("resforge.extension", "_digit_sum"),
+                ("resforge.torsor", "_exact_seq_exp")} <= seen
+        assert ("resforge.fields", "power_residue_char") not in seen
+        assert ("resforge.musets", "residue_walk") not in seen
+        assert ("resforge.symbols", "delta_route_symbol") not in seen
 
 
 WALK_FIELDS = [(7, 1), (13, 1), (3, 2), (5, 2), (3, 3), (2, 4)]

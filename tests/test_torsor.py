@@ -9,9 +9,10 @@ from resforge.lattices import (KMat, Lattice, induced_hom, principal_lattice,
 from resforge.modules import FiniteModule, ModuleHom, scalar_hom
 from resforge.musets import OrbitView, aut_delta
 from resforge.padic import local_field
-from resforge.torsor import (_det_exp_brute, _exact_seq_exp, det_of_module_aut,
+from resforge.torsor import (_det_exp_brute, _exact_seq_exp, _section, det_of_module_aut,
                              exact_seq_iso)
 from resforge.verify import _random_matrix as rand_matrix
+from test_modules import random_hom
 
 
 def random_scalar_aut(lf, rng, M):
@@ -279,27 +280,98 @@ def _exact_seq_exp_per_element(X, Y, Z, incl, proj, n, rule):
     return total % n
 
 
-def test_exact_seq_exp_matches_per_element_oracle():
-    rng = random.Random(12)
-    checked = 0
-    for p, f in [(3, 1), (5, 1), (7, 1), (3, 2)]:
+def nested_sequences(rng, cases, cap):
+    """Connecting sequences 0 -> B/C -> A/C -> A/B -> 0 of random nested
+    lattices A >= B >= C of rank m in [mlo, mhi], for each
+    (p, f, (mlo, mhi), draws, vals) in cases, where vals bounds the
+    valuations of B's entries over A: (lf, m, X, Y, Z, incl, proj) for
+    each draw whose middle module has at most cap elements."""
+    for p, f, ms, draws, vals in cases:
         lf = local_field(p, f)
-        ns = [n for n in range(1, lf.q) if (lf.q - 1) % n == 0]
-        for _ in range(12):
-            m = rng.randint(1, 2)
+        for _ in range(draws):
+            m = rng.randint(*ms)
             A = standard_lattice(lf, m)
-            B = Lattice(A.mat @ rand_matrix(lf, rng, m, (0, 2), 0.9))
+            B = Lattice(A.mat @ rand_matrix(lf, rng, m, vals, 0.9))
             C = Lattice(B.mat @ rand_matrix(lf, rng, m, (0, 1), 0.9))
             QYZ, QXZ, QXY = (quotient_struct(A, C), quotient_struct(B, C),
                              quotient_struct(A, B))
-            X, Y, Z = QXZ.module, QYZ.module, QXY.module
-            if Y.size > 3000:
+            if QYZ.module.size > cap:
                 continue
-            incl = induced_hom(QXZ, QYZ)
-            proj = induced_hom(QYZ, QXY)
-            for n in ns:
-                for rule in ("least", "second_least", "digit"):
-                    assert (_exact_seq_exp(X, Y, Z, incl, proj, n, rule)
-                            == _exact_seq_exp_per_element(X, Y, Z, incl, proj, n, rule))
-            checked += 1
-    assert checked >= 20
+            yield (lf, m, QXZ.module, QYZ.module, QXY.module, induced_hom(QXZ, QYZ),
+                   induced_hom(QYZ, QXY))
+
+
+def test_exact_seq_exp_matches_per_element_oracle():
+    rng = random.Random(12)
+    cases = [(3, 1, (1, 2), 12, (0, 2)), (5, 1, (1, 2), 12, (0, 2)),
+             (7, 1, (1, 2), 12, (0, 2)), (3, 2, (1, 2), 12, (0, 2)),
+             (5, 2, (1, 2), 8, (0, 2)), (3, 1, (3, 3), 8, (0, 2)), (5, 1, (3, 3), 8, (0, 2)),
+             (5, 2, (3, 3), 8, (0, 2)), (3, 1, (3, 3), 8, (1, 1))]
+    checked = []
+    for lf, m, X, Y, Z, incl, proj in nested_sequences(rng, cases, 3000):
+        for n in [n for n in range(1, lf.q) if (lf.q - 1) % n == 0]:
+            for rule in ("least", "second_least", "digit"):
+                assert (_exact_seq_exp(X, Y, Z, incl, proj, n, rule)
+                        == _exact_seq_exp_per_element(X, Y, Z, incl, proj, n, rule))
+        checked.append((lf.q, m, Y.rank))
+    assert len(checked) >= 60
+    assert {q for q, _, _ in checked} == {3, 5, 7, 9, 25}
+    assert {q for q, m, _ in checked if m == 3} == {3, 5, 25}
+    assert max(r for _, _, r in checked) == 3
+
+
+def test_exact_seq_exp_maps_nothing_out_of_the_middle_module(monkeypatch):
+    """The walk reads incl on X and the section on Z, and maps no element
+    of Y: no images() or component list has Y for its source."""
+    import resforge.torsor as torsor
+
+    sources = []
+
+    def images(h):
+        sources.append(h.src)
+        return orig_images(h)
+
+    def values(src, dst, cols):
+        sources.append(src)
+        return orig_values(src, dst, cols)
+
+    orig_images, orig_values = ModuleHom.images, torsor.component_values
+    monkeypatch.setattr(ModuleHom, "images", images)
+    monkeypatch.setattr(torsor, "component_values", values)
+    walked = 0
+    for _, _, X, Y, Z, incl, proj in nested_sequences(random.Random(4), [(5, 1, (1, 2), 10, (0, 2))],
+                                                        5000):
+        if 1 in (X.size, Z.size):   # then Y is Z or X as a module
+            continue
+        del sources[:]
+        for n in (2, 4):
+            _exact_seq_exp(X, Y, Z, incl, proj, n, "digit")
+        assert sources and Y not in sources
+        walked += 1
+    assert walked >= 5
+
+
+def test_section_lifts_every_generator():
+    """Random maps between mixed-exponent modules of rank <= 3 at f = 1
+    and at q in {9, 25}: when the map is onto (all of dst among its
+    images), proj(s_k) = e_k for every generator e_k of dst; otherwise
+    the section raises the middle-term message."""
+    rng = random.Random(9)
+    shapes = [(1,), (2,), (3,), (1, 1), (1, 2), (2, 3), (1, 1, 2), (1, 2, 2)]
+    onto = other = 0
+    for p, f in [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)]:
+        lf = local_field(p, f)
+        fits = [s for s in shapes if lf.q ** sum(s) <= 3000]
+        for _ in range(25):
+            src = FiniteModule(lf, rng.choice(fits))
+            dst = FiniteModule(lf, rng.choice(shapes))
+            h = random_hom(lf, rng, src, dst)
+            if len(set(h.images())) == dst.size:
+                gens = [tuple(int(j == k) for j in range(dst.rank)) for k in range(dst.rank)]
+                assert [h.apply(s) for s in _section(h)] == gens
+                onto += 1
+            else:
+                with pytest.raises(ValueError, match="^sequence not exact at the middle term$"):
+                    _section(h)
+                other += 1
+    assert onto >= 25 and other >= 25
