@@ -338,14 +338,18 @@ def cocycle(f, g, engine: SymbolEngine) -> MuScalar:
 def comm_symbol(f, g, engine: SymbolEngine) -> MuScalar:
     """{f, g} = [lift(f), lift(g)] for commuting f, g; equals c(f,g) - c(g,f)."""
     if not (isinstance(f, KMat) or isinstance(g, KMat)):
-        x, y = engine.lf.as_kelem(f), engine.lf.as_kelem(g)
-        return MuScalar(engine.n, _cocycle_m1(x, y.val, engine) - _cocycle_m1(y, x.val, engine))
+        return MuScalar(engine.n, _comm_m1(engine.lf.as_kelem(f), engine.lf.as_kelem(g), engine))
     f = engine.as_kmat(f)
     g = engine.as_kmat(g)
     # K^x is commutative, so only m >= 2 needs the check
     if f.nrows > 1 and (f @ g) != (g @ f):
         raise ValueError("commutator symbol needs commuting arguments")
     return MuScalar(engine.n, cocycle_exp(f, g, engine) - cocycle_exp(g, f, engine))
+
+
+def _comm_m1(x: KElem, y: KElem, engine: SymbolEngine) -> int:
+    """{x, y} at m = 1 as an exponent, c(x, y) - c(y, x), not reduced mod n."""
+    return _cocycle_m1(x, y.val, engine) - _cocycle_m1(y, x.val, engine)
 
 
 def _rel_dim_m1(q: int, n: int, v: int) -> int:
@@ -370,8 +374,7 @@ def corrected_symbol(a, b, engine: SymbolEngine) -> MuScalar:
     transfer_is_power_map.
     """
     x, y = engine.lf.as_kelem(a), engine.lf.as_kelem(b)
-    comm = comm_symbol(x, y, engine)
     q, n = engine.lf.q, engine.n
     da = _rel_dim_m1(q, n, x.val)
     db = _rel_dim_m1(q, n, y.val)
-    return MuScalar(engine.n, comm.exp + (da % 2) * (db % 2) * engine._sign_exp)
+    return MuScalar(n, _comm_m1(x, y, engine) + (da % 2) * (db % 2) * engine._sign_exp)

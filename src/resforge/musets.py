@@ -57,18 +57,6 @@ class MuSet:
     def size(self) -> int:
         return self.n * self.t + 1
 
-    def elements(self):
-        yield None
-        for i in range(self.t):
-            for e in range(self.n):
-                yield (i, e)
-
-    def index(self, elt) -> int:
-        if elt is None:
-            return 0
-        i, e = elt
-        return 1 + i * self.n + e
-
 
 @dataclass(frozen=True)
 class MuSetAut:
@@ -85,12 +73,6 @@ class MuSetAut:
         if sorted(self.sigma) != list(range(t)):
             raise ValueError("sigma is not a permutation")
         object.__setattr__(self, "mu", tuple(m % n for m in self.mu))
-
-    def apply(self, elt):
-        if elt is None:
-            return None
-        i, e = elt
-        return (self.sigma[i], (e + self.mu[i]) % self.X.n)
 
 
 def aut_compose(f: MuSetAut, g: MuSetAut) -> MuSetAut:

@@ -11,11 +11,18 @@ muset      the same unit u, but the character is evaluated as the orbit
            k = O/pi (musets.residue_walk, two flat arrays built once per
            n), one lookup per orbit: O((q-1)/n) per call, with no module,
            view or map built, up to q = MAX_Q whatever the enumeration
-           bound.
+           bound.  Its one body is _orbit_delta(lf, u, n).
 extension  the commutator of lifts in the central extension of K^x by
            mu_n, with the relative-dimension sign correction; under the
            engine's default digit rule its rank-one scalars are closed
            forms (see extension).
+
+The tame unit u (tame_symbol, the boundary map K_2(K) -> K_1(k)) is the
+layer the direct and muset routes share.  crosscheck computes it once per
+call and hands it to both routes' bodies, power_residue_char and
+_orbit_delta; the extension route reads a and b on its own.  A
+SymbolReport keeps a and b as elements and renders them only in to_dict
+and to_json.
 """
 
 from __future__ import annotations
@@ -55,24 +62,30 @@ def power_residue_symbol(lf: LocalField, a: KElem, b: KElem, n: int) -> MuScalar
 
 def delta_route_symbol(lf: LocalField, a: KElem, b: KElem, n: int,
                        rule: str = "least") -> MuScalar:
-    """The symbol with the character computed as an orbit determinant.
+    """The symbol with the character computed as an orbit determinant:
+    _orbit_delta of the tame unit.  rule names a representative rule; the
+    value is the same under every rule (see _orbit_delta)."""
+    if rule not in RULES:
+        raise ValueError(f"unknown representative rule {rule!r}")
+    return MuScalar(n, _orbit_delta(lf, tame_symbol(lf, a, b), n))
 
-    The tame unit u acts on k = O/pi by multiplication, an automorphism
-    of k as a pointed mu_n-set; the value is its determinant delta, the
-    sum of its orbit twists.  Pin the least element c_i of each coset as
-    the representative of orbit i (on k the least and digit rules both
-    pin it).  Then u * c_i = zeta^pos[u*c_i] * c_sigma(i), so
+
+def _orbit_delta(lf: LocalField, u: int, n: int) -> int:
+    """The muset route's one body: the determinant delta of multiplication
+    by the unit u on k = O/pi, as a pointed mu_n-set, as an exponent mod n.
+
+    u acts on k as an automorphism of pointed mu_n-sets; delta is the sum
+    of its orbit twists.  Pin the least element c_i of each coset as the
+    representative of orbit i (on k the least and digit rules both pin
+    it).  Then u * c_i = zeta^pos[u*c_i] * c_sigma(i), so
     mu_i = pos[u * c_i] and delta = sum_i pos[u * c_i].  Moving the
     representative of orbit i to zeta^k * c_i adds k to mu_i and takes k
     from the twist of the orbit that u sends onto orbit i, so the sum is
     the same under every rule.
     """
-    if rule not in RULES:
-        raise ValueError(f"unknown representative rule {rule!r}")
-    u = tame_symbol(lf, a, b)
     pos, least = residue_walk(lf, n)
     mul = lf.field.mul
-    return MuScalar(n, sum(pos[mul(u, c)] for c in least))
+    return sum(pos[mul(u, c)] for c in least) % n
 
 
 def steinberg_check(lf: LocalField, a: KElem, n: int) -> bool:
@@ -82,14 +95,19 @@ def steinberg_check(lf: LocalField, a: KElem, n: int) -> bool:
 
 @dataclass
 class SymbolReport:
-    """Three independently computed values for one input pair; micros, the
-    routes' wall time, stays out of to_dict and to_json."""
+    """Three independently computed values for one input pair.
+
+    a and b are the input elements themselves; to_dict and to_json render
+    them with KElem.as_str, so a report that is never printed never
+    decodes them.  micros, the routes' wall time, stays out of to_dict and
+    to_json.
+    """
 
     p: int
     f: int
     n: int
-    a: str
-    b: str
+    a: KElem
+    b: KElem
     direct: int
     muset: int
     extension: int
@@ -97,7 +115,8 @@ class SymbolReport:
     micros: int
 
     def to_dict(self) -> dict:
-        return {"p": self.p, "f": self.f, "n": self.n, "a": self.a, "b": self.b,
+        return {"p": self.p, "f": self.f, "n": self.n,
+                "a": self.a.as_str(), "b": self.b.as_str(),
                 "direct": self.direct, "muset": self.muset,
                 "extension": self.extension, "agree": self.agree}
 
@@ -107,19 +126,24 @@ class SymbolReport:
 
 def crosscheck(lf: LocalField, a: KElem, b: KElem, n: int,
                engine: SymbolEngine | None = None) -> SymbolReport:
-    """Compute the symbol by all three routes and compare."""
+    """Compute the symbol by all three routes and compare.
+
+    The direct and muset routes share the tame unit, computed once: the
+    direct value is its character, the muset value its _orbit_delta.
+    The extension route reads a and b on its own.
+    """
     if engine is None:
         engine = get_engine(lf, n)
     elif engine.lf is not lf or engine.n != n:
         raise ValueError(f"engine is for {engine.lf} and n = {engine.n}, not {lf} and n = {n}")
     t0 = time.perf_counter_ns()
-    direct = power_residue_symbol(lf, a, b, n)
-    via_muset = delta_route_symbol(lf, a, b, n, engine.rule)
-    via_ext = corrected_symbol(a, b, engine)
+    u = tame_symbol(lf, a, b)
+    direct = power_residue_char(lf.field, u, n).exp
+    via_muset = _orbit_delta(lf, u, n)
+    via_ext = corrected_symbol(a, b, engine).exp
     micros = (time.perf_counter_ns() - t0) // 1000
-    agree = direct.exp == via_muset.exp == via_ext.exp
-    return SymbolReport(lf.p, lf.f, n, a.as_str(), b.as_str(),
-                        direct.exp, via_muset.exp, via_ext.exp, agree, micros)
+    return SymbolReport(lf.p, lf.f, n, a, b, direct, via_muset, via_ext,
+                        direct == via_muset == via_ext, micros)
 
 
 def symbol_value_str(lf: LocalField, s: MuScalar) -> str:

@@ -6,7 +6,6 @@ import pytest
 
 from resforge import symbols, verify
 from resforge.cli import main
-from resforge.fields import MuScalar
 
 
 def run_cli(capsys, *argv):
@@ -252,12 +251,13 @@ def test_failed_verification_exits_1(capsys, monkeypatch):
 def test_failed_sweep_json_is_deterministic(capsys, monkeypatch):
     """A route disagreement's counterexample carries no timing, so two runs
     of a failing sweep print the same bytes."""
-    real = symbols.delta_route_symbol
+    real = symbols._orbit_delta
 
-    def off_by_one(lf, a, b, n, rule="least"):
-        return MuScalar(n, real(lf, a, b, n, rule).exp + 1)
+    def off_by_one(lf, u, n):
+        return (real(lf, u, n) + 1) % n
 
-    monkeypatch.setattr(symbols, "delta_route_symbol", off_by_one)
+    # the muset route's one body, which crosscheck and delta_route_symbol call
+    monkeypatch.setattr(symbols, "_orbit_delta", off_by_one)
     argv = ("verify", "corollary", "--p", "3", "--format", "json")
     code, first, _ = run_cli(capsys, *argv)
     assert code == 1

@@ -28,6 +28,33 @@ def inverse(f):
     return MuSetAut(f.X, tuple(inv), tuple(-f.mu[i] for i in inv))
 
 
+# The label walk: the elements of an abstract set are None (the marked
+# point) and (i, e), meaning zeta^e * x_i; the closed forms of the library
+# (aut_to_permutation, aut_extend) are checked against these three readers.
+
+
+def elements(X):
+    yield None
+    for i in range(X.t):
+        for e in range(X.n):
+            yield (i, e)
+
+
+def index(X, elt):
+    if elt is None:
+        return 0
+    i, e = elt
+    return 1 + i * X.n + e
+
+
+def apply(f, elt):
+    """x_i -> zeta^mu[i] * x_sigma[i], extended equivariantly."""
+    if elt is None:
+        return None
+    i, e = elt
+    return (f.sigma[i], (e + f.mu[i]) % f.X.n)
+
+
 def inversion_sign(perm):
     n = len(perm)
     inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
@@ -131,14 +158,14 @@ def reference_extend(f, Y):
         return None if elt is None else (elt[0], (elt[1] + 1) % n)
 
     where, reps = {}, []
-    for lbl in [(a, b) for a in X.elements() for b in Y.elements()][1:]:
+    for lbl in [(a, b) for a in elements(X) for b in elements(Y)][1:]:
         if lbl not in where:
             y = lbl
             for e in range(n):
                 where[y] = (len(reps), e)
                 y = (zeta(y[0]), zeta(y[1]))
             reps.append(lbl)
-    images = [where[(f.apply(a), b)] for a, b in reps]
+    images = [where[(apply(f, a), b)] for a, b in reps]
     return MuSetAut(MuSet(n, len(reps)), tuple(i for i, _ in images), tuple(e for _, e in images))
 
 
@@ -196,14 +223,14 @@ def test_permutation_and_sign():
 
 
 def test_permutation_equals_the_label_walk():
-    """The closed form of aut_to_permutation against apply and index on labels."""
+    """The closed form of aut_to_permutation against the label walk."""
     rng = random.Random(6)
     for _ in range(200):
         X = MuSet(rng.randint(1, 5), rng.randint(0, 6))
         f = rand_aut(rng, X)
         want = [0] * X.size
-        for elt in X.elements():
-            want[X.index(elt)] = X.index(f.apply(elt))
+        for elt in elements(X):
+            want[index(X, elt)] = index(X, apply(f, elt))
         assert aut_to_permutation(f) == tuple(want)
 
 

@@ -11,8 +11,14 @@ own walk of O/pi.  At m = 2 the extension route reads the character of
 each graded residue determinant as S off that walk too, so a GL_2
 cocycle reaches neither the direct route's character nor the muset
 route; its exact sequences still build OrbitViews of finite modules,
-which no other route uses.  Field and ring arithmetic, and the direct
-route's tame unit, are still shared; the tracer only records them.
+which no other route uses.
+
+What the three rank-one routes do share is named here, layer by layer:
+element parsing, valuation and residue in resforge.padic; the tame unit
+(symbols.tame_symbol), shared by the direct and muset routes only; and
+F_q and O/pi^N arithmetic with MuScalar.  Each pairwise overlap of the
+functions two routes reach must lie inside those sets, so a new
+cross-route call fails here until it is named.
 
 The two walks of O/pi (extension._coset_walk and musets.residue_walk)
 are kept apart on purpose, one loop per route over the shared field
@@ -20,6 +26,7 @@ tables, and are compared here instead.
 """
 
 import sys
+from itertools import combinations
 
 from resforge.extension import (_coset_walk, _digit_sum, cocycle_exp, corrected_symbol,
                                 get_engine)
@@ -27,7 +34,7 @@ from resforge.fields import power_residue_char
 from resforge.lattices import KMat
 from resforge.musets import residue_walk
 from resforge.padic import LocalField, local_field
-from resforge.symbols import delta_route_symbol
+from resforge.symbols import delta_route_symbol, power_residue_symbol
 
 
 def reached(fn, *args):
@@ -95,6 +102,51 @@ def test_gl2_extension_route_reaches_neither_the_character_nor_the_muset_route()
         assert ("resforge.fields", "power_residue_char") not in seen
         assert ("resforge.musets", "residue_walk") not in seen
         assert ("resforge.symbols", "delta_route_symbol") not in seen
+
+
+# the shared layers of the rank-one routes, as (module, function) pairs;
+# a comprehension or nested function counts as the function it sits in
+PADIC_ELEMENTS = {   # element parsing, valuation and residue
+    ("resforge.padic", name) for name in (
+        "LocalField.parse", "LocalField.pi", "LocalField.from_rational",
+        "LocalField.from_coeffs", "LocalField.precision", "LocalField.ring",
+        "KElem.__init__", "KElem.unit_part", "KElem.reduce_mod_pi")
+}
+TAME_UNIT = {("resforge.symbols", "tame_symbol")}   # the direct and muset routes only
+
+
+def is_arithmetic(fn) -> bool:
+    """F_q and O/pi^N arithmetic (resforge.rings, FieldCtx) and MuScalar."""
+    module, qualname = fn
+    return module == "resforge.rings" or (
+        module == "resforge.fields" and qualname.split(".")[0] in ("FieldCtx", "MuScalar"))
+
+
+RANK_ONE_ROUTES = {
+    "direct": lambda lf, a, b, n: power_residue_symbol(lf, lf.parse(a), lf.parse(b), n),
+    "muset": lambda lf, a, b, n: delta_route_symbol(lf, lf.parse(a), lf.parse(b), n, "digit"),
+    "extension": lambda lf, a, b, n: corrected_symbol(lf.parse(a), lf.parse(b),
+                                                      get_engine(lf, n)),
+}
+
+
+def test_rank_one_routes_overlap_only_in_named_shared_layers():
+    """Each route parses its own inputs on a fresh field, so its cold
+    set-up is traced too.  The tame unit lies in the direct and muset
+    routes' overlap and in no overlap with the extension route."""
+    overlaps = {pair: set() for pair in combinations(RANK_ONE_ROUTES, 2)}
+    for p, f, n, pairs in ((13, 1, 12, PAIRS[:2]), (5, 2, 8, PAIRS)):
+        for a, b in pairs:
+            seen = {route: {(module, qualname.split(".<locals>")[0])
+                            for module, qualname in reached(fn, LocalField(p, f), a, b, n)}
+                    for route, fn in RANK_ONE_ROUTES.items()}
+            for r, s in overlaps:
+                overlaps[r, s] |= seen[r] & seen[s]
+    for (r, s), both in overlaps.items():
+        named = PADIC_ELEMENTS | (TAME_UNIT if (r, s) == ("direct", "muset") else set())
+        assert sorted(fn for fn in both if fn not in named and not is_arithmetic(fn)) == [], (r, s)
+        assert ("resforge.padic", "LocalField.parse") in both
+    assert TAME_UNIT <= overlaps["direct", "muset"]
 
 
 WALK_FIELDS = [(7, 1), (13, 1), (3, 2), (5, 2), (3, 3), (2, 4)]

@@ -5,6 +5,7 @@ import tracemalloc
 
 import pytest
 
+import resforge.symbols as symbols
 from resforge.errors import EnumerationBound
 from resforge.extension import corrected_symbol, get_engine
 from resforge.fields import mu_embed, power_residue_char
@@ -226,7 +227,11 @@ def test_warm_delta_route_builds_no_module_map_or_view(monkeypatch):
 
 
 def test_crosscheck_report_fields(q7):
-    rep = crosscheck(q7, q7.parse("7"), q7.parse("7"), 2)
+    """A report keeps a and b as elements; to_json renders them, to the
+    pinned bytes of (7, 7)_2 over Q_7 and of demo 04's pair over Q_9."""
+    a = q7.parse("7")
+    rep = crosscheck(q7, a, a, 2)
+    assert rep.a is a and rep.b is a
     d = rep.to_dict()
     assert list(d) == ["p", "f", "n", "a", "b", "direct", "muset",
                        "extension", "agree"]
@@ -236,6 +241,55 @@ def test_crosscheck_report_fields(q7):
     assert isinstance(rep.micros, int)
     parsed = json.loads(rep.to_json())
     assert parsed["agree"] is True
+    assert rep.to_json().encode() == (
+        b'{"p": 7, "f": 1, "n": 2, "a": "pi^1*1", "b": "pi^1*1", '
+        b'"direct": 1, "muset": 1, "extension": 1, "agree": true}')
+    lf9 = local_field(3, 2)
+    rep = crosscheck(lf9, lf9.parse("pi^1*[1,1]"), lf9.parse("[2,1]"), 8)
+    assert rep.to_json().encode() == (
+        b'{"p": 3, "f": 2, "n": 8, "a": "pi^1*[1,1]", "b": "[2,1]", '
+        b'"direct": 1, "muset": 1, "extension": 1, "agree": true}')
+
+
+def test_crosscheck_computes_the_tame_unit_once(q7, monkeypatch):
+    calls = []
+    real = symbols.tame_symbol
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(symbols, "tame_symbol", counted)
+    for n in (1, 2, 3, 6):
+        calls.clear()
+        assert crosscheck(q7, q7.parse("pi*3"), q7.parse("pi^-2*5"), n).agree
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p,f", [(7, 1), (13, 1), (3, 2), (5, 2)])
+def test_crosscheck_exponents_are_the_three_routes(p, f):
+    """crosscheck shares the tame unit between the direct and muset routes;
+    its three exponents must still be those of power_residue_symbol,
+    delta_route_symbol and corrected_symbol called one by one, for every
+    n | q - 1 and two seeded units at each valuation |v| <= 2."""
+    lf = local_field(p, f)
+    rng = random.Random(24 * p + f)
+
+    def unit():
+        u = rng.randint(1, lf.q - 1)
+        return lf.from_rational(u) if f == 1 else lf.from_coeffs([u % p, u // p])
+
+    inputs = [lf.pi(v) * unit() for v in range(-2, 3) for _ in range(2)]
+    for n in (d for d in range(1, lf.q) if (lf.q - 1) % d == 0):
+        eng = get_engine(lf, n)
+        for a in inputs:
+            for b in inputs:
+                rep = crosscheck(lf, a, b, n, eng)
+                assert (rep.direct, rep.muset, rep.extension) == (
+                    power_residue_symbol(lf, a, b, n).exp,
+                    delta_route_symbol(lf, a, b, n, eng.rule).exp,
+                    corrected_symbol(a, b, eng).exp), (n, a, b)
+                assert rep.agree
 
 
 def test_crosscheck_units_trivial(q7):
