@@ -18,11 +18,12 @@ extension  the commutator of lifts in the central extension of K^x by
            forms (see extension).
 
 The tame unit u (tame_symbol, the boundary map K_2(K) -> K_1(k)) is the
-layer the direct and muset routes share.  crosscheck computes it once per
-call and hands it to both routes' bodies, power_residue_char and
-_orbit_delta; the extension route reads a and b on its own.  A
-SymbolReport keeps a and b as elements and renders them only in to_dict
-and to_json.
+layer the direct and muset routes share; the extension route reads a and
+b on its own.  crosscheck takes the direct value from
+power_residue_symbol, so a fault planted there reaches the sweep, and
+the muset value from _orbit_delta of its own tame unit; each route
+forms u once.  A SymbolReport keeps a and b as elements and renders them
+only in to_dict and to_json.
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ class SymbolReport:
 
     a and b are the input elements themselves; to_dict and to_json render
     them with KElem.as_str, so a report that is never printed never
-    decodes them.  micros, the routes' wall time, stays out of to_dict and
-    to_json.
+    decodes them.  str(rep.a) is not the rendered text: use rep.a.as_str().
+    micros, the routes' wall time, stays out of to_dict and to_json.
     """
 
     p: int
@@ -128,18 +129,17 @@ def crosscheck(lf: LocalField, a: KElem, b: KElem, n: int,
                engine: SymbolEngine | None = None) -> SymbolReport:
     """Compute the symbol by all three routes and compare.
 
-    The direct and muset routes share the tame unit, computed once: the
-    direct value is its character, the muset value its _orbit_delta.
-    The extension route reads a and b on its own.
+    The direct value is power_residue_symbol's, the muset value the
+    _orbit_delta of the tame unit (the muset route's one body, which
+    delta_route_symbol also calls), the extension value corrected_symbol's.
     """
     if engine is None:
         engine = get_engine(lf, n)
     elif engine.lf is not lf or engine.n != n:
         raise ValueError(f"engine is for {engine.lf} and n = {engine.n}, not {lf} and n = {n}")
     t0 = time.perf_counter_ns()
-    u = tame_symbol(lf, a, b)
-    direct = power_residue_char(lf.field, u, n).exp
-    via_muset = _orbit_delta(lf, u, n)
+    direct = power_residue_symbol(lf, a, b, n).exp
+    via_muset = _orbit_delta(lf, tame_symbol(lf, a, b), n)
     via_ext = corrected_symbol(a, b, engine).exp
     micros = (time.perf_counter_ns() - t0) // 1000
     return SymbolReport(lf.p, lf.f, n, a, b, direct, via_muset, via_ext,

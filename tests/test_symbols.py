@@ -8,7 +8,7 @@ import pytest
 import resforge.symbols as symbols
 from resforge.errors import EnumerationBound
 from resforge.extension import corrected_symbol, get_engine
-from resforge.fields import mu_embed, power_residue_char
+from resforge.fields import MuScalar, mu_embed, power_residue_char
 from resforge.modules import FiniteModule, ModuleHom, module_aut_as_musetaut, scalar_hom
 from resforge.musets import OrbitView, aut_delta, residue_walk
 from resforge.padic import KElem, LocalField, local_field
@@ -251,19 +251,34 @@ def test_crosscheck_report_fields(q7):
         b'"direct": 1, "muset": 1, "extension": 1, "agree": true}')
 
 
-def test_crosscheck_computes_the_tame_unit_once(q7, monkeypatch):
+def test_crosscheck_calls_each_route_once(q7, monkeypatch):
+    """The direct value comes from power_residue_symbol, the muset value
+    from _orbit_delta of crosscheck's own tame unit, the extension value
+    from corrected_symbol; tame_symbol runs once per route that reads it,
+    and delta_route_symbol is not called."""
     calls = []
-    real = symbols.tame_symbol
-
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(symbols, "tame_symbol", counted)
+    for name in ("power_residue_symbol", "tame_symbol", "_orbit_delta",
+                 "delta_route_symbol", "corrected_symbol"):
+        def counted(*args, _real=getattr(symbols, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(symbols, name, counted)
     for n in (1, 2, 3, 6):
         calls.clear()
         assert crosscheck(q7, q7.parse("pi*3"), q7.parse("pi^-2*5"), n).agree
-        assert len(calls) == 1
+        assert sorted(calls) == ["_orbit_delta", "corrected_symbol", "power_residue_symbol",
+                                 "tame_symbol", "tame_symbol"]
+
+
+def test_a_wrong_direct_route_reaches_crosscheck(q7, monkeypatch):
+    """A fault planted in power_residue_symbol shows as a disagreement."""
+    real = symbols.power_residue_symbol
+    monkeypatch.setattr(symbols, "power_residue_symbol",
+                        lambda lf, a, b, n: MuScalar(n, real(lf, a, b, n).exp + 1))
+    a, b = q7.parse("pi*3"), q7.parse("5")
+    rep = crosscheck(q7, a, b, 6)
+    assert rep.direct == (real(q7, a, b, 6).exp + 1) % 6 == (rep.muset + 1) % 6
+    assert not rep.agree
 
 
 @pytest.mark.parametrize("p,f", [(7, 1), (13, 1), (3, 2), (5, 2)])
@@ -298,7 +313,6 @@ def test_crosscheck_units_trivial(q7):
 
 
 def test_symbol_value_str(q7):
-    from resforge.fields import MuScalar
     assert symbol_value_str(q7, MuScalar(2, 1)) == "6"
     lf9 = local_field(3, 2)
     assert "," in symbol_value_str(lf9, MuScalar(8, 1))
