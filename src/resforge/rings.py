@@ -8,6 +8,11 @@ division by p^k.
 
 Elements are encoded as integers: sum(c_i * (p^N)**i) with coefficients
 c_i in [0, p^N).  For f = 1 the encoding is the representative itself.
+For f > 1 addition, negation, pi-power shifts and precision moves are
+coefficient-wise, so each reads the base-p^N digits off the encoding in
+one divmod pass and builds the result integer as it goes; products and
+powers multiply polynomials, and the inverse of a unit a solves
+M_a x = e_0 over Z/p^N, for M_a the matrix of multiplication by a.
 The residue field F_q = O/pi is the ring at N = 1: fields.FieldCtx is a
 RingCtx that serves as its own field, inherits the encoding, addition
 and valuation, and multiplies, powers and inverts through its tables.
@@ -122,15 +127,35 @@ class RingCtx:
     def add(self, a: int, b: int) -> int:
         if self.f == 1:
             return (a + b) % self.pN
-        return self.encode([x + y for x, y in zip(self.decode(a), self.decode(b))])
+        pN, out, scale = self.pN, 0, 1
+        while a or b:
+            a, x = divmod(a, pN)
+            b, y = divmod(b, pN)
+            out += (x + y) % pN * scale
+            scale *= pN
+        return out
 
     def neg(self, a: int) -> int:
         if self.f == 1:
             return (-a) % self.pN
-        return self.encode([-x for x in self.decode(a)])
+        pN, out, scale = self.pN, 0, 1
+        while a:
+            a, x = divmod(a, pN)
+            if x:
+                out += (pN - x) * scale
+            scale *= pN
+        return out
 
     def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
+        if self.f == 1:
+            return self.add(a, self.neg(b))
+        pN, out, scale = self.pN, 0, 1
+        while a or b:
+            a, x = divmod(a, pN)
+            b, y = divmod(b, pN)
+            out += (x - y) % pN * scale
+            scale *= pN
+        return out
 
     def mul(self, a: int, b: int) -> int:
         if self.f == 1:
@@ -177,18 +202,36 @@ class RingCtx:
         return self.encode(_poly_powmod(self.decode(a), e, self.poly, self.pN))
 
     def inv(self, a: int) -> int:
-        """Inverse of a unit, by Newton lifting from the residue field."""
+        """Inverse of a unit.  At f > 1, the solution x of M_a x = e_0 over
+        Z/p^N, for M_a the matrix of multiplication by a (columns a * x^j),
+        by Gauss-Jordan elimination with unit pivots: a is a unit, so M_a
+        is invertible mod p and every column has a unit below the diagonal."""
         if self.val(a) != 0:
             raise ZeroDivisionError("not a unit in O/pi^N")
         if self.f == 1:
             return pow(a, -1, self.pN)
-        k = self.field
-        x = k.lift_naive(k.inv(self.reduce_to(a, k)), self)
-        for _ in range(max(1, (self.N - 1).bit_length())):
-            x = self.mul(x, self.sub(2, self.mul(a, x)))
-        if self.mul(a, x) != 1:
-            raise ArithmeticError("Newton inversion failed")
-        return x
+        p, f, pN, poly = self.p, self.f, self.pN, self.poly
+        col, x = self.decode(a), [0, 1] + [0] * (f - 2)
+        cols = [col]
+        for _ in range(f - 1):
+            col = _poly_mulmod(col, x, poly, pN)
+            cols.append(col)
+        rows = [[*row, int(i == 0)] for i, row in enumerate(zip(*cols))]
+        for k in range(f):
+            piv = next((i for i in range(k, f) if rows[i][k] % p), None)
+            if piv is None:
+                raise ArithmeticError("no unit pivot: the multiplication matrix is singular mod p")
+            rows[k], rows[piv] = rows[piv], rows[k]
+            s = pow(rows[k][k], -1, pN)
+            rk = rows[k] = [c * s % pN for c in rows[k]]
+            for i, row in enumerate(rows):
+                t = row[k]
+                if t and i != k:
+                    rows[i] = [(c - t * d) % pN for c, d in zip(row, rk)]
+        out = 0
+        for row in reversed(rows):
+            out = out * pN + row[f]
+        return out
 
     # valuation and pi-powers ----------------------------------------------
 
@@ -206,8 +249,12 @@ class RingCtx:
         """Multiply by pi^k = p^k (k >= 0)."""
         if self.f == 1:
             return (a * self.p**k) % self.pN
-        pk = self.p**k
-        return self.encode([c * pk for c in self.decode(a)])
+        pN, pk, out, scale = self.pN, self.p**k, 0, 1
+        while a:
+            a, x = divmod(a, pN)
+            out += x * pk % pN * scale
+            scale *= pN
+        return out
 
     def div_pk(self, a: int, k: int) -> int:
         """Exact division by pi^k; the result is valid mod pi^(N-k)."""
@@ -218,26 +265,37 @@ class RingCtx:
             if a % pk:
                 raise ValueError("not divisible by pi^k")
             return a // pk
-        coeffs = self.decode(a)
-        if any(c % pk for c in coeffs):
-            raise ValueError("not divisible by pi^k")
-        return self.encode([c // pk for c in coeffs])
+        pN, out, scale = self.pN, 0, 1
+        while a:
+            a, x = divmod(a, pN)
+            x, r = divmod(x, pk)
+            if r:
+                raise ValueError("not divisible by pi^k")
+            out += x * scale
+            scale *= pN
+        return out
 
     # precision moves -------------------------------------------------------
 
     def reduce_to(self, a: int, other: RingCtx) -> int:
-        """Reduce mod pi^M for M = other.N <= N."""
+        """Reduce mod pi^M for M = other.N <= N: lift_naive, one way only."""
         if other.N > self.N:
             raise ValueError("cannot reduce to higher precision")
         if self.f == 1:
             return a % other.pN
-        return other.encode(self.decode(a))
+        return self.lift_naive(a, other)
 
     def lift_naive(self, a: int, other: RingCtx) -> int:
-        """Re-encode with the same integer coefficients at precision other.N."""
+        """Re-encode with the same integer coefficients at precision
+        M = other.N, each taken mod p^M: for M <= N this reduces."""
         if self.f == 1:
             return a % other.pN
-        return other.encode(self.decode(a))
+        pN, pM, out, scale = self.pN, other.pN, 0, 1
+        while a:
+            a, x = divmod(a, pN)
+            out += x % pM * scale
+            scale *= pM
+        return out
 
     # Teichmueller section ---------------------------------------------------
 

@@ -30,11 +30,13 @@ class _Check:
         self.first = None
 
     def record(self, ok: bool, detail=None):
+        """Count a case; detail is its counterexample, or a zero-argument
+        function that renders it, called only for the first failure kept."""
         self.cases += 1
         if not ok:
             self.failures += 1
             if self.first is None:
-                self.first = detail
+                self.first = detail() if callable(detail) else detail
 
     def summary(self):
         out = {"name": self.name, "cases": self.cases, "failures": self.failures}
@@ -333,8 +335,8 @@ def run_theorem(ps=(3, 5, 7, 13), vmax: int = 2, **_):
                     u = (a**b.val) * (b**a.val).inverse()
                     want = power_residue_char(lf.field, u.reduce_mod_pi(), n).exp
                     chk.record(got == want,
-                               {"p": p, "n": n, "a": a.as_str(), "b": b.as_str(),
-                                "got": got, "want": want})
+                               lambda: {"p": p, "n": n, "a": a.as_str(), "b": b.as_str(),
+                                        "got": got, "want": want})
     return _finish("theorem", [chk])
 
 
@@ -350,7 +352,7 @@ def run_corollary(ps=(3, 5, 7, 13), vmax: int = 2, seed: int = 0, **_):
             for a in inputs:
                 for b in inputs:
                     rep = crosscheck(lf, a, b, n, eng)
-                    agree.record(rep.agree, rep.to_dict())
+                    agree.record(rep.agree, rep.to_dict)
 
     stein = _Check("steinberg_relation")
     for p in ps:
@@ -364,7 +366,7 @@ def run_corollary(ps=(3, 5, 7, 13), vmax: int = 2, seed: int = 0, **_):
                 if v == 0 and u == 1:
                     continue  # avoid a = 1, where 1 - a leaves K^x
                 ok = steinberg_check(lf, a, n)
-                stein.record(ok, {"p": p, "n": n, "a": a.as_str()})
+                stein.record(ok, lambda: {"p": p, "n": n, "a": a.as_str()})
                 count += 1
 
     smoke = _Check("unramified_q9_agreement")
@@ -375,7 +377,7 @@ def run_corollary(ps=(3, 5, 7, 13), vmax: int = 2, seed: int = 0, **_):
         for a in inputs:
             for b in inputs:
                 rep = crosscheck(lf9, a, b, n, eng)
-                smoke.record(rep.agree, rep.to_dict())
+                smoke.record(rep.agree, rep.to_dict)
     return _finish("corollary", [agree, stein, smoke])
 
 

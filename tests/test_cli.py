@@ -264,3 +264,15 @@ def test_failed_sweep_json_is_deterministic(capsys, monkeypatch):
     case = json.loads(first)["checks"][0]["first_counterexample"]
     assert case["muset"] != case["direct"] and "micros" not in case
     assert run_cli(capsys, *argv) == (1, first, "")
+
+
+def test_passing_sweeps_render_no_counterexample(monkeypatch):
+    """A check renders a report or an element only for the failure it keeps:
+    passing corollary and theorem sweeps call neither to_dict nor as_str."""
+    def refuse(*_args):
+        raise AssertionError("a passing case was rendered")
+
+    monkeypatch.setattr(symbols.SymbolReport, "to_dict", refuse)
+    monkeypatch.setattr(symbols.KElem, "as_str", refuse)
+    assert verify.run_corollary(ps=(3,), vmax=1)["ok"]
+    assert verify.run_theorem(ps=(3,), vmax=1)["ok"]

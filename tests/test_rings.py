@@ -30,11 +30,52 @@ def poly_pow(ring, a, e):
 
 
 def newton_inv(ring, a):
-    """Inverse by Newton steps from the residue field, each doubling the known pi-digits."""
-    x = ring.field.lift_naive(ring.field.inv(ring.reduce_to(a, ring.field)), ring)
+    """Inverse by Newton steps from the residue field, each doubling the
+    known pi-digits; built from the reference kernels only."""
+    k = ring.field
+    x = ref_lift_naive(k, k.inv(ref_reduce_to(ring, a, k)), ring)
+    two = ring.encode([2])
     for _ in range(max(1, (ring.N - 1).bit_length())):
-        x = poly_mul(ring, x, ring.sub(2, poly_mul(ring, a, x)))
+        x = poly_mul(ring, x, ref_sub(ring, two, poly_mul(ring, a, x)))
     return x
+
+
+# Reference kernels: each decodes its operands, works on the coefficient
+# list and encodes the result, sharing no code with RingCtx's one-pass
+# kernels.
+
+
+def ref_add(ring, a, b):
+    return ring.encode([x + y for x, y in zip(ring.decode(a), ring.decode(b))])
+
+
+def ref_sub(ring, a, b):
+    return ring.encode([x - y for x, y in zip(ring.decode(a), ring.decode(b))])
+
+
+def ref_neg(ring, a):
+    return ring.encode([-x for x in ring.decode(a)])
+
+
+def ref_mul_pk(ring, a, k):
+    return ring.encode([c * ring.p**k for c in ring.decode(a)])
+
+
+def ref_div_pk(ring, a, k):
+    coeffs = ring.decode(a)
+    if any(c % ring.p**k for c in coeffs):
+        raise ValueError("not divisible by pi^k")
+    return ring.encode([c // ring.p**k for c in coeffs])
+
+
+def ref_reduce_to(ring, a, other):
+    if other.N > ring.N:
+        raise ValueError("cannot reduce to higher precision")
+    return other.encode(ring.decode(a))
+
+
+def ref_lift_naive(ring, a, other):
+    return other.encode(ring.decode(a))
 
 
 def coeff_val(ring, a):
@@ -143,3 +184,73 @@ def test_matrix_product_reduces_operands_of_higher_precision(p, f):
         assert ring.matmul(a, ring_a, b, ring_b) == want
         eye = [[int(i == j) for j in range(n)] for i in range(n)]
         assert ring.matmul(want, ring, eye, ring) == want
+
+
+def sample_encodings(ring, rng):
+    """Seeded encodings: uniform ones, 0, 1, the largest, lifts of residues
+    (high digits zero), and coefficient lists with zero or p^N - 1 digits."""
+    out = [rng.randrange(ring.size) for _ in range(30)] + [0, 1, ring.size - 1]
+    out += [ref_lift_naive(ring.field, rng.randrange(ring.field.size), ring) for _ in range(5)]
+    for _ in range(10):
+        out.append(ring.encode([rng.choice((0, 1, ring.pN - 1, rng.randrange(ring.pN)))
+                                for _ in range(ring.f)]))
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 24])
+@pytest.mark.parametrize("p,f", [(3, 2), (5, 2), (7, 2), (3, 3), (2, 4)])
+def test_digit_kernels_equal_the_decode_encode_references(p, f, N):
+    lf = LocalField(p, f)
+    ring = lf.ring(N)
+    rng = random.Random(100 * p + 10 * f + N)
+    elems = sample_encodings(ring, rng)
+    for a, b in zip(elems, reversed(elems)):
+        assert ring.add(a, b) == ref_add(ring, a, b), (a, b)
+        assert ring.sub(a, b) == ref_sub(ring, a, b), (a, b)
+        assert ring.neg(a) == ref_neg(ring, a), a
+        for k in (0, 1, N - 1, N):
+            m = ring.mul_pk(a, k)
+            assert m == ref_mul_pk(ring, a, k), (a, k)
+            assert ring.div_pk(m, k) == ref_div_pk(ring, m, k), (a, k)
+        if ring.val(a) < N:
+            k = ring.val(a) + 1
+            with pytest.raises(ValueError):
+                ref_div_pk(ring, a, k)
+            with pytest.raises(ValueError):
+                ring.div_pk(a, k)
+        for M in range(1, N + 3):
+            other = lf.ring(M)
+            assert ring.lift_naive(a, other) == ref_lift_naive(ring, a, other), (a, M)
+            if M <= N:
+                assert ring.reduce_to(a, other) == ref_reduce_to(ring, a, other), (a, M)
+            else:
+                with pytest.raises(ValueError):
+                    ring.reduce_to(a, other)
+    for a in elems:
+        if ring.val(a):
+            with pytest.raises(ZeroDivisionError):
+                ring.inv(a)
+        else:
+            inv = ring.inv(a)
+            assert inv == newton_inv(ring, a), a
+            assert poly_mul(ring, a, inv) == 1, a
+
+
+@pytest.mark.parametrize("p,f", [(3, 2), (2, 4)])
+def test_inverse_solve_is_one_path_at_every_precision(p, f):
+    """A bare RingCtx at N = 1 inverts by the same solve as N >= 2, and
+    agrees with the field's tables."""
+    field = field_make(p, f)
+    ring = RingCtx(field, 1)
+    for a in range(1, field.size):
+        assert ring.inv(a) == field.inv(a), a
+
+
+def test_inverse_without_a_unit_pivot_is_an_error(monkeypatch):
+    """The solve never returns a silent wrong value: with the unit check
+    bypassed, a non-unit has no unit pivot and raises."""
+    ring = LocalField(3, 2).ring(5)
+    monkeypatch.setattr(RingCtx, "val", lambda self, a: 0)
+    for a in (3, ring.mul_pk(ring.encode([1, 2]), 2), 0):
+        with pytest.raises(ArithmeticError, match="unit pivot"):
+            ring.inv(a)

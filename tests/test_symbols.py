@@ -12,6 +12,7 @@ from resforge.fields import MuScalar, mu_embed, power_residue_char
 from resforge.modules import FiniteModule, ModuleHom, module_aut_as_musetaut, scalar_hom
 from resforge.musets import OrbitView, aut_delta, residue_walk
 from resforge.padic import KElem, LocalField, local_field
+from resforge.rings import RingCtx
 from resforge.symbols import (crosscheck, delta_route_symbol,
                               power_residue_symbol, steinberg_check,
                               symbol_value_str, tame_symbol)
@@ -305,6 +306,33 @@ def test_crosscheck_exponents_are_the_three_routes(p, f):
                     delta_route_symbol(lf, a, b, n, eng.rule).exp,
                     corrected_symbol(a, b, eng).exp), (n, a, b)
                 assert rep.agree
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_warm_galois_crosscheck_decodes_nothing(p, monkeypatch):
+    """At q = 9 and 25 a warm crosscheck reads residues and negates with the
+    one-pass digit kernels: no RingCtx.decode or encode, for every n | q - 1
+    and units of valuation |v| <= 1, including ones whose constant
+    coefficient is divisible by p."""
+    lf = LocalField(p, 2)
+    units = [lf.from_coeffs(c) for c in ([1, 0], [0, 1], [p - 1, 1], [1, p - 1], [2, 2])]
+    inputs = [lf.pi(v) * u for v in (-1, 0, 1) for u in units]
+    engines = [get_engine(lf, n) for n in range(1, lf.q) if (lf.q - 1) % n == 0]
+    want = [[(rep.direct, rep.muset, rep.extension)
+             for rep in (crosscheck(lf, a, b, eng.n, eng) for a in inputs for b in inputs)]
+            for eng in engines]
+
+    def refuse(*_args):
+        raise AssertionError("a warm crosscheck decoded or encoded")
+
+    monkeypatch.setattr(RingCtx, "decode", refuse)
+    monkeypatch.setattr(RingCtx, "encode", refuse)
+    for eng, values in zip(engines, want):
+        reps = [crosscheck(lf, a, b, eng.n, eng) for a in inputs for b in inputs]
+        assert [(r.direct, r.muset, r.extension) for r in reps] == values, eng.n
+        assert all(r.agree for r in reps)
+    with pytest.raises(AssertionError, match="decoded"):
+        lf.from_coeffs([1, 1])
 
 
 def test_crosscheck_units_trivial(q7):
