@@ -19,12 +19,19 @@ log/antilog tables of the canonical generator, built once per context
 coefficient-wise on the encodings.  field_make keeps no context; each
 LocalField owns the one it builds.  q is capped at MAX_Q because the
 log/antilog tables and the Zolotarev sign enumerate F_q.
+
+The package's small value classes are plain __slots__ classes on two
+bases defined here, not dataclasses, so that importing the package does
+not load dataclasses and inspect.  Record gives field equality for the
+exact class and the dataclass repr, and is unhashable; Frozen adds
+immutability, a hash of the field tuple, and __reduce__ for copy and
+pickle.  MuScalar, musets.MuSet and musets.MuSetAut are Frozen;
+symbols.SymbolReport is a Record.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import FrozenInstanceError
 from itertools import islice, product
 
 from .errors import EnumerationBound
@@ -282,7 +289,55 @@ def field_make(p: int, f: int = 1) -> FieldCtx:
 # roots of unity
 
 
-class MuScalar:
+class Record:
+    """Base of the package's small value classes.  A subclass lists its
+    fields, in constructor order, as __slots__; _names collects them, its
+    bases' first.  A record is equal to another of the exact same class
+    with the same field tuple, prints as Name(field=value, ...) and is
+    unhashable, as a mutable dataclass is."""
+
+    __slots__ = ()
+    __hash__ = None
+    _names = ()
+
+    def __init_subclass__(cls):
+        cls._names += cls.__dict__.get("__slots__", ())
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._names)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
+        return f"{self.__class__.__qualname__}({body})"
+
+
+class Frozen(Record):
+    """A Record whose fields __init__ sets once, past the raising
+    __setattr__ (through object.__setattr__ or the slots' descriptors);
+    after that no attribute can be set or deleted.  Hashed by the field
+    tuple; copy, deepcopy and pickle rebuild it through the constructor."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class MuScalar(Frozen):
     """A root of unity written as an exponent: (n, e) stands for zeta_n**e.
 
     Immutable, equal and hashed by (n, exp), with exp reduced mod n.
@@ -295,23 +350,6 @@ class MuScalar:
             raise ValueError("n must be positive")
         _set_n(self, n)
         _set_exp(self, exp % n)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return MuScalar, (self.n, self.exp)
-
-    def __eq__(self, other):
-        if other.__class__ is not MuScalar:
-            return NotImplemented
-        return self.n == other.n and self.exp == other.exp
-
-    def __hash__(self):
-        return hash((self.n, self.exp))
 
     def __mul__(self, other: "MuScalar") -> "MuScalar":
         if self.n != other.n:

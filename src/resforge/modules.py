@@ -137,15 +137,26 @@ class FiniteModule:
         """Per position x != 0, (v * rank + k) * q + d for x's lowest nonzero
         pi-adic digit d in F_q, read at the first coordinate k of least
         valuation v: the least code over the coordinates.  Zero coordinates
-        get a code above every other, so they never lead."""
+        get a code above every other, so they never lead.
+
+        At f = 1 the elements of valuation v of O/p^e are the multiples
+        p^v * u, whose digit is u mod p: each level fills the codes of all
+        multiples of p^v by one strided slice, levels ascending, so that
+        every multiple of p^(v+1) is overwritten by a higher level."""
         field, q, rank = self.lf.field, self.lf.q, self.rank
         none = rank * max(self.exps, default=0) * q
         acc = [none]
-        for k, r in enumerate(self.rings):
-            codes = [none]
-            for c in range(1, r.size):
-                v = r.val(c)
-                codes.append((v * rank + k) * q + r.reduce_to(r.div_pk(c, v), field))
+        for k, (e, r) in enumerate(zip(self.exps, self.rings)):
+            if self.lf.f == 1:
+                codes = [none] * r.size
+                for v in range(e):
+                    step, base = q**v, (v * rank + k) * q
+                    codes[step::step] = (list(range(base, base + q)) * q**(e - v - 1))[1:]
+            else:
+                codes = [none]
+                for c in range(1, r.size):
+                    v = r.val(c)
+                    codes.append((v * rank + k) * q + r.reduce_to(r.div_pk(c, v), field))
             acc = [a if a < b else b for a in acc for b in codes]
         return acc
 

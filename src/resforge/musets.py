@@ -3,7 +3,10 @@
 An abstract set with t orbits has elements None (the marked point) and
 pairs (i, e) meaning zeta^e * x_i for orbit representatives x_0..x_{t-1}.
 An automorphism is the pair (sigma, mu): it sends x_i to
-zeta^(mu[i]) * x_{sigma[i]}.
+zeta^(mu[i]) * x_{sigma[i]}.  MuSet and MuSetAut are immutable values on
+fields.Frozen: __slots__ fields set once in __init__, which checks them
+and reduces mu mod n; equal and hashed by the field tuple, printed as
+MuSet(n=2, t=1), and copied and pickled through the constructor.
 
 OrbitView is a concrete pointed set (module elements, cartesian
 products, ...) on positions 0..S-1: 0 is the marked point and position
@@ -35,44 +38,42 @@ reads f x Id off aut_to_permutation.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
 
-from .fields import MuScalar, perm_sign_of_map
+from .fields import Frozen, MuScalar, perm_sign_of_map
 
 RULES = ("least", "second_least", "digit")
 
 
-@dataclass(frozen=True)
-class MuSet:
+class MuSet(Frozen):
     """Abstract finite free pointed mu_n-set with t orbits (nt + 1 points)."""
 
-    n: int
-    t: int
+    __slots__ = ("n", "t")
 
-    def __post_init__(self):
-        if self.n < 1 or self.t < 0:
+    def __init__(self, n: int, t: int):
+        if n < 1 or t < 0:
             raise ValueError("bad mu_n-set parameters")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "t", t)
 
     @property
     def size(self) -> int:
         return self.n * self.t + 1
 
 
-@dataclass(frozen=True)
-class MuSetAut:
+class MuSetAut(Frozen):
     """Automorphism (sigma, mu) of a MuSet: x_i -> zeta^mu[i] * x_sigma[i]."""
 
-    X: MuSet
-    sigma: tuple
-    mu: tuple
+    __slots__ = ("X", "sigma", "mu")
 
-    def __post_init__(self):
-        t, n = self.X.t, self.X.n
-        if len(self.sigma) != t or len(self.mu) != t:
+    def __init__(self, X: MuSet, sigma: tuple, mu: tuple):
+        t, n = X.t, X.n
+        if len(sigma) != t or len(mu) != t:
             raise ValueError("wrong data length")
-        if sorted(self.sigma) != list(range(t)):
+        if sorted(sigma) != list(range(t)):
             raise ValueError("sigma is not a permutation")
-        object.__setattr__(self, "mu", tuple(m % n for m in self.mu))
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "mu", tuple(m % n for m in mu))
 
 
 def aut_compose(f: MuSetAut, g: MuSetAut) -> MuSetAut:

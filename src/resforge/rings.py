@@ -22,7 +22,6 @@ caches the rings at other precisions, each of which memoizes its zeta_n.
 
 from __future__ import annotations
 
-from math import gcd
 from operator import mul
 from typing import TYPE_CHECKING
 
@@ -236,14 +235,28 @@ class RingCtx:
     # valuation and pi-powers ----------------------------------------------
 
     def val(self, a: int) -> int:
-        """pi-adic valuation, capped at N (val(0) = N)."""
+        """pi-adic valuation, capped at N (val(0) = N).  At f > 1 the least
+        p-adic valuation of the base-p^N digits, read in one divmod pass
+        that stops at a unit digit."""
         if a == 0:
             return self.N
-        if a % self.p:
+        p = self.p
+        if a % p:
             return 0  # a = c_0 mod p, so the constant coefficient is a unit
         if self.f == 1:
-            return _vp(a, self.p)
-        return _vp(gcd(*self.decode(a)), self.p)
+            return _vp(a, p)
+        pN, v = self.pN, self.N
+        while a:
+            a, x = divmod(a, pN)
+            if x:
+                w = 0
+                while w < v and x % p == 0:
+                    x //= p
+                    w += 1
+                if w == 0:
+                    return 0
+                v = w
+        return v
 
     def mul_pk(self, a: int, k: int) -> int:
         """Multiply by pi^k = p^k (k >= 0)."""

@@ -23,17 +23,20 @@ b on its own.  crosscheck takes the direct value from
 power_residue_symbol, so a fault planted there reaches the sweep, and
 the muset value from _orbit_delta of its own tame unit; each route
 forms u once.  A SymbolReport keeps a and b as elements and renders them
-only in to_dict and to_json.
+only in to_dict and to_json.  It is a mutable fields.Record: __slots__
+fields, equality over all of them, no hash.  A route that raises
+EnumerationBound or PrecisionError does not sink the report (see
+SymbolReport).
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
 
+from .errors import EnumerationBound, PrecisionError
 from .extension import SymbolEngine, corrected_symbol, get_engine
-from .fields import MuScalar, mu_embed, power_residue_char
+from .fields import MuScalar, Record, mu_embed, power_residue_char
 from .musets import RULES, residue_walk
 from .padic import KElem, LocalField, k_one_minus
 
@@ -94,32 +97,45 @@ def steinberg_check(lf: LocalField, a: KElem, n: int) -> bool:
     return power_residue_symbol(lf, a, k_one_minus(a), n).is_identity
 
 
-@dataclass
-class SymbolReport:
+class SymbolReport(Record):
     """Three independently computed values for one input pair.
 
     a and b are the input elements themselves; to_dict and to_json render
     them with KElem.as_str, so a report that is never printed never
     decodes them.  str(rep.a) is not the rendered text: use rep.a.as_str().
-    micros, the routes' wall time, stays out of to_dict and to_json.
+    A route that could not answer has the value None, and skipped maps its
+    name to the reason; agree holds only when all three routes answered
+    and agree.  micros, the routes' wall time, stays out of to_dict and
+    to_json, and skipped shows there only when a route was skipped.
     """
 
-    p: int
-    f: int
-    n: int
-    a: KElem
-    b: KElem
-    direct: int
-    muset: int
-    extension: int
-    agree: bool
-    micros: int
+    __slots__ = ("p", "f", "n", "a", "b", "direct", "muset", "extension",
+                 "agree", "micros", "skipped")
+
+    def __init__(self, p: int, f: int, n: int, a: KElem, b: KElem,
+                 direct: int | None, muset: int | None, extension: int | None,
+                 agree: bool, micros: int, skipped: dict | None = None):
+        # one store per field: every crosscheck builds a report, and unpacking a tuple is slower
+        self.p = p
+        self.f = f
+        self.n = n
+        self.a = a
+        self.b = b
+        self.direct = direct
+        self.muset = muset
+        self.extension = extension
+        self.agree = agree
+        self.micros = micros
+        self.skipped = {} if skipped is None else skipped
 
     def to_dict(self) -> dict:
-        return {"p": self.p, "f": self.f, "n": self.n,
-                "a": self.a.as_str(), "b": self.b.as_str(),
-                "direct": self.direct, "muset": self.muset,
-                "extension": self.extension, "agree": self.agree}
+        d = {"p": self.p, "f": self.f, "n": self.n,
+             "a": self.a.as_str(), "b": self.b.as_str(),
+             "direct": self.direct, "muset": self.muset,
+             "extension": self.extension, "agree": self.agree}
+        if self.skipped:
+            d["skipped"] = self.skipped
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -132,18 +148,30 @@ def crosscheck(lf: LocalField, a: KElem, b: KElem, n: int,
     The direct value is power_residue_symbol's, the muset value the
     _orbit_delta of the tame unit (the muset route's one body, which
     delta_route_symbol also calls), the extension value corrected_symbol's.
+    A route that raises EnumerationBound or PrecisionError is skipped, with
+    the message as its reason, and the other two still answer.
     """
     if engine is None:
         engine = get_engine(lf, n)
     elif engine.lf is not lf or engine.n != n:
         raise ValueError(f"engine is for {engine.lf} and n = {engine.n}, not {lf} and n = {n}")
+    skipped = {}
     t0 = time.perf_counter_ns()
-    direct = power_residue_symbol(lf, a, b, n).exp
-    via_muset = _orbit_delta(lf, tame_symbol(lf, a, b), n)
-    via_ext = corrected_symbol(a, b, engine).exp
+    try:
+        direct = power_residue_symbol(lf, a, b, n).exp
+    except (EnumerationBound, PrecisionError) as exc:
+        direct, skipped["direct"] = None, str(exc)
+    try:
+        via_muset = _orbit_delta(lf, tame_symbol(lf, a, b), n)
+    except (EnumerationBound, PrecisionError) as exc:
+        via_muset, skipped["muset"] = None, str(exc)
+    try:
+        via_ext = corrected_symbol(a, b, engine).exp
+    except (EnumerationBound, PrecisionError) as exc:
+        via_ext, skipped["extension"] = None, str(exc)
     micros = (time.perf_counter_ns() - t0) // 1000
     return SymbolReport(lf.p, lf.f, n, a, b, direct, via_muset, via_ext,
-                        direct == via_muset == via_ext, micros)
+                        not skipped and direct == via_muset == via_ext, micros, skipped)
 
 
 def symbol_value_str(lf: LocalField, s: MuScalar) -> str:

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -59,6 +61,65 @@ def inversion_sign(perm):
     n = len(perm)
     inv = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
     return -1 if inv % 2 else 1
+
+
+def test_muset_is_an_immutable_value():
+    """Fields n and t, checked; equal and hashed by (n, t), for the exact
+    class only; printed like a dataclass; no attribute can be set or
+    deleted; copies and pickles round-trip."""
+    X = MuSet(2, 1)
+    assert (X.n, X.t, X.size) == (2, 1, 3)
+    assert X == MuSet(n=2, t=1) == MuSet(2, t=1)
+    assert X != MuSet(2, 2) and X != MuSet(3, 1) and X != (2, 1)
+    assert hash(X) == hash(MuSet(n=2, t=1)) == hash((2, 1))
+    assert len({X, MuSet(2, 1), MuSet(1, 2), MuSet(2, 0)}) == 3
+    assert repr(X) == "MuSet(n=2, t=1)" and repr(MuSet(5, 0)) == "MuSet(n=5, t=0)"
+
+    class Sub(MuSet):
+        __slots__ = ()
+
+    assert Sub(2, 1) != X and X != Sub(2, 1) and Sub(2, 1) == Sub(2, 1) != Sub(3, 1)
+    assert hash(Sub(2, 1)) == hash(X) and repr(Sub(2, 1)).endswith("Sub(n=2, t=1)")
+    for n, t in ((0, 1), (-1, 0), (2, -1)):
+        with pytest.raises(ValueError, match="bad mu_n-set parameters"):
+            MuSet(n, t)
+    for name in ("n", "t", "size", "other"):
+        with pytest.raises(AttributeError):
+            setattr(X, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(X, name)
+    assert (X.n, X.t) == (2, 1)
+    assert copy.copy(X) == copy.deepcopy(X) == pickle.loads(pickle.dumps(X)) == X
+
+
+def test_muset_aut_is_an_immutable_value():
+    """Fields X, sigma and mu, checked, with mu reduced mod n; equal and
+    hashed by (X, sigma, mu), for the exact class only; printed like a
+    dataclass; no attribute can be set or deleted; copies and pickles
+    round-trip."""
+    X = MuSet(2, 2)
+    f = MuSetAut(X, (1, 0), (2, -1))
+    assert (f.X, f.sigma, f.mu) == (X, (1, 0), (0, 1))
+    assert f == MuSetAut(X=X, sigma=(1, 0), mu=(0, 1)) == MuSetAut(X, sigma=(1, 0), mu=(4, 3))
+    assert f != MuSetAut(X, (1, 0), (1, 1)) and f != MuSetAut(X, (0, 1), (0, 1))
+    assert f != MuSetAut(MuSet(4, 2), (1, 0), (0, 1)) and f != (X, (1, 0), (0, 1))
+    assert hash(f) == hash(MuSetAut(X, (1, 0), (6, 5))) == hash((X, (1, 0), (0, 1)))
+    assert repr(f) == "MuSetAut(X=MuSet(n=2, t=2), sigma=(1, 0), mu=(0, 1))"
+    assert repr(MuSetAut(MuSet(3, 0), (), ())) == "MuSetAut(X=MuSet(n=3, t=0), sigma=(), mu=())"
+    for sigma, mu in (((0,), (0, 0)), ((0, 1), (0,)), ((0, 1, 2), (0, 0, 0))):
+        with pytest.raises(ValueError, match="wrong data length"):
+            MuSetAut(X, sigma, mu)
+    for sigma in ((0, 0), (1, 2), (-1, 0)):
+        with pytest.raises(ValueError, match="sigma is not a permutation"):
+            MuSetAut(X, sigma, (0, 0))
+    for name in ("X", "sigma", "mu", "other"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, (0, 0))
+        with pytest.raises(AttributeError):
+            delattr(f, name)
+    assert (f.X, f.sigma, f.mu) == (X, (1, 0), (0, 1))
+    for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert g == f and g.X == X and hash(g) == hash(f)
 
 
 def test_compose_inverse_group_axioms():

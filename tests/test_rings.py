@@ -1,10 +1,11 @@
 import random
+from math import gcd
 
 import pytest
 
 from resforge.fields import FieldCtx, field_make
 from resforge.padic import LocalField
-from resforge.rings import RingCtx, ring_make
+from resforge.rings import RingCtx, _vp, ring_make
 
 
 def poly_mul(ring, a, b):
@@ -66,6 +67,13 @@ def ref_div_pk(ring, a, k):
     if any(c % ring.p**k for c in coeffs):
         raise ValueError("not divisible by pi^k")
     return ring.encode([c // ring.p**k for c in coeffs])
+
+
+def ref_val(ring, a):
+    """_vp(gcd(*decode(a)), p), the valuation the decode list gives; N at 0."""
+    if a == 0:
+        return ring.N
+    return _vp(gcd(*ring.decode(a)), ring.p)
 
 
 def ref_reduce_to(ring, a, other):
@@ -204,13 +212,19 @@ def test_digit_kernels_equal_the_decode_encode_references(p, f, N):
     ring = lf.ring(N)
     rng = random.Random(100 * p + 10 * f + N)
     elems = sample_encodings(ring, rng)
+    assert ring.val(0) == ref_val(ring, 0) == N
+    for _ in range(20):   # non-units whose digits have mixed valuations
+        x = ring.encode([rng.randrange(p) * p**rng.randrange(N) for _ in range(f)])
+        assert ring.val(x) == ref_val(ring, x), x
     for a, b in zip(elems, reversed(elems)):
+        assert ring.val(a) == ref_val(ring, a), a
         assert ring.add(a, b) == ref_add(ring, a, b), (a, b)
         assert ring.sub(a, b) == ref_sub(ring, a, b), (a, b)
         assert ring.neg(a) == ref_neg(ring, a), a
         for k in (0, 1, N - 1, N):
             m = ring.mul_pk(a, k)
             assert m == ref_mul_pk(ring, a, k), (a, k)
+            assert ring.val(m) == ref_val(ring, m), (a, k)
             assert ring.div_pk(m, k) == ref_div_pk(ring, m, k), (a, k)
         if ring.val(a) < N:
             k = ring.val(a) + 1

@@ -6,14 +6,14 @@ import tracemalloc
 import pytest
 
 import resforge.symbols as symbols
-from resforge.errors import EnumerationBound
+from resforge.errors import EnumerationBound, PrecisionError
 from resforge.extension import corrected_symbol, get_engine
 from resforge.fields import MuScalar, mu_embed, power_residue_char
 from resforge.modules import FiniteModule, ModuleHom, module_aut_as_musetaut, scalar_hom
 from resforge.musets import OrbitView, aut_delta, residue_walk
 from resforge.padic import KElem, LocalField, local_field
 from resforge.rings import RingCtx
-from resforge.symbols import (crosscheck, delta_route_symbol,
+from resforge.symbols import (SymbolReport, crosscheck, delta_route_symbol,
                               power_residue_symbol, steinberg_check,
                               symbol_value_str, tame_symbol)
 
@@ -250,6 +250,74 @@ def test_crosscheck_report_fields(q7):
     assert rep.to_json().encode() == (
         b'{"p": 3, "f": 2, "n": 8, "a": "pi^1*[1,1]", "b": "[2,1]", '
         b'"direct": 1, "muset": 1, "extension": 1, "agree": true}')
+
+
+def test_symbol_report_is_a_mutable_record(q7):
+    """A report is equal to another over all its fields, unhashable, and
+    its attributes can be assigned."""
+    a, b = q7.parse("7"), q7.parse("3")
+    rep = crosscheck(q7, a, b, 2)
+    fields = (rep.p, rep.f, rep.n, rep.a, rep.b, rep.direct, rep.muset,
+              rep.extension, rep.agree, rep.micros)
+    twin = SymbolReport(*fields)
+    assert twin == rep and rep == twin
+    assert SymbolReport(p=7, f=1, n=2, a=a, b=b, direct=rep.direct, muset=rep.muset,
+                        extension=rep.extension, agree=rep.agree, micros=rep.micros) == rep
+    assert rep != fields
+    assert repr(rep).startswith("SymbolReport(p=7, f=1, n=2, a=")
+    with pytest.raises(TypeError):
+        hash(rep)
+    twin.micros += 1
+    assert twin != rep
+    twin.micros = rep.micros
+    twin.extension, twin.agree = 0, False
+    assert (twin.extension, twin.agree) == (0, False) and twin != rep
+    rep.extension, rep.agree = 0, False
+    assert twin == rep
+
+
+def test_a_route_past_the_enumeration_bound_is_skipped():
+    """At q = 9, n = 8 the least-rule extension route enumerates a middle
+    module of 3^14 elements and raises EnumerationBound: crosscheck reports
+    it as skipped, with the bound's message, and the other two answer; the
+    digit engine answers the same pair by all three routes."""
+    lf = local_field(3, 2)
+    a, b = lf.pi(7), lf.from_coeffs([1, 2])
+    rep = crosscheck(lf, a, b, 8, get_engine(lf, 8, "least"))
+    assert (rep.direct, rep.muset, rep.extension) == (3, 3, None)
+    assert rep.skipped == {"extension": "middle module of size 4782969 exceeds the bound"}
+    assert rep.agree is False
+    d = rep.to_dict()
+    assert d["extension"] is None and d["agree"] is False
+    assert d["skipped"] == rep.skipped and list(d)[-1] == "skipped"
+    rep = crosscheck(lf, a, b, 8, get_engine(lf, 8))
+    assert (rep.direct, rep.muset, rep.extension, rep.skipped) == (3, 3, 3, {})
+    assert rep.agree is True and "skipped" not in rep.to_dict()
+
+
+def test_crosscheck_skips_only_enumeration_and_precision_failures(q7, monkeypatch):
+    """A route raising PrecisionError is skipped and agree is False even
+    when the routes that answered agree; any other error propagates."""
+    a, b = q7.parse("pi*3"), q7.parse("5")
+
+    def raising(exc):
+        def route(*_args):
+            raise exc
+        return route
+
+    monkeypatch.setattr(symbols, "corrected_symbol", raising(PrecisionError("too few digits")))
+    rep = crosscheck(q7, a, b, 6)
+    assert rep.direct == rep.muset is not None and rep.extension is None
+    assert rep.skipped == {"extension": "too few digits"} and rep.agree is False
+    monkeypatch.setattr(symbols, "tame_symbol", raising(EnumerationBound("too big")))
+    rep = crosscheck(q7, a, b, 6)
+    assert (rep.direct, rep.muset, rep.extension) == (None, None, None)
+    assert rep.skipped == {"direct": "too big", "muset": "too big",
+                           "extension": "too few digits"}
+    assert rep.agree is False
+    monkeypatch.setattr(symbols, "tame_symbol", raising(ValueError("elements of different fields")))
+    with pytest.raises(ValueError, match="different fields"):
+        crosscheck(q7, a, b, 6)
 
 
 def test_crosscheck_calls_each_route_once(q7, monkeypatch):
