@@ -7,9 +7,10 @@
     resforge table --p 5 --n 4 --vmax 1 --format csv
 
 Flags fall back to environment variables RESFORGE_P, RESFORGE_F,
-RESFORGE_N, RESFORGE_PRECISION, RESFORGE_SEED, RESFORGE_FORMAT,
-RESFORGE_BOUND.  Exit status is 0 on success, 1 on verification
-failure, 2 on usage errors.
+RESFORGE_N, RESFORGE_SEED and RESFORGE_FORMAT.  symbol and table take
+no precision or enumeration bound: the rank-one routes read only the
+valuation and the residue of each unit, and enumerate nothing.  Exit
+status is 0 on success, 1 on verification failure, 2 on usage errors.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import json
 import os
 import sys
 
-from .errors import EnumerationBound, PrecisionError
+from .errors import PrecisionError
 from .extension import corrected_symbol, get_engine
 from .fields import MuScalar, _check_n, field_make
 from .padic import LocalField
@@ -33,8 +34,6 @@ def _add_field_args(sub):
     sub.add_argument("--f", type=int, help="residue degree (default 1)")
     sub.add_argument("--n", type=int,
                      help="order of the root-of-unity group, dividing q - 1")
-    sub.add_argument("--precision", type=int, help="working pi-adic precision")
-    sub.add_argument("--bound", type=int, help="enumeration bound for finite modules")
 
 
 _FORMATS = {"symbol": ("human", "json"), "verify": ("human", "json"),
@@ -42,8 +41,7 @@ _FORMATS = {"symbol": ("human", "json"), "verify": ("human", "json"),
 
 # each command's flags that fall back to RESFORGE_<name>, besides --format:
 # flag -> (name, cast, default); main reads a variable only for a flag left out
-_FIELD_ENV = {"p": ("P", int, None), "f": ("F", int, 1), "n": ("N", int, None),
-              "precision": ("PRECISION", int, None), "bound": ("BOUND", int, 100_000)}
+_FIELD_ENV = {"p": ("P", int, None), "f": ("F", int, 1), "n": ("N", int, None)}
 _ENV = {"symbol": _FIELD_ENV, "table": _FIELD_ENV, "verify": {"seed": ("SEED", int, 0)}}
 
 
@@ -57,11 +55,8 @@ def _field(args) -> LocalField:
         raise _UsageError("--p is required (or set RESFORGE_P)")
     if args.n is None:
         raise _UsageError("--n is required (or set RESFORGE_N)")
-    kw = {"enum_bound": args.bound}
-    if args.precision is not None:
-        kw["default_precision"] = args.precision
     try:
-        lf = LocalField(args.p, args.f, **kw)
+        lf = LocalField(args.p, args.f)
         _check_n(lf.field, args.n)
     except ValueError as exc:
         raise _UsageError(exc) from None
@@ -104,7 +99,7 @@ def _cmd_symbol(args) -> int:
         else:
             print(f"zeta^{s.exp} = {symbol_value_str(lf, s)}")
         return 0
-    except (ValueError, PrecisionError, EnumerationBound) as exc:
+    except (ValueError, PrecisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

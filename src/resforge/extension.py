@@ -48,10 +48,12 @@ f = u * pi^v and g of valuation w,
 
 where S(u) sums, over the least elements c of the cosets of mu_n in
 F_q^x, the position of u*c in its coset counted in powers of the residue
-of zeta_n.  Under it the symbols read a K^x argument as its valuation v
-and the residue of its unit, with no matrix (_cocycle_m1).  The engine
-walks k = O/pi once, when it is built, and memoizes S(u) by residue; the
-sign term of corrected_symbol is S(-1), read off the same walk.
+of zeta_n.  corrected_symbol needs only the parity of rel_dim, which
+_rel_dim_parity reads off q^|w| mod 2n.  Under the digit rule the
+symbols read a K^x argument as its valuation v and the residue of its
+unit, with no matrix (_cocycle_m1).  The engine walks k = O/pi once,
+when it is built, and memoizes S(u) by residue; the sign term of
+corrected_symbol is S(-1), read off the same walk.
 
 Every iso exponent in rho_exp goes between quotients with the same
 exponents, which carry the same pinned representatives under every
@@ -352,10 +354,20 @@ def _comm_m1(x: KElem, y: KElem, engine: SymbolEngine) -> int:
     return _cocycle_m1(x, y.val, engine) - _cocycle_m1(y, x.val, engine)
 
 
-def _rel_dim_m1(q: int, n: int, v: int) -> int:
-    """rel_dim(O, pi^v O): O/pi^|v| is the left quotient for v > 0, the right one for v < 0."""
-    d = (q**abs(v) - 1) // n
-    return d if v >= 0 else -d
+def _rel_dim_parity(q: int, n: int, v: int) -> int:
+    """The parity of rel_dim(O, pi^v O) = sign(v) * (q^|v| - 1)/n, read
+    without building q^|v|.
+
+    O/pi^|v| is the left quotient for v > 0 and the right one for v < 0,
+    so the sign does not touch the parity.  With k = |v|, n divides
+    q - 1 and so q^k - 1: write q^k = 1 + n*d.  Then
+    n*d = n*(d mod 2) + 2n*floor(d/2), so q^k = 1 + n*(d mod 2) (mod 2n).
+    For n >= 2, 1 + n*(d mod 2) < 2n is the least residue itself, and
+    d mod 2 = (pow(q, k, 2n) - 1) // n.  For n = 1 (q even when d is
+    odd) the residue 1 + 1 = 2 reads as 0 and the quotient as -1, which
+    the final mod 2 sends to 1.
+    """
+    return (pow(q, abs(v), 2 * n) - 1) // n % 2
 
 
 def corrected_symbol(a, b, engine: SymbolEngine) -> MuScalar:
@@ -375,6 +387,5 @@ def corrected_symbol(a, b, engine: SymbolEngine) -> MuScalar:
     """
     x, y = engine.lf.as_kelem(a), engine.lf.as_kelem(b)
     q, n = engine.lf.q, engine.n
-    da = _rel_dim_m1(q, n, x.val)
-    db = _rel_dim_m1(q, n, y.val)
-    return MuScalar(n, _comm_m1(x, y, engine) + (da % 2) * (db % 2) * engine._sign_exp)
+    odd = _rel_dim_parity(q, n, x.val) * _rel_dim_parity(q, n, y.val)
+    return MuScalar(n, _comm_m1(x, y, engine) + odd * engine._sign_exp)

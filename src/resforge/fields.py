@@ -20,6 +20,10 @@ coefficient-wise on the encodings.  field_make keeps no context; each
 LocalField owns the one it builds.  q is capped at MAX_Q because the
 log/antilog tables and the Zolotarev sign enumerate F_q.
 
+power_residue_char, the direct route's character, keeps chi(x) by n and
+x on the context (FieldCtx._chars), at most q - 1 values per n; its
+values are the n MuScalars per n that mu_dlog's table shares.
+
 The package's small value classes are plain __slots__ classes on two
 bases defined here, not dataclasses, so that importing the package does
 not load dataclasses and inspect.  Record gives field equality for the
@@ -159,10 +163,11 @@ class FieldCtx(RingCtx):
     encoding, addition and valuation are those of RingCtx.  For f > 1,
     _log[a] is the exponent of a != 0 to base g and _exp[k] = g^k for
     0 <= k < 2(q - 1); the antilog table is doubled so that a sum of two
-    logs indexes it directly.
+    logs indexes it directly.  _dlog and _chars are mu_dlog's and
+    power_residue_char's memos, by n.
     """
 
-    __slots__ = ("q", "g", "_log", "_exp", "_dlog")
+    __slots__ = ("q", "g", "_log", "_exp", "_dlog", "_chars")
 
     def __init__(self, p: int, f: int, poly, g: int):
         # RingCtx.__init__ reads p, f and poly from the field, which is self
@@ -173,7 +178,8 @@ class FieldCtx(RingCtx):
         self._log = self._exp = None
         if f > 1:
             self._log, self._exp = _power_tables(self)
-        self._dlog: dict[int, dict[int, int]] = {}
+        self._dlog: dict[int, dict[int, MuScalar]] = {}
+        self._chars: dict[int, dict[int, MuScalar]] = {}   # power_residue_char, by n and x
 
     # arithmetic ----------------------------------------------------------
 
@@ -377,28 +383,41 @@ def mu_embed(ctx: FieldCtx, s: MuScalar) -> int:
 
 
 def mu_dlog(ctx: FieldCtx, x: int, n: int) -> MuScalar:
-    """Inverse of mu_embed on the n-torsion of F_q^x."""
+    """Inverse of mu_embed on the n-torsion of F_q^x.  The table maps each
+    n-th root of unity to one shared MuScalar, so the values that
+    power_residue_char keeps are n objects per n, not one per unit."""
     table = ctx._dlog.get(n)
     if table is None:
         zeta = ctx.zeta(n)   # checks n
         table = {}
         y = 1
         for e in range(n):
-            table[y] = e
+            table[y] = MuScalar(n, e)
             y = ctx.mul(y, zeta)
         ctx._dlog[n] = table
     try:
-        return MuScalar(n, table[x])
+        return table[x]
     except KeyError:
         raise ValueError(f"{x} is not an n-th root of unity (n = {n})") from None
 
 
 def power_residue_char(ctx: FieldCtx, x: int, n: int) -> MuScalar:
-    """x -> x^((q-1)/n), the surjection F_q^x -> mu_n."""
-    _check_n(ctx, n)
-    if x == 0:
-        raise ValueError("power residue character of 0")
-    return mu_dlog(ctx, ctx.pow(x, (ctx.q - 1) // n), n)
+    """x -> x^((q-1)/n), the surjection F_q^x -> mu_n.
+
+    Memoized on ctx by n and x (ctx._chars), at most q - 1 values per n.
+    An n that does not divide q - 1, and an x outside 1..q-1, raise on
+    every call and are never stored.
+    """
+    chars = ctx._chars.get(n)
+    if chars is None:
+        _check_n(ctx, n)
+        chars = ctx._chars[n] = {}
+    s = chars.get(x)
+    if s is None:
+        if not 0 < x < ctx.q:
+            raise ValueError(f"power residue character of {x}, not a unit of F_{ctx.q}")
+        s = chars[x] = mu_dlog(ctx, ctx.pow(x, (ctx.q - 1) // n), n)
+    return s
 
 
 def zolotarev_sign(ctx: FieldCtx, a: int) -> int:

@@ -15,15 +15,19 @@ Input grammar (shared with the command line):
 local_field(p, f) keeps every field it builds for the life of the
 process; the registry is not bounded.  A field's per-q state is flat
 arrays (the F_q tables for f > 1, and the coset walks of O/pi that the
-muset and extension routes build once per n).  After one rank-one
-crosscheck at n = 2, tracemalloc counts 1.1 MB on a field at
-q = 90,001, 12.8 MB at q = 3^12 and 22.2 MB at q = 31^4, near MAX_Q.
-One crosscheck on each of the 8 primes from 90,001 to 90,053 raises
-peak RSS from 17.8 to 25.7 MB.  Evicting a field would cost more than
-it saves: elements are checked by field identity, so a field built
-again for the same (p, f) would reject the evicted one's elements.
-LocalField(p, f) builds a private field that is freed with everything
-on it when dropped.
+muset and extension routes build once per n), beside the rank-one
+routes' per-residue memos (chi(u) on the F_q context, delta(u) in
+LocalField._deltas, S(u) on each engine), each at most q - 1 entries
+per n.  After one rank-one crosscheck at n = 2, tracemalloc counts
+1.1 MB on a field at q = 90,001, 12.8 MB at q = 3^12 and 22.2 MB at
+q = 31^4, near MAX_Q.  One crosscheck on each of the 8 primes from
+90,001 to 90,053 raises peak RSS from 16.9 to 29.6 MB.  A memo filled
+over every unit holds about 90 to 115 bytes per unit (8.1 MB for chi
+and 10.3 MB for delta at q = 90,001, n = 1000).  Evicting a field
+would cost more than it saves: elements are checked by field identity,
+so a field built again for the same (p, f) would reject the evicted
+one's elements.  LocalField(p, f) builds a private field that is freed
+with everything on it when dropped.
 """
 
 from __future__ import annotations
@@ -128,8 +132,8 @@ class KElem:
 
 class LocalField:
     """The unramified extension of Q_p with residue field F_{p^f}; it owns
-    its F_q context, rings, engines, module views and O/pi walks, which go
-    with it."""
+    its F_q context, rings, engines, module views, O/pi walks and the
+    muset route's delta memo, which go with it."""
 
     def __init__(self, p: int, f: int = 1, default_precision: int = 24,
                  enum_bound: int = 100_000):
@@ -145,6 +149,7 @@ class LocalField:
         self._engines: dict = {}
         self._views: dict = {}   # FiniteModule.view, by (exps, n, rule)
         self._walks: dict = {}   # musets.residue_walk, by n
+        self._deltas: dict = {}  # symbols._orbit_delta, by n and residue
 
     def __repr__(self):
         return f"LocalField(p={self.p}, f={self.f})"

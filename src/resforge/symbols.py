@@ -3,7 +3,9 @@
 direct     the closed formula: the unit (-1)^(v(a)v(b)) a^v(b) / b^v(a)
            reduced mod pi, then raised to (q-1)/n.  The unit is formed in
            F_q from the residues of the unit parts of a and b, since its
-           residue is all the character reads.
+           residue is all the character reads, and
+           fields.power_residue_char keeps chi(u) by n and residue on
+           the field's F_q context.
 muset      the same unit u, but the character is evaluated as the orbit
            determinant of multiplication by u on the residue field viewed
            as a pointed mu_n-set, so the mu_n-set machinery genuinely sits
@@ -11,7 +13,8 @@ muset      the same unit u, but the character is evaluated as the orbit
            k = O/pi (musets.residue_walk, two flat arrays built once per
            n), one lookup per orbit: O((q-1)/n) per call, with no module,
            view or map built, up to q = MAX_Q whatever the enumeration
-           bound.  Its one body is _orbit_delta(lf, u, n).
+           bound.  Its one body is _orbit_delta(lf, u, n), which keeps
+           delta(u) by n and residue on the field.
 extension  the commutator of lifts in the central extension of K^x by
            mu_n, with the relative-dimension sign correction; under the
            engine's default digit rule its rank-one scalars are closed
@@ -22,8 +25,13 @@ layer the direct and muset routes share; the extension route reads a and
 b on its own.  crosscheck takes the direct value from
 power_residue_symbol, so a fault planted there reaches the sweep, and
 the muset value from _orbit_delta of its own tame unit; each route
-forms u once.  A SymbolReport keeps a and b as elements and renders them
-only in to_dict and to_json.  It is a mutable fields.Record: __slots__
+forms u once.  Each rank-one route ends in a function of u alone, and
+each memoizes it in its own state: chi(u) on the FieldCtx, delta(u) on
+the LocalField, S(u) on the SymbolEngine.  No route reads another's
+memo, and a warm crosscheck recomputes none of the three.
+
+A SymbolReport keeps a and b as elements and renders them only in
+to_dict and to_json.  It is a mutable fields.Record: __slots__
 fields, equality over all of them, no hash.  A route that raises
 EnumerationBound or PrecisionError does not sink the report (see
 SymbolReport).
@@ -86,10 +94,23 @@ def _orbit_delta(lf: LocalField, u: int, n: int) -> int:
     representative of orbit i to zeta^k * c_i adds k to mu_i and takes k
     from the twist of the orbit that u sends onto orbit i, so the sum is
     the same under every rule.
+
+    delta is memoized on lf by n and u (lf._deltas), at most q - 1 values
+    per n.  The walk is looked up on every call, hit or miss, and its
+    build checks n.  An n that does not divide q - 1, and a u outside
+    1..q-1, raise on every call and are never stored.
     """
     pos, least = residue_walk(lf, n)
-    mul = lf.field.mul
-    return sum(pos[mul(u, c)] for c in least) % n
+    deltas = lf._deltas.get(n)
+    if deltas is None:
+        deltas = lf._deltas[n] = {}
+    d = deltas.get(u)
+    if d is None:
+        if not 0 < u < lf.q:
+            raise ValueError(f"multiplication by {u} is not an automorphism of k = F_{lf.q}")
+        mul = lf.field.mul
+        d = deltas[u] = sum(pos[mul(u, c)] for c in least) % n
+    return d
 
 
 def steinberg_check(lf: LocalField, a: KElem, n: int) -> bool:

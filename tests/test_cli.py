@@ -6,6 +6,7 @@ import pytest
 
 from resforge import symbols, verify
 from resforge.cli import main
+from resforge.padic import LocalField
 
 
 def run_cli(capsys, *argv):
@@ -27,12 +28,25 @@ def test_symbol_past_the_enumeration_ceiling(capsys):
     assert "agree: True" in out
 
 
-def test_symbol_muset_route_past_the_enumeration_bound(capsys):
+def test_symbol_muset_route_past_the_enumeration_bound():
     """The muset route walks O/pi as arrays, so a bound below |O/pi| = 7
-    stops none of the three routes."""
-    code, out, _ = run_cli(capsys, "symbol", "--p", "7", "--n", "2", "--bound", "5", "7", "7")
-    assert code == 0
-    assert "agree: True" in out
+    stops none of the three routes of the symbol command's crosscheck."""
+    lf = LocalField(7, enum_bound=5)
+    rep = symbols.crosscheck(lf, lf.parse("7"), lf.parse("7"), 2)
+    assert rep.agree and rep.skipped == {}
+    assert (rep.direct, rep.muset, rep.extension) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("argv", [("symbol", "--p", "7", "--n", "2", "7", "7"),
+                                  ("table", "--p", "7", "--n", "2")])
+@pytest.mark.parametrize("flag", ["--precision", "--bound"])
+def test_removed_field_flags_are_unknown(capsys, argv, flag):
+    """The rank-one routes read neither a precision nor an enumeration
+    bound, so symbol and table offer no flag for them."""
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, flag, "5"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 5" in capsys.readouterr().err
 
 
 def test_symbol_json_schema(capsys):
@@ -120,8 +134,8 @@ def test_env_override(capsys, monkeypatch):
     ("verify", "corollary", "--p", "9"),
     ("verify", "theorem", "--p", "1000003"),
     ("verify", "zolotarev", "--p", "2"),
-    ("table", "--p", "7", "--n", "2", "--precision", "-3"),
-    ("symbol", "--p", "7", "--n", "2", "--precision", "0", "3", "5"),
+    ("table", "--p", "3", "--f", "13", "--n", "2"),
+    ("symbol", "--p", "7", "--n", "0", "3", "5"),
     ("table", "--p", "7", "--n", "2", "--vmax", "-1"),
 ])
 def test_bad_field_flags_are_usage_errors(capsys, argv):

@@ -5,7 +5,7 @@ import pytest
 
 from resforge.errors import EnumerationBound, PrecisionError
 from resforge.extension import (SymbolEngine, _iso_exp, _kappa_chain,
-                                _rel_dim_m1, cocycle, cocycle_exp, comm_symbol,
+                                _rel_dim_parity, cocycle, cocycle_exp, comm_symbol,
                                 corrected_symbol, get_engine, kappa_exp,
                                 rho_exp)
 from resforge.fields import power_residue_char
@@ -14,7 +14,7 @@ from resforge.lattices import (KMat, Lattice, induced_hom, lat_apply, lat_contai
                                rel_dim, standard_lattice)
 from resforge.musets import OrbitView
 from resforge.padic import LocalField, local_field
-from resforge.symbols import power_residue_symbol
+from resforge.symbols import crosscheck, power_residue_symbol
 from resforge.torsor import _det_exp_brute, _exact_seq_exp
 from resforge.verify import _random_matrix as rand_matrix
 
@@ -247,7 +247,9 @@ def test_rank_one_closed_forms_equal_enumeration(p, f):
         eng = get_engine(lf, n)
         O = principal_lattice(lf, 0)
         for v in range(-K, K + 1):
-            assert _rel_dim_m1(q, n, v) == rel_dim(O, principal_lattice(lf, v), n), (n, v)
+            full = (q**abs(v) - 1) // n * (1 if v >= 0 else -1)   # the closed form
+            assert full == rel_dim(O, principal_lattice(lf, v), n), (n, v)
+            assert _rel_dim_parity(q, n, v) == full % 2, (n, v)
         for vf, vg in cells:
             k = kappa_exp(O, principal_lattice(lf, vf), principal_lattice(lf, vf + vg), eng)
             assert k == 0, (n, vf, vg)
@@ -307,6 +309,28 @@ def test_extension_route_answers_past_the_enumeration_ceiling():
     # an enumerating rule needs O/pi^6 (4.8M elements) for kappa here
     with pytest.raises(EnumerationBound):
         corrected_symbol("pi^3*2", "pi^3*11", get_engine(lf, 12, rule="least"))
+
+
+@pytest.mark.parametrize("p,f", [(7, 1), (13, 1), (3, 2), (5, 2)])
+def test_rel_dim_parity_is_that_of_the_full_value(p, f):
+    """The parity read off q^k mod 2n is that of (q^k - 1)/n, for k <= 40
+    and every n | q - 1, with either sign of v."""
+    q = p**f
+    for n in [d for d in range(1, q) if (q - 1) % d == 0]:
+        for k in range(41):
+            want = ((q**k - 1) // n) % 2
+            assert _rel_dim_parity(q, n, k) == _rel_dim_parity(q, n, -k) == want, (n, k)
+
+
+def test_crosscheck_at_a_huge_valuation_answers_and_agrees():
+    """corrected_symbol reads only the parity of (q^|v| - 1)/n, so a
+    valuation of 10^7 costs no more than a small one."""
+    lf = local_field(13)
+    v = 10**7
+    for n in (2, 3, 4, 12):
+        for a, b in ((f"pi^{v}*2", f"pi^{v}*3"), (f"pi^{v}*5", f"pi^-{v + 1}*7")):
+            rep = crosscheck(lf, lf.parse(a), lf.parse(b), n)
+            assert rep.agree and rep.skipped == {}, (n, a, b)
 
 
 def test_theorem_small_sweep_q13_n4():

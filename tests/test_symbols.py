@@ -182,6 +182,65 @@ def test_delta_route_answers_past_the_enumeration_bound():
             assert delta_route_symbol(lf, a, b, n) == power_residue_symbol(lf, a, b, n)
 
 
+MEMO_FIELDS = [(7, 1), (13, 1), (3, 2), (5, 2)]
+
+
+def divisors(q):
+    return [d for d in range(1, q) if (q - 1) % d == 0]
+
+
+@pytest.mark.parametrize("p,f", MEMO_FIELDS)
+def test_memoized_route_values_equal_a_fresh_field(p, f):
+    """power_residue_char keeps chi(u) on the FieldCtx and _orbit_delta
+    keeps delta(u) on the LocalField.  For every unit u and n | q - 1, a
+    second call answers from the memo with a first call's value on a
+    fresh field, whose memos hold nothing for u yet."""
+    lf = LocalField(p, f)
+    for n in divisors(lf.q):
+        fresh = LocalField(p, f)
+        for u in range(1, lf.q):
+            chi, delta = power_residue_char(lf.field, u, n), symbols._orbit_delta(lf, u, n)
+            assert u not in fresh.field._chars.get(n, ()) and u not in fresh._deltas.get(n, ())
+            want = (power_residue_char(fresh.field, u, n), symbols._orbit_delta(fresh, u, n))
+            assert (chi, delta) == want and delta == chi.exp, (n, u)
+            assert power_residue_char(lf.field, u, n) is lf.field._chars[n][u] is chi
+            assert symbols._orbit_delta(lf, u, n) == lf._deltas[n][u] == delta
+
+
+@pytest.mark.parametrize("p,f", MEMO_FIELDS)
+def test_route_memos_hold_at_most_a_value_per_unit(p, f):
+    """After crosschecks over every pair of pi^v * u, |v| <= 1, for every
+    n | q - 1, each per-residue memo holds at most q - 1 values per n,
+    keyed by units."""
+    lf = LocalField(p, f)
+    inputs = [lf.pi(v) * lf.from_coeffs(lf.field.decode(u))
+              for v in (-1, 0, 1) for u in range(1, lf.q)]
+    units = set(range(1, lf.q))
+    for n in divisors(lf.q):
+        for a in inputs[::2]:
+            for b in inputs:
+                assert crosscheck(lf, a, b, n).agree
+        memos = (lf.field._chars[n], lf._deltas[n], get_engine(lf, n)._digit_sums)
+        assert all(set(memo) <= units for memo in memos), n
+    assert set(lf.field._chars) == set(lf._deltas) == set(divisors(lf.q))
+
+
+def test_a_zero_unit_and_a_bad_n_raise_on_every_call():
+    """u = 0, a u outside 1..q-1 (which f = 1 arithmetic would reduce
+    mod p), and an n that does not divide q - 1 are never stored, so the
+    second call raises as the first did."""
+    lf = LocalField(7)
+    assert power_residue_char(lf.field, 3, 2).exp == symbols._orbit_delta(lf, 3, 2) == 1
+    for _ in range(2):
+        for u, n in ((0, 2), (8, 2), (-1, 2), (3, 4), (3, 0)):
+            with pytest.raises(ValueError):
+                power_residue_char(lf.field, u, n)
+            with pytest.raises(ValueError):
+                symbols._orbit_delta(lf, u, n)
+    assert set(lf.field._chars) == set(lf._deltas) == {2}
+    assert set(lf.field._chars[2]) == set(lf._deltas[2]) == {3}
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_residue_walk_is_a_few_bytes_per_element(n):
     """At q = 10007 the walk holds 4 bytes per element of k for pos and at
