@@ -14,14 +14,16 @@ class and message of the exception the computation raised:
             in that order, or the first exception.
 
 tests/test_ledger.py recomputes every cell.  A change that moves a cell
-regenerates the file by hand and lists the moved cells:
+lists the moved cells, grouped by kind, and then regenerates the file:
 
+    PYTHONPATH=src python tests/ledger.py --diff   # prints, writes nothing
     PYTHONPATH=src python tests/ledger.py
 """
 
 import json
 import os
 import random
+import sys
 
 from resforge.extension import (cocycle, cocycle_exp, comm_symbol,
                                 corrected_symbol, get_engine)
@@ -89,5 +91,42 @@ def write():
         fh.write("{\n" + ",\n".join(lines) + "\n}\n")
 
 
+GROUPS = ("error -> value", "error -> error", "value -> error", "value -> value")
+
+
+def _is_error(value):
+    return isinstance(value, dict) and "error" in value
+
+
+def moved(pinned, now):
+    """The cells whose value differs between two ledgers, by group:
+    {group: [(key, pinned value, value now)]}, every group present, in
+    GROUPS order and ledger order within a group.  A cell in one ledger
+    only is an error in the other: {"error": "missing"}."""
+    out = {g: [] for g in GROUPS}
+    missing = {"error": "missing"}
+    for key in list(pinned) + [k for k in now if k not in pinned]:
+        old, new = pinned.get(key, missing), now.get(key, missing)
+        if old != new:
+            group = (f"{'error' if _is_error(old) else 'value'} -> "
+                     f"{'error' if _is_error(new) else 'value'}")
+            out[group].append((key, old, new))
+    return out
+
+
+def diff():
+    """Print the moved cells of cells() against ledger.json, group by group."""
+    groups = moved(load(), dict(cells()))
+    for group, cells_moved in groups.items():
+        print(f"{group}: {len(cells_moved)}")
+        for key, old, new in cells_moved:
+            print(f"  {key}: {json.dumps(old)} -> {json.dumps(new)}")
+
+
 if __name__ == "__main__":
-    write()
+    if sys.argv[1:] == ["--diff"]:
+        diff()
+    elif sys.argv[1:]:
+        sys.exit("usage: ledger.py [--diff]")
+    else:
+        write()
