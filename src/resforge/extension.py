@@ -21,9 +21,9 @@ nested triples, and for arbitrary triples by composing those two kinds
 of steps along the standard eight-line chain through the pairwise and
 triple intersections (_kappa_chain, which also serves the first two
 cases as their reference).  kappa_exp reads its case from what it
-holds: A = C is equal det_val and then one containment product
-(Lattice.__eq__), and B and C nest exactly when one of B/(B cap C) and
-C/(B cap C), which the chain needs anyway, is the zero module.
+holds: A = C is equal canonical data (Lattice.__eq__), and B and C
+nest exactly when one of B/(B cap C) and C/(B cap C), which the chain
+needs anyway, is the zero module.
 
 c(f, g) has one body, in cocycle_exp: it builds fV, gV, fgV,
 I = V cap gV and f(I) once.  f is invertible, so fV cap fgV = f(I), and
@@ -96,7 +96,6 @@ class SymbolEngine:
         self.lf = lf
         self.n = n
         self.rule = rule
-        self.prec = lf.default_precision
         self._std: dict[int, Lattice] = {}
         # digit rule: the coset walk of k = O/pi, and S(u) by residue u read off it
         self._cosets = _coset_walk(lf.field, lf.field.zeta(n), n)
@@ -109,7 +108,7 @@ class SymbolEngine:
     def standard(self, m: int) -> Lattice:
         L = self._std.get(m)
         if L is None:
-            L = standard_lattice(self.lf, m, self.prec)
+            L = standard_lattice(self.lf, m)
             self._std[m] = L
         return L
 

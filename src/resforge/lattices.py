@@ -1,46 +1,50 @@
-"""Full-rank O-lattices in K^m and their finite quotients.
+"""Full-rank O-lattices in K^m and their finite quotients, held exactly.
 
-Matrices over K are stored as pi^shift times an integral matrix whose
-entries live in O/pi^prec; prec counts the pi-digits that are actually
-known.  Reductions never happen silently: any pivot or determinant whose
-valuation cannot be separated from the known digits raises
-PrecisionError instead of guessing.
+A KMat, the input type, is pi^shift times an integral matrix with
+entries in O/pi^prec, prec counting the pi-digits that are known.  A
+Lattice is exact data: its canonical column Hermite form, lower
+triangular over its least valuation (the shift), with pivots exactly
+pi^e_r and each entry left of a pivot reduced mod that pivot
+(coefficients in [0, p^e_r)).  The form is a function of the lattice, so
+quotient presentations, and with them the pinned base points of
+determinant lines, are reproducible, and equal lattices have equal data.
 
-Each precision rule has one home.  _pivot picks the pivot for both
-normal forms: least valuation below the known digits, first in row-major
-order, PrecisionError when none is separated from them.  _clear_row
-clears a pivot row by column operations and drops what vanishes, for
-both.  KMat._det separates a determinant from zero for det_val and
-inverse.  KMat._aligned takes two matrices to their common precision and
-least shift for __eq__ and hstack.  KMat.with_shift spends k digits to
-raise a shift by k and refuses an entry it cannot divide.  A quotient
-decides integrality once, by KMat.is_integral.  canonical_hnf and
-smith_normal_form truncate their results, by _at_prec, to the digits
-their pivots left.
+The window.  L = pi^lo T O^m lies between pi^hi V and pi^lo V, V = O^m,
+for hi = lo + sum e_r: T is integral and det T = pi^(hi - lo) kills
+V / T V.  So hi comes from det_val, not from an inverse, and the
+lattices in one window are the submodules of pi^lo V / pi^hi V =
+(O/pi^N)^m, N = hi - lo.  Every operation runs over O/pi^N for its
+operands' window, and nothing is truncated.  A sum is the Hermite form
+of both bases.  An intersection is the lower right block of the Hermite
+form of [[A, B], [A, 0]]: its columns (a + b, a) with a + b = 0 are the
+(0, a) for a in A cap B.  A/B solves B's basis in A's triangular basis
+(_solve; a division by a pivot is exact exactly when B lies in A) and
+runs the Smith form of A^-1 B.  This is Hermite form modulo the
+determinant (Domich, Kannan & Trotter, Math. Oper. Res. 12, 1987;
+Cohen, GTM 138, 2.4.2): _hnf takes pi^N V along with its generators,
+since clearing pi^N e_r by row r's pivot u pi^v leaves pi^(N-v) u^-1
+times the pivot column for the rows below (Howell's saturation).
 
-A Lattice always normalizes its basis to the canonical column Hermite
-form (lower triangular, diagonal pi^e, entries to the left of a pivot
-reduced mod that pivot).  This makes every downstream construction a
-function of the lattice as a subset of K^m, not of the basis that
-happened to produce it: quotient presentations, and with them the pinned
-base points of determinant lines, are reproducible.
+The one precision check is where a KMat X known up to pi^k enters:
+Lattice(X), and so lat_apply, through KMat.canonical_hnf.  The Hermite
+form of X's columns with pi^k V must be narrower than X's digits; then
+it contains pi^(k-1) V, and by Nakayama every X' that agrees with X up
+to pi^k spans the same lattice.  For a square X this is
+k > -minval(X^-1), with the determinant's bound on the right.  A KMat
+that meets a quotient (induced_hom's f, proj's vector) must be known to
+pi^hi of its sublattice, where its class is decided.  Inside the layer
+nothing raises PrecisionError.
 
-Smith normal form over O uses the minimal-valuation pivot, ties broken
-by row then column, and yields its left transform U with U^-1.  A
-quotient A/B keeps P = A U^-1, whose columns lift its generators, and
-P^-1 = U A^-1 from the basis inverse the lattice computes once; each is
-built on first use, since many quotients read only one of them.  The map
-induced on quotients is the one product P'^-1 f P, read mod exponents.
-A trivial quotient (B = A, seen from the pivots of the two canonical
-bases once B is known to lie in A) is the zero module: it runs no SNF,
-builds neither P nor P^-1 (it is presented by A's own basis), and a map
-induced from or to it is the empty or the zero map, with no product.
-Lattice.__eq__ decides equality by the same rule: equal det_val first,
-then one containment product.  lat_intersect uses nesting the same way:
-of nested lattices the larger has the smaller det_val, so one
-containment product in that direction decides whether the intersection
-is the other operand, which is then returned itself; only a proper pair
-builds the dual of the sum of the duals.
+_hnf and smith_normal_form share one pivot rule (_pivot): least
+valuation, first in row-major order.  The Hermite form does not depend
+on it; the Smith form's transforms do, and on exact data they agree for
+every N that separates the pivots.  A/B runs it mod pi^(E + L + 1), for
+pi^E A <= B and L the length of A/B: the matrix keeps its digits, and
+the transforms, which spend L, keep E + 1, enough for every class.  The
+quotient keeps U's rows, which read classes, and A U^-1's columns, which
+lift generators; an induced map is lift, optionally f, then classes.
+B = A is the zero module, with no Smith form, and lat_intersect returns
+the smaller of two nested lattices itself.
 """
 
 from __future__ import annotations
@@ -49,6 +53,18 @@ from .errors import PrecisionError
 from .modules import FiniteModule, ModuleHom
 from .padic import KElem, LocalField
 from .rings import _det_rows
+
+
+def _moved(rows, src, dst, k: int = 0) -> list[list[int]]:
+    """pi^k times rows of encodings in src, encoded in dst; a negative k
+    divides exactly."""
+    if k < 0:
+        rows = [[src.div_pk(x, -k) for x in row] for row in rows]
+        k = 0
+    if dst.f == 1:   # an f = 1 encoding is its representative at every precision
+        c, pN = dst.p**k, dst.pN
+        return [[x * c % pN for x in row] for row in rows]
+    return [[dst.mul_pk(src.lift_naive(x, dst), k) for x in row] for row in rows]
 
 
 class KMat:
@@ -110,15 +126,6 @@ class KMat:
 
     # basic operations -------------------------------------------------------
 
-    def _at_prec(self, prec: int) -> "KMat":
-        if prec == self.prec:
-            return self
-        if prec > self.prec:
-            raise PrecisionError("cannot raise matrix precision")
-        src, dst = self.ring, self.lf.ring(prec)
-        data = [[src.reduce_to(x, dst) for x in row] for row in self.data]
-        return KMat._of(self.lf, data, self.shift, dst)
-
     def __matmul__(self, other: "KMat") -> "KMat":
         if self.lf is not other.lf:
             raise ValueError("matrices of different fields")
@@ -128,78 +135,10 @@ class KMat:
         data = ring.matmul(self.data, self.ring, other.data, other.ring)
         return KMat._of(self.lf, data, self.shift + other.shift, ring)
 
-    def scale_pi(self, k: int) -> "KMat":
-        return KMat._of(self.lf, self.data, self.shift + k, self.ring)
-
-    def with_shift(self, shift: int) -> "KMat":
-        """Re-express with a different shift.
-
-        Lowering multiplies entries by pi-powers; raising divides them
-        exactly (ValueError for an entry without enough valuation) and
-        costs the same number of known digits.
-        """
-        if shift == self.shift:
-            return self
-        ring = self.ring
-        if shift < self.shift:
-            k = self.shift - shift
-            data = [[ring.mul_pk(x, k) for x in row] for row in self.data]
-            return KMat._of(self.lf, data, shift, ring)
-        k = shift - self.shift
-        if k >= self.prec - 1:
-            raise PrecisionError("cannot raise the shift that far")
-        red = self.lf.ring(self.prec - k)
-        data = [[ring.reduce_to(ring.div_pk(x, k), red) for x in row] for row in self.data]
-        return KMat._of(self.lf, data, shift, red)
-
-    def _aligned(self, other: "KMat") -> tuple["KMat", "KMat"]:
-        """Both matrices at their common precision and their least shift."""
-        prec, s = min(self.prec, other.prec), min(self.shift, other.shift)
-        return self._at_prec(prec).with_shift(s), other._at_prec(prec).with_shift(s)
-
-    def hstack(self, other: "KMat") -> "KMat":
-        if self.nrows != other.nrows:
-            raise ValueError("row mismatch")
-        A, B = self._aligned(other)
-        return KMat._of(self.lf, [ra + rb for ra, rb in zip(A.data, B.data)], A.shift, A.ring)
-
-    def transpose(self) -> "KMat":
-        data = [[self.data[i][j] for i in range(self.nrows)] for j in range(self.ncols)]
-        return KMat._of(self.lf, data, self.shift, self.ring)
-
     def entry_val(self, i: int, j: int) -> int | None:
         """Valuation of an entry, or None when it vanishes at this precision."""
         v = self.ring.val(self.data[i][j])
         return None if v >= self.prec else self.shift + v
-
-    def is_integral(self) -> bool:
-        if self.shift >= 0:
-            return True
-        need = -self.shift
-        ring = self.ring
-        if need >= self.prec:
-            raise PrecisionError("cannot decide integrality at this precision")
-        return all(ring.val(x) >= need for row in self.data for x in row)
-
-    def entry_residue(self, i: int, j: int, e: int) -> int:
-        """The entry mod pi^e, encoded in lf.ring(e); entry must be integral."""
-        ring_e = self.lf.ring(e)
-        x = self.data[i][j]
-        if self.shift >= e:
-            return 0
-        if self.shift >= 0:
-            if self.prec < e - self.shift:
-                raise PrecisionError("not enough digits for the residue")
-            return ring_e.mul_pk(self.ring.lift_naive(x, ring_e), self.shift)
-        need = -self.shift
-        v = self.ring.val(x)
-        if v < need:
-            if v >= self.prec:
-                raise PrecisionError("cannot decide integrality at this precision")
-            raise ValueError("entry is not integral")
-        if self.prec - need < e:
-            raise PrecisionError("not enough digits for the residue")
-        return self.ring.lift_naive(self.ring.div_pk(x, need), ring_e)
 
     def entry_kelem(self, i: int, j: int) -> KElem | None:
         x = self.data[i][j]
@@ -210,16 +149,15 @@ class KMat:
         return KElem(self.lf, self.shift + v, u, self.prec - v)
 
     def __eq__(self, other):
+        """Equal up to the digits both know: below pi^min(shift + prec)."""
         if not isinstance(other, KMat):
             return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             return False
-        A, B = self._aligned(other)
-        avail = A.prec - (max(self.shift, other.shift) - A.shift)
-        ring = A.ring
-        red = self.lf.ring(max(1, avail))
-        return all(ring.reduce_to(A.data[i][j], red) == ring.reduce_to(B.data[i][j], red)
-                   for i in range(A.nrows) for j in range(A.ncols))
+        s = min(self.shift, other.shift)
+        ring = self.lf.ring(max(1, min(self.shift + self.prec, other.shift + other.prec) - s))
+        return (_moved(self.data, self.ring, ring, self.shift - s)
+                == _moved(other.data, other.ring, ring, other.shift - s))
 
     # determinant and inverse -------------------------------------------------
 
@@ -260,108 +198,110 @@ class KMat:
         data = [[ring2.mul(ring.reduce_to(x, ring2), uinv) for x in row] for row in adj]
         return KMat._of(self.lf, data, -self.shift - v, ring2)
 
-    # normal forms -------------------------------------------------------------
+    # the Hermite form at the boundary ------------------------------------------
 
     def canonical_hnf(self) -> "KMat":
-        """Canonical lower-triangular column form of a rank-m column span.
+        """The canonical column Hermite form of the lattice the columns
+        span (rank m), with the same shift and ring.
 
-        Pivot: minimal-valuation entry in the working row, leftmost on
-        ties; pivots are normalized to pi^e and entries left of a pivot
-        are reduced mod the pivot of their row.
+        PrecisionError unless the known digits determine that lattice:
+        the form is that of the columns plus pi^(shift + prec) V, and its
+        width must stay below prec (module docstring).
         """
-        m, c = self.nrows, self.ncols
-        if c < m:
+        if self.ncols < self.nrows:
             raise ValueError("not enough columns for full rank")
-        ring = self.ring
-        D = [row[:] for row in self.data]
-        cur = self.prec
-        for r in range(m):
-            best, _, bj = _pivot(ring, D, (r,), range(r, c), cur)
-            if bj != r:
-                for i in range(m):
-                    D[i][r], D[i][bj] = D[i][bj], D[i][r]
-            uinv = ring.inv(ring.div_pk(D[r][r], best))
-            _clear_row(ring, D, r, best, uinv, cur)
-            # normalize the pivot column so the pivot becomes pi^best
-            for i in range(r, m):
-                D[i][r] = ring.mul(D[i][r], uinv)
-            cur -= best
-        # drop the spent columns; they are 0 to the working precision
-        T = [row[:m] for row in D]
-        # reduce entries left of each pivot modulo that pivot
-        for r in range(m):
-            e = ring.val(T[r][r])
-            ring_e = self.lf.ring(e) if e > 0 else None
-            for j in range(r):
-                x = T[r][j]
-                if x == 0:
-                    continue
-                rem = ring_e.lift_naive(ring.reduce_to(x, ring_e), ring) if e > 0 else 0
-                fac = ring.div_pk(ring.sub(x, rem), e)
-                for i in range(r, m):
-                    T[i][j] = ring.sub(T[i][j], ring.mul(fac, T[i][r]))
-        if cur < 2:
-            raise PrecisionError("precision exhausted during column reduction")
-        # T is encoded at self.prec; at f > 1 the encoding depends on the precision
-        return KMat._of(self.lf, T, self.shift, ring)._at_prec(cur)
+        T = _hnf(self.lf, self.ring, [row[:] for row in self.data])
+        if T is None or sum(self.ring.val(T[i][i]) for i in range(self.nrows)) >= self.prec:
+            raise PrecisionError("the known digits do not determine the lattice")
+        return KMat._of(self.lf, T, self.shift, self.ring)
 
 
 def _is_zero_spec(x) -> bool:
     return x == 0 and not isinstance(x, KElem)
 
 
-def _pivot(ring, D, rows, cols, cur: int) -> tuple[int, int, int]:
-    """(v, i, j) for the entry D[i][j] of least valuation v < cur over
-    rows x cols, first in row-major order; its valuation must be
-    separated from the cur known digits."""
+# ---------------------------------------------------------------------------
+# elimination over the chain ring O/pi^N
+
+
+def _pivot(ring, D, rows, cols) -> tuple[int, int, int] | None:
+    """(v, i, j) for the entry D[i][j] of least valuation v over rows x
+    cols, first in row-major order; None when all of them vanish."""
     best = None
     for i in rows:
         for j in cols:
             v = ring.val(D[i][j])
-            if v < cur and (best is None or v < best[0]):
+            if v < ring.N and (best is None or v < best[0]):
                 best = (v, i, j)
-    if best is None:
-        raise PrecisionError("no usable pivot (precision exhausted or rank deficient)")
-    if best[0] >= cur - 1:
-        raise PrecisionError("pivot valuation is ambiguous at this precision")
     return best
 
 
-def _clear_row(ring, D, k: int, e: int, uinv: int, cur: int) -> None:
+def _clear_row(ring, D, k: int, e: int, uinv: int) -> None:
     """Clear row k right of its pivot D[k][k] = u pi^e, uinv = u^-1, by
-    column operations on rows k and below; what vanishes at the cur known
-    digits is dropped."""
+    column operations on rows k and below."""
     row = D[k]
     for j in range(k + 1, len(row)):
         x = row[j]
-        if ring.val(x) < cur:
+        if x:
             fac = ring.mul(ring.div_pk(x, e), uinv)
-            for i in range(k, len(D)):
+            for i in range(k + 1, len(D)):
                 D[i][j] = ring.sub(D[i][j], ring.mul(fac, D[i][k]))
-        row[j] = 0
+            row[j] = 0
 
 
-def smith_normal_form(M: KMat):
-    """SNF of an integral square matrix: exponents and the left transform.
+def _hnf(lf: LocalField, ring, D):
+    """The canonical column Hermite form of the lattice spanned by the
+    columns of D (m rows of encodings in ring = O/pi^N, consumed) and by
+    pi^N V: rows of a lower triangular T with T[r][r] = pi^e_r and the
+    entries left of it reduced mod pi^e_r.  None when some row has no
+    entry below pi^N, where the pivot would be pi^N itself."""
+    m, N = len(D), ring.N
+    for r in range(m):
+        best = _pivot(ring, D, (r,), range(r, len(D[0])))
+        if best is None:
+            return None
+        e, _, j = best
+        if j != r:
+            for row in D:
+                row[r], row[j] = row[j], row[r]
+        uinv = ring.inv(ring.div_pk(D[r][r], e))
+        _clear_row(ring, D, r, e, uinv)
+        # normalize the pivot column to pi^e; pi^N e_r, cleared by it,
+        # leaves pi^(N-e) times it below row r
+        for i, row in enumerate(D):
+            x = row[r] = ring.mul(row[r], uinv) if i >= r else 0
+            row.append(ring.mul_pk(x, N - e) if i > r else 0)
+    T = [row[:m] for row in D]
+    # reduce the entries left of each pivot mod that pivot
+    for r in range(m):
+        e = ring.val(T[r][r])
+        ring_e = lf.ring(e) if e else None
+        for j in range(r):
+            x = T[r][j]
+            rem = ring_e.lift_naive(ring.reduce_to(x, ring_e), ring) if e else 0
+            if x != rem:
+                fac = ring.div_pk(ring.sub(x, rem), e)
+                for i in range(r, m):
+                    T[i][j] = ring.sub(T[i][j], ring.mul(fac, T[i][r]))
+    return T
 
-    Returns (exps, U, Uinv) with U M W = diag(units * pi^exps) for
-    unimodular U, W and Uinv = U^(-1); exps come out ascending.  Each row
-    operation on M is applied to the rows of U and, undone, to the columns
-    of Uinv, so neither is inverted; W never enters quotient data.  A
-    non-integral M fails in with_shift(0).
+
+def smith_normal_form(ring, D):
+    """Smith form over ring = O/pi^N of the square integral rows D, consumed.
+
+    Returns (exps, U, Uinv), rows, with U D W = diag(units * pi^exps)
+    for unimodular U, W and Uinv = U^(-1); exps come out ascending.  Each
+    row operation on D is applied to the rows of U and, undone, to the
+    columns of Uinv, so neither is inverted; W never enters quotient data.
+    D stays known mod pi^N; U and Uinv spend sum(exps) digits.  The
+    caller sees to it that every pivot lies below pi^N.
     """
-    M = M.with_shift(0)
-    m = M.nrows
-    if m != M.ncols:
-        raise ValueError("SNF of a non-square matrix")
-    ring = M.ring
-    D = [row[:] for row in M.data]
-    U = [[1 if i == j else 0 for j in range(m)] for i in range(m)]     # by rows
-    Ui = [[1 if i == j else 0 for j in range(m)] for i in range(m)]    # Uinv, by columns
-    cur = M.prec
+    m = len(D)
+    U = [[int(i == j) for j in range(m)] for i in range(m)]    # by rows
+    Ui = [[int(i == j) for j in range(m)] for i in range(m)]   # Uinv, by columns
     exps = []
     for k in range(m):
-        e, bi, bj = _pivot(ring, D, range(k, m), range(k, m), cur)
+        e, bi, bj = _pivot(ring, D, range(k, m), range(k, m))
         if bi != k:   # row swap on U; col swap on Uinv
             D[k], D[bi] = D[bi], D[k]
             U[k], U[bi] = U[bi], U[k]
@@ -374,20 +314,15 @@ def smith_normal_form(M: KMat):
         # clear column k below the pivot
         for i in range(k + 1, m):
             x = D[i][k]
-            if ring.val(x) < cur:
+            if x:
                 fac = ring.mul(ring.div_pk(x, e), piv_inv)
                 for j in range(k, m):
                     D[i][j] = ring.sub(D[i][j], ring.mul(fac, D[k][j]))
                 for r in range(m):  # U row_i -= fac * row_k; Uinv col_k += fac * col_i
                     U[i][r] = ring.sub(U[i][r], ring.mul(fac, U[k][r]))
                     Ui[r][k] = ring.add(Ui[r][k], ring.mul(fac, Ui[r][i]))
-            D[i][k] = 0
-        _clear_row(ring, D, k, e, piv_inv, cur)
+        _clear_row(ring, D, k, e, piv_inv)
         exps.append(e)
-        cur -= e
-        if cur < 2:
-            raise PrecisionError("precision exhausted during SNF")
-    U, Ui = (KMat._of(M.lf, T, 0, ring)._at_prec(cur) for T in (U, Ui))  # as in canonical_hnf
     return exps, U, Ui
 
 
@@ -396,71 +331,90 @@ def smith_normal_form(M: KMat):
 
 
 class Lattice:
-    """A full-rank O-lattice in K^m, held by its canonical basis."""
+    """A full-rank O-lattice in K^m: pi^shift T O^m for its canonical basis
+    T, whose rows are encoded in ring = O/pi^(hi - shift + 1), the least
+    ring that holds its pivots pi^exps; pi^hi V <= L <= pi^shift V."""
 
-    __slots__ = ("lf", "m", "mat", "det_val", "_inv")
+    __slots__ = ("lf", "m", "shift", "hi", "exps", "rows", "ring", "det_val")
 
     def __init__(self, mat: KMat):
+        """The lattice the columns of mat span, which its known digits must
+        determine (KMat.canonical_hnf)."""
         if mat.ncols < mat.nrows:
             raise ValueError("not enough generators for a full-rank lattice")
-        self.lf = mat.lf
-        self.m = mat.nrows
         hnf = mat.canonical_hnf()
-        # Canonical entries are exact (pi-power pivots, residues reduced mod
-        # the row pivot), so the working precision spent on reduction can be
-        # restored; chained constructions then never compound precision loss.
-        # The target leaves room for a follow-up inverse plus one more column
-        # reduction, both of which cost about the determinant valuation.
-        piv = sum(hnf.ring.val(hnf.data[i][i]) for i in range(self.m))
-        target = max(mat.prec, mat.lf.default_precision,
-                     6 * (piv + self.m * abs(hnf.shift)) + 12)
-        ring_to = mat.lf.ring(target)
-        data = [[hnf.ring.lift_naive(x, ring_to) for x in row] for row in hnf.data]
-        self.mat = KMat._of(mat.lf, data, hnf.shift, ring_to)
-        self.det_val = piv + self.m * hnf.shift   # of the basis: its pivots are pi-powers
-        self._inv = None
+        self._set(mat.lf, hnf.shift, hnf.data, hnf.ring)
+
+    def _set(self, lf: LocalField, lo: int, T, ring) -> None:
+        """Take the Hermite form T (rows in ring) over pi^lo, moved to the
+        least valuation of its entries."""
+        m = len(T)
+        t = min(ring.val(x) for i, row in enumerate(T) for x in row[:i + 1])
+        exps = [ring.val(T[i][i]) - t for i in range(m)]
+        width = sum(exps)
+        self.lf, self.m, self.shift, self.hi, self.exps = lf, m, lo + t, lo + t + width, exps
+        self.ring = lf.ring(width + 1)
+        self.rows = _moved(T, ring, self.ring, -t)
+        self.det_val = m * self.shift + width
+
+    def _basis(self, ring, lo: int | None = None) -> list[list[int]]:
+        """Rows of pi^(shift - lo) T encoded in ring; lo defaults to shift."""
+        return _moved(self.rows, self.ring, ring, 0 if lo is None else self.shift - lo)
 
     @property
-    def inv(self) -> KMat:
-        """The inverse of the basis matrix, computed once."""
-        if self._inv is None:
-            self._inv = self.mat.inverse()
-        return self._inv
+    def mat(self) -> KMat:
+        """The basis as a KMat, known to the field's default precision past
+        its pivots."""
+        ring = self.lf.ring(self.hi - self.shift + self.lf.default_precision)
+        return KMat._of(self.lf, self._basis(ring), self.shift, ring)
 
     @classmethod
     def from_rows(cls, lf: LocalField, rows, prec: int | None = None) -> "Lattice":
         return cls(KMat.from_rows(lf, rows, prec))
 
     def __repr__(self):
-        return f"Lattice(m={self.m}, shift={self.mat.shift})"
+        return f"Lattice(m={self.m}, shift={self.shift})"
 
     def __eq__(self, other):
         if not isinstance(other, Lattice):
             return NotImplemented
-        return self.det_val == other.det_val and lat_contains_lattice(self, other)
+        return (self.lf is other.lf and self.shift == other.shift
+                and self.exps == other.exps and self.rows == other.rows)
 
 
-def standard_lattice(lf: LocalField, m: int, prec: int | None = None) -> Lattice:
-    return Lattice(KMat.identity(lf, m, prec))
+def _span(lf: LocalField, lo: int, ring, D) -> Lattice:
+    """The lattice over pi^lo that the columns of D (rows in ring) and
+    pi^(lo + ring.N) V span."""
+    L = Lattice.__new__(Lattice)
+    L._set(lf, lo, _hnf(lf, ring, D), ring)
+    return L
 
 
-def principal_lattice(lf: LocalField, v: int, prec: int | None = None) -> Lattice:
+def standard_lattice(lf: LocalField, m: int) -> Lattice:
+    return _span(lf, 0, lf.ring(1), [[int(i == j) for j in range(m)] for i in range(m)])
+
+
+def principal_lattice(lf: LocalField, v: int) -> Lattice:
     """pi^v O inside K^1."""
-    return Lattice(KMat.identity(lf, 1, prec).scale_pi(v))
+    return _span(lf, v, lf.ring(1), [[1]])
 
 
 def lat_apply(f: KMat, A: Lattice) -> Lattice:
-    return Lattice(f @ A.mat)
+    """f(A): the span of f times A's exact basis, at f's known digits."""
+    if f.lf is not A.lf:
+        raise ValueError("matrices of different fields")
+    ring = f.ring
+    rows = ring.matmul(f.data, ring, A._basis(ring), ring)
+    return Lattice(KMat._of(A.lf, rows, f.shift + A.shift, ring))
 
 
 def lat_sum(A: Lattice, B: Lattice) -> Lattice:
     if A.m != B.m:
         raise ValueError("different ambient spaces")
-    return Lattice(A.mat.hstack(B.mat))
-
-
-def _dual_mat(A: Lattice) -> KMat:
-    return A.inv.transpose()
+    # pi^hi V <= A + B for the smaller hi
+    lo = min(A.shift, B.shift)
+    ring = A.lf.ring(min(A.hi, B.hi) - lo + 1)
+    return _span(A.lf, lo, ring, [a + b for a, b in zip(A._basis(ring, lo), B._basis(ring, lo))])
 
 
 def lat_intersect(A: Lattice, B: Lattice) -> Lattice:
@@ -468,72 +422,99 @@ def lat_intersect(A: Lattice, B: Lattice) -> Lattice:
     big, small = (A, B) if A.det_val <= B.det_val else (B, A)
     if lat_contains_lattice(big, small):
         return small
-    # (A cap B)* = A* + B*
-    dual_sum = Lattice(_dual_mat(A).hstack(_dual_mat(B)))
-    return Lattice(_dual_mat(dual_sum))
+    # the columns (a + b, a) span a lattice in K^2m that contains pi^hi V^2m
+    # for the larger hi; its part with a + b = 0 is {(0, x) : x in A cap B}
+    lo, m = min(A.shift, B.shift), A.m
+    ring = A.lf.ring(max(A.hi, B.hi) - lo + 1)
+    a, b = A._basis(ring, lo), B._basis(ring, lo)
+    D = [ra + rb for ra, rb in zip(a, b)] + [ra + [0] * m for ra in a]
+    L = Lattice.__new__(Lattice)
+    L._set(A.lf, lo, [row[m:] for row in _hnf(A.lf, ring, D)[m:]], ring)
+    return L
+
+
+def _solve(A: Lattice, C, ring):
+    """The rows Y with T Y = C, for A's basis T and rows C of encodings in
+    ring = O/pi^M, column by column: Y is right mod pi^(M - hi + shift).
+    None when a division by a pivot is inexact, that is, when some column
+    of C is not in T O^m."""
+    T = A._basis(ring)
+    Y = []
+    for r, e in enumerate(A.exps):
+        row = C[r]
+        for j in range(r):
+            t = T[r][j]
+            if t:
+                row = [ring.sub(x, ring.mul(t, y)) for x, y in zip(row, Y[j])]
+        if any(ring.val(x) < e for x in row):
+            return None
+        Y.append([ring.div_pk(x, e) for x in row])
+    return Y
 
 
 def lat_contains_lattice(A: Lattice, B: Lattice) -> bool:
-    return (A.inv @ B.mat).is_integral()
+    if B.shift < A.shift or B.det_val < A.det_val:
+        return False
+    ring = A.lf.ring(A.hi - A.shift + 1)
+    return _solve(A, B._basis(ring, A.shift), ring) is not None
 
 
 class LatticeQuotient:
-    """A/B presented as a FiniteModule plus projection and lift maps."""
+    """A/B presented as a FiniteModule plus projection and lift maps.
 
-    __slots__ = ("A", "B", "module", "_exps", "_idx", "_U", "_Uinv", "_lift", "_proj")
+    Over ring = O/pi^(E + L + hi(A) - shift(A) + 1), for pi^E A <= B and L
+    the length of A/B: _solve keeps E + L + 1 digits of A^-1 B, for the
+    Smith form, and of A^-1 x, for classes.
+    """
+
+    __slots__ = ("A", "B", "module", "_ring", "_idx", "_U", "_lifts")
 
     def __init__(self, A: Lattice, B: Lattice):
-        trans = A.inv @ B.mat
-        if not trans.is_integral():
+        L = B.det_val - A.det_val
+        if B.shift < A.shift or L < 0 or (L == 0 and A != B):
             raise ValueError("B is not contained in A")
         self.A, self.B = A, B
-        if B.det_val == A.det_val:
-            # B = A: the zero module, presented by A's own basis
-            exps, self._lift, self._proj = [0] * A.m, A.mat, A.inv
-        else:
-            exps, self._U, self._Uinv = smith_normal_form(trans)
-            self._lift = self._proj = None
-        self._exps = exps
-        self._idx = [k for k, e in enumerate(exps) if e > 0]
+        R = self._ring = A.lf.ring(B.hi - A.shift + L + A.hi - A.shift + 1)
+        self._idx = []
+        if L:
+            X = _solve(A, B._basis(R, A.shift), R)
+            if X is None:
+                raise ValueError("B is not contained in A")
+            exps, U, Ui = smith_normal_form(R, X)
+            self._idx = [k for k, e in enumerate(exps) if e > 0]
+            self._U = [U[k] for k in self._idx]
+            # A U^-1, whose columns lift the generators
+            self._lifts = R.matmul(A._basis(R), R, [[row[k] for k in self._idx] for row in Ui], R)
+        # else B = A: the zero module
         self.module = FiniteModule(A.lf, [exps[k] for k in self._idx])
 
-    @property
-    def _P(self) -> KMat:
-        """A U^-1: its columns lift the generators."""
-        if self._lift is None:
-            self._lift = self.A.mat @ self._Uinv
-        return self._lift
-
-    @property
-    def _Pinv(self) -> KMat:
-        """U A^-1 = (A U^-1)^-1, with no inverse of its own."""
-        if self._proj is None:
-            self._proj = self._U @ self.A.inv
-        return self._proj
-
-    def _classes(self, X: KMat, cols) -> list[tuple]:
-        """Classes in the abstract module of the columns cols of X, vectors of A."""
+    def _classes(self, C, ring, k: int) -> list[tuple]:
+        """Classes in the abstract module of the columns of pi^(A.shift + k) C,
+        vectors of A, for rows C of encodings in ring."""
         if not self._idx:
-            return [()] * len(cols)
-        Y = self._Pinv @ X
-        return [tuple(Y.entry_residue(j, k, self._exps[j]) for j in self._idx) for k in cols]
+            return [()] * len(C[0])
+        R = self._ring
+        Y = _solve(self.A, _moved(C, ring, R, k), R)
+        if Y is None:
+            raise ValueError("not a vector of A")
+        Z = R.matmul(self._U, R, Y, R)
+        return [tuple(R.reduce_to(z[c], rj) for z, rj in zip(Z, self.module.rings))
+                for c in range(len(Y[0]))]
 
     def proj(self, x: KMat) -> tuple:
-        """Class of a vector of A in the abstract module."""
-        return self._classes(x, (0,))[0]
+        """Class of a vector of A in the abstract module; x must be known
+        past pi^hi of B, where its class is decided."""
+        if x.shift + x.prec < self.B.hi:
+            raise PrecisionError("not enough digits for the class")
+        return self._classes(x.data, x.ring, x.shift - self.A.shift)[0]
 
     def lift(self, t: tuple) -> KMat:
         """A vector of A representing the class t."""
-        lf = self.A.lf
-        m = self.A.m
-        prec = self._P.prec
-        ring = lf.ring(prec)
-        col = [[0] for _ in range(m)]
-        for pos, k in enumerate(self._idx):
-            c = t[pos]
-            if c:
-                col[k][0] = lf.ring(self._exps[k]).lift_naive(c, ring)
-        return self._P @ KMat._of(lf, col, 0, ring)
+        R, m = self._ring, self.A.m
+        if not self._idx:
+            return KMat._of(self.A.lf, [[0] for _ in range(m)], self.A.shift, R)
+        coeffs = [[rj.lift_naive(c, R)] for c, rj in zip(t, self.module.rings)]
+        return KMat._of(self.A.lf, R.matmul(self._lifts, R, coeffs, R), self.A.shift, R)
 
 
 def quotient_struct(A: Lattice, B: Lattice) -> LatticeQuotient:
@@ -544,18 +525,24 @@ def quotient_struct(A: Lattice, B: Lattice) -> LatticeQuotient:
 def induced_hom(srcQ: LatticeQuotient, dstQ: LatticeQuotient,
                 f: KMat | None = None) -> ModuleHom:
     """The map of abstract quotients obtained by lift, optionally f, project:
-    column k of dstQ._Pinv @ f @ srcQ._P is f(lift(generator k)) in dstQ.
-    From or to the zero module it is the empty or the zero map."""
+    column k is the class in dstQ of f(lift(generator k)).  f must be known
+    past pi^hi of dstQ's sublattice on srcQ's lattice.  From or to the zero
+    module it is the empty or the zero map."""
     if not (srcQ._idx and dstQ._idx):
         return ModuleHom(srcQ.module, dstQ.module, [()] * len(srcQ._idx))
-    cols = dstQ._classes(srcQ._P if f is None else f @ srcQ._P, srcQ._idx)
-    return ModuleHom(srcQ.module, dstQ.module, cols)
+    lifts, R, k = srcQ._lifts, srcQ._ring, srcQ.A.shift - dstQ.A.shift
+    if f is not None:
+        if f.lf is not srcQ.A.lf:
+            raise ValueError("matrices of different fields")
+        if f.shift + f.prec + srcQ.A.shift < dstQ.B.hi:
+            raise PrecisionError("not enough digits to map the quotient")
+        lifts, R = f.ring.matmul(f.data, f.ring, _moved(lifts, R, f.ring), f.ring), f.ring
+        k += f.shift
+    return ModuleHom(srcQ.module, dstQ.module, dstQ._classes(lifts, R, k))
 
 
 def rel_dim(A: Lattice, B: Lattice, n: int) -> int:
     """dim(A / A cap B) - dim(B / A cap B), as an exact integer."""
     I = lat_intersect(A, B)
-    d1 = sum(quotient_struct(A, I).module.exps)
-    d2 = sum(quotient_struct(B, I).module.exps)
     q = A.lf.q
-    return (q**d1 - 1) // n - (q**d2 - 1) // n
+    return (q**(I.det_val - A.det_val) - 1) // n - (q**(I.det_val - B.det_val) - 1) // n

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from resforge.errors import PrecisionError
+import resforge.lattices as lattices
 from resforge.lattices import (KMat, Lattice, induced_hom, lat_apply,
                                lat_contains_lattice, lat_intersect, lat_sum,
                                principal_lattice, quotient_struct, rel_dim,
@@ -46,10 +47,19 @@ def test_diagonal_sum_intersection(q7):
 
 
 def test_containment_vectors(q7):
-    A = standard_lattice(q7, 2)
-    # x lies in A iff A^-1 x is integral
-    assert (A.inv @ KMat.from_rows(q7, [["7"], ["3"]])).is_integral()
-    assert not (A.inv @ KMat.from_rows(q7, [["1/7"], ["3"]])).is_integral()
+    # x lies in A iff it has a class in A/B; solving it in A's basis decides
+    Q = quotient_struct(standard_lattice(q7, 2), Lattice.from_rows(q7, [[7, 0], [0, 7]]))
+    assert Q.proj(KMat.from_rows(q7, [["7"], ["3"]])) == (0, 3)
+    with pytest.raises(ValueError):
+        Q.proj(KMat.from_rows(q7, [["1/7"], ["3"]]))
+
+
+def contains_vector(L, x):
+    """x in L iff L contains the lattice x and pi^hi V span, for L's hi."""
+    m = L.m
+    pad = [[L.lf.pi(L.hi) if i == j else 0 for j in range(m)] for i in range(m)]
+    X = KMat.from_rows(L.lf, [[x.entry_kelem(i, 0) or 0] + pad[i] for i in range(m)], 60)
+    return lat_contains_lattice(L, Lattice(X))
 
 
 def test_quotient_examples(q7):
@@ -76,8 +86,7 @@ def test_projection_kernel_is_sublattice(q7):
     rng = random.Random(0)
     for _ in range(30):
         x = KMat.from_rows(q7, [[rng.randint(0, 48)] for _ in range(2)])
-        in_B = (B.inv @ x).is_integral()
-        assert (Q.proj(x) == zero) == in_B
+        assert (Q.proj(x) == zero) == contains_vector(B, x)
     for t in Q.module.elements():
         assert Q.proj(Q.lift(t)) == t
 
@@ -127,10 +136,12 @@ def test_random_containments_and_cardinality(q7):
 
 
 def dual_sum_intersection(A, B):
-    """A cap B as the dual of A* + B*, for every pair."""
+    """A cap B as the dual of A* + B*, for every pair: duals by KMat
+    inverses, the sum by lat_sum."""
     def dual(L):
-        return L.inv.transpose()
-    return Lattice(dual(Lattice(dual(A).hstack(dual(B)))))
+        inv = L.mat.inverse()
+        return Lattice(KMat(L.lf, list(zip(*inv.data)), inv.shift, inv.prec))
+    return dual(lat_sum(dual(A), dual(B)))
 
 
 @pytest.mark.parametrize("p,f", [(3, 1), (7, 1), (3, 2), (5, 2)])
@@ -187,11 +198,9 @@ def test_dimension_additivity_mod_divisors(q7):
 
 
 def test_snf_pivot_order_and_exponents(q7):
-    M = KMat.from_rows(q7, [[7, 7], [0, 7]])
-    exps, _, _ = smith_normal_form(M)
+    exps, _, _ = smith_normal_form(q7.ring(4), [[7, 7], [0, 7]])
     assert exps == [1, 1]
-    M2 = KMat.from_rows(q7, [[1, 0], [0, 49]])
-    exps2, _, _ = smith_normal_form(M2)
+    exps2, _, _ = smith_normal_form(q7.ring(4), [[49, 0], [0, 1]])
     assert exps2 == [0, 2]
 
 
@@ -209,8 +218,8 @@ def test_f2_backend_quotients():
 
 @pytest.mark.parametrize("p", [3, 5])
 def test_f2_projection_kills_the_sublattice(p):
-    # at f > 1 an encoding depends on its precision, so the Hermite and
-    # Smith transforms must be re-encoded at the digits they keep
+    # at f > 1 an encoding depends on its precision, so a lattice's basis
+    # and a quotient's lifts must be re-encoded in the rings that hold them
     lf = local_field(p, 2)
     F = KMat.from_rows(lf, [[1, "pi^-1"], [0, "pi"]], 60)
     A = lat_apply(F, Lattice.from_rows(lf, [["pi^-1", 0], [0, "pi^-1"]], 60))
@@ -226,19 +235,31 @@ def test_f2_projection_kills_the_sublattice(p):
         for j in range(2):
             col = KMat(lf, [[M.data[0][j]], [M.data[1][j]]], M.shift, M.prec)
             assert Q.proj(col) == Q.module.zero
-        for M in (X.mat, Y.mat, Q._P, Q._Pinv):
-            assert all(0 <= x < M.ring.size for row in M.data for x in row)
+        held = [(X.rows, X.ring), (Y.rows, Y.ring)]
+        for rows, ring in held + ([(Q._lifts, Q._ring)] if Q._idx else []):
+            assert all(0 <= x < ring.size for row in rows for x in row)
 
 
-def test_lattice_inverts_its_basis_once(q7):
+def scalar_lattice(lf, m, v):
+    """pi^v V in K^m."""
+    return Lattice.from_rows(lf, [[lf.pi(v) if i == j else 0 for j in range(m)] for i in range(m)])
+
+
+def test_lattice_holds_its_canonical_basis_exactly(q7):
+    """Pivots pi^e over the least valuation, entries left of a pivot below
+    it, a window pi^hi V <= L <= pi^shift V, and no precision."""
     rng = random.Random(3)
     for m in (1, 2, 3):
         L = rand_lattice(q7, rng, m)
-        inv = L.inv
-        assert inv is L.inv
-        want = L.mat.inverse()
-        assert (inv.shift, inv.prec, inv.data) == (want.shift, want.prec, want.data)
-        assert inv @ L.mat == KMat.identity(q7, m)
+        assert not hasattr(L, "prec")
+        assert [L.rows[i][i] for i in range(m)] == [7**e for e in L.exps]
+        assert all(0 <= L.rows[i][j] < 7**L.exps[i] for i in range(m) for j in range(i))
+        assert all(L.rows[i][j] == 0 for i in range(m) for j in range(i + 1, m))
+        assert min(q7.ring(L.ring.N).val(x) for row in L.rows for x in row) == 0
+        assert L.hi == L.shift + sum(L.exps) and L.det_val == m * L.shift + sum(L.exps)
+        assert lat_contains_lattice(L, scalar_lattice(q7, m, L.hi))
+        assert lat_contains_lattice(scalar_lattice(q7, m, L.shift), L)
+        assert Lattice(L.mat) == L
 
 
 @pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2)])
@@ -275,16 +296,21 @@ def test_snf_left_transform_and_its_inverse(p, f):
     for m in (1, 2, 3):
         for _ in range(4):
             M = rand_matrix(lf, rng, m, (0, 2), 0.8)
-            exps, U, Uinv = smith_normal_form(M)
-            assert U @ Uinv == KMat.identity(lf, m)
-            assert Uinv @ U == KMat.identity(lf, m)
+            ring = M.ring
+            exps, U, Uinv = smith_normal_form(ring, [row[:] for row in M.data])
+            # the transforms spend sum(exps) digits
+            kept = lf.ring(ring.N - sum(exps))
+            ident = [[int(i == j) for j in range(m)] for i in range(m)]
+            for P in (ring.matmul(U, ring, Uinv, ring), ring.matmul(Uinv, ring, U, ring)):
+                assert [[ring.reduce_to(x, kept) for x in row] for row in P] == ident
             # U M = diag(pi^exps) W^-1 with W unimodular: row i has valuation exps[i]
-            UM = U @ M
-            vals = [[UM.entry_val(i, j) for j in range(m)] for i in range(m)]
-            assert [min(v for v in row if v is not None) for row in vals] == exps
+            UM = ring.matmul(U, ring, M.data, ring)
+            assert [min(ring.val(x) for x in row) for row in UM] == exps
 
 
 def test_quotient_inverts_no_matrix(q7, monkeypatch):
+    """Quotients, sums, intersections and containment solve in triangular
+    bases and invert nothing; lift then project is the identity."""
     rng = random.Random(5)
     calls = []
     real = KMat.inverse
@@ -296,51 +322,55 @@ def test_quotient_inverts_no_matrix(q7, monkeypatch):
     for m in (1, 2, 3):
         A = rand_lattice(q7, rng, m)
         B = Lattice(A.mat @ rand_matrix(q7, rng, m, (0, 2), 0.9))
-        A.inv
+        C = rand_lattice(q7, rng, m)
         monkeypatch.setattr(KMat, "inverse", counted)
         Q = quotient_struct(A, B)
+        lat_sum(A, C), lat_intersect(A, C), lat_contains_lattice(C, A)
         monkeypatch.setattr(KMat, "inverse", real)
         assert calls == []
-        assert Q._Pinv @ Q._P == KMat.identity(q7, m)
+        for t in list(Q.module.elements())[:30]:
+            assert Q.proj(Q.lift(t)) == t
 
 
 def test_quotient_decides_integrality_once(q7, monkeypatch):
+    """A quotient solves B's basis in A's once: an inexact division there
+    is what refuses a B that A does not contain."""
     rng = random.Random(5)
     calls = []
-    real = KMat.is_integral
+    real = lattices._solve
 
-    def counted(self):
-        calls.append(self)
-        return real(self)
+    def counted(A, C, ring):
+        calls.append(A)
+        return real(A, C, ring)
 
-    monkeypatch.setattr(KMat, "is_integral", counted)
+    monkeypatch.setattr(lattices, "_solve", counted)
     for m in (1, 2, 3):
         A = rand_lattice(q7, rng, m)
-        B = Lattice(A.mat @ rand_matrix(q7, rng, m, (0, 2), 0.9))
+        B = Lattice(A.mat @ rand_matrix(q7, rng, m, (1, 2), 0.9))
         calls.clear()
         quotient_struct(A, B)
-        assert len(calls) == 1
-        calls.clear()
-        smith_normal_form(A.inv @ B.mat)
-        assert calls == []
-    # with no check of its own, SNF still refuses a non-integral input
-    with pytest.raises(ValueError):
-        smith_normal_form(KMat.from_rows(q7, [["1/7", 0], [0, 1]]))
+        assert calls == [A]
+    # det_val and shift allow C in A, and the solve refuses (0, 1)
+    A = Lattice.from_rows(q7, [[1, 0], [0, 7]])
+    C = Lattice.from_rows(q7, [[7**3, 0], [0, 1]])
+    calls.clear()
+    with pytest.raises(ValueError, match="not contained"):
+        quotient_struct(A, C)
+    assert calls == [A]
 
 
 def test_trivial_quotient_is_the_zero_module_and_runs_no_snf(q7, monkeypatch):
-    import resforge.lattices as lattices
     rng = random.Random(8)
-    snf_calls, integral_calls = [], []
-    real_snf, real_integral = lattices.smith_normal_form, KMat.is_integral
+    snf_calls, solve_calls = [], []
+    real_snf, real_solve = lattices.smith_normal_form, lattices._solve
 
-    def counted_snf(M):
-        snf_calls.append(M)
-        return real_snf(M)
+    def counted_snf(ring, D):
+        snf_calls.append(D)
+        return real_snf(ring, D)
 
-    def counted_integral(self):
-        integral_calls.append(self)
-        return real_integral(self)
+    def counted_solve(A, C, ring):
+        solve_calls.append(A)
+        return real_solve(A, C, ring)
 
     for m in (1, 2, 3):
         A = rand_lattice(q7, rng, m)
@@ -352,14 +382,14 @@ def test_trivial_quotient_is_the_zero_module_and_runs_no_snf(q7, monkeypatch):
         B = Lattice(A.mat @ rand_matrix(q7, rng, m, (1, 2), 0.9))
         QB = quotient_struct(A, B)
         snf_calls.clear()
-        integral_calls.clear()
+        solve_calls.clear()
         monkeypatch.setattr(lattices, "smith_normal_form", counted_snf)
-        monkeypatch.setattr(KMat, "is_integral", counted_integral)
+        monkeypatch.setattr(lattices, "_solve", counted_solve)
         Q = quotient_struct(A, A2)
         monkeypatch.undo()
-        assert snf_calls == [] and len(integral_calls) == 1
+        # equal det_val and equal data: no solve, no SNF
+        assert snf_calls == [] and solve_calls == []
         assert Q.module.exps == () and Q.module.size == 1
-        assert Q._Pinv @ Q._P == KMat.identity(q7, m)
         x = A.mat @ KMat.from_rows(q7, [[rng.randint(0, 48)] for _ in range(m)], 60)
         assert Q.proj(x) == ()
         zero = Q.lift(())
@@ -386,15 +416,20 @@ def test_public_constructor_copies_and_checks_rows(q7):
 
 
 def test_residue_past_the_known_digits_is_a_precision_error(q7):
-    # an entry of pi^-3 * (0 + O(pi^2)) may or may not be integral
+    # the class of x in O/pi O needs x known past pi^1
+    Q = quotient_struct(standard_lattice(q7, 1), principal_lattice(q7, 1))
+    # pi^-3 * (0 + O(pi^2)) may or may not be integral
     with pytest.raises(PrecisionError):
-        KMat(q7, [[0]], -3, 2).entry_residue(0, 0, 1)
+        Q.proj(KMat(q7, [[0]], -3, 2))
+    with pytest.raises(PrecisionError):
+        Q.proj(KMat(q7, [[3]], -1, 1))
     with pytest.raises(ValueError):
-        KMat(q7, [[1]], -1, 10).entry_residue(0, 0, 1)
-    # pi^-3 * (1 + O(pi^2)) has a known valuation -3: not integral
+        Q.proj(KMat(q7, [[1]], -1, 10))
+    # pi^-3 * (1 + O(pi^4)) has a known valuation -3: not integral
     with pytest.raises(ValueError):
-        KMat(q7, [[1]], -3, 2).entry_residue(0, 0, 1)
-    assert KMat(q7, [[14]], -1, 10).entry_residue(0, 0, 1) == 2
+        Q.proj(KMat(q7, [[1]], -3, 5))
+    assert Q.proj(KMat(q7, [[14]], -1, 10)) == (2,)
+    assert Q.proj(KMat(q7, [[3]], 0, 1)) == (3,)
 
 
 def test_precision_failure_is_loud():
