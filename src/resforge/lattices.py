@@ -240,12 +240,13 @@ def _clear_row(ring, D, k: int, e: int, uinv: int) -> None:
     """Clear row k right of its pivot D[k][k] = u pi^e, uinv = u^-1, by
     column operations on rows k and below."""
     row = D[k]
+    below = [r for r in D[k + 1:] if r[k]]
     for j in range(k + 1, len(row)):
         x = row[j]
         if x:
             fac = ring.mul(ring.div_pk(x, e), uinv)
-            for i in range(k + 1, len(D)):
-                D[i][j] = ring.sub(D[i][j], ring.mul(fac, D[i][k]))
+            for r in below:
+                r[j] = ring.sub(r[j], ring.mul(fac, r[k]))
             row[j] = 0
 
 
@@ -340,8 +341,6 @@ class Lattice:
     def __init__(self, mat: KMat):
         """The lattice the columns of mat span, which its known digits must
         determine (KMat.canonical_hnf)."""
-        if mat.ncols < mat.nrows:
-            raise ValueError("not enough generators for a full-rank lattice")
         hnf = mat.canonical_hnf()
         self._set(mat.lf, hnf.shift, hnf.data, hnf.ring)
 
@@ -382,21 +381,20 @@ class Lattice:
                 and self.exps == other.exps and self.rows == other.rows)
 
 
-def _span(lf: LocalField, lo: int, ring, D) -> Lattice:
-    """The lattice over pi^lo that the columns of D (rows in ring) and
-    pi^(lo + ring.N) V span."""
+def _lattice(lf: LocalField, lo: int, T, ring) -> Lattice:
+    """pi^lo T O^m for a Hermite form T, rows in ring."""
     L = Lattice.__new__(Lattice)
-    L._set(lf, lo, _hnf(lf, ring, D), ring)
+    L._set(lf, lo, T, ring)
     return L
 
 
 def standard_lattice(lf: LocalField, m: int) -> Lattice:
-    return _span(lf, 0, lf.ring(1), [[int(i == j) for j in range(m)] for i in range(m)])
+    return _lattice(lf, 0, [[int(i == j) for j in range(m)] for i in range(m)], lf.ring(1))
 
 
 def principal_lattice(lf: LocalField, v: int) -> Lattice:
     """pi^v O inside K^1."""
-    return _span(lf, v, lf.ring(1), [[1]])
+    return _lattice(lf, v, [[1]], lf.ring(1))
 
 
 def lat_apply(f: KMat, A: Lattice) -> Lattice:
@@ -414,7 +412,8 @@ def lat_sum(A: Lattice, B: Lattice) -> Lattice:
     # pi^hi V <= A + B for the smaller hi
     lo = min(A.shift, B.shift)
     ring = A.lf.ring(min(A.hi, B.hi) - lo + 1)
-    return _span(A.lf, lo, ring, [a + b for a, b in zip(A._basis(ring, lo), B._basis(ring, lo))])
+    D = [a + b for a, b in zip(A._basis(ring, lo), B._basis(ring, lo))]
+    return _lattice(A.lf, lo, _hnf(A.lf, ring, D), ring)
 
 
 def lat_intersect(A: Lattice, B: Lattice) -> Lattice:
@@ -428,9 +427,7 @@ def lat_intersect(A: Lattice, B: Lattice) -> Lattice:
     ring = A.lf.ring(max(A.hi, B.hi) - lo + 1)
     a, b = A._basis(ring, lo), B._basis(ring, lo)
     D = [ra + rb for ra, rb in zip(a, b)] + [ra + [0] * m for ra in a]
-    L = Lattice.__new__(Lattice)
-    L._set(A.lf, lo, [row[m:] for row in _hnf(A.lf, ring, D)[m:]], ring)
-    return L
+    return _lattice(A.lf, lo, [row[m:] for row in _hnf(A.lf, ring, D)[m:]], ring)
 
 
 def _solve(A: Lattice, C, ring):
@@ -475,7 +472,7 @@ class LatticeQuotient:
             raise ValueError("B is not contained in A")
         self.A, self.B = A, B
         R = self._ring = A.lf.ring(B.hi - A.shift + L + A.hi - A.shift + 1)
-        self._idx = []
+        self._idx, exps = [], ()   # B = A: the zero module
         if L:
             X = _solve(A, B._basis(R, A.shift), R)
             if X is None:
@@ -485,7 +482,6 @@ class LatticeQuotient:
             self._U = [U[k] for k in self._idx]
             # A U^-1, whose columns lift the generators
             self._lifts = R.matmul(A._basis(R), R, [[row[k] for k in self._idx] for row in Ui], R)
-        # else B = A: the zero module
         self.module = FiniteModule(A.lf, [exps[k] for k in self._idx])
 
     def _classes(self, C, ring, k: int) -> list[tuple]:
@@ -526,8 +522,9 @@ def induced_hom(srcQ: LatticeQuotient, dstQ: LatticeQuotient,
                 f: KMat | None = None) -> ModuleHom:
     """The map of abstract quotients obtained by lift, optionally f, project:
     column k is the class in dstQ of f(lift(generator k)).  f must be known
-    past pi^hi of dstQ's sublattice on srcQ's lattice.  From or to the zero
-    module it is the empty or the zero map."""
+    well enough that f(x), for x in srcQ's lattice, is known to pi^hi of
+    dstQ's sublattice.  From or to the zero module it is the empty or the
+    zero map."""
     if not (srcQ._idx and dstQ._idx):
         return ModuleHom(srcQ.module, dstQ.module, [()] * len(srcQ._idx))
     lifts, R, k = srcQ._lifts, srcQ._ring, srcQ.A.shift - dstQ.A.shift
