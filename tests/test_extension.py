@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from resforge.errors import EnumerationBound, PrecisionError
+from resforge.errors import EnumerationBound
 from resforge.extension import (SymbolEngine, _iso_exp, _kappa_chain,
                                 _rel_dim_parity, cocycle, cocycle_exp, comm_symbol,
                                 corrected_symbol, get_engine, kappa_exp,
@@ -144,10 +144,10 @@ def test_gl3_cocycle_identity_holds_or_runs_out():
 
 
 def test_gl3_draw_that_ran_out_of_digits_answers():
-    """The ledger's gl3/p3/0, the first of item 2's draws: the digit
-    bookkeeping of the lattice layer once raised "determinant vanishes at
-    this precision" here.  Its widest window is a few digits, so the
-    exact layer answers, and the identity holds."""
+    """The ledger's gl3/p3/0, the first of its GL_3 identities, against
+    truncation inside the lattice layer: its widest lattice window is a
+    few digits, far below the inputs' 60, so it answers, with its pinned
+    value, and the identity holds."""
     rng = random.Random(7)
     f, g, h = (rand_matrix(local_field(3), rng, 3) for _ in range(3))
     eng = get_engine(local_field(3), 2)
