@@ -30,12 +30,16 @@ I = V cap gV and f(I) once.  f is invertible, so fV cap fgV = f(I), and
 the quotients fV/f(I) and fgV/f(I) that rho_exp maps onto are kappa_exp's
 B/(B cap C) and C/(B cap C); both get them handed over, and a direct
 caller of either gets them built, with the same value.  A chain cocycle
-so builds at most 4 intersections and 14 quotients, none of them kept
-past the call: a nested intersection is one of its operands, and a link
-of the chain whose lattices coincide builds nothing (_kappa_chain).
-When fV and fgV nest, the larger over the smaller is one of the
-shared quotients, so a nested cocycle builds 6 quotients: rho's 4 and
-the connecting sequence's other two.
+so asks for at most 4 intersections and 14 quotients: a nested
+intersection is one of its operands, and a link of the chain whose
+lattices coincide builds nothing (_kappa_chain).  When fV and fgV nest,
+the larger over the smaller is one of the shared quotients, so a nested
+cocycle asks for 6 quotients: rho's 4 and the connecting sequence's
+other two.  The field keeps every quotient and proper intersection, and
+the engine every link's value, keyed by canonical lattices, at most
+lattices.MEMO_CAP of each: a warm cocycle builds no quotient and walks
+no exact sequence, and what it still computes is f and g applied to
+lattices, and rho's two iso exponents.
 
 A SymbolEngine fixes the field, n, and the representative rule.  Its
 default rule is digit (see musets), under which the rank-one building
@@ -66,19 +70,22 @@ power_residue_char at any m.  Under the digit rule the sum of
 pos[lead(A_j v)] over the leading vectors v of each graded piece gives
 the same value.  kappa_exp still walks the middle module of each
 connecting exact sequence, over the fibers of Z's representatives only
-(torsor._exact_seq_exp).  Under the least and second_least rules
-c(f, g) at m = 1 runs cocycle_exp's body on the 1 x 1 matrices f and
-g = pi^w, enumerating afresh on every call.  Those rules, and torsor._det_exp_brute (orbit
-enumeration, whose value no rule changes), serve the closed forms as
-their oracle.
+(torsor._exact_seq_exp), once per lattice triple and engine (_seq_exp).
+Under the least and second_least rules c(f, g) at m = 1 runs
+cocycle_exp's body on the 1 x 1 matrices f and g = pi^w, walking each
+link the first time it meets it.  Those rules, and
+torsor._det_exp_brute (orbit enumeration, whose value no rule changes),
+serve the closed forms as their oracle; torsor keeps no memo, so each
+oracle call there enumerates.
 """
 
 from __future__ import annotations
 
 from array import array
 
+from .errors import EnumerationBound
 from .fields import MuScalar, _check_n
-from .lattices import (KMat, Lattice, LatticeQuotient, induced_hom, lat_apply,
+from .lattices import (KMat, Lattice, LatticeQuotient, _memo_put, induced_hom, lat_apply,
                        lat_contains_lattice, lat_intersect, quotient_struct,
                        standard_lattice)
 from .musets import RULES
@@ -87,7 +94,8 @@ from .torsor import _exact_seq_exp, _graded_det
 
 
 class SymbolEngine:
-    """Fixes (K, n, representative rule); memoizes V = O^m and S(u) by residue."""
+    """Fixes (K, n, representative rule); memoizes V = O^m, S(u) by residue
+    and the kappa links, by lattice triple."""
 
     def __init__(self, lf, n: int, rule: str = "digit"):
         _check_n(lf.field, n)
@@ -97,6 +105,7 @@ class SymbolEngine:
         self.n = n
         self.rule = rule
         self._std: dict[int, Lattice] = {}
+        self._links: dict = {}   # _seq_exp, by (X, Y, Z)
         # digit rule: the coset walk of k = O/pi, and S(u) by residue u read off it
         self._cosets = _coset_walk(lf.field, lf.field.zeta(n), n)
         self._digit_sums: dict[int, int] = {}
@@ -164,11 +173,21 @@ def rho_exp(f: KMat, A: Lattice, B: Lattice, engine: SymbolEngine,
 
 def _seq_exp(QXZ: LatticeQuotient, QYZ: LatticeQuotient, QXY: LatticeQuotient,
              engine: SymbolEngine) -> int:
-    """kappa for X >= Y >= Z, given X/Z, Y/Z and X/Y: their connecting sequence."""
-    incl = induced_hom(QYZ, QXZ)
-    proj = induced_hom(QXZ, QXY)
-    return _exact_seq_exp(QYZ.module, QXZ.module, QXY.module, incl, proj,
-                          engine.n, engine.rule)
+    """kappa for X >= Y >= Z, given X/Z, Y/Z and X/Y: their connecting
+    sequence, memoized on the engine by (X, Y, Z).  |X/Z| is held to the
+    field's enum_bound before the lookup, so a link kept under a larger
+    bound raises as the walk would."""
+    size = QXZ.module.size
+    if size > engine.lf.enum_bound:
+        raise EnumerationBound(f"middle module of size {size} exceeds the bound")
+    key = (QXZ.A, QYZ.A, QXZ.B)
+    e = engine._links.get(key)
+    if e is None:
+        incl = induced_hom(QYZ, QXZ)
+        proj = induced_hom(QXZ, QXY)
+        e = _memo_put(engine._links, key, _exact_seq_exp(QYZ.module, QXZ.module, QXY.module,
+                                                         incl, proj, engine.n, engine.rule))
+    return e
 
 
 def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,

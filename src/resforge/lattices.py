@@ -45,6 +45,14 @@ quotient keeps U's rows, which read classes, and A U^-1's columns, which
 lift generators; an induced map is lift, optionally f, then classes.
 B = A is the zero module, with no Smith form, and lat_intersect returns
 the smaller of two nested lattices itself.
+
+Equal data gives equal hashes: a Lattice hashes its (shift, exps, rows),
+once, and keys memos on its field.  quotient_struct keeps each A/B in
+lf._quotients, and lat_intersect keeps each proper intersection in
+lf._intersections; a nested pair bypasses that memo, since its
+intersection is an operand.  A memo holds at most MEMO_CAP entries and
+is emptied when a new one would pass that; a call that raises stores
+nothing.
 """
 
 from __future__ import annotations
@@ -53,6 +61,17 @@ from .errors import PrecisionError
 from .modules import FiniteModule, ModuleHom
 from .padic import KElem, LocalField
 from .rings import _det_rows
+
+# entries a lattice-keyed memo holds before it is emptied
+MEMO_CAP = 1024
+
+
+def _memo_put(memo: dict, key, value):
+    """memo[key] = value, emptying the memo first when it is full; value."""
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+    memo[key] = value
+    return value
 
 
 def _moved(rows, src, dst, k: int = 0) -> list[list[int]]:
@@ -336,7 +355,7 @@ class Lattice:
     T, whose rows are encoded in ring = O/pi^(hi - shift + 1), the least
     ring that holds its pivots pi^exps; pi^hi V <= L <= pi^shift V."""
 
-    __slots__ = ("lf", "m", "shift", "hi", "exps", "rows", "ring", "det_val")
+    __slots__ = ("lf", "m", "shift", "hi", "exps", "rows", "ring", "det_val", "_hash")
 
     def __init__(self, mat: KMat):
         """The lattice the columns of mat span, which its known digits must
@@ -355,6 +374,7 @@ class Lattice:
         self.ring = lf.ring(width + 1)
         self.rows = _moved(T, ring, self.ring, -t)
         self.det_val = m * self.shift + width
+        self._hash = None
 
     def _basis(self, ring, lo: int | None = None) -> list[list[int]]:
         """Rows of pi^(shift - lo) T encoded in ring; lo defaults to shift."""
@@ -379,6 +399,12 @@ class Lattice:
             return NotImplemented
         return (self.lf is other.lf and self.shift == other.shift
                 and self.exps == other.exps and self.rows == other.rows)
+
+    def __hash__(self):
+        """Of the data __eq__ compares, but the field; computed once."""
+        if self._hash is None:
+            self._hash = hash((self.shift, tuple(self.exps), tuple(map(tuple, self.rows))))
+        return self._hash
 
 
 def _lattice(lf: LocalField, lo: int, T, ring) -> Lattice:
@@ -417,17 +443,22 @@ def lat_sum(A: Lattice, B: Lattice) -> Lattice:
 
 
 def lat_intersect(A: Lattice, B: Lattice) -> Lattice:
+    """A cap B: the smaller operand when they nest, else memoized on the field."""
     # of nested lattices the larger has the smaller det_val
     big, small = (A, B) if A.det_val <= B.det_val else (B, A)
     if lat_contains_lattice(big, small):
         return small
-    # the columns (a + b, a) span a lattice in K^2m that contains pi^hi V^2m
-    # for the larger hi; its part with a + b = 0 is {(0, x) : x in A cap B}
-    lo, m = min(A.shift, B.shift), A.m
-    ring = A.lf.ring(max(A.hi, B.hi) - lo + 1)
-    a, b = A._basis(ring, lo), B._basis(ring, lo)
-    D = [ra + rb for ra, rb in zip(a, b)] + [ra + [0] * m for ra in a]
-    return _lattice(A.lf, lo, [row[m:] for row in _hnf(A.lf, ring, D)[m:]], ring)
+    I = A.lf._intersections.get((A, B))
+    if I is None:
+        # the columns (a + b, a) span a lattice in K^2m that contains pi^hi V^2m
+        # for the larger hi; its part with a + b = 0 is {(0, x) : x in A cap B}
+        lo, m = min(A.shift, B.shift), A.m
+        ring = A.lf.ring(max(A.hi, B.hi) - lo + 1)
+        a, b = A._basis(ring, lo), B._basis(ring, lo)
+        D = [ra + rb for ra, rb in zip(a, b)] + [ra + [0] * m for ra in a]
+        I = _lattice(A.lf, lo, [row[m:] for row in _hnf(A.lf, ring, D)[m:]], ring)
+        _memo_put(A.lf._intersections, (A, B), I)
+    return I
 
 
 def _solve(A: Lattice, C, ring):
@@ -464,7 +495,7 @@ class LatticeQuotient:
     Smith form, and of A^-1 x, for classes.
     """
 
-    __slots__ = ("A", "B", "module", "_ring", "_idx", "_U", "_lifts")
+    __slots__ = ("A", "B", "module", "_ring", "_idx", "_U", "_lifts", "__weakref__")
 
     def __init__(self, A: Lattice, B: Lattice):
         L = B.det_val - A.det_val
@@ -514,8 +545,12 @@ class LatticeQuotient:
 
 
 def quotient_struct(A: Lattice, B: Lattice) -> LatticeQuotient:
-    """Structure of A/B for B contained in A (checked)."""
-    return LatticeQuotient(A, B)
+    """Structure of A/B for B contained in A (checked), memoized on the
+    field: a LatticeQuotient is read-only, so its callers share it."""
+    Q = A.lf._quotients.get((A, B))
+    if Q is None:
+        Q = _memo_put(A.lf._quotients, (A, B), LatticeQuotient(A, B))
+    return Q
 
 
 def induced_hom(srcQ: LatticeQuotient, dstQ: LatticeQuotient,

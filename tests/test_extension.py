@@ -9,9 +9,10 @@ from resforge.extension import (SymbolEngine, _iso_exp, _kappa_chain,
                                 corrected_symbol, get_engine, kappa_exp,
                                 rho_exp)
 from resforge.fields import power_residue_char
-from resforge.lattices import (KMat, Lattice, induced_hom, lat_apply, lat_contains_lattice,
-                               lat_intersect, principal_lattice, quotient_struct,
-                               rel_dim, standard_lattice)
+from resforge.lattices import (MEMO_CAP, KMat, Lattice, LatticeQuotient, induced_hom,
+                               lat_apply, lat_contains_lattice, lat_intersect,
+                               principal_lattice, quotient_struct, rel_dim,
+                               standard_lattice)
 from resforge.musets import OrbitView
 from resforge.padic import LocalField, local_field
 from resforge.symbols import crosscheck, power_residue_symbol
@@ -474,6 +475,38 @@ def test_gl2_cocycle_identity_at_f2(p):
         done += 1
 
 
+@pytest.mark.parametrize("p,tally", [(3, (12, 0)), (5, (8, 4))])
+def test_gl2_cocycle_identity_at_f2_on_every_draw_twice(p, tally, monkeypatch):
+    """Twelve seeded draws at q = p^2 with entry valuations in [-1, 1]:
+    each satisfies the identity or runs past the enumeration bound, by a
+    pinned tally, and none is dropped.  The second pass on the same
+    engines comes from the memos, walks no exact sequence and gives the
+    first pass's sides and failures."""
+    import resforge.extension as extension
+
+    lf = LocalField(p, 2)
+    rng = random.Random(lf.q)
+    draws = []
+    for _ in range(12):
+        n = rng.choice([d for d in range(2, lf.q) if (lf.q - 1) % d == 0])
+        draws.append((get_engine(lf, n), *(rand_matrix(lf, rng, 2, (-1, 1)) for _ in range(3))))
+
+    def sides(eng, f, g, h):
+        try:
+            return ((cocycle_exp(f, g @ h, eng) + cocycle_exp(g, h, eng)) % eng.n,
+                    (cocycle_exp(f @ g, h, eng) + cocycle_exp(f, g, eng)) % eng.n)
+        except EnumerationBound:
+            return "EnumerationBound"
+
+    first = [sides(*draw) for draw in draws]
+    held = [lhs == rhs for lhs, rhs in (s for s in first if s != "EnumerationBound")]
+    assert (len(held), first.count("EnumerationBound")) == tally and all(held)
+    calls = {}
+    monkeypatch.setattr(extension, "_exact_seq_exp", recorded_calls(calls, "walk", _exact_seq_exp))
+    assert [sides(*draw) for draw in draws] == first
+    assert calls["walk"] == []
+
+
 
 def _outcome(fn):
     try:
@@ -603,6 +636,16 @@ def test_kappa_chain_skips_only_links_that_enumerate_to_zero():
     assert skipped >= 100 and run >= 50 and nonzero >= 20, (skipped, run, nonzero)
 
 
+def recorded_calls(calls, key, fn):
+    """fn, recording the arguments of each call under calls[key]."""
+    calls[key] = []
+
+    def wrapper(*args):
+        calls[key].append(args)
+        return fn(*args)
+    return wrapper
+
+
 def record_cocycle_work(monkeypatch, calls):
     """Record into calls what cocycle_exp builds: intersections, the
     canonical HNFs run inside them and in all, quotients, SNFs, kappa's
@@ -647,28 +690,102 @@ def test_chain_cocycle_work_count(monkeypatch):
     not nest and kappa goes straight to the chain, with no containment
     check.  4 intersections: V cap gV and three of the chain's, B cap C
     being f(V cap gV).  D3 = AB cap C is nested, AB <= C, so it is the
-    operand AB and runs no Hermite form: 7 HNFs, one for each of fV, gV,
-    fgV and f(V cap gV) and one (of [[A, B], [A, 0]]) for each proper
-    intersection.  With D3 = AB the two links through AB are skipped, so
-    4 exact sequences run and the chain builds 7 quotients: A, B, C, BC
-    and AC over D3, A/AC and C/AC.  11 quotients with rho's 4, none of
-    them zero, so 11 SNFs.  Each exact sequence checks proj o incl = 0 on
-    the generators of its X, here of rank 1, by one ModuleHom.apply each,
-    and applies nothing per element: 4 applies, each giving zero."""
-    lf = local_field(3)
+    operand AB and runs no Hermite form.  On this draw f maps gV onto
+    itself, so the chain's A cap C = V cap fgV is the cocycle's V cap gV,
+    which the field's memo answers: 6 HNFs, one for each of fV, gV, fgV
+    and f(V cap gV) and one (of [[A, B], [A, 0]]) for each of the two
+    distinct proper intersections.  With D3 = AB the two links through AB
+    are skipped, so 4 exact sequences run and the chain asks for 7
+    quotients: A, B, C, BC and AC over D3, A/AC and C/AC.  11 quotients
+    with rho's 4, none of them zero; A/AC and C/AC are rho's V/(V cap gV)
+    and gV/(V cap gV), so 9 are built, with 9 SNFs.  Each exact sequence
+    checks proj o incl = 0 on the generators of its X, here of rank 1, by
+    one ModuleHom.apply each, and applies nothing per element: 4 applies,
+    each giving zero.  The field is fresh, so its memos start empty."""
+    lf = LocalField(3)
     rng = random.Random(3)
     f, g = rand_matrix(lf, rng, 2), rand_matrix(lf, rng, 2)
     eng = get_engine(lf, 2)
-    eng.standard(2)
+    gV = lat_apply(g, eng.standard(2))
+    assert lat_apply(f, gV) == gV
     calls = {}
     record_cocycle_work(monkeypatch, calls)
     cocycle_exp(f, g, eng)
     assert len(calls["chain"]) == 1 and len(calls["seq"]) == 4
-    assert len(calls["intersect"]) == 4 and len(calls["hnf_in_intersect"]) == 3
-    assert len(calls["hnf"]) == 7
-    assert len(calls["quotient"]) == 11 and len(calls["snf"]) == 11
+    assert len(calls["intersect"]) == 4 and len(calls["hnf_in_intersect"]) == 2
+    assert len(calls["hnf"]) == 6
+    assert len(calls["quotient"]) == 11 and len(calls["snf"]) == 9
     assert all(Q.module.rank for Q in calls["quotient"])
     assert calls["apply"] == [(0,)] * 4 and calls["contains"] == []
+
+
+def test_a_warm_cocycle_builds_no_quotient_and_walks_no_sequence(monkeypatch):
+    """The same cocycles again on the same engine: every quotient, proper
+    intersection and kappa link comes from the memos, and each value is
+    the cold one."""
+    import resforge.extension as extension
+
+    lf = LocalField(3)
+    rng = random.Random(3)
+    pairs = [(rand_matrix(lf, rng, 2), rand_matrix(lf, rng, 2)) for _ in range(6)]
+    eng = get_engine(lf, 2)
+    cold = [cocycle_exp(f, g, eng) for f, g in pairs]
+    calls, built = {}, []
+    record_cocycle_work(monkeypatch, calls)
+    monkeypatch.setattr(extension, "_exact_seq_exp", recorded_calls(calls, "walk", _exact_seq_exp))
+    real_init = LatticeQuotient.__init__
+
+    def init(Q, A, B):
+        built.append((A, B))
+        real_init(Q, A, B)
+
+    monkeypatch.setattr(LatticeQuotient, "__init__", init)
+    assert [cocycle_exp(f, g, eng) for f, g in pairs] == cold
+    assert calls["seq"] and calls["quotient"]
+    assert built == [] and calls["snf"] == [] and calls["hnf_in_intersect"] == []
+    assert calls["walk"] == []
+
+
+def test_lowering_the_bound_after_a_link_was_kept_still_raises():
+    """kappa(O, pi O, pi^2 O) walks O/pi^2, of 9 elements.  Kept under the
+    default bound, it raises at a bound of 8 as on a fresh field, and the
+    refused walk is not stored."""
+    lf = LocalField(3)
+    eng = get_engine(lf, 2, "least")
+    O, piO, pi2O = (principal_lattice(lf, v) for v in range(3))
+    value = kappa_exp(O, piO, pi2O, eng)
+    assert len(eng._links) == 1
+    lf.enum_bound = 8
+    with pytest.raises(EnumerationBound):
+        kappa_exp(O, piO, pi2O, eng)
+    lf.enum_bound = 9
+    assert kappa_exp(O, piO, pi2O, eng) == value
+    fresh = LocalField(3, enum_bound=8)
+    eng = get_engine(fresh, 2, "least")
+    with pytest.raises(EnumerationBound):
+        kappa_exp(*(principal_lattice(fresh, v) for v in range(3)), eng)
+    assert eng._links == {}
+
+
+def test_digit_and_least_engines_keep_their_own_links():
+    """At q = 5, n = 4 the link kappa(O, pi O, pi^2 O) is 0 under the digit
+    rule and 2 under least; two engines of one field keep one each."""
+    lf = LocalField(5)
+    digit, least = get_engine(lf, 4), get_engine(lf, 4, "least")
+    lats = [principal_lattice(lf, v) for v in range(3)]
+    for _ in range(2):
+        assert [kappa_exp(*lats, e) for e in (digit, least, digit)] == [0, 2, 0]
+    assert list(digit._links.values()) == [0] and list(least._links.values()) == [2]
+
+
+def test_the_link_memo_stays_under_its_cap():
+    lf = LocalField(3)
+    eng = get_engine(lf, 2, "least")
+    sizes = []
+    for s in range(MEMO_CAP + 5):
+        kappa_exp(*(principal_lattice(lf, s + k) for k in range(3)), eng)
+        sizes.append(len(eng._links))
+    assert max(sizes) == MEMO_CAP and sizes[-1] == 5
 
 
 def test_nested_cocycle_intersection_runs_no_hnf(monkeypatch):

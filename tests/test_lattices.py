@@ -4,7 +4,7 @@ import pytest
 
 from resforge.errors import PrecisionError
 import resforge.lattices as lattices
-from resforge.lattices import (KMat, Lattice, induced_hom, lat_apply,
+from resforge.lattices import (MEMO_CAP, KMat, Lattice, induced_hom, lat_apply,
                                lat_contains_lattice, lat_intersect, lat_sum,
                                principal_lattice, quotient_struct, rel_dim,
                                smith_normal_form, standard_lattice)
@@ -121,6 +121,51 @@ def test_basis_independence_of_canonical_form(q7):
     A1 = Lattice.from_rows(q7, [[7, 7], [0, 7]])
     A2 = Lattice.from_rows(q7, [[14, 7], [7, 7]])
     assert A1.mat.data == A2.mat.data and A1.mat.shift == A2.mat.shift
+
+
+def test_equal_lattices_hash_equally_and_share_their_memo_entries():
+    """Two bases of one lattice give equal keys: the second quotient and
+    the second proper intersection are the first ones' objects."""
+    lf = LocalField(7)
+    A1 = Lattice.from_rows(lf, [[7, 7], [0, 7]])
+    A2 = Lattice.from_rows(lf, [[14, 7], [7, 7]])
+    B1 = Lattice.from_rows(lf, [[49, 0], [0, 49]])
+    B2 = Lattice.from_rows(lf, [[0, 49], [98, 49]])
+    assert A1 == A2 and hash(A1) == hash(A2) and hash(B1) == hash(B2)
+    assert quotient_struct(A2, B2) is quotient_struct(A1, B1)
+    C1 = Lattice.from_rows(lf, [[1, 0], [0, 49]])
+    C2 = Lattice.from_rows(lf, [[1, 0], [49, 49]])
+    assert lat_intersect(A2, C2) is lat_intersect(A1, C1)
+    assert len(lf._quotients) == 1 and len(lf._intersections) == 1
+
+
+def test_nested_intersections_and_refused_quotients_are_not_stored():
+    lf = LocalField(7)
+    A = Lattice.from_rows(lf, [[1, 0], [0, 7]])
+    B = Lattice.from_rows(lf, [[7, 0], [0, 7]])
+    C = Lattice.from_rows(lf, [[7**3, 0], [0, 1]])
+    assert lat_intersect(A, B) is B and lat_intersect(B, A) is B
+    assert lf._intersections == {}
+    for big, small in ((B, A), (A, C)):   # det_val refuses, then the solve does
+        with pytest.raises(ValueError, match="not contained"):
+            quotient_struct(big, small)
+    assert lf._quotients == {}
+
+
+def test_the_lattice_memos_stay_under_their_cap():
+    """Distinct pairs past MEMO_CAP: each memo empties when full and keeps
+    the newest entries."""
+    lf = LocalField(3)
+    quotients, intersections = [], []
+    for s in range(MEMO_CAP + 5):
+        quotient_struct(principal_lattice(lf, s), principal_lattice(lf, s + 1))
+        quotients.append(len(lf._quotients))
+        A = Lattice.from_rows(lf, [[f"pi^{s}", 0], [0, f"pi^{s + 1}"]], s + 8)
+        B = Lattice.from_rows(lf, [[f"pi^{s + 1}", 0], [0, f"pi^{s}"]], s + 8)
+        lat_intersect(A, B)
+        intersections.append(len(lf._intersections))
+    for sizes in (quotients, intersections):
+        assert max(sizes) == MEMO_CAP and sizes[-1] == 5
 
 
 def test_random_containments_and_cardinality(q7):
@@ -332,9 +377,11 @@ def test_quotient_inverts_no_matrix(q7, monkeypatch):
             assert Q.proj(Q.lift(t)) == t
 
 
-def test_quotient_decides_integrality_once(q7, monkeypatch):
+def test_quotient_decides_integrality_once(monkeypatch):
     """A quotient solves B's basis in A's once: an inexact division there
-    is what refuses a B that A does not contain."""
+    is what refuses a B that A does not contain.  The field is fresh, so
+    no quotient is in its memo yet."""
+    q7 = LocalField(7)
     rng = random.Random(5)
     calls = []
     real = lattices._solve

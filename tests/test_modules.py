@@ -195,10 +195,11 @@ def test_digit_views_of_the_residue_field_are_the_least_views(p, f):
 
 
 def test_dropping_a_field_frees_its_views_and_field_context():
-    """A LocalField owns its module views, its walks of O/pi and its F_q
-    context: a GL_2 cocycle builds views and the muset route a walk, and
-    once the field is dropped none of them, and no context of its (p, f),
-    is left alive.  No other test builds p = 53."""
+    """A LocalField owns its module views, its walks of O/pi, its F_q
+    context and its lattice memos: a GL_2 cocycle builds views and
+    memoized quotients and the muset route a walk, and once the field is
+    dropped none of them, and no context of its (p, f), is left alive.  No
+    other test builds p = 53."""
 
     def live():
         gc.collect()
@@ -212,9 +213,11 @@ def test_dropping_a_field_frees_its_views_and_field_context():
         g = KMat.from_rows(lf, [[1, 0], [0, "pi"]])
         cocycle_exp(f, g, get_engine(lf, 4))   # kappa enumerates V/fgV
         delta_route_symbol(lf, lf.pi(), lf.from_rational(2), 4)
-        return live(), [weakref.ref(a) for a in residue_walk(lf, 4)]
+        kept = [weakref.ref(a) for a in residue_walk(lf, 4)]
+        kept.append(weakref.ref(next(iter(lf._quotients.values()))))
+        return live(), kept
 
-    (views, contexts), (during, walk) = live(), run_gl2_cocycle()
+    (views, contexts), (during, kept) = live(), run_gl2_cocycle()
     assert during[0] > views and during[1] == contexts + 1
     assert live() == (views, contexts)
-    assert [ref() for ref in walk] == [None, None]
+    assert [ref() for ref in kept] == [None, None, None]

@@ -6,6 +6,11 @@ function that no code of the package calls are dead code that the
 routes' tests cannot see.  Names with a leading underscore are exempt as
 locals, the way ``_`` marks a value kept on purpose; ``__init__``
 re-exports its imports, so only its reads are scanned, as callers.
+
+State belongs to a LocalField or an engine, so dropping the field frees
+it: no function may mutate a container bound at module level, and none
+may memoize through functools.cache or functools.lru_cache.  The one
+module-level cache is padic's registry of fields, _LF_CACHE.
 """
 
 import ast
@@ -70,6 +75,58 @@ def _uncalled_private(named_trees) -> list[str]:
     return uncalled
 
 
+_CONTAINERS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+_CONTAINER_CALLS = {"dict", "list", "set", "array", "bytearray", "defaultdict",
+                    "OrderedDict", "Counter", "deque"}
+_MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault", "pop",
+             "popitem", "clear", "remove", "discard", "sort", "reverse", "__setitem__"}
+
+
+def _is_container(value) -> bool:
+    return isinstance(value, _CONTAINERS) or (
+        isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+        and value.func.id in _CONTAINER_CALLS)
+
+
+def _module_caches(named_trees) -> list[str]:
+    """Each function that mutates a module-level container, as
+    "module function: name", and each use of functools' memoizers."""
+    found = set()
+    for name, tree in named_trees:
+        held = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and _is_container(node.value):
+                held |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+            elif (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                  and _is_container(node.value)):
+                held.add(node.target.id)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found |= {f"{name}: functools.{a.name}" for a in node.names
+                          if a.name in ("cache", "lru_cache")}
+            elif (isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache")
+                  and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+                found.add(f"{name}: functools.{node.attr}")
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(node):
+                target = None
+                if isinstance(inner, ast.Subscript) and not isinstance(inner.ctx, ast.Load):
+                    target = inner.value
+                elif isinstance(inner, ast.AugAssign):
+                    target = inner.target
+                elif (isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute)
+                      and inner.func.attr in _MUTATORS):
+                    target = inner.func.value
+                if isinstance(target, ast.Name) and target.id in held:
+                    found.add(f"{name} {node.name}: {target.id}")
+    return sorted(found)
+
+
+def test_no_module_keeps_a_cache_of_its_own():
+    assert _module_caches(_modules()) == ["padic.py local_field: _LF_CACHE"]
+
+
 def test_every_private_function_has_a_caller_in_the_package():
     with open(os.path.join(SRC, "__init__.py")) as fh:
         init = ast.parse(fh.read(), "__init__.py")
@@ -121,3 +178,11 @@ def test_the_checks_see_what_they_look_for():
                       "    def _method(self):\n        return m._dotted()\n\n"
                       "def _dotted():\n    return _called_here()\n")
     assert _uncalled_private([("m.py", mod), ("o.py", other)]) == ["m.py:4 _left"]
+    cached = ast.parse("import functools\nfrom functools import lru_cache\n"
+                       "_SEEN = {}\nTABLE: list = []\nNAMES = ('a',)\n\n"
+                       "def remember(k, v):\n    _SEEN[k] = v\n    TABLE.append(v)\n"
+                       "    return NAMES, {}.update(k)\n\n"
+                       "@functools.cache\ndef square(x):\n    return x * x\n")
+    assert _module_caches([("c.py", cached)]) == [
+        "c.py remember: TABLE", "c.py remember: _SEEN",
+        "c.py: functools.cache", "c.py: functools.lru_cache"]
