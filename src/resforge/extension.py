@@ -185,8 +185,9 @@ def _seq_exp(QXZ: LatticeQuotient, QYZ: LatticeQuotient, QXY: LatticeQuotient,
     if e is None:
         incl = induced_hom(QYZ, QXZ)
         proj = induced_hom(QXZ, QXY)
-        e = _memo_put(engine._links, key, _exact_seq_exp(QYZ.module, QXZ.module, QXY.module,
-                                                         incl, proj, engine.n, engine.rule))
+        e = _exact_seq_exp(QYZ.module, QXZ.module, QXY.module, incl, proj,
+                           engine.n, engine.rule)
+        _memo_put(engine._links, key, e)
     return e
 
 

@@ -66,12 +66,11 @@ from .rings import _det_rows
 MEMO_CAP = 1024
 
 
-def _memo_put(memo: dict, key, value):
-    """memo[key] = value, emptying the memo first when it is full; value."""
+def _memo_put(memo: dict, key, value) -> None:
+    """memo[key] = value, emptying the memo first when it is full."""
     if len(memo) >= MEMO_CAP:
         memo.clear()
     memo[key] = value
-    return value
 
 
 def _moved(rows, src, dst, k: int = 0) -> list[list[int]]:
@@ -549,7 +548,8 @@ def quotient_struct(A: Lattice, B: Lattice) -> LatticeQuotient:
     field: a LatticeQuotient is read-only, so its callers share it."""
     Q = A.lf._quotients.get((A, B))
     if Q is None:
-        Q = _memo_put(A.lf._quotients, (A, B), LatticeQuotient(A, B))
+        Q = LatticeQuotient(A, B)
+        _memo_put(A.lf._quotients, (A, B), Q)
     return Q
 
 

@@ -18,10 +18,10 @@ arrays (the F_q tables for f > 1, and the coset walks of O/pi that the
 muset and extension routes build once per n), beside the rank-one
 routes' per-residue memos (chi(u) on the F_q context, delta(u) in
 LocalField._deltas, S(u) on each engine), each at most q - 1 entries
-per n.  The lattice layer's memos of quotients and proper
-intersections hold at most lattices.MEMO_CAP entries each.  After one rank-one crosscheck at n = 2, tracemalloc counts
-1.1 MB on a field at q = 90,001, 12.8 MB at q = 3^12 and 22.2 MB at
-q = 31^4, near MAX_Q.  One crosscheck on each of the 8 primes from
+per n, and the lattice layer's memos of quotients and proper
+intersections, each at most lattices.MEMO_CAP entries.  After one
+rank-one crosscheck at n = 2, tracemalloc counts 1.1 MB on a field at
+q = 90,001, 12.8 MB at q = 3^12 and 22.2 MB at q = 31^4, near MAX_Q.  One crosscheck on each of the 8 primes from
 90,001 to 90,053 raises peak RSS from 16.9 to 29.6 MB.  A memo filled
 over every unit holds about 90 to 115 bytes per unit (8.1 MB for chi
 and 10.3 MB for delta at q = 90,001, n = 1000).  Evicting a field
