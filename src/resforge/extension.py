@@ -38,8 +38,9 @@ cocycle asks for 6 quotients: rho's 4 and the connecting sequence's
 other two.  The field keeps every quotient and proper intersection, and
 the engine every link's value, keyed by canonical lattices, at most
 lattices.MEMO_CAP of each: a warm cocycle builds no quotient and walks
-no exact sequence, and what it still computes is f and g applied to
-lattices, and rho's two iso exponents.
+no exact sequence; what it still computes is f and g applied to
+lattices, the containment tests that decide nesting, and rho's two iso
+exponents.
 
 A SymbolEngine fixes the field, n, and the representative rule.  Its
 default rule is digit (see musets), under which the rank-one building
@@ -228,8 +229,8 @@ def _kappa_chain(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
     basis, so the map between them is the identity of one presentation:
     it takes each representative to itself, and the exponent is 0 under
     every rule.  Such a link builds no quotient and no induced hom and
-    enumerates nothing; the others build each quotient over D3 on first
-    use, once.
+    enumerates nothing; the others ask for each quotient over D3 on
+    first use, once.
     """
     AB = lat_intersect(A, B)
     BC = QB_BC.B
