@@ -25,22 +25,22 @@ holds: A = C is equal canonical data (Lattice.__eq__), and B and C
 nest exactly when one of B/(B cap C) and C/(B cap C), which the chain
 needs anyway, is the zero module.
 
-c(f, g) has one body, in cocycle_exp: it builds fV, gV, fgV,
-I = V cap gV and f(I) once.  f is invertible, so fV cap fgV = f(I), and
-the quotients fV/f(I) and fgV/f(I) that rho_exp maps onto are kappa_exp's
-B/(B cap C) and C/(B cap C); both get them handed over, and a direct
-caller of either gets them built, with the same value.  A chain cocycle
-so asks for at most 4 intersections and 14 quotients: a nested
-intersection is one of its operands, and a link of the chain whose
-lattices coincide builds nothing (_kappa_chain).  When fV and fgV nest,
-the larger over the smaller is one of the shared quotients, so a nested
-cocycle asks for 6 quotients: rho's 4 and the connecting sequence's
-other two.  The field keeps every quotient and proper intersection, and
-the engine every link's value, keyed by canonical lattices, at most
-lattices.MEMO_CAP of each: a warm cocycle builds no quotient and walks
-no exact sequence; what it still computes is f and g applied to
-lattices, the containment tests that decide nesting, and rho's two iso
-exponents.
+c(f, g) has one body, in cocycle_exp: it applies g to V and f to V and
+gV, and adds rho_exp(f, V, gV, fV, fgV) and kappa_exp(V, fV, fgV).  Each
+piece takes lattices only and asks for every intersection and quotient
+it reads; what the pieces share, the memos share.  The field keeps every
+quotient and proper intersection, and the engine every link's value,
+keyed by canonical lattices, at most lattices.MEMO_CAP of each.  f is
+invertible, so rho's f(V cap gV) is fV cap fgV, kappa's B cap C, and
+rho's fV/f(V cap gV) and fgV/f(V cap gV) are kappa's B/(B cap C) and
+C/(B cap C).  A chain cocycle so builds at most 5 intersections and 14
+quotients: a nested intersection is one of its operands, and a link of
+the chain whose lattices coincide asks for nothing (_kappa_chain).  When
+fV and fgV nest, the larger over the smaller is one of rho's quotients,
+so a nested cocycle builds 6: rho's 4 and the connecting sequence's
+other two.  A warm cocycle builds no quotient and walks no exact
+sequence; what it still computes is f and g applied to lattices, the
+containment tests that decide nesting, and rho's two iso exponents.
 
 A SymbolEngine fixes the field, n, and the representative rule.  Its
 default rule is digit (see musets), under which the rank-one building
@@ -149,22 +149,19 @@ def _iso_exp(srcQ: LatticeQuotient, dstQ: LatticeQuotient, f: KMat | None,
     return _digit_sum(engine, _graded_det(dstQ.module, induced_hom(srcQ, dstQ, f))) % engine.n
 
 
-def rho_exp(f: KMat, A: Lattice, B: Lattice, engine: SymbolEngine,
-            I: Lattice | None = None, QfA: LatticeQuotient | None = None,
-            QfB: LatticeQuotient | None = None) -> int:
-    """Exponent of rho_f : (A|B) -> (f(A)|f(B)) on canonical bases.
+def rho_exp(f: KMat, A: Lattice, B: Lattice, fA: Lattice, fB: Lattice,
+            engine: SymbolEngine) -> int:
+    """Exponent of rho_f : (A|B) -> (fA|fB) on canonical bases, for fA = f(A)
+    and fB = f(B).
 
-    I = A cap B and the quotients f(A)/f(I) and f(B)/f(I) are built unless
-    the caller hands them over.  rho_f acts on the right factor through
-    f^-1, whose iso exponent is minus that of f: if f(r) = zeta^e * r' for
-    representatives r, r', then f^-1(r') = zeta^-e * r.
+    f is invertible, so f(A cap B) = fA cap fB.  rho_f acts on the right
+    factor through f^-1, whose iso exponent is minus that of f: if
+    f(r) = zeta^e * r' for representatives r, r', then
+    f^-1(r') = zeta^-e * r.
     """
-    if I is None:
-        I = lat_intersect(A, B)
-        fI = lat_apply(f, I)
-        QfA, QfB = quotient_struct(lat_apply(f, A), fI), quotient_struct(lat_apply(f, B), fI)
-    tau = _iso_exp(quotient_struct(A, I), QfA, f, engine)
-    psi = _iso_exp(quotient_struct(B, I), QfB, f, engine)
+    I, fI = lat_intersect(A, B), lat_intersect(fA, fB)
+    tau = _iso_exp(quotient_struct(A, I), quotient_struct(fA, fI), f, engine)
+    psi = _iso_exp(quotient_struct(B, I), quotient_struct(fB, fI), f, engine)
     return (tau - psi) % engine.n
 
 
@@ -192,34 +189,28 @@ def _seq_exp(QXZ: LatticeQuotient, QYZ: LatticeQuotient, QXY: LatticeQuotient,
     return e
 
 
-def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
-              QB_BC: LatticeQuotient | None = None,
-              QC_BC: LatticeQuotient | None = None) -> int:
+def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine) -> int:
     """Exponent of kappa : (A|B) (x) (B|C) -> (A|C) on canonical bases.
 
-    B/(B cap C) and C/(B cap C) are built unless the caller hands them
-    over.  They say how B and C nest: B >= C exactly when C/(B cap C) is
-    zero, and then B/(B cap C) is B/C; C >= B exactly when B/(B cap C)
-    is zero, and then C/(B cap C) is C/B.  A nested case is one
-    connecting sequence, which reuses that quotient.
+    B/(B cap C) and C/(B cap C) say how B and C nest: B >= C exactly when
+    C/(B cap C) is zero, and then B/(B cap C) is B/C; C >= B exactly when
+    B/(B cap C) is zero, and then C/(B cap C) is C/B.  A nested case is
+    one connecting sequence, which reuses that quotient.
     """
     if A == C:
         # duality pairing; canonical bases pair to 1
         return 0
-    if QB_BC is None:
-        BC = lat_intersect(B, C)
-        QB_BC, QC_BC = quotient_struct(B, BC), quotient_struct(C, BC)
+    BC = lat_intersect(B, C)
+    QB_BC, QC_BC = quotient_struct(B, BC), quotient_struct(C, BC)
     if not QC_BC.module.exps and lat_contains_lattice(A, B):   # A >= B >= C
         return _seq_exp(quotient_struct(A, C), QB_BC, quotient_struct(A, B), engine)
     if not QB_BC.module.exps and lat_contains_lattice(B, A):   # C >= B >= A
         return -_seq_exp(quotient_struct(C, A), quotient_struct(B, A), QC_BC, engine) % engine.n
-    return _kappa_chain(A, B, C, engine, QB_BC, QC_BC)
+    return _kappa_chain(A, B, C, engine)
 
 
-def _kappa_chain(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
-                 QB_BC: LatticeQuotient, QC_BC: LatticeQuotient) -> int:
-    """kappa along the chain through the pairwise and triple intersections,
-    given B/BC and C/BC for BC = B cap C.
+def _kappa_chain(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine) -> int:
+    """kappa along the chain through the pairwise and triple intersections.
 
     Each of the six links is the connecting sequence of some
     X >= Y >= D3 = A cap B cap C, and nests by construction, so equal
@@ -229,28 +220,19 @@ def _kappa_chain(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine,
     basis, so the map between them is the identity of one presentation:
     it takes each representative to itself, and the exponent is 0 under
     every rule.  Such a link builds no quotient and no induced hom and
-    enumerates nothing; the others ask for each quotient over D3 on
-    first use, once.
+    enumerates nothing; the others ask for their three quotients, which
+    the field builds once.
     """
-    AB = lat_intersect(A, B)
-    BC = QB_BC.B
-    AC = lat_intersect(A, C)
+    AB, BC, AC = lat_intersect(A, B), lat_intersect(B, C), lat_intersect(A, C)
     D3 = lat_intersect(AB, C)
-    over_D3: dict[int, LatticeQuotient] = {}
-
-    def over(L: Lattice) -> LatticeQuotient:
-        if id(L) not in over_D3:
-            over_D3[id(L)] = quotient_struct(L, D3)
-        return over_D3[id(L)]
-
-    # (sign, X, Y, X/Y when held): D3 <= AB <= B and D3 <= BC <= C ascend,
-    # and the last two links are inverses of a descending one and an ascending one
-    links = ((1, A, AB, None), (-1, B, AB, None), (1, B, BC, QB_BC),
-             (-1, C, BC, QC_BC), (-1, A, AC, None), (1, C, AC, None))
+    # D3 <= AB <= B and D3 <= BC <= C ascend, and the last two links are
+    # inverses of a descending one and an ascending one
+    links = ((1, A, AB), (-1, B, AB), (1, B, BC), (-1, C, BC), (-1, A, AC), (1, C, AC))
     total = 0
-    for sign, X, Y, QXY in links:
+    for sign, X, Y in links:
         if X.det_val < Y.det_val < D3.det_val:   # else X = Y or Y = D3
-            total += sign * _seq_exp(over(X), over(Y), QXY or quotient_struct(X, Y), engine)
+            total += sign * _seq_exp(quotient_struct(X, D3), quotient_struct(Y, D3),
+                                     quotient_struct(X, Y), engine)
     return total % engine.n
 
 
@@ -334,15 +316,9 @@ def cocycle_exp(f: KMat, g: KMat, engine: SymbolEngine) -> int:
         if engine.rule == "digit":
             return _cocycle_m1(x, w, engine)
     V = engine.standard(m)
-    fV = lat_apply(f, V)
     gV = lat_apply(g, V)
-    fgV = lat_apply(f, gV)
-    # f(V cap gV) = fV cap fgV, so rho's f-side quotients are kappa's B/BC and C/BC
-    I = lat_intersect(V, gV)
-    fI = lat_apply(f, I)
-    QfV, QfgV = quotient_struct(fV, fI), quotient_struct(fgV, fI)
-    return (rho_exp(f, V, gV, engine, I, QfV, QfgV)
-            + kappa_exp(V, fV, fgV, engine, QfV, QfgV)) % engine.n
+    fV, fgV = lat_apply(f, V), lat_apply(f, gV)
+    return (rho_exp(f, V, gV, fV, fgV, engine) + kappa_exp(V, fV, fgV, engine)) % engine.n
 
 
 def cocycle(f, g, engine: SymbolEngine) -> MuScalar:

@@ -42,7 +42,7 @@ from .musets import iso_scalar
 
 
 def _det_exp_brute(T: FiniteModule, g: ModuleHom, n: int) -> int:
-    """delta of g by enumeration, the oracle of _det_exp_fast.
+    """delta of g by enumeration, the oracle of det_of_module_aut.
 
     Any rule serves: moving representative r_i to zeta^k_i * r_i adds k_i
     to the twist of orbit i and -k_i to that of sigma^-1(i), so the sum
@@ -67,15 +67,11 @@ def _graded_det(T: FiniteModule, g: ModuleHom) -> int:
     return det_total
 
 
-def _det_exp_fast(T: FiniteModule, g: ModuleHom, n: int) -> int:
-    """The mu_n character of the graded residue determinant, _det_exp_brute's value."""
-    return power_residue_char(T.lf.field, _graded_det(T, g), n).exp
-
-
 def det_of_module_aut(T: FiniteModule, g: ModuleHom, n: int) -> MuScalar:
-    """The scalar by which g acts on det(T), along the pi-filtration."""
+    """The scalar by which g acts on det(T), along the pi-filtration: the
+    mu_n character of the graded residue determinant, _det_exp_brute's value."""
     _check_endo(T, g)
-    return MuScalar(n, _det_exp_fast(T, g, n))
+    return power_residue_char(T.lf.field, _graded_det(T, g), n)
 
 
 # ---------------------------------------------------------------------------

@@ -27,15 +27,20 @@ def eng7():
     return get_engine(local_field(7), 2)
 
 
+def rho_at(f, A, B, engine):
+    """rho_exp on (A|B), with f applied to A and B here."""
+    return rho_exp(f, A, B, lat_apply(f, A), lat_apply(f, B), engine)
+
+
 def test_rho_identity_and_pi_scaling(eng7):
     lf = eng7.lf
     O = standard_lattice(lf, 1)
     uO = Lattice.from_rows(lf, [["3"]])
     piO = principal_lattice(lf, 1)
     ident = KMat.identity(lf, 1)
-    assert rho_exp(ident, O, piO, eng7) == 0
+    assert rho_at(ident, O, piO, eng7) == 0
     # scaling by pi acts trivially on (O | uO)
-    assert rho_exp(KMat.from_rows(lf, [["pi"]]), O, uO, eng7) == 0
+    assert rho_at(KMat.from_rows(lf, [["pi"]]), O, uO, eng7) == 0
 
 
 def test_rho_functor_composition(eng7):
@@ -47,15 +52,9 @@ def test_rho_functor_composition(eng7):
             A = lat_apply(rand_matrix(lf, rng, m, (-1, 1)), standard_lattice(lf, m))
             B = lat_apply(rand_matrix(lf, rng, m, (-1, 1)), standard_lattice(lf, m))
             gA, gB = lat_apply(g, A), lat_apply(g, B)
-            lhs = rho_exp(f @ g, A, B, eng7)
-            rhs = (rho_exp(f, gA, gB, eng7) + rho_exp(g, A, B, eng7)) % 2
+            lhs = rho_at(f @ g, A, B, eng7)
+            rhs = (rho_at(f, gA, gB, eng7) + rho_at(g, A, B, eng7)) % 2
             assert lhs == rhs
-
-
-def chain_pieces(B, C):
-    """B/(B cap C) and C/(B cap C), which _kappa_chain takes from its caller."""
-    BC = lat_intersect(B, C)
-    return quotient_struct(B, BC), quotient_struct(C, BC)
 
 
 def test_kappa_degenerate_cases(eng7):
@@ -66,8 +65,8 @@ def test_kappa_degenerate_cases(eng7):
     assert kappa_exp(O, O, piO, eng7) == 0      # (A|A) (x) (A|C) -> (A|C)
     assert kappa_exp(O, piO, piO, eng7) == 0    # unit constraint on (B|B)
     assert kappa_exp(O, piO, O, eng7) == 0      # duality pairing case
-    assert _kappa_chain(O, piO, O, eng7, *chain_pieces(piO, O)) == 0
-    assert _kappa_chain(O, pi2O, O, eng7, *chain_pieces(pi2O, O)) == 0
+    assert _kappa_chain(O, piO, O, eng7) == 0
+    assert _kappa_chain(O, pi2O, O, eng7) == 0
 
 
 def test_kappa_path_independence():
@@ -80,7 +79,7 @@ def test_kappa_path_independence():
                     (2, 1, 0), (1, -1, -2)]:
             A, B, C = (principal_lattice(eng.lf, v) for v in tri)
             auto = kappa_exp(A, B, C, eng)
-            general = _kappa_chain(A, B, C, eng, *chain_pieces(B, C))
+            general = _kappa_chain(A, B, C, eng)
             assert auto == general, (p, n, rule, tri)
 
 
@@ -270,7 +269,8 @@ def test_rank_one_closed_forms_equal_enumeration(p, f):
             for i, x in enumerate(units):
                 F = KMat.from_rows(lf, [[lf.pi(vf) * x]])
                 G = KMat.from_rows(lf, [[lf.pi(vg) * units[i - 1]]])
-                r = rho_exp(F, O, principal_lattice(lf, vg), eng)
+                r = rho_exp(F, O, principal_lattice(lf, vg), principal_lattice(lf, vf),
+                            principal_lattice(lf, vf + vg), eng)
                 assert cocycle_exp(F, G, eng) == r, (n, x.as_str(), vf, vg)
                 nonzero += r != 0
     assert nonzero > 0
@@ -439,7 +439,7 @@ def test_graded_rho_equals_enumeration(p, m):
             want = rho_by_enumeration(f, A, B, n)
         except EnumerationBound:
             continue
-        got = [rho_exp(f, A, B, SymbolEngine(lf, n, rule)) for rule in RULES]
+        got = [rho_at(f, A, B, SymbolEngine(lf, n, rule)) for rule in RULES]
         assert got == [want] * 3, (n, got, want)
         done += 1
 
@@ -454,25 +454,7 @@ def test_digit_rho_builds_no_orbit_view(monkeypatch):
         lf = local_field(p)
         for _ in range(4):
             f, A, B = random_rho_input(lf, rng, m)
-            rho_exp(f, A, B, SymbolEngine(lf, p - 1))
-
-
-@pytest.mark.parametrize("p", [3, 5])
-def test_gl2_cocycle_identity_at_f2(p):
-    lf = local_field(p, 2)
-    rng = random.Random(p)
-    done = 0
-    while done < 4:
-        n = rng.choice([d for d in range(2, lf.q) if (lf.q - 1) % d == 0])
-        eng = get_engine(lf, n)
-        f, g, h = (rand_matrix(lf, rng, 2, (-1, 1)) for _ in range(3))
-        try:
-            lhs = (cocycle_exp(f, g @ h, eng) + cocycle_exp(g, h, eng)) % n
-            rhs = (cocycle_exp(f @ g, h, eng) + cocycle_exp(f, g, eng)) % n
-        except EnumerationBound:
-            continue
-        assert lhs == rhs, (n, done)
-        done += 1
+            rho_at(f, A, B, SymbolEngine(lf, p - 1))
 
 
 @pytest.mark.parametrize("p,tally", [(3, (12, 0)), (5, (8, 4))])
@@ -507,7 +489,6 @@ def test_gl2_cocycle_identity_at_f2_on_every_draw_twice(p, tally, monkeypatch):
     assert calls["walk"] == []
 
 
-
 def _outcome(fn):
     try:
         return fn()
@@ -517,10 +498,10 @@ def _outcome(fn):
 
 @pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2)])
 def test_cocycle_equals_rho_plus_kappa_from_public_pieces(p, f):
-    """cocycle_exp builds V cap gV, f(V cap gV) and the quotients of fV and
-    fgV by the latter once, and hands them to rho_exp and kappa_exp; against
-    rho_exp + kappa_exp, each building its own, under every rule.  The
-    draws take kappa through the chain (random f, g), the nested case
+    """cocycle_exp against rho_exp(f, V, gV, fV, fgV) + kappa_exp(V, fV, fgV)
+    on the lattices applied here, under every rule.  The sum runs on a
+    second engine of the same rule, so it walks each link again rather
+    than reading the first engine's kept value.  The draws take kappa through the chain (random f, g), the nested case
     (integral f, g: V >= fV >= fgV) and the pairing (g = f^-1: fgV = V).
     The enumeration bound is q^2, so that some GL_2 draws reach it.  At m = 1
     the least and second_least rules run the same lattice body on 1 x 1
@@ -545,8 +526,9 @@ def test_cocycle_equals_rho_plus_kappa_from_public_pieces(p, f):
             else:
                 kind = "chain"
             got = _outcome(lambda: cocycle_exp(F, G, eng))
-            want = _outcome(lambda: (rho_exp(F, V, gV, eng)
-                                     + kappa_exp(V, fV, fgV, eng)) % eng.n)
+            twin = SymbolEngine(lf, eng.n, eng.rule)
+            want = _outcome(lambda: (rho_exp(F, V, gV, fV, fgV, twin)
+                                     + kappa_exp(V, fV, fgV, twin)) % eng.n)
             assert got == want, (m, i, eng.n, eng.rule)
             seen.add((kind, got == "EnumerationBound"))
         assert {("chain", False), ("nested", False), ("pairing", False)} <= seen, m
@@ -629,7 +611,7 @@ def test_kappa_chain_skips_only_links_that_enumerate_to_zero():
                 continue
             assert all(exp == 0 for _, skip, exp in links if skip), (p, f, rule, m)
             full = sum(sign * exp for sign, _, exp in links) % eng.n
-            assert _kappa_chain(A, B, C, eng, *chain_pieces(B, C)) == full, (p, f, rule, m)
+            assert _kappa_chain(A, B, C, eng) == full, (p, f, rule, m)
             skipped += sum(skip for _, skip, _ in links)
             run += sum(not skip for _, skip, _ in links)
             nonzero += sum(exp != 0 for _, _, exp in links)
@@ -647,14 +629,15 @@ def recorded_calls(calls, key, fn):
 
 
 def record_cocycle_work(monkeypatch, calls):
-    """Record into calls what cocycle_exp builds: intersections, the
-    canonical HNFs run inside them and in all, quotients, SNFs, kappa's
-    chain and exact sequences, ModuleHom.apply and containment checks."""
+    """Record into calls what cocycle_exp asks for and builds:
+    intersections, the canonical HNFs run inside them and in all, the
+    LatticeQuotients built (memo hits build none), SNFs, kappa's chain and
+    exact sequences, ModuleHom.apply and containment checks."""
     import resforge.extension as extension
     import resforge.lattices as lattices
     from resforge.modules import ModuleHom
 
-    for key in ("intersect", "hnf", "hnf_in_intersect", "quotient", "snf", "chain",
+    for key in ("intersect", "hnf", "hnf_in_intersect", "build", "snf", "chain",
                 "seq", "apply", "contains"):
         calls[key] = []
 
@@ -672,9 +655,15 @@ def record_cocycle_work(monkeypatch, calls):
         calls["intersect"].append(res)
         return res
 
+    real_init = LatticeQuotient.__init__
+
+    def build(Q, A, B):
+        real_init(Q, A, B)
+        calls["build"].append(Q)
+
     monkeypatch.setattr(extension, "lat_intersect", intersect)
+    monkeypatch.setattr(LatticeQuotient, "__init__", build)
     monkeypatch.setattr(lattices, "_hnf", recorded("hnf", lattices._hnf))
-    monkeypatch.setattr(extension, "quotient_struct", recorded("quotient", quotient_struct))
     monkeypatch.setattr(extension, "_kappa_chain", recorded("chain", extension._kappa_chain))
     monkeypatch.setattr(extension, "_seq_exp", recorded("seq", extension._seq_exp))
     monkeypatch.setattr(extension, "lat_contains_lattice",
@@ -685,23 +674,25 @@ def record_cocycle_work(monkeypatch, calls):
 
 
 def test_chain_cocycle_work_count(monkeypatch):
-    """One GL_2 cocycle through kappa's chain.  Neither of the shared
-    quotients fV/f(V cap gV), fgV/f(V cap gV) is zero, so fV and fgV do
+    """One GL_2 cocycle through kappa's chain, on a fresh field, so its
+    memos start empty.  On this draw f maps gV onto itself, so fgV = gV.
+    Neither fV/(fV cap gV) nor gV/(fV cap gV) is zero, so fV and fgV do
     not nest and kappa goes straight to the chain, with no containment
-    check.  4 intersections: V cap gV and three of the chain's, B cap C
-    being f(V cap gV).  D3 = AB cap C is nested, AB <= C, so it is the
-    operand AB and runs no Hermite form.  On this draw f maps gV onto
-    itself, so the chain's A cap C = V cap fgV is the cocycle's V cap gV,
-    which the field's memo answers: 6 HNFs, one for each of fV, gV, fgV
-    and f(V cap gV) and one (of [[A, B], [A, 0]]) for each of the two
-    distinct proper intersections.  With D3 = AB the two links through AB
-    are skipped, so 4 exact sequences run and the chain asks for 7
-    quotients: A, B, C, BC and AC over D3, A/AC and C/AC.  11 quotients
-    with rho's 4, none of them zero; A/AC and C/AC are rho's V/(V cap gV)
-    and gV/(V cap gV), so 9 are built, with 9 SNFs.  Each exact sequence
-    checks proj o incl = 0 on the generators of its X, here of rank 1, by
-    one ModuleHom.apply each, and applies nothing per element: 4 applies,
-    each giving zero.  The field is fresh, so its memos start empty."""
+    check.  rho asks for V cap gV and fV cap fgV, kappa for B cap C =
+    fV cap fgV again, the chain for AB, BC, AC and D3.  BC is kappa's
+    B cap C and AC = V cap fgV is V cap gV, both kept by the field, and
+    D3 = AB cap C is nested, AB <= C, so it is the operand AB.  So three
+    intersections run a Hermite form (of [[A, B], [A, 0]]): V cap gV,
+    fV cap gV and V cap fV; with one for each of gV, fV and fgV, 6 HNFs.
+    rho builds 4 quotients: V and gV over V cap gV, fV and fgV over
+    fV cap fgV, the last two being kappa's B/BC and C/BC.  With D3 = AB
+    the two links through AB are skipped, so 4 exact sequences run, over
+    the quotients A, B, C, BC and AC over D3, B/BC, C/BC, A/AC and C/AC.
+    A/AC and C/AC are rho's V/(V cap gV) and gV/(V cap gV), so the chain
+    builds only the 5 over D3: 9 quotients, each once and none zero, with
+    9 SNFs.  Each exact sequence checks proj o incl = 0 on the generators
+    of its X, here of rank 1, by one ModuleHom.apply each, and applies
+    nothing per element: 4 applies, each giving zero."""
     lf = LocalField(3)
     rng = random.Random(3)
     f, g = rand_matrix(lf, rng, 2), rand_matrix(lf, rng, 2)
@@ -712,10 +703,10 @@ def test_chain_cocycle_work_count(monkeypatch):
     record_cocycle_work(monkeypatch, calls)
     cocycle_exp(f, g, eng)
     assert len(calls["chain"]) == 1 and len(calls["seq"]) == 4
-    assert len(calls["intersect"]) == 4 and len(calls["hnf_in_intersect"]) == 2
-    assert len(calls["hnf"]) == 6
-    assert len(calls["quotient"]) == 11 and len(calls["snf"]) == 9
-    assert all(Q.module.rank for Q in calls["quotient"])
+    assert len(calls["hnf_in_intersect"]) == 3 and len(calls["hnf"]) == 6
+    assert len(calls["build"]) == 9 and len(calls["snf"]) == 9
+    assert len({(Q.A, Q.B) for Q in calls["build"]}) == 9
+    assert all(Q.module.rank for Q in calls["build"])
     assert calls["apply"] == [(0,)] * 4 and calls["contains"] == []
 
 
@@ -730,19 +721,12 @@ def test_a_warm_cocycle_builds_no_quotient_and_walks_no_sequence(monkeypatch):
     pairs = [(rand_matrix(lf, rng, 2), rand_matrix(lf, rng, 2)) for _ in range(6)]
     eng = get_engine(lf, 2)
     cold = [cocycle_exp(f, g, eng) for f, g in pairs]
-    calls, built = {}, []
+    calls = {}
     record_cocycle_work(monkeypatch, calls)
     monkeypatch.setattr(extension, "_exact_seq_exp", recorded_calls(calls, "walk", _exact_seq_exp))
-    real_init = LatticeQuotient.__init__
-
-    def init(Q, A, B):
-        built.append((A, B))
-        real_init(Q, A, B)
-
-    monkeypatch.setattr(LatticeQuotient, "__init__", init)
     assert [cocycle_exp(f, g, eng) for f, g in pairs] == cold
-    assert calls["seq"] and calls["quotient"]
-    assert built == [] and calls["snf"] == [] and calls["hnf_in_intersect"] == []
+    assert calls["seq"] and calls["intersect"]
+    assert calls["build"] == [] and calls["snf"] == [] and calls["hnf_in_intersect"] == []
     assert calls["walk"] == []
 
 
@@ -789,45 +773,52 @@ def test_the_link_memo_stays_under_its_cap():
 
 
 def test_nested_cocycle_intersection_runs_no_hnf(monkeypatch):
-    """f and g integral, of det_val 2 and 1: V > gV and V > fV > fgV.  The
-    cocycle's one intersection, V cap gV, is the operand gV and runs no
-    Hermite form, and kappa is one connecting sequence with no
-    intersection of its own."""
+    """f and g integral, of det_val 2 and 1: V > gV and V > fV > fgV.
+    Every intersection the cocycle asks for nests: rho's V cap gV is the
+    operand gV, and fV cap fgV, which rho and kappa (as B cap C) ask for,
+    is the operand fgV.  None runs a Hermite form, and kappa is one
+    connecting sequence."""
     lf = local_field(3)
     rng = random.Random(6)
     f, g = rand_matrix(lf, rng, 2, (0, 2)), rand_matrix(lf, rng, 2, (0, 2))
     eng = get_engine(lf, 2)
-    eng.standard(2)
+    V = eng.standard(2)
+    gV = lat_apply(g, V)
+    fgV = lat_apply(f, gV)
     calls = {}
     record_cocycle_work(monkeypatch, calls)
     cocycle_exp(f, g, eng)
-    assert len(calls["intersect"]) == 1 and calls["hnf_in_intersect"] == []
-    assert calls["intersect"][0] == lat_apply(g, standard_lattice(lf, 2))
+    assert calls["intersect"] == [gV, fgV, fgV] and calls["hnf_in_intersect"] == []
     assert calls["chain"] == [] and len(calls["seq"]) == 1
 
 
 def test_nested_kappa_reuses_the_shared_quotient(monkeypatch):
     """On the first seeded integral draw at p = 5, n = 4 whose fV and fgV
-    nest, the larger over the smaller is the shared quotient fV/f(V cap gV)
-    or fgV/f(V cap gV), which kappa reuses: the cocycle builds 6 quotients
-    (rho's 4, then the sequence's other two), not 7, and its value is the
-    chain's."""
-    lf = local_field(5)
+    nest, each draw on a fresh field, so that its memos start empty: the
+    larger over the smaller is rho's fV/f(V cap gV) or fgV/f(V cap gV),
+    which kappa finds in the field's memo.  The cocycle builds 6
+    quotients, rho's 4 and then the connecting sequence's other two, not
+    7.  On this draw V > gV and fV > fgV, so rho's gV/gV and fgV/fgV are
+    zero and run no Smith form: 4 SNFs.  Its value is the chain's, on a
+    second engine that keeps no link of the first."""
     rng = random.Random(2)
-    eng = get_engine(lf, 4)
     calls = {}
     record_cocycle_work(monkeypatch, calls)
     nested = False
     while not nested:
+        lf = LocalField(5)
+        eng = get_engine(lf, 4)
         f, g = rand_matrix(lf, rng, 2, (0, 1)), rand_matrix(lf, rng, 2, (0, 1))
         for seen in calls.values():
             seen.clear()
         value = cocycle_exp(f, g, eng)
         # kappa took a nested case: a containment held and the chain did not run
         nested = True in calls["contains"] and not calls["chain"]
-    assert len(calls["quotient"]) == 6
-    V = standard_lattice(lf, 2)
+    assert len(calls["build"]) == 6 and len({(Q.A, Q.B) for Q in calls["build"]}) == 6
+    assert len(calls["snf"]) == 4
+    V = eng.standard(2)
     gV = lat_apply(g, V)
     fV, fgV = lat_apply(f, V), lat_apply(f, gV)
-    assert value == (rho_exp(f, V, gV, eng)
-                     + _kappa_chain(V, fV, fgV, eng, *chain_pieces(fV, fgV))) % 4
+    assert V.det_val < gV.det_val and fV.det_val < fgV.det_val
+    twin = SymbolEngine(lf, 4)
+    assert value == (rho_exp(f, V, gV, fV, fgV, twin) + _kappa_chain(V, fV, fgV, twin)) % 4

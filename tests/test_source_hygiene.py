@@ -10,7 +10,10 @@ re-exports its imports, so only its reads are scanned, as callers.
 State belongs to a LocalField or an engine, so dropping the field frees
 it: no function may mutate a container bound at module level, and none
 may memoize through functools.cache or functools.lru_cache.  The one
-module-level cache is padic's registry of fields, _LF_CACHE.
+module-level cache is padic's registry of fields, _LF_CACHE.  A memo
+keys on canonical data, such as a Lattice's Hermite form, never on
+id(...): an id names an object only while it lives, and two equal
+lattices built apart have two.
 """
 
 import ast
@@ -123,8 +126,46 @@ def _module_caches(named_trees) -> list[str]:
     return sorted(found)
 
 
+_KEYED_CALLS = {"get", "setdefault", "pop", "add", "discard", "remove"}
+
+
+def _holds_id(node) -> bool:
+    return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "id"
+               for n in ast.walk(node))
+
+
+def _id_keys(named_trees) -> list[str]:
+    """Each line, as "module:line", that keys a container by a value holding
+    id(...): a subscript, a membership test, a dict display's key, or the
+    key of get, setdefault, pop, add, discard or remove."""
+    found = set()
+    for name, tree in named_trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript):
+                keys = [node.slice]
+            elif isinstance(node, ast.Compare):
+                keys = [node.left] if any(isinstance(op, (ast.In, ast.NotIn))
+                                          for op in node.ops) else []
+            elif isinstance(node, ast.Dict):
+                keys = [k for k in node.keys if k is not None]
+            elif isinstance(node, ast.DictComp):
+                keys = [node.key]
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in _KEYED_CALLS):
+                keys = node.args[:1]
+            else:
+                keys = []
+            if any(_holds_id(k) for k in keys):
+                found.add(f"{name}:{node.lineno}")
+    return sorted(found)
+
+
 def test_no_module_keeps_a_cache_of_its_own():
     assert _module_caches(_modules()) == ["padic.py local_field: _LF_CACHE"]
+
+
+def test_no_container_is_keyed_by_object_identity():
+    assert _id_keys(_modules()) == []
 
 
 def test_every_private_function_has_a_caller_in_the_package():
@@ -186,3 +227,8 @@ def test_the_checks_see_what_they_look_for():
     assert _module_caches([("c.py", cached)]) == [
         "c.py remember: TABLE", "c.py remember: _SEEN",
         "c.py: functools.cache", "c.py: functools.lru_cache"]
+    keyed = ast.parse("def memo(xs, seen):\n    for x in xs:\n"
+                      "        if id(x) not in seen:\n            seen[id(x)] = x\n"
+                      "    hit = seen.get((id(xs), 0))\n    table = {id(xs): hit}\n"
+                      "    return table, id(xs) == 0, str(id(xs)), xs[0] in seen\n")
+    assert _id_keys([("k.py", keyed)]) == ["k.py:3", "k.py:4", "k.py:5", "k.py:6"]
