@@ -457,6 +457,24 @@ def test_digit_rho_builds_no_orbit_view(monkeypatch):
             rho_at(f, A, B, SymbolEngine(lf, p - 1))
 
 
+@pytest.mark.parametrize("p", [3, 5])
+def test_gl2_cocycle_identity_at_f2(p):
+    lf = local_field(p, 2)
+    rng = random.Random(p)
+    done = 0
+    while done < 4:
+        n = rng.choice([d for d in range(2, lf.q) if (lf.q - 1) % d == 0])
+        eng = get_engine(lf, n)
+        f, g, h = (rand_matrix(lf, rng, 2, (-1, 1)) for _ in range(3))
+        try:
+            lhs = (cocycle_exp(f, g @ h, eng) + cocycle_exp(g, h, eng)) % n
+            rhs = (cocycle_exp(f @ g, h, eng) + cocycle_exp(f, g, eng)) % n
+        except EnumerationBound:
+            continue
+        assert lhs == rhs, (n, done)
+        done += 1
+
+
 @pytest.mark.parametrize("p,tally", [(3, (12, 0)), (5, (8, 4))])
 def test_gl2_cocycle_identity_at_f2_on_every_draw_twice(p, tally, monkeypatch):
     """Twelve seeded draws at q = p^2 with entry valuations in [-1, 1]:
