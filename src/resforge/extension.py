@@ -86,17 +86,17 @@ from array import array
 
 from .errors import EnumerationBound
 from .fields import MuScalar, _check_n
-from .lattices import (KMat, Lattice, LatticeQuotient, _memo_put, induced_hom, lat_apply,
-                       lat_contains_lattice, lat_intersect, quotient_struct,
-                       standard_lattice)
+from .lattices import (KMat, Lattice, LatticeQuotient, _kmat_key, _memo_put, induced_hom,
+                       lat_apply, lat_intersect, quotient_struct, standard_lattice)
 from .musets import RULES
 from .padic import KElem
 from .torsor import _exact_seq_exp, _graded_det
 
 
 class SymbolEngine:
-    """Fixes (K, n, representative rule); memoizes V = O^m, S(u) by residue
-    and the kappa links, by lattice triple."""
+    """Fixes (K, n, representative rule); memoizes V = O^m, S(u) by residue,
+    rho's exponents, by f's known data and four lattices, and the kappa
+    links, by lattice triple."""
 
     def __init__(self, lf, n: int, rule: str = "digit"):
         _check_n(lf.field, n)
@@ -106,6 +106,7 @@ class SymbolEngine:
         self.n = n
         self.rule = rule
         self._std: dict[int, Lattice] = {}
+        self._rhos: dict = {}    # rho_exp, by (f's known data, A, B, fA, fB)
         self._links: dict = {}   # _seq_exp, by (X, Y, Z)
         # digit rule: the coset walk of k = O/pi, and S(u) by residue u read off it
         self._cosets = _coset_walk(lf.field, lf.field.zeta(n), n)
@@ -157,12 +158,18 @@ def rho_exp(f: KMat, A: Lattice, B: Lattice, fA: Lattice, fB: Lattice,
     f is invertible, so f(A cap B) = fA cap fB.  rho_f acts on the right
     factor through f^-1, whose iso exponent is minus that of f: if
     f(r) = zeta^e * r' for representatives r, r', then
-    f^-1(r') = zeta^-e * r.
+    f^-1(r') = zeta^-e * r.  The exponent is kept on the engine, keyed by
+    f's known data and the four lattices.
     """
-    I, fI = lat_intersect(A, B), lat_intersect(fA, fB)
-    tau = _iso_exp(quotient_struct(A, I), quotient_struct(fA, fI), f, engine)
-    psi = _iso_exp(quotient_struct(B, I), quotient_struct(fB, fI), f, engine)
-    return (tau - psi) % engine.n
+    key = (_kmat_key(f), A, B, fA, fB)
+    e = engine._rhos.get(key)
+    if e is None:
+        I, fI = lat_intersect(A, B), lat_intersect(fA, fB)
+        tau = _iso_exp(quotient_struct(A, I), quotient_struct(fA, fI), f, engine)
+        psi = _iso_exp(quotient_struct(B, I), quotient_struct(fB, fI), f, engine)
+        e = (tau - psi) % engine.n
+        _memo_put(engine._rhos, key, e)
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -194,17 +201,19 @@ def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine) -> int:
 
     B/(B cap C) and C/(B cap C) say how B and C nest: B >= C exactly when
     C/(B cap C) is zero, and then B/(B cap C) is B/C; C >= B exactly when
-    B/(B cap C) is zero, and then C/(B cap C) is C/B.  A nested case is
-    one connecting sequence, which reuses that quotient.
+    B/(B cap C) is zero, and then C/(B cap C) is C/B.  A and B nest as
+    A cap B, which the chain asks for anyway, says: it lies in both, so
+    it is B exactly when its det_val is B's.  A nested case is one
+    connecting sequence, which reuses that quotient.
     """
     if A == C:
         # duality pairing; canonical bases pair to 1
         return 0
-    BC = lat_intersect(B, C)
+    BC, AB = lat_intersect(B, C), lat_intersect(A, B)
     QB_BC, QC_BC = quotient_struct(B, BC), quotient_struct(C, BC)
-    if not QC_BC.module.exps and lat_contains_lattice(A, B):   # A >= B >= C
+    if not QC_BC.module.exps and AB.det_val == B.det_val:   # A >= B >= C
         return _seq_exp(quotient_struct(A, C), QB_BC, quotient_struct(A, B), engine)
-    if not QB_BC.module.exps and lat_contains_lattice(B, A):   # C >= B >= A
+    if not QB_BC.module.exps and AB.det_val == A.det_val:   # C >= B >= A
         return -_seq_exp(quotient_struct(C, A), quotient_struct(B, A), QC_BC, engine) % engine.n
     return _kappa_chain(A, B, C, engine)
 

@@ -354,7 +354,8 @@ class Lattice:
     T, whose rows are encoded in ring = O/pi^(hi - shift + 1), the least
     ring that holds its pivots pi^exps; pi^hi V <= L <= pi^shift V."""
 
-    __slots__ = ("lf", "m", "shift", "hi", "exps", "rows", "ring", "det_val", "_hash")
+    __slots__ = ("lf", "m", "shift", "hi", "exps", "rows", "ring", "det_val", "_hash",
+                 "__weakref__")
 
     def __init__(self, mat: KMat):
         """The lattice the columns of mat span, which its known digits must
@@ -422,13 +423,25 @@ def principal_lattice(lf: LocalField, v: int) -> Lattice:
     return _lattice(lf, v, [[1]], lf.ring(1))
 
 
+def _kmat_key(f: KMat) -> tuple:
+    """f's known data, as a memo key: prec is part of it, since the same
+    digits known to another precision can raise PrecisionError."""
+    return f.shift, f.prec, tuple(map(tuple, f.data))
+
+
 def lat_apply(f: KMat, A: Lattice) -> Lattice:
-    """f(A): the span of f times A's exact basis, at f's known digits."""
+    """f(A): the span of f times A's exact basis, at f's known digits,
+    memoized on the field by f's known data and A."""
     if f.lf is not A.lf:
         raise ValueError("matrices of different fields")
-    ring = f.ring
-    rows = ring.matmul(f.data, ring, A._basis(ring), ring)
-    return Lattice(KMat._of(A.lf, rows, f.shift + A.shift, ring))
+    key = (_kmat_key(f), A)
+    fA = A.lf._images.get(key)
+    if fA is None:
+        ring = f.ring
+        rows = ring.matmul(f.data, ring, A._basis(ring), ring)
+        fA = Lattice(KMat._of(A.lf, rows, f.shift + A.shift, ring))
+        _memo_put(A.lf._images, key, fA)
+    return fA
 
 
 def lat_sum(A: Lattice, B: Lattice) -> Lattice:
@@ -442,22 +455,27 @@ def lat_sum(A: Lattice, B: Lattice) -> Lattice:
 
 
 def lat_intersect(A: Lattice, B: Lattice) -> Lattice:
-    """A cap B: the smaller operand when they nest, else memoized on the field."""
-    # of nested lattices the larger has the smaller det_val
-    big, small = (A, B) if A.det_val <= B.det_val else (B, A)
-    if lat_contains_lattice(big, small):
-        return small
+    """A cap B, memoized on the field: the smaller operand itself when they
+    nest, else a lattice of its own."""
     I = A.lf._intersections.get((A, B))
     if I is None:
-        # the columns (a + b, a) span a lattice in K^2m that contains pi^hi V^2m
-        # for the larger hi; its part with a + b = 0 is {(0, x) : x in A cap B}
-        lo, m = min(A.shift, B.shift), A.m
-        ring = A.lf.ring(max(A.hi, B.hi) - lo + 1)
-        a, b = A._basis(ring, lo), B._basis(ring, lo)
-        D = [ra + rb for ra, rb in zip(a, b)] + [ra + [0] * m for ra in a]
-        I = _lattice(A.lf, lo, [row[m:] for row in _hnf(A.lf, ring, D)[m:]], ring)
+        # of nested lattices the larger has the smaller det_val
+        big, small = (A, B) if A.det_val <= B.det_val else (B, A)
+        if lat_contains_lattice(big, small):
+            # which operand is the intersection, so that a hit returns the
+            # caller's own object
+            I = small is B
+        else:
+            # the columns (a + b, a) span a lattice in K^2m that contains
+            # pi^hi V^2m for the larger hi; its part with a + b = 0 is
+            # {(0, x) : x in A cap B}
+            lo, m = min(A.shift, B.shift), A.m
+            ring = A.lf.ring(max(A.hi, B.hi) - lo + 1)
+            a, b = A._basis(ring, lo), B._basis(ring, lo)
+            D = [ra + rb for ra, rb in zip(a, b)] + [ra + [0] * m for ra in a]
+            I = _lattice(A.lf, lo, [row[m:] for row in _hnf(A.lf, ring, D)[m:]], ring)
         _memo_put(A.lf._intersections, (A, B), I)
-    return I
+    return (A, B)[I] if isinstance(I, bool) else I
 
 
 def _solve(A: Lattice, C, ring):

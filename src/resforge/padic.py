@@ -153,7 +153,8 @@ class LocalField:
         self._walks: dict = {}   # musets.residue_walk, by n
         self._deltas: dict = {}  # symbols._orbit_delta, by n and residue
         self._quotients: dict = {}      # lattices.quotient_struct, by (A, B)
-        self._intersections: dict = {}  # lattices.lat_intersect of pairs that do not nest
+        self._intersections: dict = {}  # lattices.lat_intersect, by (A, B)
+        self._images: dict = {}         # lattices.lat_apply, by (f's known data, A)
 
     def __repr__(self):
         return f"LocalField(p={self.p}, f={self.f})"

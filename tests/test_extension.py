@@ -650,13 +650,14 @@ def record_cocycle_work(monkeypatch, calls):
     """Record into calls what cocycle_exp asks for and builds:
     intersections, the canonical HNFs run inside them and in all, the
     LatticeQuotients built (memo hits build none), SNFs, kappa's chain and
-    exact sequences, ModuleHom.apply and containment checks."""
+    exact sequences, ModuleHom.apply, containment tests and triangular
+    solves."""
     import resforge.extension as extension
     import resforge.lattices as lattices
     from resforge.modules import ModuleHom
 
     for key in ("intersect", "hnf", "hnf_in_intersect", "build", "snf", "chain",
-                "seq", "apply", "contains"):
+                "seq", "apply", "contains", "solve"):
         calls[key] = []
 
     def recorded(key, fn):
@@ -684,8 +685,9 @@ def record_cocycle_work(monkeypatch, calls):
     monkeypatch.setattr(lattices, "_hnf", recorded("hnf", lattices._hnf))
     monkeypatch.setattr(extension, "_kappa_chain", recorded("chain", extension._kappa_chain))
     monkeypatch.setattr(extension, "_seq_exp", recorded("seq", extension._seq_exp))
-    monkeypatch.setattr(extension, "lat_contains_lattice",
+    monkeypatch.setattr(lattices, "lat_contains_lattice",
                         recorded("contains", lattices.lat_contains_lattice))
+    monkeypatch.setattr(lattices, "_solve", recorded("solve", lattices._solve))
     monkeypatch.setattr(lattices, "smith_normal_form",
                         recorded("snf", lattices.smith_normal_form))
     monkeypatch.setattr(ModuleHom, "apply", recorded("apply", ModuleHom.apply))
@@ -693,39 +695,46 @@ def record_cocycle_work(monkeypatch, calls):
 
 def test_chain_cocycle_work_count(monkeypatch):
     """One GL_2 cocycle through kappa's chain, on a fresh field, so its
-    memos start empty.  On this draw f maps gV onto itself, so fgV = gV.
-    Neither fV/(fV cap gV) nor gV/(fV cap gV) is zero, so fV and fgV do
-    not nest and kappa goes straight to the chain, with no containment
-    check.  rho asks for V cap gV and fV cap fgV, kappa for B cap C =
-    fV cap fgV again, the chain for AB, BC, AC and D3.  BC is kappa's
-    B cap C and AC = V cap fgV is V cap gV, both kept by the field, and
-    D3 = AB cap C is nested, AB <= C, so it is the operand AB.  So three
-    intersections run a Hermite form (of [[A, B], [A, 0]]): V cap gV,
-    fV cap gV and V cap fV; with one for each of gV, fV and fgV, 6 HNFs.
-    rho builds 4 quotients: V and gV over V cap gV, fV and fgV over
-    fV cap fgV, the last two being kappa's B/BC and C/BC.  With D3 = AB
-    the two links through AB are skipped, so 4 exact sequences run, over
-    the quotients A, B, C, BC and AC over D3, B/BC, C/BC, A/AC and C/AC.
-    A/AC and C/AC are rho's V/(V cap gV) and gV/(V cap gV), so the chain
-    builds only the 5 over D3: 9 quotients, each once and none zero, with
-    9 SNFs.  Each exact sequence checks proj o incl = 0 on the generators
-    of its X, here of rank 1, by one ModuleHom.apply each, and applies
-    nothing per element: 4 applies, each giving zero."""
+    memos start empty.  On this draw f maps gV onto itself, so fgV = gV;
+    a twin field with the same seeded draw checks that, because checking
+    it on this field would keep f(gV) in its memo of images.  Applying g
+    to V and f to V and gV runs 3 HNFs.  Neither fV/(fV cap gV) nor
+    gV/(fV cap gV) is zero, so fV and fgV do not nest and kappa goes to
+    the chain.  rho asks for V cap gV and fV cap fgV, kappa for
+    B cap C = fV cap fgV and A cap B = V cap fV, the chain for AB, BC, AC
+    and D3: 8 asks of 4 distinct pairs, since AB and BC are kappa's and
+    AC = V cap fgV is V cap gV.  Each pair tests containment once, when
+    first asked.  D3 = AB cap C nests, AB <= C, so it is the operand AB;
+    the other three run a Hermite form (of [[A, B], [A, 0]]): V cap gV,
+    fV cap gV and V cap fV.  6 HNFs in all.  rho builds 4 quotients: V
+    and gV over V cap gV, fV and fgV over fV cap fgV, the last two being
+    kappa's B/BC and C/BC.  With D3 = AB the two links through AB are
+    skipped, so 4 exact sequences run, over the quotients A, B, C, BC and
+    AC over D3, B/BC, C/BC, A/AC and C/AC.  A/AC and C/AC are rho's
+    V/(V cap gV) and gV/(V cap gV), so the chain builds only the 5 over
+    D3: 9 quotients, each once and none zero, with 9 SNFs.  Each exact
+    sequence checks proj o incl = 0 on the generators of its X, here of
+    rank 1, by one ModuleHom.apply each, and applies nothing per element:
+    4 applies, each giving zero."""
+    twin = LocalField(3)
+    rng = random.Random(3)
+    f, g = rand_matrix(twin, rng, 2), rand_matrix(twin, rng, 2)
+    gV = lat_apply(g, standard_lattice(twin, 2))
+    assert lat_apply(f, gV) == gV
     lf = LocalField(3)
     rng = random.Random(3)
     f, g = rand_matrix(lf, rng, 2), rand_matrix(lf, rng, 2)
     eng = get_engine(lf, 2)
-    gV = lat_apply(g, eng.standard(2))
-    assert lat_apply(f, gV) == gV
     calls = {}
     record_cocycle_work(monkeypatch, calls)
     cocycle_exp(f, g, eng)
     assert len(calls["chain"]) == 1 and len(calls["seq"]) == 4
+    assert len(calls["intersect"]) == 8 and len(calls["contains"]) == 4
     assert len(calls["hnf_in_intersect"]) == 3 and len(calls["hnf"]) == 6
     assert len(calls["build"]) == 9 and len(calls["snf"]) == 9
     assert len({(Q.A, Q.B) for Q in calls["build"]}) == 9
     assert all(Q.module.rank for Q in calls["build"])
-    assert calls["apply"] == [(0,)] * 4 and calls["contains"] == []
+    assert calls["apply"] == [(0,)] * 4
 
 
 def test_a_warm_cocycle_builds_no_quotient_and_walks_no_sequence(monkeypatch):
@@ -746,6 +755,23 @@ def test_a_warm_cocycle_builds_no_quotient_and_walks_no_sequence(monkeypatch):
     assert calls["seq"] and calls["intersect"]
     assert calls["build"] == [] and calls["snf"] == [] and calls["hnf_in_intersect"] == []
     assert calls["walk"] == []
+
+
+def test_a_warm_cocycle_runs_no_elimination(monkeypatch):
+    """The same cocycles again on the same engine: f and g applied to
+    lattices, every intersection, nested or not, and rho's exponent come
+    from the memos, so no Hermite form, no triangular solve and no
+    containment test runs, and each value is the cold one."""
+    lf = LocalField(3)
+    rng = random.Random(3)
+    pairs = [(rand_matrix(lf, rng, 2), rand_matrix(lf, rng, 2)) for _ in range(6)]
+    eng = get_engine(lf, 2)
+    cold = [cocycle_exp(f, g, eng) for f, g in pairs]
+    calls = {}
+    record_cocycle_work(monkeypatch, calls)
+    assert [cocycle_exp(f, g, eng) for f, g in pairs] == cold
+    assert calls["intersect"] and calls["seq"]
+    assert calls["hnf"] == [] and calls["solve"] == [] and calls["contains"] == []
 
 
 def test_lowering_the_bound_after_a_link_was_kept_still_raises():
@@ -790,23 +816,59 @@ def test_the_link_memo_stays_under_its_cap():
     assert max(sizes) == MEMO_CAP and sizes[-1] == 5
 
 
+def test_the_rho_memo_stays_under_its_cap():
+    """rho_f on (pi^s O | pi^(s+1) O) for f = 1, distinct for each s: the
+    engine's memo of rho exponents empties when full and keeps the
+    newest entries."""
+    lf = LocalField(3)
+    eng = get_engine(lf, 2)
+    f = KMat.identity(lf, 1)
+    sizes = []
+    for s in range(MEMO_CAP + 5):
+        A, B = principal_lattice(lf, s), principal_lattice(lf, s + 1)
+        rho_exp(f, A, B, A, B, eng)
+        sizes.append(len(eng._rhos))
+    assert max(sizes) == MEMO_CAP and sizes[-1] == 5
+
+
+def test_rho_of_equal_data_shares_one_entry(monkeypatch):
+    """Two KMats with equal data key one rho exponent, and the second call
+    reads it: it asks for no intersection."""
+    import resforge.extension as extension
+
+    lf = LocalField(5)
+    eng = get_engine(lf, 4)
+    rng = random.Random(5)
+    f, g = rand_matrix(lf, rng, 2), rand_matrix(lf, rng, 2)
+    V = eng.standard(2)
+    gV = lat_apply(g, V)
+    value = rho_at(f, V, gV, eng)
+    calls = {}
+    monkeypatch.setattr(extension, "lat_intersect",
+                        recorded_calls(calls, "intersect", lat_intersect))
+    assert rho_at(KMat(lf, f.data, f.shift, f.prec), V, gV, eng) == value
+    assert calls["intersect"] == [] and len(eng._rhos) == 1
+
+
 def test_nested_cocycle_intersection_runs_no_hnf(monkeypatch):
     """f and g integral, of det_val 2 and 1: V > gV and V > fV > fgV.
     Every intersection the cocycle asks for nests: rho's V cap gV is the
-    operand gV, and fV cap fgV, which rho and kappa (as B cap C) ask for,
-    is the operand fgV.  None runs a Hermite form, and kappa is one
-    connecting sequence."""
-    lf = local_field(3)
+    operand gV, fV cap fgV, which rho and kappa (as B cap C) ask for, is
+    the operand fgV, and kappa's A cap B = V cap fV, which says that V
+    and fV nest, is the operand fV.  None runs a Hermite form, and kappa
+    is one connecting sequence.  The field is fresh, so that rho's
+    exponent is not kept from an earlier test."""
+    lf = LocalField(3)
     rng = random.Random(6)
     f, g = rand_matrix(lf, rng, 2, (0, 2)), rand_matrix(lf, rng, 2, (0, 2))
     eng = get_engine(lf, 2)
     V = eng.standard(2)
     gV = lat_apply(g, V)
-    fgV = lat_apply(f, gV)
+    fV, fgV = lat_apply(f, V), lat_apply(f, gV)
     calls = {}
     record_cocycle_work(monkeypatch, calls)
     cocycle_exp(f, g, eng)
-    assert calls["intersect"] == [gV, fgV, fgV] and calls["hnf_in_intersect"] == []
+    assert calls["intersect"] == [gV, fgV, fgV, fV] and calls["hnf_in_intersect"] == []
     assert calls["chain"] == [] and len(calls["seq"]) == 1
 
 
@@ -822,21 +884,23 @@ def test_nested_kappa_reuses_the_shared_quotient(monkeypatch):
     rng = random.Random(2)
     calls = {}
     record_cocycle_work(monkeypatch, calls)
-    nested = False
-    while not nested:
+    for draw in range(40):
         lf = LocalField(5)
         eng = get_engine(lf, 4)
         f, g = rand_matrix(lf, rng, 2, (0, 1)), rand_matrix(lf, rng, 2, (0, 1))
         for seen in calls.values():
             seen.clear()
         value = cocycle_exp(f, g, eng)
-        # kappa took a nested case: a containment held and the chain did not run
-        nested = True in calls["contains"] and not calls["chain"]
+        V = eng.standard(2)
+        gV = lat_apply(g, V)
+        fV, fgV = lat_apply(f, V), lat_apply(f, gV)
+        # kappa took a nested case: it ran no chain, and A = V is not C = fgV
+        if not calls["chain"] and V != fgV:
+            break
+    else:
+        pytest.fail("none of 40 seeded draws took kappa's nested case")
     assert len(calls["build"]) == 6 and len({(Q.A, Q.B) for Q in calls["build"]}) == 6
     assert len(calls["snf"]) == 4
-    V = eng.standard(2)
-    gV = lat_apply(g, V)
-    fV, fgV = lat_apply(f, V), lat_apply(f, gV)
     assert V.det_val < gV.det_val and fV.det_val < fgV.det_val
     twin = SymbolEngine(lf, 4)
     assert value == (rho_exp(f, V, gV, fV, fgV, twin) + _kappa_chain(V, fV, fgV, twin)) % 4

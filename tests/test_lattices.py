@@ -140,12 +140,19 @@ def test_equal_lattices_hash_equally_and_share_their_memo_entries():
 
 
 def test_nested_intersections_and_refused_quotients_are_not_stored():
+    """A nested pair is kept as which operand is the smaller, so that a hit
+    returns the caller's own object, here a second basis of B; a refused
+    quotient is not stored."""
     lf = LocalField(7)
     A = Lattice.from_rows(lf, [[1, 0], [0, 7]])
     B = Lattice.from_rows(lf, [[7, 0], [0, 7]])
     C = Lattice.from_rows(lf, [[7**3, 0], [0, 1]])
     assert lat_intersect(A, B) is B and lat_intersect(B, A) is B
-    assert lf._intersections == {}
+    assert lf._intersections == {(A, B): True, (B, A): False}
+    B2 = Lattice.from_rows(lf, [[7, 7], [0, 7]])
+    assert B2 == B and B2 is not B
+    assert lat_intersect(A, B2) is B2 and lat_intersect(B2, A) is B2
+    assert len(lf._intersections) == 2
     for big, small in ((B, A), (A, C)):   # det_val refuses, then the solve does
         with pytest.raises(ValueError, match="not contained"):
             quotient_struct(big, small)
@@ -166,6 +173,33 @@ def test_the_lattice_memos_stay_under_their_cap():
         intersections.append(len(lf._intersections))
     for sizes in (quotients, intersections):
         assert max(sizes) == MEMO_CAP and sizes[-1] == 5
+
+
+def test_images_of_equal_data_share_one_entry_and_a_raising_apply_stores_none():
+    """lat_apply keys f(A) by f's shift, precision and rows and by A: two
+    KMats with equal data share one entry and one image, the same rows
+    known to another precision are another entry, and an apply that raises
+    PrecisionError stores nothing."""
+    lf = LocalField(7)
+    V = standard_lattice(lf, 2)
+    with pytest.raises(PrecisionError):
+        lat_apply(KMat.from_rows(lf, [[1, 1], [1, 1]]), V)
+    assert lf._images == {}
+    f1, f2 = (KMat.from_rows(lf, [[7, 1], [0, 14]], 8) for _ in range(2))
+    assert f1 is not f2 and lat_apply(f2, V) is lat_apply(f1, V)
+    assert len(lf._images) == 1
+    f3 = KMat(lf, f1.data, f1.shift, 9)
+    assert lat_apply(f3, V) == lat_apply(f1, V) and len(lf._images) == 2
+
+
+def test_the_image_memo_stays_under_its_cap():
+    lf = LocalField(3)
+    V = standard_lattice(lf, 2)
+    sizes = []
+    for s in range(MEMO_CAP + 5):
+        lat_apply(KMat.from_rows(lf, [[f"pi^{s}", 0], [0, 1]], s + 2), V)
+        sizes.append(len(lf._images))
+    assert max(sizes) == MEMO_CAP and sizes[-1] == 5
 
 
 def test_random_containments_and_cardinality(q7):

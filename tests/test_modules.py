@@ -197,9 +197,9 @@ def test_digit_views_of_the_residue_field_are_the_least_views(p, f):
 def test_dropping_a_field_frees_its_views_and_field_context():
     """A LocalField owns its module views, its walks of O/pi, its F_q
     context and its lattice memos: a GL_2 cocycle builds views and
-    memoized quotients and the muset route a walk, and once the field is
-    dropped none of them, and no context of its (p, f), is left alive.  No
-    other test builds p = 53."""
+    memoized quotients and images and the muset route a walk, and once
+    the field is dropped none of them, and no context of its (p, f), is
+    left alive.  No other test builds p = 53."""
 
     def live():
         gc.collect()
@@ -215,9 +215,10 @@ def test_dropping_a_field_frees_its_views_and_field_context():
         delta_route_symbol(lf, lf.pi(), lf.from_rational(2), 4)
         kept = [weakref.ref(a) for a in residue_walk(lf, 4)]
         kept.append(weakref.ref(next(iter(lf._quotients.values()))))
+        kept.append(weakref.ref(next(iter(lf._images.values()))))
         return live(), kept
 
     (views, contexts), (during, kept) = live(), run_gl2_cocycle()
     assert during[0] > views and during[1] == contexts + 1
     assert live() == (views, contexts)
-    assert [ref() for ref in kept] == [None, None, None]
+    assert [ref() for ref in kept] == [None] * 4
