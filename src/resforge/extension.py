@@ -21,26 +21,29 @@ nested triples, and for arbitrary triples by composing those two kinds
 of steps along the standard eight-line chain through the pairwise and
 triple intersections (_kappa_chain, which also serves the first two
 cases as their reference).  kappa_exp reads its case from what it
-holds: A = C is equal canonical data (Lattice.__eq__), and B and C
-nest exactly when one of B/(B cap C) and C/(B cap C), which the chain
-needs anyway, is the zero module.
+holds: A = C is equal canonical data (Lattice.__eq__), B and C nest
+exactly when one of B/(B cap C) and C/(B cap C), which the chain needs
+anyway, is the zero module, and A and B nest exactly when A cap B, which
+the chain also asks for, has the det_val of one of them.
 
 c(f, g) has one body, in cocycle_exp: it applies g to V and f to V and
 gV, and adds rho_exp(f, V, gV, fV, fgV) and kappa_exp(V, fV, fgV).  Each
 piece takes lattices only and asks for every intersection and quotient
 it reads; what the pieces share, the memos share.  The field keeps every
-quotient and proper intersection, and the engine every link's value,
-keyed by canonical lattices, at most lattices.MEMO_CAP of each.  f is
-invertible, so rho's f(V cap gV) is fV cap fgV, kappa's B cap C, and
-rho's fV/f(V cap gV) and fgV/f(V cap gV) are kappa's B/(B cap C) and
-C/(B cap C).  A chain cocycle so builds at most 5 intersections and 14
-quotients: a nested intersection is one of its operands, and a link of
-the chain whose lattices coincide asks for nothing (_kappa_chain).  When
+image f(A), intersection and quotient, and the engine every rho exponent
+and link's value, keyed by canonical lattices and f's known data, at
+most lattices.MEMO_CAP of each.  f is invertible, so rho's f(V cap gV)
+is fV cap fgV, kappa's B cap C, and rho's fV/f(V cap gV) and
+fgV/f(V cap gV) are kappa's B/(B cap C) and C/(B cap C).  A chain
+cocycle so builds at most 5 intersections and 14 quotients: a nested
+intersection is one of its operands, and a link of the chain whose
+lattices coincide asks for nothing (_kappa_chain).  When
 fV and fgV nest, the larger over the smaller is one of rho's quotients,
 so a nested cocycle builds 6: rho's 4 and the connecting sequence's
-other two.  A warm cocycle builds no quotient and walks no exact
-sequence; what it still computes is f and g applied to lattices, the
-containment tests that decide nesting, and rho's two iso exponents.
+other two.  A warm cocycle runs no elimination: its three images, every
+intersection, nested or not, rho's exponent and kappa's links are memo
+hits, so it runs no Hermite form, no solve and no Smith form, builds no
+quotient and walks no exact sequence.
 
 A SymbolEngine fixes the field, n, and the representative rule.  Its
 default rule is digit (see musets), under which the rank-one building

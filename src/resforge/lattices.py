@@ -48,11 +48,15 @@ the smaller of two nested lattices itself.
 
 Equal data gives equal hashes: a Lattice hashes its (shift, exps, rows),
 once, and keys memos on its field.  quotient_struct keeps each A/B in
-lf._quotients, and lat_intersect keeps each proper intersection in
-lf._intersections; a nested pair bypasses that memo, since its
-intersection is an operand.  A memo holds at most MEMO_CAP entries and
-is emptied when a new one would pass that; a call that raises stores
-nothing.
+lf._quotients.  lat_intersect looks its pair up in lf._intersections
+before any containment test and keeps every pair: a proper intersection
+as a lattice, a nested pair as which operand is the smaller, so that a
+hit returns the caller's own object.  lat_apply keeps f(A) in
+lf._images, keyed by A and f's known data (_kmat_key: shift, prec and
+rows); prec is part of the key, since the same digits known to another
+precision can raise PrecisionError.  A memo holds at most MEMO_CAP
+entries and is emptied when a new one would pass that; a call that
+raises stores nothing.
 """
 
 from __future__ import annotations

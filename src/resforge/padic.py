@@ -18,8 +18,8 @@ arrays (the F_q tables for f > 1, and the coset walks of O/pi that the
 muset and extension routes build once per n), beside the rank-one
 routes' per-residue memos (chi(u) on the F_q context, delta(u) in
 LocalField._deltas, S(u) on each engine), each at most q - 1 entries
-per n, and the lattice layer's memos of quotients and proper
-intersections, each at most lattices.MEMO_CAP entries.  After one
+per n, and the lattice layer's memos of quotients, intersections and
+images f(A), each at most lattices.MEMO_CAP entries.  After one
 rank-one crosscheck at n = 2, tracemalloc counts 1.1 MB on a field at
 q = 90,001, 12.8 MB at q = 3^12 and 22.2 MB at q = 31^4, near MAX_Q.  One crosscheck on each of the 8 primes from
 90,001 to 90,053 raises peak RSS from 16.9 to 29.6 MB.  A memo filled
@@ -134,8 +134,8 @@ class KElem:
 class LocalField:
     """The unramified extension of Q_p with residue field F_{p^f}; it owns
     its F_q context, rings, engines, module views, O/pi walks, the
-    muset route's delta memo and the lattice layer's quotient and
-    intersection memos, which go with it."""
+    muset route's delta memo and the lattice layer's quotient,
+    intersection and image memos, which go with it."""
 
     def __init__(self, p: int, f: int = 1, default_precision: int = 24,
                  enum_bound: int = 100_000):

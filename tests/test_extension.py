@@ -738,8 +738,10 @@ def test_chain_cocycle_work_count(monkeypatch):
 
 
 def test_a_warm_cocycle_builds_no_quotient_and_walks_no_sequence(monkeypatch):
-    """The same cocycles again on the same engine: every quotient, proper
-    intersection and kappa link comes from the memos, and each value is
+    """The same cocycles again on the same engine: f and g applied to
+    lattices, every intersection, nested or not, every quotient, rho's
+    exponent and kappa's links come from the memos, so no Hermite form,
+    no triangular solve and no containment test runs, and each value is
     the cold one."""
     import resforge.extension as extension
 
@@ -755,22 +757,6 @@ def test_a_warm_cocycle_builds_no_quotient_and_walks_no_sequence(monkeypatch):
     assert calls["seq"] and calls["intersect"]
     assert calls["build"] == [] and calls["snf"] == [] and calls["hnf_in_intersect"] == []
     assert calls["walk"] == []
-
-
-def test_a_warm_cocycle_runs_no_elimination(monkeypatch):
-    """The same cocycles again on the same engine: f and g applied to
-    lattices, every intersection, nested or not, and rho's exponent come
-    from the memos, so no Hermite form, no triangular solve and no
-    containment test runs, and each value is the cold one."""
-    lf = LocalField(3)
-    rng = random.Random(3)
-    pairs = [(rand_matrix(lf, rng, 2), rand_matrix(lf, rng, 2)) for _ in range(6)]
-    eng = get_engine(lf, 2)
-    cold = [cocycle_exp(f, g, eng) for f, g in pairs]
-    calls = {}
-    record_cocycle_work(monkeypatch, calls)
-    assert [cocycle_exp(f, g, eng) for f, g in pairs] == cold
-    assert calls["intersect"] and calls["seq"]
     assert calls["hnf"] == [] and calls["solve"] == [] and calls["contains"] == []
 
 

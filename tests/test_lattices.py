@@ -163,7 +163,8 @@ def test_the_lattice_memos_stay_under_their_cap():
     """Distinct pairs past MEMO_CAP: each memo empties when full and keeps
     the newest entries."""
     lf = LocalField(3)
-    quotients, intersections = [], []
+    V = standard_lattice(lf, 2)
+    quotients, intersections, images = [], [], []
     for s in range(MEMO_CAP + 5):
         quotient_struct(principal_lattice(lf, s), principal_lattice(lf, s + 1))
         quotients.append(len(lf._quotients))
@@ -171,7 +172,9 @@ def test_the_lattice_memos_stay_under_their_cap():
         B = Lattice.from_rows(lf, [[f"pi^{s + 1}", 0], [0, f"pi^{s}"]], s + 8)
         lat_intersect(A, B)
         intersections.append(len(lf._intersections))
-    for sizes in (quotients, intersections):
+        lat_apply(KMat.from_rows(lf, [[f"pi^{s}", 0], [0, 1]], s + 2), V)
+        images.append(len(lf._images))
+    for sizes in (quotients, intersections, images):
         assert max(sizes) == MEMO_CAP and sizes[-1] == 5
 
 
@@ -190,16 +193,6 @@ def test_images_of_equal_data_share_one_entry_and_a_raising_apply_stores_none():
     assert len(lf._images) == 1
     f3 = KMat(lf, f1.data, f1.shift, 9)
     assert lat_apply(f3, V) == lat_apply(f1, V) and len(lf._images) == 2
-
-
-def test_the_image_memo_stays_under_its_cap():
-    lf = LocalField(3)
-    V = standard_lattice(lf, 2)
-    sizes = []
-    for s in range(MEMO_CAP + 5):
-        lat_apply(KMat.from_rows(lf, [[f"pi^{s}", 0], [0, 1]], s + 2), V)
-        sizes.append(len(lf._images))
-    assert max(sizes) == MEMO_CAP and sizes[-1] == 5
 
 
 def test_random_containments_and_cardinality(q7):
