@@ -11,7 +11,14 @@ class and message of the exception the computation raised:
             pi^v * u, under every rule;
   gl3/...   the 60 GL_3 cocycle identities of random.Random(7) (p cycles
             through 3, 5, 7; n = 2): [c(f, gh), c(g, h), c(fg, h), c(f, g)]
-            in that order, or the first exception.
+            in that order, or the first exception;
+  seq/...   torsor._exact_seq_exp of the connecting sequence
+            0 -> B/C -> A/C -> A/B -> 0, under every rule, for 8 nested
+            triples A >= B >= C per field at (p, f) in {(5, 1), (7, 1), (3, 2)},
+            drawn as verify.run_torsor draws them (A = O^m, m in {1, 2}).
+            A draw is skipped when A/C passes the enumeration bound, or
+            when B/C or A/B is the zero module, where the map is an
+            identity and every rule gives 0.
 
 tests/test_ledger.py recomputes every cell.  A change that moves a cell
 lists the moved cells, grouped by kind, and then regenerates the file:
@@ -27,8 +34,10 @@ import sys
 
 from resforge.extension import (cocycle, cocycle_exp, comm_symbol,
                                 corrected_symbol, get_engine)
+from resforge.lattices import Lattice, induced_hom, quotient_struct, standard_lattice
 from resforge.musets import RULES
 from resforge.padic import local_field
+from resforge.torsor import _exact_seq_exp
 from resforge.verify import _random_matrix
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "ledger.json")
@@ -36,6 +45,8 @@ FIELDS = ((3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2))
 GL2_DRAWS = 8
 RANK1_DRAWS = 6
 GL3_DRAWS = 60
+SEQ_FIELDS = ((5, 1), (7, 1), (3, 2))
+SEQ_DRAWS = 8
 
 
 def _orders(q):
@@ -78,6 +89,27 @@ def cells():
         a, b, c = (_random_matrix(lf, rng, 3) for _ in range(3))
         yield f"gl3/p{lf.p}/{k}", _cell(lambda: [cocycle_exp(*fg, eng) for fg in
                                                 ((a, b @ c), (b, c), (a @ b, c), (a, b))])
+    for p, f in SEQ_FIELDS:
+        yield from _seq_cells(local_field(p, f), random.Random(1000 + 100 * p + f))
+
+
+def _seq_cells(lf, rng):
+    """The seq/ cells of one field."""
+    orders = _orders(lf.q)
+    k = 0
+    while k < SEQ_DRAWS:
+        m = rng.randint(1, 2)
+        A = standard_lattice(lf, m)
+        B = Lattice(A.mat @ _random_matrix(lf, rng, m, (0, 2), 0.9))
+        C = Lattice(B.mat @ _random_matrix(lf, rng, m, (0, 1), 0.9))
+        QXZ, QYZ, QXY = quotient_struct(A, C), quotient_struct(B, C), quotient_struct(A, B)
+        if QXZ.module.size > lf.enum_bound or 1 in (QYZ.module.size, QXY.module.size):
+            continue
+        seq = (QYZ.module, QXZ.module, QXY.module, induced_hom(QYZ, QXZ), induced_hom(QXZ, QXY))
+        n = orders[k % len(orders)]
+        for rule in RULES:
+            yield f"seq/q{lf.q}/{k}/n{n}/{rule}", _cell(lambda: _exact_seq_exp(*seq, n, rule))
+        k += 1
 
 
 def load():
