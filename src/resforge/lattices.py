@@ -38,7 +38,10 @@ nothing raises PrecisionError.
 _hnf and smith_normal_form share one pivot rule (_pivot): least
 valuation, first in row-major order.  The Hermite form does not depend
 on it; the Smith form's transforms do, and on exact data they agree for
-every N that separates the pivots.  A/B runs it mod pi^(E + L + 1), for
+every N that separates the pivots.  _hnf may pivot only its leading
+rows and carry the rows below through the same column operations:
+torsor's exact-sequence section carries an identity below a map's rows
+and reads its lifts there, so the package has one Hermite kernel.  A/B runs it mod pi^(E + L + 1), for
 pi^E A <= B and L the length of A/B: the matrix keeps its digits, and
 the transforms, which spend L, keep E + 1, enough for every class.  The
 quotient keeps U's rows, which read classes, and A U^-1's columns, which
@@ -272,13 +275,18 @@ def _clear_row(ring, D, k: int, e: int, uinv: int) -> None:
             row[j] = 0
 
 
-def _hnf(lf: LocalField, ring, D):
+def _hnf(lf: LocalField, ring, D, m: int | None = None):
     """The canonical column Hermite form of the lattice spanned by the
-    columns of D (m rows of encodings in ring = O/pi^N, consumed) and by
+    columns of D (rows of encodings in ring = O/pi^N, consumed) and by
     pi^N V: rows of a lower triangular T with T[r][r] = pi^e_r and the
     entries left of it reduced mod pi^e_r.  None when some row has no
-    entry below pi^N, where the pivot would be pi^N itself."""
-    m, N = len(D), ring.N
+    entry below pi^N, where the pivot would be pi^N itself.
+
+    Only the leading m rows (all of D by default) are pivoted; the rows
+    below them are carried through the same column operations and come
+    back below T's m columns.  Carrying an identity under D's m rows
+    gives U with D U = T mod pi^N."""
+    m, N = len(D) if m is None else m, ring.N
     for r in range(m):
         best = _pivot(ring, D, (r,), range(r, len(D[0])))
         if best is None:
@@ -304,7 +312,7 @@ def _hnf(lf: LocalField, ring, D):
             rem = ring_e.lift_naive(ring.reduce_to(x, ring_e), ring) if e else 0
             if x != rem:
                 fac = ring.div_pk(ring.sub(x, rem), e)
-                for i in range(r, m):
+                for i in range(r, len(T)):
                     T[i][j] = ring.sub(T[i][j], ring.mul(fac, T[i][r]))
     return T
 
@@ -448,9 +456,16 @@ def lat_apply(f: KMat, A: Lattice) -> Lattice:
     return fA
 
 
-def lat_sum(A: Lattice, B: Lattice) -> Lattice:
+def _check_pair(A: Lattice, B: Lattice) -> None:
+    """ValueError unless A and B lie in one K^m of one field."""
+    if A.lf is not B.lf:
+        raise ValueError("lattices of different fields")
     if A.m != B.m:
         raise ValueError("different ambient spaces")
+
+
+def lat_sum(A: Lattice, B: Lattice) -> Lattice:
+    _check_pair(A, B)
     # pi^hi V <= A + B for the smaller hi
     lo = min(A.shift, B.shift)
     ring = A.lf.ring(min(A.hi, B.hi) - lo + 1)
@@ -460,7 +475,8 @@ def lat_sum(A: Lattice, B: Lattice) -> Lattice:
 
 def lat_intersect(A: Lattice, B: Lattice) -> Lattice:
     """A cap B, memoized on the field: the smaller operand itself when they
-    nest, else a lattice of its own."""
+    nest, else a lattice of its own.  A pair from two fields or ambient
+    spaces, never a kept key, is refused by the containment test."""
     I = A.lf._intersections.get((A, B))
     if I is None:
         # of nested lattices the larger has the smaller det_val
@@ -502,6 +518,7 @@ def _solve(A: Lattice, C, ring):
 
 
 def lat_contains_lattice(A: Lattice, B: Lattice) -> bool:
+    _check_pair(A, B)
     if B.shift < A.shift or B.det_val < A.det_val:
         return False
     ring = A.lf.ring(A.hi - A.shift + 1)
@@ -519,6 +536,7 @@ class LatticeQuotient:
     __slots__ = ("A", "B", "module", "_ring", "_idx", "_U", "_lifts", "__weakref__")
 
     def __init__(self, A: Lattice, B: Lattice):
+        _check_pair(A, B)
         L = B.det_val - A.det_val
         if B.shift < A.shift or L < 0 or (L == 0 and A != B):
             raise ValueError("B is not contained in A")

@@ -21,11 +21,12 @@ The exact sequence 0 -> X -> Y -> Z -> 0 is checked on generators and
 walked on fibers.  Exactness: incl is injective (its |X| image
 positions are distinct), |X| |Z| = |Y|, proj o incl vanishes on X's
 generators, and proj is onto, which Nakayama reduces to proj mod pi:
-column elimination finds a unit pivot in every row (_section).  Then
+the lattice layer's Hermite form of proj's rows over O/pi^E, for E the
+largest exponent of Z, has a unit pivot in every row (_section).  Then
 incl(X) lies in ker proj, which has |Y| / |Z| = |X| elements, so the
-two are equal.  The same elimination, run over O/pi^E for E the
-largest exponent of Z, gives lifts s_k of Z's generators, and the
-fiber of proj over z is s(z) + incl(X) with s(z) = sum_k z_k s_k.  The
+two are equal.  The identity that Hermite form carries below proj's
+rows gives lifts s_k of Z's generators, and the fiber of proj over z
+is s(z) + incl(X) with s(z) = sum_k z_k s_k.  The
 scalar's fiber half sums the twists of Y over the fibers of Z's
 representatives only: |X| (|Z| - 1) / n positions, not |Y|.
 """
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from .errors import EnumerationBound
 from .fields import MuScalar, field_det, power_residue_char
+from .lattices import _hnf
 from .modules import FiniteModule, ModuleHom, _check_endo, component_values, sums
 from .musets import iso_scalar
 
@@ -83,40 +85,29 @@ def _section(proj: ModuleHom) -> list:
     generators e_k of Z; "sequence not exact at the middle term" when
     proj is not onto.
 
-    Column elimination over O/pi^E, E the largest exponent of Z, on the
-    naive lifts a_jk of proj's entries, carrying an identity U along:
-    row i needs a unit pivot among the columns not yet used, and when
-    row i has none, row i mod pi is a combination of the rows above, so
-    proj mod pi is not onto and neither is proj; when every row has one,
-    proj mod pi is onto, so proj is onto by Nakayama.  Then A U = [I 0],
-    so sum_k a_jk u_kl = delta_jl mod pi^E, and mod pi^(f_j) for Z's
-    exponent f_j <= E.  Coordinate k of s_l is u_kl read at Y's exponent
-    e_k: moving u_kl by a multiple of pi^(e_k) moves a_jk u_kl by a
-    multiple of pi^(f_j), since v(a_jk) >= f_j - e_k.  s is no
+    proj is onto exactly when proj mod pi is, by Nakayama, and so exactly
+    when the naive lifts A = (a_jk) of its entries span (O/pi^E)^r, for
+    E the largest exponent of Z and r its rank: when the Hermite form of
+    A over O/pi^E (lattices._hnf) has a unit pivot in every row, since
+    its pivots multiply to the index of that span.  The identity carried
+    below A comes back as U with A U = I mod pi^E, and so mod pi^(f_j)
+    for Z's exponent f_j <= E.  Coordinate k of s_l is u_kl read at Y's
+    exponent e_k: moving u_kl by a multiple of pi^(e_k) moves a_jk u_kl
+    by a multiple of pi^(f_j), since v(a_jk) >= f_j - e_k.  s is no
     ModuleHom: z -> sum_k z_k s_k, on naive lifts of labels, lifts z but
     is not additive.
     """
     Y, Z = proj.src, proj.dst
     if not Z.exps:
         return []
-    ring = Y.lf.ring(Z.exps[-1])
-    rz = Z.rank
-    # column k: proj's entries on generator k of Y, then column k of U
-    cols = [[rj.lift_naive(a, ring) for rj, a in zip(Z.rings, col)]
-            + [int(i == k) for i in range(Y.rank)] for k, col in enumerate(proj.cols)]
-    for i in range(rz):
-        k = next((k for k in range(i, len(cols)) if ring.val(cols[k][i]) == 0), None)
-        if k is None:
-            raise ValueError("sequence not exact at the middle term")
-        cols[i], cols[k] = cols[k], cols[i]
-        u = ring.inv(cols[i][i])
-        piv = cols[i] = [ring.mul(u, a) for a in cols[i]]
-        for k, col in enumerate(cols):
-            t = col[i]
-            if k != i and t:
-                cols[k] = [ring.sub(a, ring.mul(t, b)) for a, b in zip(col, piv)]
-    return [tuple(ring.lift_naive(a, rk) for rk, a in zip(Y.rings, col[rz:]))
-            for col in cols[:rz]]
+    ring, rz = Y.lf.ring(Z.exps[-1]), Z.rank
+    D = ([[rj.lift_naive(col[j], ring) for col in proj.cols] for j, rj in enumerate(Z.rings)]
+         + [[int(i == k) for k in range(Y.rank)] for i in range(Y.rank)])
+    T = _hnf(Y.lf, ring, D, rz)
+    if T is None or any(ring.val(T[r][r]) for r in range(rz)):
+        raise ValueError("sequence not exact at the middle term")
+    return [tuple(ring.lift_naive(row[l], rk) for rk, row in zip(Y.rings, T[rz:]))
+            for l in range(rz)]
 
 
 def _exact_seq_exp(X: FiniteModule, Y: FiniteModule, Z: FiniteModule,

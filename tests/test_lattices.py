@@ -139,7 +139,7 @@ def test_equal_lattices_hash_equally_and_share_their_memo_entries():
     assert len(lf._quotients) == 1 and len(lf._intersections) == 1
 
 
-def test_nested_intersections_and_refused_quotients_are_not_stored():
+def test_nested_intersections_are_kept_and_refused_quotients_are_not():
     """A nested pair is kept as which operand is the smaller, so that a hit
     returns the caller's own object, here a second basis of B; a refused
     quotient is not stored."""
@@ -380,6 +380,30 @@ def test_snf_left_transform_and_its_inverse(p, f):
             assert [min(ring.val(x) for x in row) for row in UM] == exps
 
 
+@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (3, 2), (5, 2)])
+def test_hnf_carries_the_rows_below_its_pivots(p, f):
+    """_hnf(lf, ring, D + I, m) pivots D's m rows only: its leading rows
+    are D's own Hermite form, and the identity carried below them comes
+    back as U with D U = T mod pi^N."""
+    lf = local_field(p, f)
+    rng = random.Random(10 * p + f)
+    formed = 0
+    for _ in range(200):
+        m, k, ring = rng.randint(1, 3), rng.randint(1, 3), lf.ring(rng.randint(1, 5))
+        D = [[ring.mul_pk(rng.randrange(ring.size), rng.choice((0, 0, 1, 2))) for _ in range(k)]
+             for _ in range(m)]
+        ident = [[int(i == j) for j in range(k)] for i in range(k)]
+        T = lattices._hnf(lf, ring, [row[:] for row in D] + ident, m)
+        plain = lattices._hnf(lf, ring, [row[:] for row in D])
+        if plain is None:
+            assert T is None
+            continue
+        assert T[:m] == plain
+        assert ring.matmul(D, ring, T[m:], ring) == plain
+        formed += 1
+    assert formed >= 100
+
+
 def test_quotient_inverts_no_matrix(q7, monkeypatch):
     """Quotients, sums, intersections and containment solve in triangular
     bases and invert nothing; lift then project is the identity."""
@@ -522,6 +546,24 @@ def test_entries_and_products_of_another_field_are_rejected():
         KMat.from_rows(lf7, [[0.5]])
     with pytest.raises(ValueError):
         KMat.from_rows(lf7, [[1]]) @ KMat.from_rows(lf13, [[2]])
+
+
+def test_lattices_of_different_fields_or_ranks_are_refused():
+    """Every binary lattice operation refuses a pair from two fields or
+    two ambient spaces, in either order, and keeps nothing."""
+    lf3, lf5 = LocalField(3), LocalField(5)
+    ops = (lat_sum, lat_intersect, lat_contains_lattice, quotient_struct,
+           lambda A, B: rel_dim(A, B, 2))
+    pairs = [((standard_lattice(lf3, 2), Lattice.from_rows(lf5, [[5, 0], [0, 5]])),
+              "lattices of different fields"),
+             ((standard_lattice(lf3, 2), standard_lattice(lf3, 3)), "different ambient spaces")]
+    for (A, B), message in pairs:
+        for op in ops:
+            for X, Y in ((A, B), (B, A)):
+                with pytest.raises(ValueError, match=f"^{message}$"):
+                    op(X, Y)
+    for lf in (lf3, lf5):
+        assert lf._intersections == {} and lf._quotients == {}
 
 
 def test_precision_zero_is_an_error(q7):
