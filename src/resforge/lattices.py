@@ -14,7 +14,8 @@ for hi = lo + sum e_r: T is integral and det T = pi^(hi - lo) kills
 V / T V.  So hi comes from det_val, not from an inverse, and the
 lattices in one window are the submodules of pi^lo V / pi^hi V =
 (O/pi^N)^m, N = hi - lo.  Every operation runs over O/pi^N for its
-operands' window, and nothing is truncated.  A sum is the Hermite form
+operands' window, and nothing is truncated; both operands must lie in
+one K^m of one field (_check_pair).  A sum is the Hermite form
 of both bases.  An intersection is the lower right block of the Hermite
 form of [[A, B], [A, 0]]: its columns (a + b, a) with a + b = 0 are the
 (0, a) for a in A cap B.  A/B solves B's basis in A's triangular basis
@@ -38,16 +39,18 @@ nothing raises PrecisionError.
 _hnf and smith_normal_form share one pivot rule (_pivot): least
 valuation, first in row-major order.  The Hermite form does not depend
 on it; the Smith form's transforms do, and on exact data they agree for
-every N that separates the pivots.  _hnf may pivot only its leading
-rows and carry the rows below through the same column operations:
-torsor's exact-sequence section carries an identity below a map's rows
-and reads its lifts there, so the package has one Hermite kernel.  A/B runs it mod pi^(E + L + 1), for
+every N that separates the pivots.  A/B runs it mod pi^(E + L + 1), for
 pi^E A <= B and L the length of A/B: the matrix keeps its digits, and
 the transforms, which spend L, keep E + 1, enough for every class.  The
 quotient keeps U's rows, which read classes, and A U^-1's columns, which
 lift generators; an induced map is lift, optionally f, then classes.
 B = A is the zero module, with no Smith form, and lat_intersect returns
 the smaller of two nested lattices itself.
+
+_hnf may pivot only its leading rows and carry the rows below through
+the same column operations.  torsor's exact-sequence section carries an
+identity below a map's rows and reads its lifts there, so the package
+has one Hermite kernel.
 
 Equal data gives equal hashes: a Lattice hashes its (shift, exps, rows),
 once, and keys memos on its field.  quotient_struct keeps each A/B in
@@ -282,10 +285,10 @@ def _hnf(lf: LocalField, ring, D, m: int | None = None):
     entries left of it reduced mod pi^e_r.  None when some row has no
     entry below pi^N, where the pivot would be pi^N itself.
 
-    Only the leading m rows (all of D by default) are pivoted; the rows
-    below them are carried through the same column operations and come
-    back below T's m columns.  Carrying an identity under D's m rows
-    gives U with D U = T mod pi^N."""
+    Only the leading m rows (all of D by default) are pivoted.  The rows
+    below them are carried through the same column operations, and T
+    keeps them, cut to m columns, below its own m rows.  Carrying an
+    identity under D's m rows gives U with D U = T mod pi^N."""
     m, N = len(D) if m is None else m, ring.N
     for r in range(m):
         best = _pivot(ring, D, (r,), range(r, len(D[0])))

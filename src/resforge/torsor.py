@@ -26,9 +26,9 @@ largest exponent of Z, has a unit pivot in every row (_section).  Then
 incl(X) lies in ker proj, which has |Y| / |Z| = |X| elements, so the
 two are equal.  The identity that Hermite form carries below proj's
 rows gives lifts s_k of Z's generators, and the fiber of proj over z
-is s(z) + incl(X) with s(z) = sum_k z_k s_k.  The
-scalar's fiber half sums the twists of Y over the fibers of Z's
-representatives only: |X| (|Z| - 1) / n positions, not |Y|.
+is s(z) + incl(X) with s(z) = sum_k z_k s_k.  The scalar's fiber half
+sums the twists of Y over the fibers of Z's representatives only:
+|X| (|Z| - 1) / n positions, not |Y|.
 """
 from __future__ import annotations
 
