@@ -15,35 +15,31 @@ the group law is cocycle_exp and no element type is built.  The
 commutator of commuting lifts is c(f,g) - c(g,f), independent of all
 trivialization choices.
 
-The contraction is evaluated case by case: by the duality pairing when
-the outer lattices agree, through the connecting exact sequence for
-nested triples, and for arbitrary triples by composing those two kinds
-of steps along the standard eight-line chain through the pairwise and
-triple intersections (_kappa_chain, which also serves the first two
-cases as their reference).  kappa_exp reads its case from what it
-holds: A = C is equal canonical data (Lattice.__eq__), B and C nest
-exactly when one of B/(B cap C) and C/(B cap C), which the chain needs
-anyway, is the zero module, and A and B nest exactly when A cap B, which
-the chain also asks for, has the det_val of one of them.
+The contraction is one chain: kappa_exp composes the connecting exact
+sequences of the standard eight-line chain through the pairwise and
+triple intersections and skips each link whose lattices coincide.  A
+nested triple is a chain of one link and the pairing A = C a chain of
+none, so neither has a case of its own.
 
 c(f, g) has one body, in cocycle_exp: it applies g to V and f to V and
-gV, and adds rho_exp(f, V, gV, fV, fgV) and kappa_exp(V, fV, fgV).  Each
-piece takes lattices only and asks for every intersection and quotient
+gV, and adds rho_exp(f, V, gV) and kappa_exp(V, fV, fgV).  Each piece
+takes lattices only and asks for every image, intersection and quotient
 it reads; what the pieces share, the memos share.  The field keeps every
 image f(A), intersection and quotient, and the engine every rho exponent
 and link's value, keyed by canonical lattices and f's known data, at
 most lattices.MEMO_CAP of each.  f is invertible, so rho's f(V cap gV)
 is fV cap fgV, kappa's B cap C, and rho's fV/f(V cap gV) and
-fgV/f(V cap gV) are kappa's B/(B cap C) and C/(B cap C).  A chain
-cocycle so builds at most 5 intersections and 14 quotients: a nested
-intersection is one of its operands, and a link of the chain whose
-lattices coincide asks for nothing (_kappa_chain).  When
-fV and fgV nest, the larger over the smaller is one of rho's quotients,
-so a nested cocycle builds 6: rho's 4 and the connecting sequence's
-other two.  A warm cocycle runs no elimination: its three images, every
-intersection, nested or not, rho's exponent and kappa's links are memo
-hits, so it runs no Hermite form, no solve and no Smith form, builds no
-quotient and walks no exact sequence.
+fgV/f(V cap gV) are kappa's B/(B cap C) and C/(B cap C).  A cocycle so
+builds at most 5 intersections (rho's 2 and kappa's A cap B, A cap C
+and D3; a nested one is one of its operands) and 14 quotients (rho's 4,
+kappa's 6 over D3, and its A/AB, B/AB, A/AC and C/AC); a skipped link
+asks for nothing.  When fV and fgV nest, one link runs and
+the larger over the smaller is one of rho's quotients, so a nested
+cocycle builds 6: rho's 4 and the link's other two.  A warm cocycle
+runs no elimination: its three images, every intersection, nested or
+not, rho's exponent and kappa's links are memo hits, so it asks for no
+quotient, runs no Hermite form, no solve and no Smith form, and walks
+no exact sequence.
 
 A SymbolEngine fixes the field, n, and the representative rule.  Its
 default rule is digit (see musets), under which the rank-one building
@@ -98,7 +94,7 @@ from .torsor import _exact_seq_exp, _graded_det
 
 class SymbolEngine:
     """Fixes (K, n, representative rule); memoizes V = O^m, S(u) by residue,
-    rho's exponents, by f's known data and four lattices, and the kappa
+    rho's exponents, by f's known data and two lattices, and the kappa
     links, by lattice triple."""
 
     def __init__(self, lf, n: int, rule: str = "digit"):
@@ -109,7 +105,7 @@ class SymbolEngine:
         self.n = n
         self.rule = rule
         self._std: dict[int, Lattice] = {}
-        self._rhos: dict = {}    # rho_exp, by (f's known data, A, B, fA, fB)
+        self._rhos: dict = {}    # rho_exp, by (f's known data, A, B)
         self._links: dict = {}   # _seq_exp, by (X, Y, Z)
         # digit rule: the coset walk of k = O/pi, and S(u) by residue u read off it
         self._cosets = _coset_walk(lf.field, lf.field.zeta(n), n)
@@ -153,20 +149,19 @@ def _iso_exp(srcQ: LatticeQuotient, dstQ: LatticeQuotient, f: KMat | None,
     return _digit_sum(engine, _graded_det(dstQ.module, induced_hom(srcQ, dstQ, f))) % engine.n
 
 
-def rho_exp(f: KMat, A: Lattice, B: Lattice, fA: Lattice, fB: Lattice,
-            engine: SymbolEngine) -> int:
-    """Exponent of rho_f : (A|B) -> (fA|fB) on canonical bases, for fA = f(A)
-    and fB = f(B).
+def rho_exp(f: KMat, A: Lattice, B: Lattice, engine: SymbolEngine) -> int:
+    """Exponent of rho_f : (A|B) -> (fA|fB) on canonical bases.
 
     f is invertible, so f(A cap B) = fA cap fB.  rho_f acts on the right
     factor through f^-1, whose iso exponent is minus that of f: if
     f(r) = zeta^e * r' for representatives r, r', then
     f^-1(r') = zeta^-e * r.  The exponent is kept on the engine, keyed by
-    f's known data and the four lattices.
+    f's known data, A and B; fA and fB come from the field's images.
     """
-    key = (_kmat_key(f), A, B, fA, fB)
+    key = (_kmat_key(f), A, B)
     e = engine._rhos.get(key)
     if e is None:
+        fA, fB = lat_apply(f, A), lat_apply(f, B)
         I, fI = lat_intersect(A, B), lat_intersect(fA, fB)
         tau = _iso_exp(quotient_struct(A, I), quotient_struct(fA, fI), f, engine)
         psi = _iso_exp(quotient_struct(B, I), quotient_struct(fB, fI), f, engine)
@@ -179,50 +174,28 @@ def rho_exp(f: KMat, A: Lattice, B: Lattice, fA: Lattice, fB: Lattice,
 # the contraction isomorphism
 
 
-def _seq_exp(QXZ: LatticeQuotient, QYZ: LatticeQuotient, QXY: LatticeQuotient,
-             engine: SymbolEngine) -> int:
-    """kappa for X >= Y >= Z, given X/Z, Y/Z and X/Y: their connecting
-    sequence, memoized on the engine by (X, Y, Z).  |X/Z| is held to the
-    field's enum_bound before the lookup, so a link kept under a larger
-    bound raises as the walk would."""
-    size = QXZ.module.size
+def _seq_exp(X: Lattice, Y: Lattice, Z: Lattice, engine: SymbolEngine) -> int:
+    """kappa for X >= Y >= Z: the connecting sequence of X/Z, Y/Z and X/Y,
+    memoized on the engine by (X, Y, Z).  |X/Z| = q^(det_val Z - det_val X)
+    is held to the field's enum_bound before the lookup, so a link kept
+    under a larger bound raises as the walk would; the quotients and maps
+    are built only on a miss."""
+    size = engine.lf.q ** (Z.det_val - X.det_val)
     if size > engine.lf.enum_bound:
         raise EnumerationBound(f"middle module of size {size} exceeds the bound")
-    key = (QXZ.A, QYZ.A, QXZ.B)
+    key = (X, Y, Z)
     e = engine._links.get(key)
     if e is None:
-        incl = induced_hom(QYZ, QXZ)
-        proj = induced_hom(QXZ, QXY)
-        e = _exact_seq_exp(QYZ.module, QXZ.module, QXY.module, incl, proj,
-                           engine.n, engine.rule)
+        QXZ, QYZ, QXY = quotient_struct(X, Z), quotient_struct(Y, Z), quotient_struct(X, Y)
+        e = _exact_seq_exp(QYZ.module, QXZ.module, QXY.module, induced_hom(QYZ, QXZ),
+                           induced_hom(QXZ, QXY), engine.n, engine.rule)
         _memo_put(engine._links, key, e)
     return e
 
 
 def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine) -> int:
-    """Exponent of kappa : (A|B) (x) (B|C) -> (A|C) on canonical bases.
-
-    B/(B cap C) and C/(B cap C) say how B and C nest: B >= C exactly when
-    C/(B cap C) is zero, and then B/(B cap C) is B/C; C >= B exactly when
-    B/(B cap C) is zero, and then C/(B cap C) is C/B.  A and B nest as
-    A cap B, which the chain asks for anyway, says: it lies in both, so
-    it is B exactly when its det_val is B's.  A nested case is one
-    connecting sequence, which reuses that quotient.
-    """
-    if A == C:
-        # duality pairing; canonical bases pair to 1
-        return 0
-    BC, AB = lat_intersect(B, C), lat_intersect(A, B)
-    QB_BC, QC_BC = quotient_struct(B, BC), quotient_struct(C, BC)
-    if not QC_BC.module.exps and AB.det_val == B.det_val:   # A >= B >= C
-        return _seq_exp(quotient_struct(A, C), QB_BC, quotient_struct(A, B), engine)
-    if not QB_BC.module.exps and AB.det_val == A.det_val:   # C >= B >= A
-        return -_seq_exp(quotient_struct(C, A), quotient_struct(B, A), QC_BC, engine) % engine.n
-    return _kappa_chain(A, B, C, engine)
-
-
-def _kappa_chain(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine) -> int:
-    """kappa along the chain through the pairwise and triple intersections.
+    """Exponent of kappa : (A|B) (x) (B|C) -> (A|C) on canonical bases, along
+    the chain through the pairwise and triple intersections.
 
     Each of the six links is the connecting sequence of some
     X >= Y >= D3 = A cap B cap C, and nests by construction, so equal
@@ -231,9 +204,14 @@ def _kappa_chain(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine) -> in
     and X/Y or Y/D3 and X/D3, present one lattice pair on one canonical
     basis, so the map between them is the identity of one presentation:
     it takes each representative to itself, and the exponent is 0 under
-    every rule.  Such a link builds no quotient and no induced hom and
-    enumerates nothing; the others ask for their three quotients, which
-    the field builds once.
+    every rule.  Such a link is skipped; the others go to _seq_exp.
+
+    The nested triples and the pairing need no case of their own.  For
+    A >= B >= C, AB = B and BC = AC = D3 = C, so only the link (A, B, C)
+    runs, with sign +1: the connecting sequence of B/C -> A/C -> A/B.  For
+    C >= B >= A only (C, B, A) runs, with sign -1.  For A = C, AC = A and
+    D3 = AB = BC, so every link has X = Y or Y = D3, and kappa is the
+    duality pairing, 0 on canonical bases.
     """
     AB, BC, AC = lat_intersect(A, B), lat_intersect(B, C), lat_intersect(A, C)
     D3 = lat_intersect(AB, C)
@@ -243,8 +221,7 @@ def _kappa_chain(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine) -> in
     total = 0
     for sign, X, Y in links:
         if X.det_val < Y.det_val < D3.det_val:   # else X = Y or Y = D3
-            total += sign * _seq_exp(quotient_struct(X, D3), quotient_struct(Y, D3),
-                                     quotient_struct(X, Y), engine)
+            total += sign * _seq_exp(X, Y, D3, engine)
     return total % engine.n
 
 
@@ -330,7 +307,7 @@ def cocycle_exp(f: KMat, g: KMat, engine: SymbolEngine) -> int:
     V = engine.standard(m)
     gV = lat_apply(g, V)
     fV, fgV = lat_apply(f, V), lat_apply(f, gV)
-    return (rho_exp(f, V, gV, fV, fgV, engine) + kappa_exp(V, fV, fgV, engine)) % engine.n
+    return (rho_exp(f, V, gV, engine) + kappa_exp(V, fV, fgV, engine)) % engine.n
 
 
 def cocycle(f, g, engine: SymbolEngine) -> MuScalar:

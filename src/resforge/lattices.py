@@ -33,7 +33,9 @@ it contains pi^(k-1) V, and by Nakayama every X' that agrees with X up
 to pi^k spans the same lattice.  For a square X this is
 k > -minval(X^-1), with the determinant's bound on the right.  A KMat
 that meets a quotient (induced_hom's f, proj's vector) must be known to
-pi^hi of its sublattice, where its class is decided.  Inside the layer
+pi^hi of its sublattice, where its class is decided.  A matrix that
+meets a lattice in K^m, in lat_apply or induced_hom, must be m x m
+(_check_shape).  Inside the layer
 nothing raises PrecisionError.
 
 _hnf and smith_normal_form share one pivot rule (_pivot): least
@@ -446,17 +448,26 @@ def _kmat_key(f: KMat) -> tuple:
 
 def lat_apply(f: KMat, A: Lattice) -> Lattice:
     """f(A): the span of f times A's exact basis, at f's known digits,
-    memoized on the field by f's known data and A."""
+    memoized on the field by f's known data and A.  f must be m x m for
+    A in K^m; a kept key holds f's rows, so only a miss can meet another
+    shape, and the check runs there, before anything is stored."""
     if f.lf is not A.lf:
         raise ValueError("matrices of different fields")
     key = (_kmat_key(f), A)
     fA = A.lf._images.get(key)
     if fA is None:
+        _check_shape(f, A.m)
         ring = f.ring
         rows = ring.matmul(f.data, ring, A._basis(ring), ring)
         fA = Lattice(KMat._of(A.lf, rows, f.shift + A.shift, ring))
         _memo_put(A.lf._images, key, fA)
     return fA
+
+
+def _check_shape(f: KMat, m: int) -> None:
+    """ValueError unless f is m x m, a map of K^m."""
+    if (f.nrows, f.ncols) != (m, m):
+        raise ValueError(f"a {f.nrows} x {f.ncols} matrix does not act on K^{m}")
 
 
 def _check_pair(A: Lattice, B: Lattice) -> None:
@@ -601,14 +612,17 @@ def induced_hom(srcQ: LatticeQuotient, dstQ: LatticeQuotient,
     """The map of abstract quotients obtained by lift, optionally f, project:
     column k is the class in dstQ of f(lift(generator k)).  f must be known
     well enough that f(x), for x in srcQ's lattice, is known to pi^hi of
-    dstQ's sublattice.  From or to the zero module it is the empty or the
-    zero map."""
+    dstQ's sublattice, and m x m for quotients in K^m.  From or to the
+    zero module it is the empty or the zero map."""
+    _check_pair(srcQ.A, dstQ.A)
+    if f is not None:
+        if f.lf is not srcQ.A.lf:
+            raise ValueError("matrices of different fields")
+        _check_shape(f, srcQ.A.m)
     if not (srcQ._idx and dstQ._idx):
         return ModuleHom(srcQ.module, dstQ.module, [()] * len(srcQ._idx))
     lifts, R, k = srcQ._lifts, srcQ._ring, srcQ.A.shift - dstQ.A.shift
     if f is not None:
-        if f.lf is not srcQ.A.lf:
-            raise ValueError("matrices of different fields")
         if f.shift + f.prec + srcQ.A.shift < dstQ.B.hi:
             raise PrecisionError("not enough digits to map the quotient")
         lifts, R = f.ring.matmul(f.data, f.ring, _moved(lifts, R, f.ring), f.ring), f.ring

@@ -4,10 +4,9 @@ import random
 import pytest
 
 from resforge.errors import EnumerationBound
-from resforge.extension import (SymbolEngine, _iso_exp, _kappa_chain,
-                                _rel_dim_parity, cocycle, cocycle_exp, comm_symbol,
-                                corrected_symbol, get_engine, kappa_exp,
-                                rho_exp)
+from resforge.extension import (SymbolEngine, _iso_exp, _rel_dim_parity, cocycle,
+                                cocycle_exp, comm_symbol, corrected_symbol, get_engine,
+                                kappa_exp, rho_exp)
 from resforge.fields import power_residue_char
 from resforge.lattices import (MEMO_CAP, KMat, Lattice, LatticeQuotient, induced_hom,
                                lat_apply, lat_contains_lattice, lat_intersect,
@@ -27,20 +26,15 @@ def eng7():
     return get_engine(local_field(7), 2)
 
 
-def rho_at(f, A, B, engine):
-    """rho_exp on (A|B), with f applied to A and B here."""
-    return rho_exp(f, A, B, lat_apply(f, A), lat_apply(f, B), engine)
-
-
 def test_rho_identity_and_pi_scaling(eng7):
     lf = eng7.lf
     O = standard_lattice(lf, 1)
     uO = Lattice.from_rows(lf, [["3"]])
     piO = principal_lattice(lf, 1)
     ident = KMat.identity(lf, 1)
-    assert rho_at(ident, O, piO, eng7) == 0
+    assert rho_exp(ident, O, piO, eng7) == 0
     # scaling by pi acts trivially on (O | uO)
-    assert rho_at(KMat.from_rows(lf, [["pi"]]), O, uO, eng7) == 0
+    assert rho_exp(KMat.from_rows(lf, [["pi"]]), O, uO, eng7) == 0
 
 
 def test_rho_functor_composition(eng7):
@@ -52,9 +46,26 @@ def test_rho_functor_composition(eng7):
             A = lat_apply(rand_matrix(lf, rng, m, (-1, 1)), standard_lattice(lf, m))
             B = lat_apply(rand_matrix(lf, rng, m, (-1, 1)), standard_lattice(lf, m))
             gA, gB = lat_apply(g, A), lat_apply(g, B)
-            lhs = rho_at(f @ g, A, B, eng7)
-            rhs = (rho_at(f, gA, gB, eng7) + rho_at(g, A, B, eng7)) % 2
+            lhs = rho_exp(f @ g, A, B, eng7)
+            rhs = (rho_exp(f, gA, gB, eng7) + rho_exp(g, A, B, eng7)) % 2
             assert lhs == rhs
+
+
+def nested_kappa(A, B, C, engine):
+    """kappa of a nested triple or a pairing by its own formula, on
+    quotients built here and not kept: for A >= B >= C the connecting
+    sequence of B/C -> A/C -> A/B, for C >= B >= A minus that of
+    B/A -> C/A -> C/B, and 0 for A = C.  Degenerate sequences (A = B or
+    B = C) are walked, not skipped."""
+    if A == C:
+        return 0
+    for sign, (X, Y, Z) in ((1, (A, B, C)), (-1, (C, B, A))):
+        if lat_contains_lattice(X, Y) and lat_contains_lattice(Y, Z):
+            QXZ, QYZ, QXY = LatticeQuotient(X, Z), LatticeQuotient(Y, Z), LatticeQuotient(X, Y)
+            exp = _exact_seq_exp(QYZ.module, QXZ.module, QXY.module, induced_hom(QYZ, QXZ),
+                                 induced_hom(QXZ, QXY), engine.n, engine.rule)
+            return sign * exp % engine.n
+    raise ValueError("neither nested nor a pairing")
 
 
 def test_kappa_degenerate_cases(eng7):
@@ -65,22 +76,40 @@ def test_kappa_degenerate_cases(eng7):
     assert kappa_exp(O, O, piO, eng7) == 0      # (A|A) (x) (A|C) -> (A|C)
     assert kappa_exp(O, piO, piO, eng7) == 0    # unit constraint on (B|B)
     assert kappa_exp(O, piO, O, eng7) == 0      # duality pairing case
-    assert _kappa_chain(O, piO, O, eng7) == 0
-    assert _kappa_chain(O, pi2O, O, eng7) == 0
+    assert kappa_exp(O, pi2O, O, eng7) == 0
+    for tri in [(O, O, piO), (O, piO, piO), (piO, piO, O), (piO, O, O)]:
+        assert nested_kappa(*tri, eng7) == 0
 
 
 def test_kappa_path_independence():
-    """Both nested cases (descending and ascending triples) and the pairing
-    against the chain; under the digit rule a rank-one nested kappa is 0,
-    so the other rules are what tell the ascending case's sign."""
+    """kappa_exp, one chain, against the formulas of the nested triples
+    (descending and ascending) and the pairing, on rank-one triples and on
+    nested rank-two ones B = A M, C = B M' for integral M, M' (or their
+    inverses), all within the bound.  Under the digit rule a rank-one
+    nested kappa is 0, so the other rules are what tell the ascending
+    case's sign."""
+    rng = random.Random(33)
+    kinds = set()
     for (p, n), rule in itertools.product([(7, 2), (5, 4), (13, 3)], RULES):
         eng = get_engine(local_field(p), n, rule)
-        for tri in [(0, 1, 2), (0, 0, 3), (-1, 1, 2), (-3, -2, 0), (-2, 0, 2),
-                    (2, 1, 0), (1, -1, -2)]:
-            A, B, C = (principal_lattice(eng.lf, v) for v in tri)
-            auto = kappa_exp(A, B, C, eng)
-            general = _kappa_chain(A, B, C, eng)
-            assert auto == general, (p, n, rule, tri)
+        lf = eng.lf
+        triples = [tuple(principal_lattice(lf, v) for v in tri)
+                   for tri in [(0, 1, 2), (0, 0, 3), (-1, 1, 2), (-3, -2, 0), (-2, 0, 2),
+                               (2, 1, 0), (1, -1, -2), (0, 2, 0), (1, -1, 1)]]
+        while len(triples) < 15:
+            A = lat_apply(rand_matrix(lf, rng, 2, (-1, 1)), standard_lattice(lf, 2))
+            M, M2 = rand_matrix(lf, rng, 2, (0, 1)), rand_matrix(lf, rng, 2, (0, 1))
+            B = Lattice(A.mat @ M)
+            C = Lattice(B.mat @ M2)
+            if rng.random() < 0.5:
+                A, C = C, A
+            if lf.q ** abs(C.det_val - A.det_val) <= lf.enum_bound:
+                triples.append((A, B, C))
+        for A, B, C in triples:
+            want = nested_kappa(A, B, C, eng)
+            assert kappa_exp(A, B, C, eng) == want, (p, n, rule, A.m)
+            kinds.add((A.m, A == C, A.det_val < C.det_val, want != 0))
+    assert {(2, False, True, True), (2, False, False, True), (1, True, False, False)} <= kinds
 
 
 def test_kappa_contraction_associativity(eng7):
@@ -269,8 +298,7 @@ def test_rank_one_closed_forms_equal_enumeration(p, f):
             for i, x in enumerate(units):
                 F = KMat.from_rows(lf, [[lf.pi(vf) * x]])
                 G = KMat.from_rows(lf, [[lf.pi(vg) * units[i - 1]]])
-                r = rho_exp(F, O, principal_lattice(lf, vg), principal_lattice(lf, vf),
-                            principal_lattice(lf, vf + vg), eng)
+                r = rho_exp(F, O, principal_lattice(lf, vg), eng)
                 assert cocycle_exp(F, G, eng) == r, (n, x.as_str(), vf, vg)
                 nonzero += r != 0
     assert nonzero > 0
@@ -439,7 +467,7 @@ def test_graded_rho_equals_enumeration(p, m):
             want = rho_by_enumeration(f, A, B, n)
         except EnumerationBound:
             continue
-        got = [rho_at(f, A, B, SymbolEngine(lf, n, rule)) for rule in RULES]
+        got = [rho_exp(f, A, B, SymbolEngine(lf, n, rule)) for rule in RULES]
         assert got == [want] * 3, (n, got, want)
         done += 1
 
@@ -454,7 +482,7 @@ def test_digit_rho_builds_no_orbit_view(monkeypatch):
         lf = local_field(p)
         for _ in range(4):
             f, A, B = random_rho_input(lf, rng, m)
-            rho_at(f, A, B, SymbolEngine(lf, p - 1))
+            rho_exp(f, A, B, SymbolEngine(lf, p - 1))
 
 
 @pytest.mark.parametrize("p", [3, 5])
@@ -516,11 +544,12 @@ def _outcome(fn):
 
 @pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2)])
 def test_cocycle_equals_rho_plus_kappa_from_public_pieces(p, f):
-    """cocycle_exp against rho_exp(f, V, gV, fV, fgV) + kappa_exp(V, fV, fgV)
-    on the lattices applied here, under every rule.  The sum runs on a
-    second engine of the same rule, so it walks each link again rather
-    than reading the first engine's kept value.  The draws take kappa through the chain (random f, g), the nested case
-    (integral f, g: V >= fV >= fgV) and the pairing (g = f^-1: fgV = V).
+    """cocycle_exp against rho_exp(f, V, gV) + kappa_exp(V, fV, fgV) on the
+    lattices applied here, under every rule.  The sum runs on a second
+    engine of the same rule, so it walks each link again rather than
+    reading the first engine's kept value.  The draws give kappa general
+    triples (random f, g), nested ones (integral f, g: V >= fV >= fgV) and
+    the pairing (g = f^-1: fgV = V).
     The enumeration bound is q^2, so that some GL_2 draws reach it.  At m = 1
     the least and second_least rules run the same lattice body on 1 x 1
     matrices; the digit rule's closed form is held to the lattices by
@@ -542,14 +571,14 @@ def test_cocycle_equals_rho_plus_kappa_from_public_pieces(p, f):
             elif lat_contains_lattice(V, fV) and lat_contains_lattice(fV, fgV):
                 kind = "nested"
             else:
-                kind = "chain"
+                kind = "general"
             got = _outcome(lambda: cocycle_exp(F, G, eng))
             twin = SymbolEngine(lf, eng.n, eng.rule)
-            want = _outcome(lambda: (rho_exp(F, V, gV, fV, fgV, twin)
+            want = _outcome(lambda: (rho_exp(F, V, gV, twin)
                                      + kappa_exp(V, fV, fgV, twin)) % eng.n)
             assert got == want, (m, i, eng.n, eng.rule)
             seen.add((kind, got == "EnumerationBound"))
-        assert {("chain", False), ("nested", False), ("pairing", False)} <= seen, m
+        assert {("general", False), ("nested", False), ("pairing", False)} <= seen, m
         assert m == 1 or any(bound for _, bound in seen)
 
 
@@ -604,7 +633,7 @@ def six_links(A, B, C, engine, cap):
 
 
 def test_kappa_chain_skips_only_links_that_enumerate_to_zero():
-    """_kappa_chain against all six links of the chain, on random triples of
+    """kappa_exp against all six links of the chain, on random triples of
     rank m <= 3: B and C each inside, around or apart from the lattice
     before it.  A link with X = Y or Y = D3 is skipped by the code, and
     enumerated here it gives 0 under every rule."""
@@ -629,7 +658,7 @@ def test_kappa_chain_skips_only_links_that_enumerate_to_zero():
                 continue
             assert all(exp == 0 for _, skip, exp in links if skip), (p, f, rule, m)
             full = sum(sign * exp for sign, _, exp in links) % eng.n
-            assert _kappa_chain(A, B, C, eng) == full, (p, f, rule, m)
+            assert kappa_exp(A, B, C, eng) == full, (p, f, rule, m)
             skipped += sum(skip for _, skip, _ in links)
             run += sum(not skip for _, skip, _ in links)
             nonzero += sum(exp != 0 for _, _, exp in links)
@@ -649,14 +678,14 @@ def recorded_calls(calls, key, fn):
 def record_cocycle_work(monkeypatch, calls):
     """Record into calls what cocycle_exp asks for and builds:
     intersections, the canonical HNFs run inside them and in all, the
-    LatticeQuotients built (memo hits build none), SNFs, kappa's chain and
-    exact sequences, ModuleHom.apply, containment tests and triangular
+    LatticeQuotients built (memo hits build none), SNFs, kappa_exp and its
+    links (_seq_exp), ModuleHom.apply, containment tests and triangular
     solves."""
     import resforge.extension as extension
     import resforge.lattices as lattices
     from resforge.modules import ModuleHom
 
-    for key in ("intersect", "hnf", "hnf_in_intersect", "build", "snf", "chain",
+    for key in ("intersect", "hnf", "hnf_in_intersect", "build", "snf", "kappa",
                 "seq", "apply", "contains", "solve"):
         calls[key] = []
 
@@ -683,7 +712,7 @@ def record_cocycle_work(monkeypatch, calls):
     monkeypatch.setattr(extension, "lat_intersect", intersect)
     monkeypatch.setattr(LatticeQuotient, "__init__", build)
     monkeypatch.setattr(lattices, "_hnf", recorded("hnf", lattices._hnf))
-    monkeypatch.setattr(extension, "_kappa_chain", recorded("chain", extension._kappa_chain))
+    monkeypatch.setattr(extension, "kappa_exp", recorded("kappa", extension.kappa_exp))
     monkeypatch.setattr(extension, "_seq_exp", recorded("seq", extension._seq_exp))
     monkeypatch.setattr(lattices, "lat_contains_lattice",
                         recorded("contains", lattices.lat_contains_lattice))
@@ -699,10 +728,9 @@ def test_chain_cocycle_work_count(monkeypatch):
     a twin field with the same seeded draw checks that, because checking
     it on this field would keep f(gV) in its memo of images.  Applying g
     to V and f to V and gV runs 3 HNFs.  Neither fV/(fV cap gV) nor
-    gV/(fV cap gV) is zero, so fV and fgV do not nest and kappa goes to
-    the chain.  rho asks for V cap gV and fV cap fgV, kappa for
-    B cap C = fV cap fgV and A cap B = V cap fV, the chain for AB, BC, AC
-    and D3: 8 asks of 4 distinct pairs, since AB and BC are kappa's and
+    gV/(fV cap gV) is zero, so fV and fgV do not nest.  rho asks for
+    V cap gV and fV cap fgV, kappa for AB = V cap fV, BC, AC and D3: 6
+    asks of 4 distinct pairs, since BC = fV cap fgV is rho's and
     AC = V cap fgV is V cap gV.  Each pair tests containment once, when
     first asked.  D3 = AB cap C nests, AB <= C, so it is the operand AB;
     the other three run a Hermite form (of [[A, B], [A, 0]]): V cap gV,
@@ -711,7 +739,7 @@ def test_chain_cocycle_work_count(monkeypatch):
     kappa's B/BC and C/BC.  With D3 = AB the two links through AB are
     skipped, so 4 exact sequences run, over the quotients A, B, C, BC and
     AC over D3, B/BC, C/BC, A/AC and C/AC.  A/AC and C/AC are rho's
-    V/(V cap gV) and gV/(V cap gV), so the chain builds only the 5 over
+    V/(V cap gV) and gV/(V cap gV), so kappa builds only the 5 over
     D3: 9 quotients, each once and none zero, with 9 SNFs.  Each exact
     sequence checks proj o incl = 0 on the generators of its X, here of
     rank 1, by one ModuleHom.apply each, and applies nothing per element:
@@ -728,8 +756,8 @@ def test_chain_cocycle_work_count(monkeypatch):
     calls = {}
     record_cocycle_work(monkeypatch, calls)
     cocycle_exp(f, g, eng)
-    assert len(calls["chain"]) == 1 and len(calls["seq"]) == 4
-    assert len(calls["intersect"]) == 8 and len(calls["contains"]) == 4
+    assert len(calls["kappa"]) == 1 and len(calls["seq"]) == 4
+    assert len(calls["intersect"]) == 6 and len(calls["contains"]) == 4
     assert len(calls["hnf_in_intersect"]) == 3 and len(calls["hnf"]) == 6
     assert len(calls["build"]) == 9 and len(calls["snf"]) == 9
     assert len({(Q.A, Q.B) for Q in calls["build"]}) == 9
@@ -739,10 +767,10 @@ def test_chain_cocycle_work_count(monkeypatch):
 
 def test_a_warm_cocycle_builds_no_quotient_and_walks_no_sequence(monkeypatch):
     """The same cocycles again on the same engine: f and g applied to
-    lattices, every intersection, nested or not, every quotient, rho's
-    exponent and kappa's links come from the memos, so no Hermite form,
-    no triangular solve and no containment test runs, and each value is
-    the cold one."""
+    lattices, every intersection, nested or not, rho's exponent and
+    kappa's links come from the memos, so no quotient is asked for, no
+    Hermite form, no triangular solve and no containment test runs, and
+    each value is the cold one."""
     import resforge.extension as extension
 
     lf = LocalField(3)
@@ -753,8 +781,10 @@ def test_a_warm_cocycle_builds_no_quotient_and_walks_no_sequence(monkeypatch):
     calls = {}
     record_cocycle_work(monkeypatch, calls)
     monkeypatch.setattr(extension, "_exact_seq_exp", recorded_calls(calls, "walk", _exact_seq_exp))
+    monkeypatch.setattr(extension, "quotient_struct",
+                        recorded_calls(calls, "quotient", quotient_struct))
     assert [cocycle_exp(f, g, eng) for f, g in pairs] == cold
-    assert calls["seq"] and calls["intersect"]
+    assert calls["seq"] and calls["intersect"] and calls["quotient"] == []
     assert calls["build"] == [] and calls["snf"] == [] and calls["hnf_in_intersect"] == []
     assert calls["walk"] == []
     assert calls["hnf"] == [] and calls["solve"] == [] and calls["contains"] == []
@@ -812,7 +842,7 @@ def test_the_rho_memo_stays_under_its_cap():
     sizes = []
     for s in range(MEMO_CAP + 5):
         A, B = principal_lattice(lf, s), principal_lattice(lf, s + 1)
-        rho_exp(f, A, B, A, B, eng)
+        rho_exp(f, A, B, eng)
         sizes.append(len(eng._rhos))
     assert max(sizes) == MEMO_CAP and sizes[-1] == 5
 
@@ -828,22 +858,22 @@ def test_rho_of_equal_data_shares_one_entry(monkeypatch):
     f, g = rand_matrix(lf, rng, 2), rand_matrix(lf, rng, 2)
     V = eng.standard(2)
     gV = lat_apply(g, V)
-    value = rho_at(f, V, gV, eng)
+    value = rho_exp(f, V, gV, eng)
     calls = {}
     monkeypatch.setattr(extension, "lat_intersect",
                         recorded_calls(calls, "intersect", lat_intersect))
-    assert rho_at(KMat(lf, f.data, f.shift, f.prec), V, gV, eng) == value
+    assert rho_exp(KMat(lf, f.data, f.shift, f.prec), V, gV, eng) == value
     assert calls["intersect"] == [] and len(eng._rhos) == 1
 
 
 def test_nested_cocycle_intersection_runs_no_hnf(monkeypatch):
     """f and g integral, of det_val 2 and 1: V > gV and V > fV > fgV.
     Every intersection the cocycle asks for nests: rho's V cap gV is the
-    operand gV, fV cap fgV, which rho and kappa (as B cap C) ask for, is
-    the operand fgV, and kappa's A cap B = V cap fV, which says that V
-    and fV nest, is the operand fV.  None runs a Hermite form, and kappa
-    is one connecting sequence.  The field is fresh, so that rho's
-    exponent is not kept from an earlier test."""
+    operand gV and its fV cap fgV the operand fgV; kappa's AB = V cap fV
+    is the operand fV, and its BC = fV cap fgV, AC = V cap fgV and
+    D3 = AB cap C are the operand fgV.  None runs a Hermite form, and
+    kappa runs the one link (V, fV, fgV).  The field is fresh, so that
+    rho's exponent is not kept from an earlier test."""
     lf = LocalField(3)
     rng = random.Random(6)
     f, g = rand_matrix(lf, rng, 2, (0, 2)), rand_matrix(lf, rng, 2, (0, 2))
@@ -854,19 +884,20 @@ def test_nested_cocycle_intersection_runs_no_hnf(monkeypatch):
     calls = {}
     record_cocycle_work(monkeypatch, calls)
     cocycle_exp(f, g, eng)
-    assert calls["intersect"] == [gV, fgV, fgV, fV] and calls["hnf_in_intersect"] == []
-    assert calls["chain"] == [] and len(calls["seq"]) == 1
+    assert calls["intersect"] == [gV, fgV, fV, fgV, fgV, fgV]
+    assert calls["hnf_in_intersect"] == [] and len(calls["seq"]) == 1
 
 
 def test_nested_kappa_reuses_the_shared_quotient(monkeypatch):
     """On the first seeded integral draw at p = 5, n = 4 whose fV and fgV
     nest, each draw on a fresh field, so that its memos start empty: the
     larger over the smaller is rho's fV/f(V cap gV) or fgV/f(V cap gV),
-    which kappa finds in the field's memo.  The cocycle builds 6
-    quotients, rho's 4 and then the connecting sequence's other two, not
-    7.  On this draw V > gV and fV > fgV, so rho's gV/gV and fgV/fgV are
-    zero and run no Smith form: 4 SNFs.  Its value is the chain's, on a
-    second engine that keeps no link of the first."""
+    which kappa's one link finds in the field's memo.  The cocycle builds
+    6 quotients, rho's 4 and then the connecting sequence's other two,
+    not 7.  On this draw V > gV and fV > fgV, so rho's gV/gV and fgV/fgV
+    are zero and run no Smith form: 4 SNFs.  Its value is rho on a second
+    engine that keeps nothing of the first plus the nested formula on
+    quotients built afresh."""
     rng = random.Random(2)
     calls = {}
     record_cocycle_work(monkeypatch, calls)
@@ -880,13 +911,14 @@ def test_nested_kappa_reuses_the_shared_quotient(monkeypatch):
         V = eng.standard(2)
         gV = lat_apply(g, V)
         fV, fgV = lat_apply(f, V), lat_apply(f, gV)
-        # kappa took a nested case: it ran no chain, and A = V is not C = fgV
-        if not calls["chain"] and V != fgV:
+        # V >= fV >= fgV and A = V is not C = fgV; the intersections are
+        # memo hits and build nothing
+        if V != fgV and lat_intersect(V, fV) is fV and lat_intersect(fV, fgV) is fgV:
             break
     else:
-        pytest.fail("none of 40 seeded draws took kappa's nested case")
+        pytest.fail("none of 40 seeded draws gave a nested triple")
     assert len(calls["build"]) == 6 and len({(Q.A, Q.B) for Q in calls["build"]}) == 6
     assert len(calls["snf"]) == 4
     assert V.det_val < gV.det_val and fV.det_val < fgV.det_val
     twin = SymbolEngine(lf, 4)
-    assert value == (rho_exp(f, V, gV, fV, fgV, twin) + _kappa_chain(V, fV, fgV, twin)) % 4
+    assert value == (rho_exp(f, V, gV, twin) + nested_kappa(V, fV, fgV, twin)) % 4

@@ -566,6 +566,27 @@ def test_lattices_of_different_fields_or_ranks_are_refused():
         assert lf._intersections == {} and lf._quotients == {}
 
 
+def test_a_matrix_of_the_wrong_shape_is_refused():
+    """A KMat meets a lattice in K^m only as an m x m matrix: lat_apply
+    refuses a 2 x 2 and a 2 x 3 matrix on O^3 and keeps no image, and
+    induced_hom refuses a 3 x 3 matrix on quotients in K^2, as well as a
+    pair of quotients in K^2 and K^3."""
+    lf = LocalField(3)
+    V3 = standard_lattice(lf, 3)
+    for f in (KMat.identity(lf, 2), KMat.from_rows(lf, [[1, 0, 0], [0, 1, 0]])):
+        with pytest.raises(ValueError, match=f"^a 2 x {f.ncols} matrix does not act on K\\^3$"):
+            lat_apply(f, V3)
+    assert lf._images == {}
+    Q2 = quotient_struct(standard_lattice(lf, 2), Lattice.from_rows(lf, [[3, 0], [0, 3]]))
+    with pytest.raises(ValueError, match="^a 3 x 3 matrix does not act on K\\^2$"):
+        induced_hom(Q2, Q2, KMat.identity(lf, 3))
+    Q3 = quotient_struct(V3, Lattice.from_rows(lf, [[3, 0, 0], [0, 3, 0], [0, 0, 3]]))
+    for src, dst in ((Q2, Q3), (Q3, Q2)):
+        with pytest.raises(ValueError, match="^different ambient spaces$"):
+            induced_hom(src, dst)
+    assert induced_hom(Q2, Q2, KMat.identity(lf, 2)).images() == induced_hom(Q2, Q2).images()
+
+
 def test_precision_zero_is_an_error(q7):
     for prec in (0, -2):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import pytest
 
 import resforge.symbols as symbols
 from resforge.errors import EnumerationBound, PrecisionError
-from resforge.extension import corrected_symbol, get_engine
+from resforge.extension import SymbolEngine, corrected_symbol, get_engine
 from resforge.fields import MuScalar, mu_embed, power_residue_char
 from resforge.modules import FiniteModule, ModuleHom, module_aut_as_musetaut, scalar_hom
 from resforge.musets import OrbitView, aut_delta, residue_walk
@@ -336,22 +336,41 @@ def test_symbol_report_is_a_mutable_record(q7):
 
 
 def test_a_route_past_the_enumeration_bound_is_skipped():
-    """At q = 9, n = 8 the least-rule extension route enumerates a middle
-    module of 3^14 elements and raises EnumerationBound: crosscheck reports
-    it as skipped, with the bound's message, and the other two answer; the
+    """At q = 9, n = 8 the least-rule extension route of (pi^6, pi u)
+    meets kappa(O, pi^6 O, pi^7 O), whose middle module O/pi^7 has 3^14
+    elements, and raises EnumerationBound: crosscheck reports it as
+    skipped, with the bound's message, and the other two answer; the
     digit engine answers the same pair by all three routes."""
     lf = local_field(3, 2)
-    a, b = lf.pi(7), lf.from_coeffs([1, 2])
+    a, b = lf.pi(6), lf.pi(1) * lf.from_coeffs([1, 2])
     rep = crosscheck(lf, a, b, 8, get_engine(lf, 8, "least"))
-    assert (rep.direct, rep.muset, rep.extension) == (3, 3, None)
+    assert (rep.direct, rep.muset, rep.extension) == (6, 6, None)
     assert rep.skipped == {"extension": "middle module of size 4782969 exceeds the bound"}
     assert rep.agree is False
     d = rep.to_dict()
     assert d["extension"] is None and d["agree"] is False
     assert d["skipped"] == rep.skipped and list(d)[-1] == "skipped"
     rep = crosscheck(lf, a, b, 8, get_engine(lf, 8))
-    assert (rep.direct, rep.muset, rep.extension, rep.skipped) == (3, 3, 3, {})
+    assert (rep.direct, rep.muset, rep.extension, rep.skipped) == (6, 6, 6, {})
     assert rep.agree is True and "skipped" not in rep.to_dict()
+
+
+def test_a_degenerate_link_past_the_bound_is_not_walked(monkeypatch):
+    """(pi^7, u) at q = 9, n = 8 under the least rule: c(pi^7, u) meets
+    kappa(O, pi^7 O, pi^7 O) and c(u, pi^7) meets kappa(O, O, pi^7 O).
+    Each nests with two equal lattices, so every link of the chain has
+    X = Y or Y = D3 and kappa is 0 without a walk, although O/pi^7 is past
+    the bound; all three routes answer."""
+    import resforge.extension as extension
+
+    walks = []
+    monkeypatch.setattr(extension, "_exact_seq_exp",
+                        lambda *args: walks.append(args))
+    lf = local_field(3, 2)
+    a, b = lf.pi(7), lf.from_coeffs([1, 2])
+    rep = crosscheck(lf, a, b, 8, SymbolEngine(lf, 8, "least"))
+    assert (rep.direct, rep.muset, rep.extension, rep.skipped) == (3, 3, 3, {})
+    assert walks == []
 
 
 def test_crosscheck_skips_only_enumeration_and_precision_failures(q7, monkeypatch):
