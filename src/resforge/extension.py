@@ -209,7 +209,8 @@ def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine) -> int:
     The nested triples and the pairing need no case of their own.  For
     A >= B >= C, AB = B and BC = AC = D3 = C, so only the link (A, B, C)
     runs, with sign +1: the connecting sequence of B/C -> A/C -> A/B.  For
-    C >= B >= A only (C, B, A) runs, with sign -1.  For A = C, AC = A and
+    C >= B >= A, AB = AC = D3 = A and BC = B, so only (C, B, A) runs, with
+    sign -1: minus that of B/A -> C/A -> C/B.  For A = C, AC = A and
     D3 = AB = BC, so every link has X = Y or Y = D3, and kappa is the
     duality pairing, 0 on canonical bases.
     """

@@ -35,8 +35,7 @@ k > -minval(X^-1), with the determinant's bound on the right.  A KMat
 that meets a quotient (induced_hom's f, proj's vector) must be known to
 pi^hi of its sublattice, where its class is decided.  A matrix that
 meets a lattice in K^m, in lat_apply or induced_hom, must be m x m
-(_check_shape).  Inside the layer
-nothing raises PrecisionError.
+(_check_shape).  Inside the layer nothing raises PrecisionError.
 
 _hnf and smith_normal_form share one pivot rule (_pivot): least
 valuation, first in row-major order.  The Hermite form does not depend
