@@ -283,14 +283,15 @@ def _cocycle_m1(x: KElem, w: int, engine: SymbolEngine) -> int:
     the coset.  So rho is (q^k - 1)/(q - 1) * S(u) =
     (1 + q + ... + q^(k-1)) * S(u), and q = 1 mod n makes that
     k * S(u) mod n.  For w < 0 the quotient is the right factor of
-    (O | pi^w O), on which rho acts through f^-1.
+    (O | pi^w O), on which rho acts through f^-1.  The residue of u is
+    the one x keeps from its construction, so the digit rule reduces
+    nothing.
     """
     if engine.rule != "digit":
         return cocycle_exp(engine.as_kmat(x), engine.as_kmat(engine.lf.pi(w)), engine)
     if w == 0:
         return 0
-    u = engine.lf.ring(x.prec).reduce_to(x.unit, engine.lf.field)
-    return w * _digit_sum(engine, u) % engine.n
+    return w * _digit_sum(engine, x._res) % engine.n
 
 
 def cocycle_exp(f: KMat, g: KMat, engine: SymbolEngine) -> int:

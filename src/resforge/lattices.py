@@ -55,10 +55,11 @@ has one Hermite kernel.
 
 Equal data gives equal hashes: a Lattice hashes its (shift, exps, rows),
 once, and keys memos on its field.  quotient_struct keeps each A/B in
-lf._quotients.  lat_intersect looks its pair up in lf._intersections
-before any containment test and keeps every pair: a proper intersection
-as a lattice, a nested pair as which operand is the smaller, so that a
-hit returns the caller's own object.  lat_apply keeps f(A) in
+lf._quotients.  lat_intersect looks its pair up in lf._intersections,
+in both orders, before any containment test, and keeps each unordered
+pair once: a proper intersection as a lattice, a nested pair as which
+operand of its key is the smaller, so that a hit in either order
+returns the caller's own object.  lat_apply keeps f(A) in
 lf._images, keyed by A and f's known data (_kmat_key: shift, prec and
 rows); prec is part of the key, since the same digits known to another
 precision can raise PrecisionError.  A memo holds at most MEMO_CAP
@@ -488,9 +489,17 @@ def lat_sum(A: Lattice, B: Lattice) -> Lattice:
 
 def lat_intersect(A: Lattice, B: Lattice) -> Lattice:
     """A cap B, memoized on the field: the smaller operand itself when they
-    nest, else a lattice of its own.  A pair from two fields or ambient
-    spaces, never a kept key, is refused by the containment test."""
-    I = A.lf._intersections.get((A, B))
+    nest, else a lattice of its own.  B cap A is the same lattice, so one
+    entry serves both orders; a nested pair is kept as which operand of
+    its key is the smaller, and the reversed key flips that.  A pair from
+    two fields or ambient spaces, never a kept key, is refused by the
+    containment test."""
+    memo = A.lf._intersections
+    I = memo.get((A, B))
+    if I is None:
+        I = memo.get((B, A))
+        if isinstance(I, bool):
+            I = not I
     if I is None:
         # of nested lattices the larger has the smaller det_val
         big, small = (A, B) if A.det_val <= B.det_val else (B, A)
@@ -507,7 +516,7 @@ def lat_intersect(A: Lattice, B: Lattice) -> Lattice:
             a, b = A._basis(ring, lo), B._basis(ring, lo)
             D = [ra + rb for ra, rb in zip(a, b)] + [ra + [0] * m for ra in a]
             I = _lattice(A.lf, lo, [row[m:] for row in _hnf(A.lf, ring, D)[m:]], ring)
-        _memo_put(A.lf._intersections, (A, B), I)
+        _memo_put(memo, (A, B), I)
     return (A, B)[I] if isinstance(I, bool) else I
 
 

@@ -2,7 +2,10 @@
 
 A nonzero element is stored as pi^val * unit with the unit kept in
 O/pi^N; the precision N is tracked explicitly and operations fail loudly
-when cancellation exhausts it, rather than truncating silently.
+when cancellation exhausts it, rather than truncating silently.  Each
+element reduces its unit mod pi once, when it is built, and keeps the
+residue: the rank-one routes read only v and that residue, so a warm
+symbol reduces no unit again.
 
 Input grammar (shared with the command line):
     "42", "-3", "9/35"            rationals; the valuation is extracted
@@ -42,18 +45,25 @@ from .rings import RingCtx, _vp, ring_make
 
 
 class KElem:
-    """pi^val * unit at precision N; the unit is invertible mod pi."""
+    """pi^val * unit at precision N; the unit is invertible mod pi.
 
-    __slots__ = ("lf", "val", "unit", "prec")
+    _res is the unit's residue in F_q, read once when the element is built:
+    it is the unit check (the unit is invertible exactly when _res != 0)
+    and what reduce_mod_pi returns, so the routes, which read only the
+    valuation and the residue, never reduce a unit again.
+    """
+
+    __slots__ = ("lf", "val", "unit", "prec", "_res")
 
     def __init__(self, lf: "LocalField", val: int, unit: int, prec: int):
-        ring = lf.ring(prec)
-        if ring.val(unit) != 0:
+        res = lf.ring(prec).reduce_to(unit, lf.field)
+        if not res:
             raise PrecisionError("unit part is divisible by pi (or 0) at this precision")
         self.lf = lf
         self.val = val
         self.unit = unit
         self.prec = prec
+        self._res = res
 
     # group operations ------------------------------------------------------
 
@@ -83,18 +93,18 @@ class KElem:
     def unit_part(self) -> "KElem":
         """The unit u with self = pi^val * u, at the same precision.
 
-        self.unit was checked when self was built, so __init__'s ring
-        lookup and unit check are skipped.
+        self.unit was checked and its residue kept when self was built,
+        so __init__'s ring lookup and reduction are skipped.
         """
         u = KElem.__new__(KElem)
-        u.lf, u.val, u.unit, u.prec = self.lf, 0, self.unit, self.prec
+        u.lf, u.val, u.unit, u.prec, u._res = self.lf, 0, self.unit, self.prec, self._res
         return u
 
     def reduce_mod_pi(self) -> int:
-        """Residue of a unit; valuation must be zero."""
+        """Residue of a unit, kept since construction; valuation must be zero."""
         if self.val != 0:
             raise ValueError(f"cannot reduce mod pi: valuation is {self.val}")
-        return self.lf.ring(self.prec).reduce_to(self.unit, self.lf.field)
+        return self._res
 
     # helpers ----------------------------------------------------------------
 
@@ -153,7 +163,7 @@ class LocalField:
         self._walks: dict = {}   # musets.residue_walk, by n
         self._deltas: dict = {}  # symbols._orbit_delta, by n and residue
         self._quotients: dict = {}      # lattices.quotient_struct, by (A, B)
-        self._intersections: dict = {}  # lattices.lat_intersect, by (A, B)
+        self._intersections: dict = {}  # lattices.lat_intersect, by (A, B) for both orders
         self._images: dict = {}         # lattices.lat_apply, by (f's known data, A)
 
     def __repr__(self):

@@ -790,6 +790,28 @@ def test_a_warm_cocycle_builds_no_quotient_and_walks_no_sequence(monkeypatch):
     assert calls["hnf"] == [] and calls["solve"] == [] and calls["contains"] == []
 
 
+@pytest.mark.parametrize("p, f, n", [(13, 1, 4), (5, 2, 8)])
+def test_a_warm_crosscheck_does_no_ring_reduction(monkeypatch, p, f, n):
+    """Each element keeps the residue of its unit, so a second crosscheck
+    of the same pair reads every residue off its elements: no route looks
+    up a ring or reduces a unit.  Recorded on the classes, which FieldCtx
+    inherits them from."""
+    from resforge.rings import RingCtx
+
+    lf = LocalField(p, f)
+    unit = "[2,3]" if f > 1 else "3"
+    a, b = lf.parse(f"pi^2*{unit}"), lf.parse("pi^-1*7")
+    cold = crosscheck(lf, a, b, n)
+    calls = {}
+    monkeypatch.setattr(RingCtx, "reduce_to", recorded_calls(calls, "reduce", RingCtx.reduce_to))
+    monkeypatch.setattr(RingCtx, "lift_naive", recorded_calls(calls, "lift", RingCtx.lift_naive))
+    monkeypatch.setattr(LocalField, "ring", recorded_calls(calls, "ring", LocalField.ring))
+    warm = crosscheck(lf, a, b, n)
+    assert warm.agree and (warm.direct, warm.muset, warm.extension) == (
+        cold.direct, cold.muset, cold.extension)
+    assert calls == {"reduce": [], "lift": [], "ring": []}
+
+
 def test_lowering_the_bound_after_a_link_was_kept_still_raises():
     """kappa(O, pi O, pi^2 O) walks O/pi^2, of 9 elements.  Kept under the
     default bound, it raises at a bound of 8 as on a fresh field, and the

@@ -140,23 +140,49 @@ def test_equal_lattices_hash_equally_and_share_their_memo_entries():
 
 
 def test_nested_intersections_are_kept_and_refused_quotients_are_not():
-    """A nested pair is kept as which operand is the smaller, so that a hit
-    returns the caller's own object, here a second basis of B; a refused
-    quotient is not stored."""
+    """A nested pair is kept once, as which operand of its key is the
+    smaller, so that a hit in either order returns the caller's own
+    object, here a second basis of B; a refused quotient is not stored."""
     lf = LocalField(7)
     A = Lattice.from_rows(lf, [[1, 0], [0, 7]])
     B = Lattice.from_rows(lf, [[7, 0], [0, 7]])
     C = Lattice.from_rows(lf, [[7**3, 0], [0, 1]])
     assert lat_intersect(A, B) is B and lat_intersect(B, A) is B
-    assert lf._intersections == {(A, B): True, (B, A): False}
+    assert lf._intersections == {(A, B): True}
     B2 = Lattice.from_rows(lf, [[7, 7], [0, 7]])
     assert B2 == B and B2 is not B
     assert lat_intersect(A, B2) is B2 and lat_intersect(B2, A) is B2
-    assert len(lf._intersections) == 2
+    assert len(lf._intersections) == 1
     for big, small in ((B, A), (A, C)):   # det_val refuses, then the solve does
         with pytest.raises(ValueError, match="not contained"):
             quotient_struct(big, small)
     assert lf._quotients == {}
+
+
+def test_both_orders_of_a_pair_share_one_intersection(monkeypatch):
+    """B cap A is A cap B: asked in the second order, a proper pair runs
+    no second Hermite form and keeps no second entry, and a nested pair
+    runs no containment test."""
+    lf = LocalField(5)
+    A = Lattice.from_rows(lf, [[1, 0], [0, 25]])
+    B = Lattice.from_rows(lf, [[5, 1], [0, 5]])
+    N = Lattice.from_rows(lf, [[5, 0], [0, 25]])
+    hnfs, solves = [], []
+
+    def counted(calls, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(lattices, "_hnf", counted(hnfs, lattices._hnf))
+    monkeypatch.setattr(lattices, "_solve", counted(solves, lattices._solve))
+    I = lat_intersect(A, B)
+    assert I not in (A, B) and len(hnfs) == 1
+    assert lat_intersect(B, A) is I and len(hnfs) == 1
+    assert lat_intersect(N, A) is N and lat_intersect(A, N) is N
+    assert len(solves) == 2   # one containment test per pair, on its first ask
+    assert lf._intersections == {(A, B): I, (N, A): False}
 
 
 def test_the_lattice_memos_stay_under_their_cap():

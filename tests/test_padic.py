@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from resforge.errors import PrecisionError
-from resforge.padic import KElem, k_add, k_one_minus, k_sub, local_field
+from resforge.lattices import KMat
+from resforge.padic import KElem, LocalField, k_add, k_one_minus, k_sub, local_field
 
 
 @pytest.fixture
@@ -57,6 +58,42 @@ def test_unit_must_be_invertible(q7):
         KElem(q7, 0, 7, 4)
     with pytest.raises(PrecisionError):
         KElem(q7, 0, 0, 4)
+
+
+@pytest.mark.parametrize("p, f", [(7, 1), (3, 2), (2, 4)])
+def test_every_constructor_keeps_the_residue_of_its_unit(p, f):
+    """Each way of building an element keeps the residue of its unit in
+    F_q, the one reduce_mod_pi returns, equal to a fresh reduction at the
+    element's own precision; a unit divisible by pi is still refused."""
+    lf = LocalField(p, f)
+    unit = "[2,1]" if f > 1 else "3"
+    a = lf.parse(f"pi^-3*{unit}", prec=6)
+    b = lf.parse(f"pi^2*{unit}")
+    c = lf.from_rational(Fraction(-12, 5), prec=9)
+    d = lf.from_coeffs([p * (3 + p)] + [1] * (f > 1), prec=7)
+    built = {"parse": a, "parse, pi^2": b, "from_rational": c, "from_coeffs": d,
+             "pi": lf.pi(3), "pi^-2": lf.pi(-2, prec=5), "one": lf.one(4)}
+    for name, x in list(built.items()):
+        built[f"{name} * b"] = x * b
+        built[f"{name} inverse"] = x.inverse()
+        for e in (3, 0, -2):
+            built[f"{name} ** {e}"] = x**e
+        built[f"-{name}"] = -x
+        built[f"{name} unit_part"] = x.unit_part()
+        built[f"{name} + c"] = k_add(x, c)
+        built[f"1 - {name} * b"] = k_one_minus(x * b)
+    M = KMat.from_rows(lf, [[a, b], [c, d]], 6)
+    for i in range(2):
+        for j in range(2):
+            built[f"entry {i}{j}"] = M.entry_kelem(i, j)
+    for name, x in built.items():
+        want = lf.ring(x.prec).reduce_to(x.unit, lf.field)
+        assert want and x._res == want, name
+        assert x.unit_part().reduce_mod_pi() == want, name
+    ring = lf.ring(4)
+    for bad in (0, ring.encode([p] * f), ring.encode([p * p] + [0] * (f - 1))):
+        with pytest.raises(PrecisionError, match="unit part is divisible by pi"):
+            KElem(lf, 0, bad, 4)
 
 
 def test_parse_grammar(q7):

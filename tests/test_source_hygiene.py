@@ -13,7 +13,8 @@ may memoize through functools.cache or functools.lru_cache.  The one
 module-level cache is padic's registry of fields, _LF_CACHE.  A memo
 keys on canonical data, such as a Lattice's Hermite form, never on
 id(...): an id names an object only while it lives, and two equal
-lattices built apart have two.
+lattices built apart have two.  A KElem keeps the residue of its unit,
+so no module but padic reduces an element's unit to the residue field.
 """
 
 import ast
@@ -160,6 +161,20 @@ def _id_keys(named_trees) -> list[str]:
     return sorted(found)
 
 
+def _unit_reductions(named_trees) -> list[str]:
+    """Each call reduce_to(<expr>.unit, <expr>.field), as "module:line"."""
+    found = []
+    for name, tree in named_trees:
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "reduce_to" and len(node.args) == 2
+                    and isinstance(node.args[0], ast.Attribute) and node.args[0].attr == "unit"
+                    and isinstance(node.args[1], ast.Attribute)
+                    and node.args[1].attr == "field"):
+                found.append(f"{name}:{node.lineno}")
+    return found
+
+
 def test_no_module_keeps_a_cache_of_its_own():
     assert _module_caches(_modules()) == ["padic.py local_field: _LF_CACHE"]
 
@@ -172,6 +187,12 @@ def test_every_private_function_has_a_caller_in_the_package():
     with open(os.path.join(SRC, "__init__.py")) as fh:
         init = ast.parse(fh.read(), "__init__.py")
     assert _uncalled_private([*_modules(), ("__init__.py", init)]) == []
+
+
+def test_residues_come_from_the_element():
+    """A KElem keeps the residue of its unit, so only padic, which builds
+    it, reduces a unit to the residue field."""
+    assert _unit_reductions(m for m in _modules() if m[0] != "padic.py") == []
 
 
 def test_no_unread_module_imports():
@@ -232,3 +253,7 @@ def test_the_checks_see_what_they_look_for():
                       "    hit = seen.get((id(xs), 0))\n    table = {id(xs): hit}\n"
                       "    return table, id(xs) == 0, str(id(xs)), xs[0] in seen\n")
     assert _id_keys([("k.py", keyed)]) == ["k.py:3", "k.py:4", "k.py:5", "k.py:6"]
+    reduced = ast.parse("def residue(x, lf, ring):\n"
+                        "    u = lf.ring(x.prec).reduce_to(x.unit, lf.field)\n"
+                        "    return u, ring.reduce_to(x.unit, ring), ring.reduce_to(x, lf.field)\n")
+    assert _unit_reductions([("r.py", reduced)]) == ["r.py:2"]
