@@ -53,13 +53,15 @@ the same column operations.  torsor's exact-sequence section carries an
 identity below a map's rows and reads its lifts there, so the package
 has one Hermite kernel.
 
-Equal data gives equal hashes: a Lattice hashes its (shift, exps, rows),
-once, and keys memos on its field.  quotient_struct keeps each A/B in
+One object per lattice: every Lattice is built by _lattice, Lattice(mat)
+included, which returns the field's live lattice with the same shift and
+rows when there is one and otherwise registers the new one in
+lf._lattices.  That table is weak: a lattice lives while a caller or a
+memo holds it.  So f(gV) and (fg)V are one object, and a Lattice
+compares and hashes by identity.  quotient_struct keeps each A/B in
 lf._quotients.  lat_intersect looks its pair up in lf._intersections,
 in both orders, before any containment test, and keeps each unordered
-pair once: a proper intersection as a lattice, a nested pair as which
-operand of its key is the smaller, so that a hit in either order
-returns the caller's own object.  lat_apply keeps f(A) in
+pair once, a nested pair as its smaller operand.  lat_apply keeps f(A) in
 lf._images, keyed by A and f's known data (_kmat_key: shift, prec and
 rows); prec is part of the key, since the same digits known to another
 precision can raise PrecisionError.  A memo holds at most MEMO_CAP
@@ -153,6 +155,11 @@ class KMat:
     def __repr__(self):
         return (f"KMat({self.nrows}x{self.ncols}, shift={self.shift}, "
                 f"prec={self.prec})")
+
+    def __reduce__(self):
+        """Copy and pickle rebuild it through the constructor, on its
+        field's own ring."""
+        return KMat, (self.lf, self.data, self.shift, self.prec)
 
     # basic operations -------------------------------------------------------
 
@@ -369,29 +376,22 @@ def smith_normal_form(ring, D):
 class Lattice:
     """A full-rank O-lattice in K^m: pi^shift T O^m for its canonical basis
     T, whose rows are encoded in ring = O/pi^(hi - shift + 1), the least
-    ring that holds its pivots pi^exps; pi^hi V <= L <= pi^shift V."""
+    ring that holds its pivots pi^exps; pi^hi V <= L <= pi^shift V.  A
+    field holds one object per lattice (_lattice), so equality is identity."""
 
-    __slots__ = ("lf", "m", "shift", "hi", "exps", "rows", "ring", "det_val", "_hash",
-                 "__weakref__")
+    __slots__ = ("lf", "m", "shift", "hi", "exps", "rows", "ring", "det_val", "__weakref__")
 
-    def __init__(self, mat: KMat):
+    def __new__(cls, mat: KMat):
         """The lattice the columns of mat span, which its known digits must
         determine (KMat.canonical_hnf)."""
         hnf = mat.canonical_hnf()
-        self._set(mat.lf, hnf.shift, hnf.data, hnf.ring)
+        return _lattice(mat.lf, hnf.shift, hnf.data, hnf.ring)
 
-    def _set(self, lf: LocalField, lo: int, T, ring) -> None:
-        """Take the Hermite form T (rows in ring) over pi^lo, moved to the
-        least valuation of its entries."""
-        m = len(T)
-        t = min(ring.val(x) for i, row in enumerate(T) for x in row[:i + 1])
-        exps = [ring.val(T[i][i]) - t for i in range(m)]
-        width = sum(exps)
-        self.lf, self.m, self.shift, self.hi, self.exps = lf, m, lo + t, lo + t + width, exps
-        self.ring = lf.ring(width + 1)
-        self.rows = _moved(T, ring, self.ring, -t)
-        self.det_val = m * self.shift + width
-        self._hash = None
+    def __reduce__(self):
+        """Copy and pickle rebuild it from its basis, through _lattice: a
+        copy is the lattice itself, and a pickle loads onto a copy of its
+        field."""
+        return Lattice, (self.mat,)
 
     def _basis(self, ring, lo: int | None = None) -> list[list[int]]:
         """Rows of pi^(shift - lo) T encoded in ring; lo defaults to shift."""
@@ -411,23 +411,24 @@ class Lattice:
     def __repr__(self):
         return f"Lattice(m={self.m}, shift={self.shift})"
 
-    def __eq__(self, other):
-        if not isinstance(other, Lattice):
-            return NotImplemented
-        return (self.lf is other.lf and self.shift == other.shift
-                and self.exps == other.exps and self.rows == other.rows)
-
-    def __hash__(self):
-        """Of the data __eq__ compares, but the field; computed once."""
-        if self._hash is None:
-            self._hash = hash((self.shift, tuple(self.exps), tuple(map(tuple, self.rows))))
-        return self._hash
-
 
 def _lattice(lf: LocalField, lo: int, T, ring) -> Lattice:
-    """pi^lo T O^m for a Hermite form T, rows in ring."""
-    L = Lattice.__new__(Lattice)
-    L._set(lf, lo, T, ring)
+    """pi^lo T O^m for a Hermite form T, rows in ring, moved to the least
+    valuation of its entries: the field's live Lattice with that shift
+    and those rows, or a new one that the field then holds weakly."""
+    m = len(T)
+    t = min(ring.val(x) for i, row in enumerate(T) for x in row[:i + 1])
+    exps = [ring.val(T[i][i]) - t for i in range(m)]
+    width = sum(exps)
+    own = lf.ring(width + 1)
+    rows = _moved(T, ring, own, -t)
+    key = (lo + t, tuple(map(tuple, rows)))
+    L = lf._lattices.get(key)
+    if L is None:
+        L = object.__new__(Lattice)
+        L.lf, L.m, L.shift, L.hi, L.exps = lf, m, lo + t, lo + t + width, exps
+        L.rows, L.ring, L.det_val = rows, own, m * (lo + t) + width
+        lf._lattices[key] = L
     return L
 
 
@@ -488,25 +489,17 @@ def lat_sum(A: Lattice, B: Lattice) -> Lattice:
 
 
 def lat_intersect(A: Lattice, B: Lattice) -> Lattice:
-    """A cap B, memoized on the field: the smaller operand itself when they
-    nest, else a lattice of its own.  B cap A is the same lattice, so one
-    entry serves both orders; a nested pair is kept as which operand of
-    its key is the smaller, and the reversed key flips that.  A pair from
-    two fields or ambient spaces, never a kept key, is refused by the
-    containment test."""
+    """A cap B, memoized on the field: the smaller operand when they nest,
+    else a lattice of its own.  B cap A is the same lattice, so one entry
+    serves both orders.  A pair from two fields or ambient spaces, never a
+    kept key, is refused by the containment test."""
     memo = A.lf._intersections
-    I = memo.get((A, B))
-    if I is None:
-        I = memo.get((B, A))
-        if isinstance(I, bool):
-            I = not I
+    I = memo.get((A, B)) or memo.get((B, A))
     if I is None:
         # of nested lattices the larger has the smaller det_val
         big, small = (A, B) if A.det_val <= B.det_val else (B, A)
         if lat_contains_lattice(big, small):
-            # which operand is the intersection, so that a hit returns the
-            # caller's own object
-            I = small is B
+            I = small
         else:
             # the columns (a + b, a) span a lattice in K^2m that contains
             # pi^hi V^2m for the larger hi; its part with a + b = 0 is
@@ -517,7 +510,7 @@ def lat_intersect(A: Lattice, B: Lattice) -> Lattice:
             D = [ra + rb for ra, rb in zip(a, b)] + [ra + [0] * m for ra in a]
             I = _lattice(A.lf, lo, [row[m:] for row in _hnf(A.lf, ring, D)[m:]], ring)
         _memo_put(memo, (A, B), I)
-    return (A, B)[I] if isinstance(I, bool) else I
+    return I
 
 
 def _solve(A: Lattice, C, ring):
@@ -560,7 +553,7 @@ class LatticeQuotient:
     def __init__(self, A: Lattice, B: Lattice):
         _check_pair(A, B)
         L = B.det_val - A.det_val
-        if B.shift < A.shift or L < 0 or (L == 0 and A != B):
+        if B.shift < A.shift or L < 0 or (L == 0 and A is not B):
             raise ValueError("B is not contained in A")
         self.A, self.B = A, B
         R = self._ring = A.lf.ring(B.hi - A.shift + L + A.hi - A.shift + 1)

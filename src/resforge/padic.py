@@ -22,7 +22,8 @@ muset and extension routes build once per n), beside the rank-one
 routes' per-residue memos (chi(u) on the F_q context, delta(u) in
 LocalField._deltas, S(u) on each engine), each at most q - 1 entries
 per n, and the lattice layer's memos of quotients, intersections and
-images f(A), each at most lattices.MEMO_CAP entries.  After one
+images f(A), each at most lattices.MEMO_CAP entries, with a weak table
+of the lattices that some caller or memo holds.  After one
 rank-one crosscheck at n = 2, tracemalloc counts 1.1 MB on a field at
 q = 90,001, 12.8 MB at q = 3^12 and 22.2 MB at q = 31^4, near MAX_Q.  One crosscheck on each of the 8 primes from
 90,001 to 90,053 raises peak RSS from 16.9 to 29.6 MB.  A memo filled
@@ -37,6 +38,7 @@ with everything on it when dropped.
 from __future__ import annotations
 
 import re
+import weakref
 from fractions import Fraction
 
 from .errors import PrecisionError
@@ -144,8 +146,10 @@ class KElem:
 class LocalField:
     """The unramified extension of Q_p with residue field F_{p^f}; it owns
     its F_q context, rings, engines, module views, O/pi walks, the
-    muset route's delta memo and the lattice layer's quotient,
-    intersection and image memos, which go with it."""
+    muset route's delta memo, the lattice layer's quotient, intersection
+    and image memos, which go with it, and a weak table of its live
+    lattices, which holds none of them alive.  Copy and pickle rebuild
+    it, empty, from (p, f, default_precision, enum_bound)."""
 
     def __init__(self, p: int, f: int = 1, default_precision: int = 24,
                  enum_bound: int = 100_000):
@@ -162,12 +166,17 @@ class LocalField:
         self._views: dict = {}   # FiniteModule.view, by (exps, n, rule)
         self._walks: dict = {}   # musets.residue_walk, by n
         self._deltas: dict = {}  # symbols._orbit_delta, by n and residue
+        # lattices._lattice's one Lattice per (shift, rows), held weakly
+        self._lattices = weakref.WeakValueDictionary()
         self._quotients: dict = {}      # lattices.quotient_struct, by (A, B)
         self._intersections: dict = {}  # lattices.lat_intersect, by (A, B) for both orders
         self._images: dict = {}         # lattices.lat_apply, by (f's known data, A)
 
     def __repr__(self):
         return f"LocalField(p={self.p}, f={self.f})"
+
+    def __reduce__(self):
+        return LocalField, (self.p, self.f, self.default_precision, self.enum_bound)
 
     def ring(self, N: int) -> RingCtx:
         ctx = self._rings.get(N)
@@ -220,14 +229,14 @@ class LocalField:
         return KElem(self, vn - vd, u, prec)
 
     def from_coeffs(self, coeffs, prec: int | None = None) -> KElem:
-        """Element with the given integer polynomial coefficients, exactly."""
+        """Element with the given integer polynomial coefficients, exactly:
+        the valuation is read off the integers, as from_rational does, so
+        digits past pi^prec are kept."""
         prec = self.precision(prec)
-        ring = self.ring(prec)
-        enc = ring.encode(coeffs)
-        v = ring.val(enc)
-        if v >= prec:
-            raise PrecisionError("coefficient vector vanishes at this precision")
-        return KElem(self, v, ring.div_pk(enc, v), prec)
+        v = min((_vp(c, self.p) for c in coeffs if c), default=None)
+        if v is None:
+            raise PrecisionError("coefficient vector vanishes")
+        return KElem(self, v, self.ring(prec).encode([c // self.p**v for c in coeffs]), prec)
 
     _PI_RE = re.compile(r"^pi(?:\^(-?\d+))?$")
     _FRAC_RE = re.compile(r"^(-?\d+)(?:/(-?\d+))?$")
@@ -265,8 +274,9 @@ class LocalField:
                 elem = self.from_coeffs(coeffs, prec)
             else:
                 raise ValueError(f"cannot parse {text!r}")
-        if vshift:
-            elem = KElem(self, elem.val + vshift, elem.unit, elem.prec)
+        # elem was built by this call and is held nowhere else: shift it in
+        # place, keeping the residue its construction read
+        elem.val += vshift
         return elem
 
 

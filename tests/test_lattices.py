@@ -1,3 +1,6 @@
+import copy
+import gc
+import pickle
 import random
 
 import pytest
@@ -124,14 +127,15 @@ def test_basis_independence_of_canonical_form(q7):
 
 
 def test_equal_lattices_hash_equally_and_share_their_memo_entries():
-    """Two bases of one lattice give equal keys: the second quotient and
-    the second proper intersection are the first ones' objects."""
+    """Two bases of one lattice give one object, so one key: the second
+    quotient and the second proper intersection are the first ones'
+    objects."""
     lf = LocalField(7)
     A1 = Lattice.from_rows(lf, [[7, 7], [0, 7]])
     A2 = Lattice.from_rows(lf, [[14, 7], [7, 7]])
     B1 = Lattice.from_rows(lf, [[49, 0], [0, 49]])
     B2 = Lattice.from_rows(lf, [[0, 49], [98, 49]])
-    assert A1 == A2 and hash(A1) == hash(A2) and hash(B1) == hash(B2)
+    assert A1 is A2 and B1 is B2 and hash(A1) == hash(A2)
     assert quotient_struct(A2, B2) is quotient_struct(A1, B1)
     C1 = Lattice.from_rows(lf, [[1, 0], [0, 49]])
     C2 = Lattice.from_rows(lf, [[1, 0], [49, 49]])
@@ -140,18 +144,18 @@ def test_equal_lattices_hash_equally_and_share_their_memo_entries():
 
 
 def test_nested_intersections_are_kept_and_refused_quotients_are_not():
-    """A nested pair is kept once, as which operand of its key is the
-    smaller, so that a hit in either order returns the caller's own
-    object, here a second basis of B; a refused quotient is not stored."""
+    """A nested pair is kept once, as its smaller operand, and a hit in
+    either order returns it; a second basis of B is B itself.  A refused
+    quotient is not stored."""
     lf = LocalField(7)
     A = Lattice.from_rows(lf, [[1, 0], [0, 7]])
     B = Lattice.from_rows(lf, [[7, 0], [0, 7]])
     C = Lattice.from_rows(lf, [[7**3, 0], [0, 1]])
     assert lat_intersect(A, B) is B and lat_intersect(B, A) is B
-    assert lf._intersections == {(A, B): True}
+    assert lf._intersections == {(A, B): B}
     B2 = Lattice.from_rows(lf, [[7, 7], [0, 7]])
-    assert B2 == B and B2 is not B
-    assert lat_intersect(A, B2) is B2 and lat_intersect(B2, A) is B2
+    assert B2 is B
+    assert lat_intersect(A, B2) is B and lat_intersect(B2, A) is B
     assert len(lf._intersections) == 1
     for big, small in ((B, A), (A, C)):   # det_val refuses, then the solve does
         with pytest.raises(ValueError, match="not contained"):
@@ -182,7 +186,61 @@ def test_both_orders_of_a_pair_share_one_intersection(monkeypatch):
     assert lat_intersect(B, A) is I and len(hnfs) == 1
     assert lat_intersect(N, A) is N and lat_intersect(A, N) is N
     assert len(solves) == 2   # one containment test per pair, on its first ask
-    assert lf._intersections == {(A, B): I, (N, A): False}
+    assert lf._intersections == {(A, B): I, (N, A): N}
+
+
+def test_a_lattice_reached_along_two_paths_is_one_object():
+    """f(gV) and (fg)V, and an intersection and a basis of it, are one
+    object: the field holds one Lattice per lattice."""
+    lf = LocalField(7)
+    V = standard_lattice(lf, 2)
+    f = KMat.from_rows(lf, [[7, 1], [0, 14]], 8)
+    g = KMat.from_rows(lf, [[1, 0], [7, 49]], 8)
+    gV = lat_apply(g, V)
+    assert gV is not V and lat_apply(f, gV) is lat_apply(f @ g, V)
+    I = lat_intersect(V, Lattice.from_rows(lf, [["1/7", 0], [0, 49]]))
+    assert I is Lattice.from_rows(lf, [[1, 0], [0, 49]])
+
+
+def test_the_field_holds_its_lattices_weakly():
+    """A lattice that no one holds leaves the field's table; one that a
+    memo holds is still the object a new basis of it returns."""
+    lf = LocalField(7)
+    L = Lattice.from_rows(lf, [[7, 1], [0, 49]])
+    assert list(lf._lattices.values()) == [L]
+    del L
+    gc.collect()
+    assert len(lf._lattices) == 0
+    V = standard_lattice(lf, 2)
+    lat_apply(KMat.from_rows(lf, [[7, 1], [0, 49]], 8), V)
+    gc.collect()
+    fV, = lf._images.values()
+    assert Lattice.from_rows(lf, [[7, 1], [0, 49]]) is fV and len(lf._lattices) == 2
+
+
+def test_a_copy_is_the_lattice_and_a_pickle_loads_onto_a_copy_of_its_field():
+    """copy.copy returns the lattice itself.  A pickle of a Lattice, a
+    KMat and a KElem carries no ring or F_q tables and loads onto one new
+    field built from the original's parameters, where the lattice is that
+    field's one object for its data and the KMat is on the field's ring."""
+    lf = LocalField(5, 2, default_precision=10, enum_bound=5000)
+    rows = [["pi", "[1,2]"], [0, "pi^2"]]
+    L = Lattice.from_rows(lf, rows)
+    assert copy.copy(L) is L
+    M = KMat.from_rows(lf, [["[1,2]", 5], [0, "pi^-1*[2,1]"]])
+    x = lf.parse("pi^3*[4,1]")
+    data = pickle.dumps((L, M, x))
+    assert b"RingCtx" not in data and b"FieldCtx" not in data
+    L2, M2, x2 = pickle.loads(data)
+    lf2 = L2.lf
+    assert lf2 is not lf and M2.lf is lf2 and x2.lf is lf2
+    assert (lf2.p, lf2.f, lf2.default_precision, lf2.enum_bound) == (5, 2, 10, 5000)
+    assert (L2.shift, L2.exps, L2.rows, L2.det_val) == (L.shift, L.exps, L.rows, L.det_val)
+    assert L2 is Lattice.from_rows(lf2, rows)
+    assert (M2.shift, M2.prec, M2.data) == (M.shift, M.prec, M.data)
+    assert M2.ring is lf2.ring(M2.prec)
+    assert lat_apply(M2, L2).rows == lat_apply(M, L).rows
+    assert (x2.val, x2.unit, x2.prec, x2._res) == (x.val, x.unit, x.prec, x._res)
 
 
 def test_the_lattice_memos_stay_under_their_cap():

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from resforge.errors import PrecisionError
 from resforge.lattices import KMat
 from resforge.padic import KElem, LocalField, k_add, k_one_minus, k_sub, local_field
+from resforge.rings import RingCtx
 
 
 @pytest.fixture
@@ -121,6 +123,49 @@ def test_parse_f2_coefficients():
         lf.parse("[1,2,1]")                 # too many coefficients
     with pytest.raises(PrecisionError):
         lf.from_coeffs([0, 0])
+
+
+def test_coefficients_past_the_precision_keep_their_unit_digits():
+    """from_coeffs and parse read the valuation off the exact integers, so
+    an input at or past p^N is pi^v times the element of c / p^v: at p = 3
+    and N = 4, [84, 3] is 3 * [28, 1], not 3 * [1, 1]."""
+    lf = LocalField(3, 2, default_precision=4)
+    assert repr(lf.from_coeffs([84, 3])) == "KElem(pi^1*[28,1] : O(pi^5))"
+    rng = random.Random(5)
+    for p, f in ((3, 2), (5, 2)):
+        lf, N = LocalField(p, f, default_precision=4), 4
+        for _ in range(40):
+            v = rng.randint(0, 5)
+            units = [rng.randint(-p**6, p**6) for _ in range(f)]
+            if all(u % p == 0 for u in units):
+                units[0] += 1
+            coeffs = [p**v * u for u in units]
+            assert max(map(abs, coeffs)) >= p**N or v == 0
+            want = lf.pi(v) * lf.from_coeffs(units)
+            for got in (lf.from_coeffs(coeffs), lf.parse(f"[{','.join(map(str, coeffs))}]")):
+                assert (got.val, got.unit, got.prec) == (want.val, want.unit, want.prec), coeffs
+
+
+def test_a_pi_shifted_input_reduces_its_unit_once(monkeypatch):
+    """parse shifts the valuation of the element it built in place,
+    keeping its residue: "pi^2*[1,2]" and "pi^2*5" reduce a unit as often
+    as "[1,2]"."""
+    lf = LocalField(3, 2)
+    texts = ("[1,2]", "pi^2*[1,2]", "pi^2*5")
+    for text in texts:   # build the rings first
+        lf.parse(text)
+    calls = []
+    reduce_to = RingCtx.reduce_to
+
+    def counted(ring, *args):
+        calls.append(args)
+        return reduce_to(ring, *args)
+
+    monkeypatch.setattr(RingCtx, "reduce_to", counted)
+    for text in texts:
+        calls.clear()
+        x = lf.parse(text)
+        assert len(calls) == 1 and x.val == (0 if text == "[1,2]" else 2), text
 
 
 def test_fraction_embedding_consistency(q7):

@@ -11,10 +11,14 @@ State belongs to a LocalField or an engine, so dropping the field frees
 it: no function may mutate a container bound at module level, and none
 may memoize through functools.cache or functools.lru_cache.  The one
 module-level cache is padic's registry of fields, _LF_CACHE.  A memo
-keys on canonical data, such as a Lattice's Hermite form, never on
-id(...): an id names an object only while it lives, and two equal
-lattices built apart have two.  A KElem keeps the residue of its unit,
-so no module but padic reduces an element's unit to the residue field.
+keys on canonical data or on a Lattice, never on id(...): an id names an
+object only while it lives, and a later object may take it.  A Lattice
+is its field's one object for its Hermite form, so it compares and
+hashes by identity, and that holds only while lattices._lattice, which
+looks the form up, is the one function that creates one: a lattice
+built anywhere else would be a second object, unequal to the first.  A
+KElem keeps the residue of its unit, so no module but padic reduces an
+element's unit to the residue field.
 """
 
 import ast
@@ -175,12 +179,37 @@ def _unit_reductions(named_trees) -> list[str]:
     return found
 
 
+def _lattice_builders(named_trees) -> list[str]:
+    """Each function, as "module function", that calls
+    object.__new__(Lattice) or Lattice.__new__."""
+    found = set()
+    for name, tree in named_trees:
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "__new__"
+                        and isinstance(node.func.value, ast.Name)):
+                    continue
+                owner, args = node.func.value.id, node.args
+                if owner == "Lattice" or (owner == "object" and args
+                                          and isinstance(args[0], ast.Name)
+                                          and args[0].id == "Lattice"):
+                    found.add(f"{name} {fn.name}")
+    return sorted(found)
+
+
 def test_no_module_keeps_a_cache_of_its_own():
     assert _module_caches(_modules()) == ["padic.py local_field: _LF_CACHE"]
 
 
 def test_no_container_is_keyed_by_object_identity():
     assert _id_keys(_modules()) == []
+
+
+def test_only_the_interning_function_creates_a_lattice():
+    assert _lattice_builders(_modules()) == ["lattices.py _lattice"]
 
 
 def test_every_private_function_has_a_caller_in_the_package():
@@ -257,3 +286,8 @@ def test_the_checks_see_what_they_look_for():
                         "    u = lf.ring(x.prec).reduce_to(x.unit, lf.field)\n"
                         "    return u, ring.reduce_to(x.unit, ring), ring.reduce_to(x, lf.field)\n")
     assert _unit_reductions([("r.py", reduced)]) == ["r.py:2"]
+    built = ast.parse("def copy(L):\n    return object.__new__(Lattice)\n\n"
+                      "def again(mat):\n    return Lattice.__new__(Lattice, mat)\n\n"
+                      "def fine(mat):\n    return Lattice(mat), object.__new__(KMat), "
+                      "KMat.__new__(KMat), object.__new__()\n")
+    assert _lattice_builders([("l.py", built)]) == ["l.py again", "l.py copy"]
