@@ -222,7 +222,7 @@ def test_grammar_round_trip(p, f):
                     try:
                         want = lf.pi(v, prec) * lf.from_coeffs(coeffs, prec)
                     except PrecisionError:
-                        continue   # vanishes at this precision
+                        continue   # every coefficient is 0
                     text = f"pi^{v}*[{','.join(map(str, coeffs))}]"
                 x = lf.parse(text, prec)
                 assert x == want, text
