@@ -31,12 +31,13 @@ X2 = MuSet(2, 5)
 h = MuSetAut(X2, sigma=(2, 0, 1, 4, 3), mu=(1, 0, 1, 1, 0))
 print("n = 2: perm sign", perm_sign(h), " vs delta", aut_delta(h))
 
-# Multiplication by a on k = F_7, viewed as a mu_2-set with 3 orbits:
+# Multiplication by a on k = F_7, viewed as a mu_2-set with 3 orbits; the
+# map names its module, so module_aut_as_musetaut takes the map alone:
 lf = local_field(7)
 k_mod = FiniteModule(lf, (1,))
 print("\nF_7 as a mu_2-set has", module_as_muset(k_mod, 2).t, "orbits")
 for a in range(1, 7):
-    m_a = module_aut_as_musetaut(k_mod, scalar_hom(k_mod, a), 2)
+    m_a = module_aut_as_musetaut(scalar_hom(k_mod, a), 2)
     chi = power_residue_char(lf.field, a, 2)
     print(f"a = {a}: delta(m_a) = zeta^{aut_delta(m_a).exp}, "
           f"Euler gives zeta^{chi.exp}")
@@ -46,7 +47,7 @@ lf25 = local_field(5, 2)
 k25 = FiniteModule(lf25, (1,))
 ok = all(
     aut_delta(module_aut_as_musetaut(
-        k25, scalar_hom(k25, a, from_ring=lf25.ring(1)), 12)).exp
+        scalar_hom(k25, a, from_ring=lf25.ring(1)), 12)).exp
     == power_residue_char(lf25.field, a, 12).exp
     for a in range(1, 25))
 print("exhaustive agreement on F_25, n = 12:", ok)

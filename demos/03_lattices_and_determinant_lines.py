@@ -37,17 +37,19 @@ print("[O | 7O] for n = 2:", rel_dim(O1, principal_lattice(lf, 1), 2))
 print("[7O | O] for n = 2:", rel_dim(principal_lattice(lf, 1), O1, 2))
 
 # Determinants act on determinant lines; exact sequences multiply them.
+# Each scalar is read off its maps: incl : X -> Y and proj : Y -> Z name
+# the three modules, and an automorphism names the module it acts on.
 QX = quotient_struct(principal_lattice(lf, 1), principal_lattice(lf, 2))
 QY = quotient_struct(O1, principal_lattice(lf, 2))
 QZ = quotient_struct(O1, principal_lattice(lf, 1))
 incl = induced_hom(QX, QY)
 proj = induced_hom(QY, QZ)
-c = exact_seq_iso(QX.module, QY.module, QZ.module, incl, proj, 2)
+c = exact_seq_iso(incl, proj, 2)
 print("\n0 -> 7O/49O -> O/49O -> O/7O -> 0 contracts with scalar", c)
 
 for u in (2, 3):
-    dX = det_of_module_aut(QX.module, scalar_hom(QX.module, u), 2)
-    dY = det_of_module_aut(QY.module, scalar_hom(QY.module, u), 2)
-    dZ = det_of_module_aut(QZ.module, scalar_hom(QZ.module, u), 2)
+    dX = det_of_module_aut(scalar_hom(QX.module, u), 2)
+    dY = det_of_module_aut(scalar_hom(QY.module, u), 2)
+    dZ = det_of_module_aut(scalar_hom(QZ.module, u), 2)
     print(f"mult-by-{u}: det on sub * det on quotient = det on middle?",
           (dX * dZ) == dY)

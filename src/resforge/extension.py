@@ -146,7 +146,7 @@ def _iso_exp(srcQ: LatticeQuotient, dstQ: LatticeQuotient, f: KMat | None,
              engine: SymbolEngine) -> int:
     """Exponent of the determinant scalar of lift-(f)-project on quotients:
     S of its graded residue determinant, read off the engine's own walk."""
-    return _digit_sum(engine, _graded_det(dstQ.module, induced_hom(srcQ, dstQ, f))) % engine.n
+    return _digit_sum(engine, _graded_det(induced_hom(srcQ, dstQ, f))) % engine.n
 
 
 def rho_exp(f: KMat, A: Lattice, B: Lattice, engine: SymbolEngine) -> int:

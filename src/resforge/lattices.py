@@ -74,7 +74,7 @@ from __future__ import annotations
 from .errors import PrecisionError
 from .modules import FiniteModule, ModuleHom
 from .padic import KElem, LocalField
-from .rings import _det_rows
+from .rings import _check_n, _det_rows
 
 # entries a lattice-keyed memo holds before it is emptied
 MEMO_CAP = 1024
@@ -413,10 +413,13 @@ class Lattice:
 
 
 def _lattice(lf: LocalField, lo: int, T, ring) -> Lattice:
-    """pi^lo T O^m for a Hermite form T, rows in ring, moved to the least
-    valuation of its entries: the field's live Lattice with that shift
-    and those rows, or a new one that the field then holds weakly."""
+    """pi^lo T O^m for a Hermite form T of rank m >= 1, rows in ring,
+    moved to the least valuation of its entries: the field's live Lattice
+    with that shift and those rows, or a new one that the field then
+    holds weakly."""
     m = len(T)
+    if m < 1:
+        raise ValueError("a lattice needs rank m >= 1")
     t = min(ring.val(x) for i, row in enumerate(T) for x in row[:i + 1])
     exps = [ring.val(T[i][i]) - t for i in range(m)]
     width = sum(exps)
@@ -633,6 +636,7 @@ def induced_hom(srcQ: LatticeQuotient, dstQ: LatticeQuotient,
 
 def rel_dim(A: Lattice, B: Lattice, n: int) -> int:
     """dim(A / A cap B) - dim(B / A cap B), as an exact integer."""
+    _check_n(A.lf.field, n)
     I = lat_intersect(A, B)
     q = A.lf.q
     return (q**(I.det_val - A.det_val) - 1) // n - (q**(I.det_val - B.det_val) - 1) // n

@@ -108,6 +108,7 @@ class FiniteModule:
 
     def dim(self, n: int) -> int:
         """Number of mu_n orbits off zero: (|T| - 1) / n."""
+        _check_n(self.lf.field, n)
         return (self.size - 1) // n
 
     def view(self, n: int, rule: str = "least") -> OrbitView:
@@ -277,18 +278,17 @@ def scalar_hom(M: FiniteModule, u, from_ring=None) -> ModuleHom:
 
 def module_as_muset(T: FiniteModule, n: int) -> MuSet:
     """The underlying finite free pointed mu_n-set: mu_n acts freely off zero."""
-    _check_n(T.lf.field, n)
     return MuSet(n, T.dim(n))
 
 
-def _check_endo(T: FiniteModule, g: ModuleHom):
-    if g.src != T or g.dst != T:
-        raise ValueError("not an endomorphism of T")
+def _check_endo(g: ModuleHom) -> FiniteModule:
+    """The module of which g is an endomorphism."""
+    if g.src != g.dst:
+        raise ValueError("map is not an endomorphism")
+    return g.src
 
 
-def module_aut_as_musetaut(T: FiniteModule, g: ModuleHom, n: int,
-                           rule: str = "least") -> MuSetAut:
+def module_aut_as_musetaut(g: ModuleHom, n: int, rule: str = "least") -> MuSetAut:
     """Express an O-linear automorphism as (sigma, mu) data, read off the
     positions of its images."""
-    _check_endo(T, g)
-    return T.view(n, rule).as_aut(g.images())
+    return _check_endo(g).view(n, rule).as_aut(g.images())

@@ -14,9 +14,10 @@ order is the owner's label order.  It takes zeta_n's action as an array
 of positions, keeps each position's orbit and twist in two flat
 array('i'), and pins down orbit representatives by a deterministic
 rule, so that expressing concrete maps as (sigma, mu) data is
-reproducible.  A map is given on positions too, as the position of the
-image of every position (ModuleHom.images for module maps), so a view
-needs nothing of its owner's labels.  Three rules exist:
+reproducible.  A map of the view to itself is given on positions too,
+as the position of the image of every position (ModuleHom.images for
+module maps), so a view needs nothing of its owner's labels.  Three
+rules exist:
 
 least         the least element of each orbit in the container's order;
 second_least  the second least, which exists whenever n >= 2;
@@ -180,18 +181,18 @@ class OrbitView:
     def as_aut(self, images) -> MuSetAut:
         """Express an equivariant pointed bijection, given by the position of
         the image of every position, as (sigma, mu) data."""
-        return MuSetAut(self.muset, *_orbit_images(self, self, images))
+        return MuSetAut(self.muset, *_orbit_images(self, images))
 
 
-def _orbit_images(src: OrbitView, dst: OrbitView, images) -> tuple[tuple, tuple]:
-    """(sigma, mu) with images[reps of src][i] = zeta^mu[i] * (rep sigma[i] of dst)."""
-    ys = [images[r] for r in src.reps]
-    if not all(0 < y < len(dst.orbit) for y in ys):
+def _orbit_images(view: OrbitView, images) -> tuple[tuple, tuple]:
+    """(sigma, mu) with images[reps][i] = zeta^mu[i] * reps[sigma[i]]."""
+    ys = [images[r] for r in view.reps]
+    if not all(0 < y < len(view.orbit) for y in ys):
         raise ValueError("map does not preserve the nonzero part")
-    sigma = tuple(dst.orbit[y] for y in ys)
+    sigma = tuple(view.orbit[y] for y in ys)
     if len(set(sigma)) != len(sigma):
         raise ValueError("map is not bijective on orbits")
-    return sigma, tuple(dst.twist[y] for y in ys)
+    return sigma, tuple(view.twist[y] for y in ys)
 
 
 def residue_walk(lf, n: int) -> tuple[array, array]:
@@ -214,17 +215,13 @@ def residue_walk(lf, n: int) -> tuple[array, array]:
     return walk
 
 
-def iso_scalar(src: OrbitView, dst: OrbitView, images) -> int:
-    """Exponent c with (tensor of images of reps of src) = zeta^c * (tensor of reps of dst).
+def iso_scalar(view: OrbitView, images) -> int:
+    """Exponent c with (tensor of images of reps) = zeta^c * (tensor of reps).
 
-    images must be an equivariant bijection between the underlying sets,
-    given by the position in dst of the image of every position of src.
+    images must be an equivariant bijection of the view's underlying set,
+    given by the position of the image of every position.
     """
-    if src.n != dst.n:
-        raise ValueError("mismatched n")
-    if src.t != dst.t:
-        raise ValueError("sources of different dimension")
-    return sum(_orbit_images(src, dst, images)[1]) % src.n
+    return sum(_orbit_images(view, images)[1]) % view.n
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,13 @@ two quotients with the same exponents, as in the extension route's iso
 exponents, is an automorphism of one module with one memoized view, and
 _det_exp_brute is its enumeration oracle too.
 
+Every function here reads its modules off its maps: an automorphism g
+acts on g.src = g.dst (modules._check_endo refuses any other map), and
+incl and proj give the sequence incl.src -> incl.dst -> proj.dst.  Only
+_exact_seq_exp keeps X, Y and Z as parameters, because bench/spans.py
+counts the size of its second argument; it refuses maps whose ends are
+not X -> Y -> Z.
+
 The exact sequence 0 -> X -> Y -> Z -> 0 is checked on generators and
 walked on fibers.  Exactness: incl is injective (its |X| image
 positions are distinct), |X| |Z| = |Y|, proj o incl vanishes on X's
@@ -43,20 +50,19 @@ from .musets import iso_scalar
 # determinants of module automorphisms
 
 
-def _det_exp_brute(T: FiniteModule, g: ModuleHom, n: int) -> int:
+def _det_exp_brute(g: ModuleHom, n: int) -> int:
     """delta of g by enumeration, the oracle of det_of_module_aut.
 
     Any rule serves: moving representative r_i to zeta^k_i * r_i adds k_i
     to the twist of orbit i and -k_i to that of sigma^-1(i), so the sum
     of the twists stays the same.
     """
-    _check_endo(T, g)
-    view = T.view(n)
-    return iso_scalar(view, view, g.images())
+    return iso_scalar(_check_endo(g).view(n), g.images())
 
 
-def _graded_det(T: FiniteModule, g: ModuleHom) -> int:
+def _graded_det(g: ModuleHom) -> int:
     """The product over the pi-filtration of g's residue determinants, in F_q^x."""
+    T = _check_endo(g)
     field = T.lf.field
     det_total = 1
     for i in range(T.exps[-1] if T.exps else 0):
@@ -69,11 +75,11 @@ def _graded_det(T: FiniteModule, g: ModuleHom) -> int:
     return det_total
 
 
-def det_of_module_aut(T: FiniteModule, g: ModuleHom, n: int) -> MuScalar:
-    """The scalar by which g acts on det(T), along the pi-filtration: the
-    mu_n character of the graded residue determinant, _det_exp_brute's value."""
-    _check_endo(T, g)
-    return power_residue_char(T.lf.field, _graded_det(T, g), n)
+def det_of_module_aut(g: ModuleHom, n: int) -> MuScalar:
+    """The scalar by which g acts on det(T), T = g.src = g.dst, along the
+    pi-filtration: the mu_n character of the graded residue determinant,
+    _det_exp_brute's value."""
+    return power_residue_char(g.src.lf.field, _graded_det(g), n)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +135,12 @@ def _exact_seq_exp(X: FiniteModule, Y: FiniteModule, Z: FiniteModule,
     (_section, by Nakayama), so the kernel has |Y| / |Z| = |X|
     elements: it is incl(X).  The section that proves proj onto lifts
     reps(Z).
+
+    X, Y and Z are the ends of incl and proj, and any other modules are
+    refused.
     """
+    if (incl.src, incl.dst, proj.src, proj.dst) != (X, Y, Y, Z):
+        raise ValueError("maps do not run X -> Y -> Z")
     if Y.size > Y.lf.enum_bound:
         raise EnumerationBound(f"middle module of size {Y.size} exceeds the bound")
     xs = component_values(X, Y, incl.cols)
@@ -156,7 +167,7 @@ def _exact_seq_exp(X: FiniteModule, Y: FiniteModule, Z: FiniteModule,
     return total % n
 
 
-def exact_seq_iso(X: FiniteModule, Y: FiniteModule, Z: FiniteModule,
-                  incl: ModuleHom, proj: ModuleHom, n: int) -> MuScalar:
-    """Canonical scalar relating base(det X) (x) base(det Z) to base(det Y)."""
-    return MuScalar(n, _exact_seq_exp(X, Y, Z, incl, proj, n, "least"))
+def exact_seq_iso(incl: ModuleHom, proj: ModuleHom, n: int) -> MuScalar:
+    """Canonical scalar relating base(det X) (x) base(det Z) to base(det Y),
+    for the sequence 0 -> X -> Y -> Z -> 0 of incl : X -> Y and proj : Y -> Z."""
+    return MuScalar(n, _exact_seq_exp(incl.src, incl.dst, proj.dst, incl, proj, n, "least"))

@@ -84,7 +84,7 @@ def run_muset(seed: int = 0, **_):
         k_mod = FiniteModule(lf, (1,))
         for n in _divisors(q - 1):
             for a in range(1, q):
-                d = _det_exp_brute(k_mod, scalar_hom(k_mod, a, from_ring=lf.ring(1)), n)
+                d = _det_exp_brute(scalar_hom(k_mod, a, from_ring=lf.ring(1)), n)
                 want = power_residue_char(lf.field, a, n)
                 transfer.record(d == want.exp,
                                 {"q": q, "n": n, "a": a, "delta": d, "char": want.exp})
@@ -133,8 +133,8 @@ def run_torsor(seed: int = 0, **_):
                     u = _random_unit(lf, rng)
                     g = scalar_hom(M, u, from_ring=lf.ring(1))
                     for n in _divisors(q - 1):
-                        b = _det_exp_brute(M, g, n)
-                        fast = det_of_module_aut(M, g, n).exp
+                        b = _det_exp_brute(g, n)
+                        fast = det_of_module_aut(g, n).exp
                         coherence.record(b == fast, {"q": q, "e": e, "u": u, "n": n})
 
     classical = _Check("mu_det_equals_classical_det_on_GL2")
@@ -152,7 +152,7 @@ def run_torsor(seed: int = 0, **_):
                         if det == 0:
                             continue
                         g = ModuleHom(V, V, [(a, c), (b, d)])
-                        got = _det_exp_brute(V, g, n)
+                        got = _det_exp_brute(g, n)
                         want = mu_dlog(lf.field, det, n)
                         classical.record(got == want.exp,
                                          {"p": p, "matrix": [[a, b], [c, d]]})
@@ -180,9 +180,9 @@ def run_torsor(seed: int = 0, **_):
         gX = scalar_hom(X, u, from_ring=lf.ring(1))
         gY = scalar_hom(Y, u, from_ring=lf.ring(1))
         gZ = scalar_hom(Z, u, from_ring=lf.ring(1))
-        dX = _det_exp_brute(X, gX, n)
-        dY = _det_exp_brute(Y, gY, n)
-        dZ = _det_exp_brute(Z, gZ, n)
+        dX = _det_exp_brute(gX, n)
+        dY = _det_exp_brute(gY, n)
+        dZ = _det_exp_brute(gZ, n)
         ok = (dX + dZ) % n == dY % n
         # the square commutes: the scalar is stable under twisting
         uinv = lf.field.inv(u)

@@ -426,7 +426,7 @@ def test_digit_iso_exp_equals_enumeration(p, f):
             for _ in range(3):
                 g = rand_matrix(lf, rng, m, (-1, 1))
                 dstQ = quotient_struct(lat_apply(g, A), lat_apply(g, I))
-                want = _det_exp_brute(dstQ.module, induced_hom(srcQ, dstQ, g), n)
+                want = _det_exp_brute(induced_hom(srcQ, dstQ, g), n)
                 for eng in engines:
                     assert _iso_exp(srcQ, dstQ, g, eng) == want, (exps, n, eng.rule)
                 enumerated += 1
@@ -448,7 +448,7 @@ def rho_by_enumeration(f, A, B, n):
     total = 0
     for src, dst, h in [(quotient_struct(A, I), quotient_struct(fA, fI), f),
                         (quotient_struct(fB, fI), quotient_struct(B, I), f.inverse())]:
-        total += _det_exp_brute(dst.module, induced_hom(src, dst, h), n)
+        total += _det_exp_brute(induced_hom(src, dst, h), n)
     return total % n
 
 

@@ -6,11 +6,13 @@ import random
 import pytest
 
 from resforge.errors import PrecisionError
+from resforge.extension import SymbolEngine, cocycle
 import resforge.lattices as lattices
 from resforge.lattices import (MEMO_CAP, KMat, Lattice, induced_hom, lat_apply,
                                lat_contains_lattice, lat_intersect, lat_sum,
                                principal_lattice, quotient_struct, rel_dim,
                                smith_normal_form, standard_lattice)
+from resforge.modules import FiniteModule
 from resforge.padic import LocalField, local_field
 from resforge.verify import _random_matrix as rand_matrix
 
@@ -102,6 +104,30 @@ def test_rel_dim_examples(q7):
     assert rel_dim(O, O, 2) == 0
     assert rel_dim(O, sub, 1) == 6
     assert rel_dim(O, sub, 3) == 2
+
+
+def test_orbit_counts_refuse_an_n_that_does_not_divide_q_minus_1(q7):
+    """mu_n lies in F_7^x only for n | 6: rel_dim and FiniteModule.dim
+    refuse n = 4 with the message of module_as_muset and view, where
+    (7 - 1) / 4 would have been floored to 1."""
+    O, sub = standard_lattice(q7, 1), principal_lattice(q7, 1)
+    for n in (4, 5, 7, 0):
+        with pytest.raises(ValueError, match=f"^n = {n} does not divide q - 1 = 6$"):
+            rel_dim(O, sub, n)
+        with pytest.raises(ValueError, match=f"^n = {n} does not divide q - 1 = 6$"):
+            FiniteModule(q7, (1,)).dim(n)
+    assert [FiniteModule(q7, (1,)).dim(n) for n in (1, 2, 3, 6)] == [6, 3, 2, 1]
+
+
+def test_a_lattice_of_rank_zero_is_refused(q7):
+    """Every Lattice comes from lattices._lattice, which refuses rank 0:
+    the constructor, standard_lattice and a cocycle of 0 x 0 matrices
+    each raise its message."""
+    empty = KMat(q7, [])
+    for build in (lambda: Lattice(empty), lambda: standard_lattice(q7, 0),
+                  lambda: cocycle(empty, empty, SymbolEngine(q7, 2))):
+        with pytest.raises(ValueError, match="^a lattice needs rank m >= 1$"):
+            build()
 
 
 def test_lat_apply(q7):

@@ -166,7 +166,7 @@ def test_delta_route_equals_module_oracle_for_every_tame_unit(p, f):
                           lf.default_precision)
                 assert tame_symbol(lf, a, b) == u
                 oracle = aut_delta(module_aut_as_musetaut(
-                    k, scalar_hom(k, u, from_ring=lf.ring(1)), n, rule))
+                    scalar_hom(k, u, from_ring=lf.ring(1)), n, rule))
                 got = delta_route_symbol(lf, a, b, n, rule)
                 assert got == oracle == power_residue_char(lf.field, u, n), (n, rule, u)
 

@@ -6,11 +6,11 @@ import pytest
 from resforge.fields import mu_dlog
 from resforge.lattices import (KMat, Lattice, induced_hom, principal_lattice,
                                quotient_struct, standard_lattice)
-from resforge.modules import FiniteModule, ModuleHom, scalar_hom
+from resforge.modules import FiniteModule, ModuleHom, module_aut_as_musetaut, scalar_hom
 from resforge.musets import OrbitView, aut_delta
 from resforge.padic import local_field
-from resforge.torsor import (_det_exp_brute, _exact_seq_exp, _section, det_of_module_aut,
-                             exact_seq_iso)
+from resforge.torsor import (_det_exp_brute, _exact_seq_exp, _graded_det, _section,
+                             det_of_module_aut, exact_seq_iso)
 from resforge.verify import _random_matrix as rand_matrix
 from test_modules import random_hom
 
@@ -47,10 +47,10 @@ def test_det_of_module_aut_examples():
     lf = local_field(7)
     T = FiniteModule(lf, (1,))
     T2 = FiniteModule(lf, (2,))
-    assert det_of_module_aut(T, scalar_hom(T, 3), 2).exp == 1
-    assert _det_exp_brute(T2, scalar_hom(T2, 3), 2) == 0
-    assert det_of_module_aut(T2, scalar_hom(T2, 3), 2).exp == 0
-    assert det_of_module_aut(T2, scalar_hom(T2, 1), 2).is_identity
+    assert det_of_module_aut(scalar_hom(T, 3), 2).exp == 1
+    assert _det_exp_brute(scalar_hom(T2, 3), 2) == 0
+    assert det_of_module_aut(scalar_hom(T2, 3), 2).exp == 0
+    assert det_of_module_aut(scalar_hom(T2, 1), 2).is_identity
 
 
 def test_det_multiplicative_on_random_automorphisms():
@@ -64,8 +64,8 @@ def test_det_multiplicative_on_random_automorphisms():
         for _ in range(10):
             g = random_matrix_aut(lf, rng, M)
             h = random_matrix_aut(lf, rng, M)
-            lhs = _det_exp_brute(M, g.compose(h), n)
-            rhs = _det_exp_brute(M, g, n) + _det_exp_brute(M, h, n)
+            lhs = _det_exp_brute(g.compose(h), n)
+            rhs = _det_exp_brute(g, n) + _det_exp_brute(h, n)
             assert lhs == rhs % n
 
 
@@ -81,7 +81,7 @@ def test_fast_equals_brute_on_cyclic_modules():
             for _ in range(50):
                 g = random_scalar_aut(lf, rng, M)
                 for n in [n for n in range(1, q) if (q - 1) % n == 0]:
-                    assert _det_exp_brute(M, g, n) == det_of_module_aut(M, g, n).exp
+                    assert _det_exp_brute(g, n) == det_of_module_aut(g, n).exp
 
 
 def test_fast_equals_brute_on_mixed_modules():
@@ -92,7 +92,7 @@ def test_fast_equals_brute_on_mixed_modules():
         for _ in range(10):
             g = random_matrix_aut(lf, rng, M)
             for n in (1, 2, 4):
-                assert _det_exp_brute(M, g, n) == det_of_module_aut(M, g, n).exp
+                assert _det_exp_brute(g, n) == det_of_module_aut(g, n).exp
 
 
 def test_automorphism_delta_does_not_depend_on_the_rule():
@@ -116,8 +116,8 @@ def test_automorphism_delta_does_not_depend_on_the_rule():
                 for n in ns:
                     deltas = {aut_delta(M.view(n, rule).as_aut(g.images())).exp
                               for rule in ("least", "second_least", "digit")}
-                    assert deltas == {_det_exp_brute(M, g, n)}, (p, f, exps, n)
-                    assert deltas == {det_of_module_aut(M, g, n).exp}
+                    assert deltas == {_det_exp_brute(g, n)}, (p, f, exps, n)
+                    assert deltas == {det_of_module_aut(g, n).exp}
 
 
 def test_mu_det_equals_classical_det_gl2():
@@ -136,7 +136,7 @@ def test_mu_det_equals_classical_det_gl2():
                         if det == 0:
                             continue
                         g = ModuleHom(V, V, [(a, c), (b, d)])
-                        assert _det_exp_brute(V, g, n) == mu_dlog(lf.field, det, n).exp
+                        assert _det_exp_brute(g, n) == mu_dlog(lf.field, det, n).exp
                         count += 1
         assert count == (p**2 - 1) * (p**2 - p)
 
@@ -148,21 +148,21 @@ def test_det_of_module_aut_builds_no_orbit_view(monkeypatch):
     lf = local_field(7)
     M = FiniteModule(lf, (1, 2))
     g = random_matrix_aut(lf, random.Random(13), M)
-    want = {n: _det_exp_brute(M, g, n) for n in (1, 2, 3, 6)}
+    want = {n: _det_exp_brute(g, n) for n in (1, 2, 3, 6)}
     monkeypatch.setattr(lf, "_views", {})
     monkeypatch.setattr(OrbitView, "__init__", refuse)
     for n in (1, 2, 3, 6):
-        assert det_of_module_aut(M, g, n).exp == want[n]
+        assert det_of_module_aut(g, n).exp == want[n]
     with pytest.raises(AssertionError, match="OrbitView"):
-        _det_exp_brute(M, g, 2)
+        _det_exp_brute(g, 2)
 
 
 def test_det_exp_brute_specializes_and_composes():
     lf = local_field(7)
     T = FiniteModule(lf, (1,))
-    assert _det_exp_brute(T, scalar_hom(T, 1), 2) == 0
+    assert _det_exp_brute(scalar_hom(T, 1), 2) == 0
     g = scalar_hom(T, 3)
-    assert _det_exp_brute(T, g, 2) == det_of_module_aut(T, g, 2).exp
+    assert _det_exp_brute(g, 2) == det_of_module_aut(g, 2).exp
     # S = 7O/49O -> T = O/7O by dividing by 7, two equal modules whose
     # isos are automorphisms: compose-to-identity oracle
     O1 = standard_lattice(lf, 1)
@@ -174,8 +174,8 @@ def test_det_exp_brute_specializes_and_composes():
     mul7 = induced_hom(QT, QS, KMat.from_rows(lf, [["7"]]))
     assert QS.module == QT.module
     for n in (1, 2, 3, 6):
-        c1 = _det_exp_brute(QT.module, div7, n)
-        c2 = _det_exp_brute(QS.module, mul7, n)
+        c1 = _det_exp_brute(div7, n)
+        c2 = _det_exp_brute(mul7, n)
         assert (c1 + c2) % n == 0
 
 
@@ -189,17 +189,17 @@ def test_exact_seq_degenerate_ends():
     to_zero = ModuleHom(Y, zero, [() for _ in range(Y.rank)])
     from_zero = ModuleHom(zero, Y, [])
     ident = scalar_hom(Y, 1)
-    assert exact_seq_iso(zero, Y, Y, from_zero, ident, 2).is_identity
-    assert exact_seq_iso(Y, Y, zero, ident, to_zero, 2).is_identity
+    assert exact_seq_iso(from_zero, ident, 2).is_identity
+    assert exact_seq_iso(ident, to_zero, 2).is_identity
     # X = 0: the scalar identifies det(Z) with det(Y) along proj^(-1)
     g = scalar_hom(Y, 3)
     ginv = scalar_hom(Y, lf.ring(2).inv(3), from_ring=lf.ring(2))
     for n in (2, 3, 6):
-        assert (exact_seq_iso(zero, Y, Y, from_zero, g, n).exp
-                == _det_exp_brute(Y, ginv, n))
+        assert (exact_seq_iso(from_zero, g, n).exp
+                == _det_exp_brute(ginv, n))
         # Z = 0: the scalar is the determinant scalar of the inclusion
-        assert (exact_seq_iso(Y, Y, zero, g, to_zero, n).exp
-                == _det_exp_brute(Y, g, n))
+        assert (exact_seq_iso(g, to_zero, n).exp
+                == _det_exp_brute(g, n))
 
 
 def test_exact_seq_rejects_non_exact():
@@ -230,10 +230,64 @@ def test_exact_seq_rejects_non_exact():
     for X, Y, Z, incl, proj, msg in cases:
         for n in (1, 2, 6):
             with pytest.raises(ValueError, match=msg):
-                exact_seq_iso(X, Y, Z, incl, proj, n)
+                exact_seq_iso(incl, proj, n)
             for rule in ("least", "second_least", "digit"):
                 with pytest.raises(ValueError, match=f"^{re.escape(messages[msg])}$"):
                     _exact_seq_exp(X, Y, Z, incl, proj, n, rule)
+
+
+def test_exact_seq_exp_refuses_modules_that_are_not_its_maps_ends():
+    """X, Y and Z must be incl.src, incl.dst = proj.src and proj.dst.
+    Over O/5, 0 -> (1, 1) -> (1, 1, 1) -> (1,) -> 0 has scalar 0; a
+    middle module (1, 2) of the same size, in place of Y, is refused
+    under every rule, where it gave a value (1 at n = 4 under the least
+    rule).  So is a proj whose source is not incl's target."""
+    lf = local_field(5)
+    X, Y, Z = FiniteModule(lf, (1, 1)), FiniteModule(lf, (1, 1, 1)), FiniteModule(lf, (1,))
+    other = FiniteModule(lf, (1, 2))
+    incl = ModuleHom(X, Y, [(1, 0, 0), (0, 1, 0)])
+    proj = ModuleHom(Y, Z, [(0,), (0,), (1,)])
+    from_other = ModuleHom(other, Z, [(0,), (1,)])
+    assert other.size == Y.size
+    message = "^maps do not run X -> Y -> Z$"
+    for n in (2, 4):
+        with pytest.raises(ValueError, match=message):
+            exact_seq_iso(incl, from_other, n)
+        for rule in ("least", "second_least", "digit"):
+            assert _exact_seq_exp(X, Y, Z, incl, proj, n, rule) == 0
+            for ends in ((X, other, Z), (Y, Y, Z), (X, Y, X), (Y, X, Z)):
+                with pytest.raises(ValueError, match=message):
+                    _exact_seq_exp(*ends, incl, proj, n, rule)
+            with pytest.raises(ValueError, match=message):
+                _exact_seq_exp(X, Y, Z, incl, from_other, n, rule)
+            with pytest.raises(ValueError, match=message):
+                _exact_seq_exp(X, other, Z, incl, from_other, n, rule)
+
+
+def test_exact_seq_iso_reads_its_modules_off_its_maps():
+    """exact_seq_iso(incl, proj, n) is the least-rule walk of
+    incl.src -> incl.dst -> proj.dst, on random connecting sequences."""
+    seen = 0
+    for lf, _, X, Y, Z, incl, proj in nested_sequences(
+            random.Random(21), [(5, 1, (1, 2), 8, (0, 2)), (3, 2, (1, 2), 6, (0, 2))], 3000):
+        assert (incl.src, incl.dst, proj.dst) == (X, Y, Z)
+        for n in [n for n in range(1, lf.q) if (lf.q - 1) % n == 0]:
+            assert (exact_seq_iso(incl, proj, n).exp
+                    == _exact_seq_exp(incl.src, incl.dst, proj.dst, incl, proj, n, "least"))
+        seen += 1
+    assert seen >= 8
+
+
+def test_a_map_that_is_not_an_endomorphism_is_refused():
+    """A determinant is read off an endomorphism, whose module is its
+    source: every reader refuses T -> T + T with one message."""
+    lf = local_field(7)
+    T, TT = FiniteModule(lf, (1,)), FiniteModule(lf, (1, 1))
+    first = ModuleHom(T, TT, [(1, 0)])
+    for read in (lambda: _det_exp_brute(first, 2), lambda: det_of_module_aut(first, 2),
+                 lambda: module_aut_as_musetaut(first, 2), lambda: _graded_det(first)):
+        with pytest.raises(ValueError, match="^map is not an endomorphism$"):
+            read()
 
 
 def test_naturality_of_exact_sequence_scalar():
@@ -255,9 +309,9 @@ def test_naturality_of_exact_sequence_scalar():
         gX = scalar_hom(X, u, from_ring=lf.ring(1))
         gY = scalar_hom(Y, u, from_ring=lf.ring(1))
         gZ = scalar_hom(Z, u, from_ring=lf.ring(1))
-        dX = _det_exp_brute(X, gX, n)
-        dY = _det_exp_brute(Y, gY, n)
-        dZ = _det_exp_brute(Z, gZ, n)
+        dX = _det_exp_brute(gX, n)
+        dY = _det_exp_brute(gY, n)
+        dZ = _det_exp_brute(gZ, n)
         assert (dX + dZ) % n == dY % n
 
 
