@@ -53,11 +53,15 @@ f = u * pi^v and g of valuation w,
 where S(u) sums, over the least elements c of the cosets of mu_n in
 F_q^x, the position of u*c in its coset counted in powers of the residue
 of zeta_n.  corrected_symbol needs only the parity of rel_dim, which
-_rel_dim_parity reads off q^|w| mod 2n.  Under the digit rule the
+_rel_dim_parity reads in closed form: t * |w| mod 2 for odd q, with
+t = (q - 1)/n, and 1 for even q and w != 0.  Under the digit rule the
 symbols read a K^x argument as its valuation v and the residue of its
 unit, with no matrix (_cocycle_m1).  The engine walks k = O/pi once,
 when it is built, and memoizes S(u) by residue; the sign term of
-corrected_symbol is S(-1), read off the same walk.
+corrected_symbol is S(-1), read off the same walk.  The MuScalars that
+cocycle, comm_symbol and corrected_symbol return are the engine's
+shared ones (_scalar), one per exponent mod n, built on first use, so
+a warm symbol builds none.
 
 Every iso exponent in rho_exp goes between quotients with the same
 exponents, which carry the same pinned representatives under every
@@ -94,8 +98,8 @@ from .torsor import _exact_seq_exp, _graded_det
 
 class SymbolEngine:
     """Fixes (K, n, representative rule); memoizes V = O^m, S(u) by residue,
-    rho's exponents, by f's known data and two lattices, and the kappa
-    links, by lattice triple."""
+    rho's exponents, by f's known data and two lattices, the kappa
+    links, by lattice triple, and the MuScalars it returns, by exponent."""
 
     def __init__(self, lf, n: int, rule: str = "digit"):
         _check_n(lf.field, n)
@@ -112,6 +116,8 @@ class SymbolEngine:
         self._digit_sums: dict[int, int] = {}
         # the sign term of corrected_symbol, chi(-1) (see corrected_symbol)
         self._sign_exp = _digit_sum(self, lf.field.neg(1))
+        # the MuScalars the engine returns, by exponent mod n, built on first use
+        self._scalars: dict[int, MuScalar] = {}
 
     # lattice helpers --------------------------------------------------------
 
@@ -127,6 +133,15 @@ class SymbolEngine:
             return x
         x = self.lf.as_kelem(x)
         return KMat.from_rows(self.lf, [[x]], x.prec)
+
+
+def _scalar(engine: SymbolEngine, e: int) -> MuScalar:
+    """zeta_n^e as the engine's shared MuScalar; at most n are ever built."""
+    e %= engine.n
+    s = engine._scalars.get(e)
+    if s is None:
+        s = engine._scalars[e] = MuScalar(engine.n, e)
+    return s
 
 
 def get_engine(lf, n: int, rule: str = "digit") -> SymbolEngine:
@@ -315,9 +330,9 @@ def cocycle_exp(f: KMat, g: KMat, engine: SymbolEngine) -> int:
 def cocycle(f, g, engine: SymbolEngine) -> MuScalar:
     """c(f, g) with (f,s)(g,t) = (fg, zeta^c(f,g) * s t) on base multiples."""
     if isinstance(f, KMat) or isinstance(g, KMat):
-        return MuScalar(engine.n, cocycle_exp(engine.as_kmat(f), engine.as_kmat(g), engine))
+        return _scalar(engine, cocycle_exp(engine.as_kmat(f), engine.as_kmat(g), engine))
     x, y = engine.lf.as_kelem(f), engine.lf.as_kelem(g)
-    return MuScalar(engine.n, _cocycle_m1(x, y.val, engine))
+    return _scalar(engine, _cocycle_m1(x, y.val, engine))
 
 
 # ---------------------------------------------------------------------------
@@ -327,13 +342,13 @@ def cocycle(f, g, engine: SymbolEngine) -> MuScalar:
 def comm_symbol(f, g, engine: SymbolEngine) -> MuScalar:
     """{f, g} = [lift(f), lift(g)] for commuting f, g; equals c(f,g) - c(g,f)."""
     if not (isinstance(f, KMat) or isinstance(g, KMat)):
-        return MuScalar(engine.n, _comm_m1(engine.lf.as_kelem(f), engine.lf.as_kelem(g), engine))
+        return _scalar(engine, _comm_m1(engine.lf.as_kelem(f), engine.lf.as_kelem(g), engine))
     f = engine.as_kmat(f)
     g = engine.as_kmat(g)
     # K^x is commutative, so only m >= 2 needs the check
     if f.nrows > 1 and (f @ g) != (g @ f):
         raise ValueError("commutator symbol needs commuting arguments")
-    return MuScalar(engine.n, cocycle_exp(f, g, engine) - cocycle_exp(g, f, engine))
+    return _scalar(engine, cocycle_exp(f, g, engine) - cocycle_exp(g, f, engine))
 
 
 def _comm_m1(x: KElem, y: KElem, engine: SymbolEngine) -> int:
@@ -342,19 +357,20 @@ def _comm_m1(x: KElem, y: KElem, engine: SymbolEngine) -> int:
 
 
 def _rel_dim_parity(q: int, n: int, v: int) -> int:
-    """The parity of rel_dim(O, pi^v O) = sign(v) * (q^|v| - 1)/n, read
-    without building q^|v|.
+    """The parity of rel_dim(O, pi^v O) = sign(v) * (q^|v| - 1)/n, in
+    closed form.
 
     O/pi^|v| is the left quotient for v > 0 and the right one for v < 0,
-    so the sign does not touch the parity.  With k = |v|, n divides
-    q - 1 and so q^k - 1: write q^k = 1 + n*d.  Then
-    n*d = n*(d mod 2) + 2n*floor(d/2), so q^k = 1 + n*(d mod 2) (mod 2n).
-    For n >= 2, 1 + n*(d mod 2) < 2n is the least residue itself, and
-    d mod 2 = (pow(q, k, 2n) - 1) // n.  For n = 1 (q even when d is
-    odd) the residue 1 + 1 = 2 reads as 0 and the quotient as -1, which
-    the final mod 2 sends to 1.
+    so the sign does not touch the parity.  With k = |v| and
+    t = (q - 1)/n, (q^k - 1)/n = t * (1 + q + ... + q^(k-1)).  For odd q
+    each of the k powers is odd, so the parity is that of t * k.  For
+    even q, q - 1 is odd, so n and t are odd, and every power but
+    q^0 = 1 is even: the parity is 1 for k >= 1 and 0 for k = 0.
     """
-    return (pow(q, abs(v), 2 * n) - 1) // n % 2
+    k = abs(v)
+    if q % 2:
+        return (q - 1) // n * k % 2
+    return 1 if k else 0
 
 
 def corrected_symbol(a, b, engine: SymbolEngine) -> MuScalar:
@@ -374,5 +390,7 @@ def corrected_symbol(a, b, engine: SymbolEngine) -> MuScalar:
     """
     x, y = engine.lf.as_kelem(a), engine.lf.as_kelem(b)
     q, n = engine.lf.q, engine.n
-    odd = _rel_dim_parity(q, n, x.val) * _rel_dim_parity(q, n, y.val)
-    return MuScalar(n, _comm_m1(x, y, engine) + odd * engine._sign_exp)
+    e = _comm_m1(x, y, engine)
+    if _rel_dim_parity(q, n, x.val) and _rel_dim_parity(q, n, y.val):
+        e += engine._sign_exp
+    return _scalar(engine, e)

@@ -214,6 +214,25 @@ class FieldCtx(RingCtx):
             return pow(a, -1, self.p)
         return self._exp[self.q - 1 - self._log[a]]
 
+    def signed_monomial(self, x: int, i: int, y: int, j: int, s: int) -> int:
+        """(-1)^s * x^i * y^j for units x, y and any integers i, j, s, in one step.
+
+        For f = 1 it is two modular powers, negated as p - r; at p = 2,
+        -1 = 1 and p - 1 = 1.  For f > 1 it is one antilog lookup: for odd
+        q, -1 = g^((q-1)/2), so the logs of x^i, y^j and (-1)^s add mod
+        q - 1; for even q, -1 = 1 and s is ignored.  A zero x or y is not
+        checked for f > 1.
+        """
+        if self.f == 1:
+            p = self.p
+            r = pow(x, i, p) * pow(y, j, p) % p
+            return p - r if s % 2 else r
+        q1 = self.q - 1
+        k = self._log[x] * i + self._log[y] * j
+        if self.p != 2:
+            k += s * (q1 // 2)
+        return self._exp[k % q1]
+
 
 def _least_generator(p: int, f: int, poly) -> int:
     """The least encoding of multiplicative order q - 1."""

@@ -121,6 +121,7 @@ class FiniteModule:
         least valuation; zeta_n keeps that valuation and that coordinate,
         so ranking by _lead_codes ranks by the digit.
         """
+        _check_n(self.lf.field, n)   # before the lookup, so a bad n is never stored
         key = (self.exps, n, rule)
         v = self.lf._views.get(key)
         if v is None:
@@ -163,11 +164,13 @@ class FiniteModule:
 
 
 class ModuleHom:
-    """O-linear map between finite modules, stored by generator images."""
+    """O-linear map between finite modules over one field, stored by generator images."""
 
     __slots__ = ("src", "dst", "cols")
 
     def __init__(self, src: FiniteModule, dst: FiniteModule, cols):
+        if src.lf is not dst.lf:
+            raise ValueError("modules of different fields")
         cols = tuple(tuple(c) for c in cols)
         if len(cols) != src.rank or any(len(c) != dst.rank for c in cols):
             raise ValueError("wrong matrix shape")

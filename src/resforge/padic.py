@@ -5,7 +5,11 @@ O/pi^N; the precision N is tracked explicitly and operations fail loudly
 when cancellation exhausts it, rather than truncating silently.  Each
 element reduces its unit mod pi once, when it is built, and keeps the
 residue: the rank-one routes read only v and that residue, so a warm
-symbol reduces no unit again.
+symbol reduces no unit again.  symbols.tame_symbol, shared by the direct
+and muset routes, reads it through unit_part().reduce_mod_pi() and forms
+the tame unit from the two residues in one F_q step
+(FieldCtx.signed_monomial); the extension route's _cocycle_m1 reads it
+off _res.
 
 Input grammar (shared with the command line):
     "42", "-3", "9/35"            rationals; the valuation is extracted

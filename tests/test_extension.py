@@ -353,10 +353,10 @@ def test_extension_route_answers_past_the_enumeration_ceiling():
         corrected_symbol("pi^3*2", "pi^3*11", get_engine(lf, 12, rule="least"))
 
 
-@pytest.mark.parametrize("p,f", [(7, 1), (13, 1), (3, 2), (5, 2)])
+@pytest.mark.parametrize("p,f", [(2, 1), (7, 1), (13, 1), (3, 2), (5, 2), (2, 3), (3, 3)])
 def test_rel_dim_parity_is_that_of_the_full_value(p, f):
-    """The parity read off q^k mod 2n is that of (q^k - 1)/n, for k <= 40
-    and every n | q - 1, with either sign of v."""
+    """The closed-form parity is that of (q^k - 1)/n, for k <= 40 and
+    every n | q - 1, with either sign of v, for odd and even q."""
     q = p**f
     for n in [d for d in range(1, q) if (q - 1) % d == 0]:
         for k in range(41):

@@ -206,6 +206,24 @@ def test_zolotarev_matches_euler_all_odd_q_to_49():
             assert sign == euler
 
 
+@pytest.mark.parametrize("p,f", [(2, 1), (7, 1), (2, 3), (3, 2), (5, 2)])
+def test_signed_monomial_is_mul_pow_and_neg(p, f):
+    """(-1)^s * x^i * y^j in one step equals mul, pow and neg composed, for
+    every pair of units, i, j in [-3, 3] and s in {0, 1}: at p = 2 that
+    is -1 = 1, and for f > 1 the log path."""
+    c = field_make(p, f)
+    exps = range(-3, 4)
+    for x in range(1, c.q):
+        xs = [c.pow(x, i) for i in exps]
+        for y in range(1, c.q):
+            ys = [c.pow(y, j) for j in exps]
+            for i, xi in zip(exps, xs):
+                for j, yj in zip(exps, ys):
+                    r = c.mul(xi, yj)
+                    assert c.signed_monomial(x, i, y, j, 0) == r, (x, i, y, j)
+                    assert c.signed_monomial(x, i, y, j, 1) == c.neg(r), (x, i, y, j)
+
+
 def test_mu_scalar_group_laws():
     a = MuScalar(6, 4)
     b = MuScalar(6, 5)

@@ -9,10 +9,11 @@ from resforge.errors import EnumerationBound
 from resforge.extension import cocycle_exp, get_engine
 from resforge.fields import FieldCtx
 from resforge.lattices import KMat
-from resforge.modules import FiniteModule, ModuleHom
+from resforge.modules import FiniteModule, ModuleHom, scalar_hom
 from resforge.musets import OrbitView, residue_walk
 from resforge.padic import LocalField, local_field
 from resforge.symbols import delta_route_symbol
+from resforge.torsor import _det_exp_brute, det_of_module_aut
 
 
 def random_hom(lf, rng, src, dst):
@@ -127,6 +128,33 @@ def test_views_equal_the_label_walk():
                     assert view.orbit[0] == -1 and view.t == M.dim(n)
                     cells += 1
     assert cells == 435
+
+
+def test_a_view_refuses_an_n_that_does_not_divide_q_minus_1():
+    """Even the zero module, whose view never reads zeta_n, checks n before
+    its memo lookup, so no view for a bad n is stored; the brute-force
+    determinant then refuses the n that det_of_module_aut refuses."""
+    lf = LocalField(7)
+    for exps in ((), (1,), (1, 2)):
+        for n in (0, 4, 5, 12):
+            with pytest.raises(ValueError, match=f"^n = {n} does not divide q - 1 = 6$"):
+                FiniteModule(lf, exps).view(n)
+    assert lf._views == {}
+    Z = FiniteModule(lf, ())
+    for n in (4, 5):
+        for det in (_det_exp_brute, lambda g, n: det_of_module_aut(g, n).exp):
+            with pytest.raises(ValueError, match="does not divide"):
+                det(scalar_hom(Z, 1), n)
+    assert _det_exp_brute(scalar_hom(Z, 1), 3) == det_of_module_aut(scalar_hom(Z, 1), 3).exp == 0
+
+
+def test_a_map_between_modules_of_two_fields_is_refused():
+    lf5, lf7 = local_field(5), local_field(7)
+    for src, dst in ((FiniteModule(lf5, (1,)), FiniteModule(lf7, (1,))),
+                     (FiniteModule(lf7, (1, 2)), FiniteModule(LocalField(7), (1, 2))),
+                     (FiniteModule(lf5, ()), FiniteModule(lf7, ()))):
+        with pytest.raises(ValueError, match="^modules of different fields$"):
+            ModuleHom(src, dst, [(1,) * dst.rank] * src.rank)
 
 
 def test_a_view_holds_a_few_bytes_per_element():

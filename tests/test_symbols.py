@@ -45,7 +45,8 @@ def random_kelem(lf, rng):
             return KElem(lf, rng.randint(-3, 3), unit, prec)
 
 
-@pytest.mark.parametrize("p,f", [(3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2)])
+@pytest.mark.parametrize("p,f", [(2, 1), (3, 1), (5, 1), (7, 1), (13, 1), (3, 2), (5, 2),
+                                 (2, 3), (3, 3), (2, 4)])
 def test_tame_symbol_matches_full_precision_formula(p, f):
     lf = local_field(p, f)
     rng = random.Random(100 * p + f)
@@ -415,6 +416,31 @@ def test_crosscheck_calls_each_route_once(q7, monkeypatch):
         assert crosscheck(q7, q7.parse("pi*3"), q7.parse("pi^-2*5"), n).agree
         assert sorted(calls) == ["_orbit_delta", "corrected_symbol", "power_residue_symbol",
                                  "tame_symbol", "tame_symbol"]
+
+
+@pytest.mark.parametrize("p,f", [(7, 1), (13, 1), (3, 2), (5, 2)])
+def test_a_warm_crosscheck_builds_no_mu_scalar(p, f, monkeypatch):
+    """The direct route's values are mu_dlog's shared scalars and the
+    extension route's its engine's, so a second crosscheck on the same
+    inputs runs MuScalar.__init__ zero times, and reports what the first did."""
+    lf = LocalField(p, f)
+    rng = random.Random(37 * p + f)
+    cases = []
+    for n in [d for d in range(1, lf.q) if (lf.q - 1) % d == 0]:
+        for _ in range(4):
+            a, b = random_kelem(lf, rng), random_kelem(lf, rng)
+            cases.append((a, b, n, crosscheck(lf, a, b, n).to_dict()))
+    built = []
+    real = MuScalar.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(MuScalar, "__init__", counted)
+    for a, b, n, first in cases:
+        assert crosscheck(lf, a, b, n).to_dict() == first
+    assert built == []
 
 
 def test_a_wrong_direct_route_reaches_crosscheck(q7, monkeypatch):
