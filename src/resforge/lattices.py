@@ -147,11 +147,6 @@ class KMat:
             data.append(out)
         return cls(lf, data, shift, prec)
 
-    @classmethod
-    def identity(cls, lf: LocalField, m: int, prec: int | None = None) -> "KMat":
-        return cls(lf, [[1 if i == j else 0 for j in range(m)] for i in range(m)],
-                   0, prec)
-
     def __repr__(self):
         return (f"KMat({self.nrows}x{self.ncols}, shift={self.shift}, "
                 f"prec={self.prec})")

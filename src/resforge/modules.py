@@ -2,8 +2,8 @@
 
 A module is the list of its elementary divisor exponents (ascending);
 elements are tuples of ring encodings, component i living in
-O/pi^(e_i), and an element's position is its mixed-radix index in
-elements() order (index, label).  The group mu_n acts componentwise by
+O/pi^(e_i), and an element's position is its mixed-radix index, the
+first component most significant.  The group mu_n acts componentwise by
 the Teichmueller lift of the canonical zeta_n, which is compatible with
 every reduction map between precisions, so quotient maps between modules
 are automatically equivariant.
@@ -13,19 +13,20 @@ entry condition v(a_jk) >= e_j - e_k makes the map well defined.
 
 Counting orbits needs no enumeration (module_as_muset); element views
 (OrbitView, kept by the module's LocalField) pin representatives for
-maps read as (sigma, mu) data.  Views and maps meet on positions only:
-zeta_n's action, the digit rule's keys and a map's images
-(ModuleHom.images) are built from one table per component, with no
-per-element tuple, and a view reads a map off its images.  The value
-lists of a map's components come from one builder, component_values,
-which torsor's exact-sequence walk uses as well; positions combines
-them by the mixed radix.  index and label turn a map written on labels
-into positions.
+maps read as (sigma, mu) data.  Views and maps meet on positions only,
+with no per-element tuple.  A module is the pointed product of its
+components' mu_n-sets, so a view is built from one walk per component:
+OrbitView walks zeta_n's table on each ring, reads the digit rule's
+keys off each ring's valuations and lowest digits (_leads), and folds
+the walks by the mixed radix; it never walks the module's positions
+one by one.  A map's images (ModuleHom.images) are built from one table
+per component, and a view reads a map off its images.  The value lists
+of a map's components come from one builder, component_values, which
+torsor's exact-sequence walk uses as well; positions combines them by
+the mixed radix.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 from .errors import EnumerationBound
 from .fields import _check_n
@@ -57,10 +58,6 @@ class FiniteModule:
     def key(self):
         return (self.lf.p, self.lf.f, self.exps)
 
-    @property
-    def zero(self) -> tuple:
-        return (0,) * len(self.exps)
-
     def __repr__(self):
         body = " + ".join(f"O/pi^{e}" for e in self.exps) or "0"
         return f"FiniteModule({body} over {self.lf!r})"
@@ -76,29 +73,10 @@ class FiniteModule:
             raise EnumerationBound(
                 f"module of size {self.size} exceeds bound {self.lf.enum_bound}")
 
-    def elements(self):
-        self._check_bound()
-        return product(*(range(self.lf.q**e) for e in self.exps))
-
-    def index(self, x: tuple) -> int:
-        """Position of x in elements() order: mixed radix, first component
-        most significant."""
-        i = 0
-        for s, c in zip(self.radix, x):
-            i = i * s + c
-        return i
-
-    def label(self, i: int) -> tuple:
-        """The element at position i of elements() order; inverse of index."""
-        out = []
-        for s in reversed(self.radix):
-            i, c = divmod(i, s)
-            out.append(c)
-        return tuple(reversed(out))
-
     def positions(self, values, count: int) -> list:
         """The positions of the elements whose component j runs through
-        values[j], all lists of length count: the mixed radix of index."""
+        values[j], all lists of length count: the mixed radix, the first
+        component most significant."""
         if not values:
             return [0] * count
         pos = values[0]
@@ -114,53 +92,47 @@ class FiniteModule:
     def view(self, n: int, rule: str = "least") -> OrbitView:
         """The mu_n-set of the elements on positions, memoized in the field's _views.
 
-        zeta_n acts componentwise by its Teichmueller lift, so its action on
-        positions combines one table per component by the mixed radix of
-        index.  The digit rule ranks the elements of an orbit by their
-        lowest nonzero pi-adic digit, read from the first coordinate of
-        least valuation; zeta_n keeps that valuation and that coordinate,
-        so ranking by _lead_codes ranks by the digit.
+        zeta_n acts componentwise by its Teichmueller lift, so the view is
+        the pointed product of the components' mu_n-sets, each given by the
+        table of zeta_n on its ring.  The digit rule ranks the elements of
+        an orbit by their lowest nonzero pi-adic digit, read from the first
+        coordinate of least valuation; zeta_n keeps every valuation, and
+        _leads gives each component's valuations and digits.
         """
         _check_n(self.lf.field, n)   # before the lookup, so a bad n is never stored
         key = (self.exps, n, rule)
         v = self.lf._views.get(key)
         if v is None:
             self._check_bound()
-            act = [0]
-            for r in self.rings:
-                size, tab = r.size, r.mul_table(r.zeta(n))
-                act = [a * size + b for a in act for b in tab]
-            digit = self._lead_codes() if rule == "digit" else None
-            v = OrbitView(n, act, rule, digit)
+            acts = [r.mul_table(r.zeta(n)) for r in self.rings]
+            v = OrbitView(n, acts, rule, self._leads() if rule == "digit" else None)
             self.lf._views[key] = v
         return v
 
-    def _lead_codes(self) -> list:
-        """Per position x != 0, (v * rank + k) * q + d for x's lowest nonzero
-        pi-adic digit d in F_q, read at the first coordinate k of least
-        valuation v: the least code over the coordinates.  Zero coordinates
-        get a code above every other, so they never lead.
+    def _leads(self) -> list:
+        """Per component, (vals, keys): the valuation of each position, with
+        max(exps) at 0, above every valuation, and its lowest nonzero
+        pi-adic digit, as an F_q encoding.
 
         At f = 1 the elements of valuation v of O/p^e are the multiples
-        p^v * u, whose digit is u mod p: each level fills the codes of all
-        multiples of p^v by one strided slice, levels ascending, so that
-        every multiple of p^(v+1) is overwritten by a higher level."""
-        field, q, rank = self.lf.field, self.lf.q, self.rank
-        none = rank * max(self.exps, default=0) * q
-        acc = [none]
-        for k, (e, r) in enumerate(zip(self.exps, self.rings)):
+        p^v * u, whose digit is u mod p: each level fills the entries of
+        all multiples of p^v by one strided slice, levels ascending, so
+        that every multiple of p^(v+1) is overwritten by a higher level."""
+        field, q, top = self.lf.field, self.lf.q, max(self.exps, default=0)
+        out = []
+        for e, r in zip(self.exps, self.rings):
+            vals, keys = [top] * r.size, [0] * r.size
             if self.lf.f == 1:
-                codes = [none] * r.size
                 for v in range(e):
-                    step, base = q**v, (v * rank + k) * q
-                    codes[step::step] = (list(range(base, base + q)) * q**(e - v - 1))[1:]
+                    step = q**v
+                    vals[step::step] = [v] * (q**(e - v) - 1)
+                    keys[step::step] = (list(range(q)) * q**(e - v - 1))[1:]
             else:
-                codes = [none]
                 for c in range(1, r.size):
-                    v = r.val(c)
-                    codes.append((v * rank + k) * q + r.reduce_to(r.div_pk(c, v), field))
-            acc = [a if a < b else b for a in acc for b in codes]
-        return acc
+                    v = vals[c] = r.val(c)
+                    keys[c] = r.reduce_to(r.div_pk(c, v), field)
+            out.append((vals, keys))
+        return out
 
 
 class ModuleHom:
@@ -200,8 +172,8 @@ class ModuleHom:
         return tuple(out)
 
     def images(self) -> list:
-        """The position of self.apply(x) in dst, for every x in
-        src.elements() order: component_values on self.cols, combined
+        """The position of self.apply(x) in dst, for every x of src in
+        position order: component_values on self.cols, combined
         by dst's mixed radix."""
         src, dst = self.src, self.dst
         return dst.positions(component_values(src, dst, self.cols), src.size)
@@ -241,7 +213,7 @@ def sums(ring, parts) -> list:
 
 def component_values(src: FiniteModule, dst: FiniteModule, cols) -> list:
     """Per component j of dst, the list of sum_k x_k * cols[k][j] over
-    every x in src.elements() order, x_k lifted naively into dst's ring j.
+    every x of src in position order, x_k lifted naively into dst's ring j.
 
     The value is additive in x, so each list is the sums of the
     per-coordinate multiples t * cols[k][j].  cols need not define a

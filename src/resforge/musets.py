@@ -10,11 +10,17 @@ MuSet(n=2, t=1), and copied and pickled through the constructor.
 
 OrbitView is a concrete pointed set (module elements, cartesian
 products, ...) on positions 0..S-1: 0 is the marked point and position
-order is the owner's label order.  It takes zeta_n's action as an array
-of positions, keeps each position's orbit and twist in two flat
-array('i'), and pins down orbit representatives by a deterministic
-rule, so that expressing concrete maps as (sigma, mu) data is
-reproducible.  A map of the view to itself is given on positions too,
+order is the owner's label order.  It is the pointed product of one or
+more factors, each given by zeta_n's action as an array of its
+positions, the product of X and Y sitting on positions a * |Y| + b.  It
+keeps each position's orbit and twist in two flat array('i'), and pins
+down orbit representatives by a deterministic rule, so that expressing
+concrete maps as (sigma, mu) data is reproducible.  It walks each
+factor once (_walk) and folds the walks by the mixed radix (_fold), so
+a product costs a walk of each factor plus one comprehension per block
+of positions, never a walk of all S positions; orbits are numbered by
+their least positions, as a walk of the whole product would number
+them.  A map of the view to itself is given on positions too,
 as the position of the image of every position (ModuleHom.images for
 module maps), so a view needs nothing of its owner's labels.  Three
 rules exist:
@@ -32,8 +38,8 @@ residue_walk is the muset route's own view of k = O/pi = F_q: the same
 orbit walk (_walk) under the least rule, kept as two flat arrays with
 no OrbitView, and bounded by q <= fields.MAX_Q rather than by the
 enumeration bound.  On k the least and digit rules pin the same element.
-The product of two sets sits on positions a * |Y| + b, so aut_extend
-reads f x Id off aut_to_permutation.
+aut_extend builds the view of a product of two abstract sets from their
+factors and reads f x Id off aut_to_permutation.
 """
 
 from __future__ import annotations
@@ -111,31 +117,36 @@ def perm_sign(f: MuSetAut) -> int:
 # concrete pointed mu_n-sets
 
 
-def _walk(act, n: int, rule: str = "least", digit=None) -> tuple[array, array, array]:
-    """(reps, orbit, twist) of the zeta_n-action act on positions 0..S-1.
+def _walk(act, n: int, rule: str = "least", digit=None) -> tuple[array, array, array, list]:
+    """(reps, orbit, twist, lift) of the zeta_n-action act on positions 0..S-1.
 
-    act[x] is the position of zeta_n times x (act[0] = 0).  Orbits are
-    walked in position order, so each walk starts at the least element
-    of its orbit, and rule pins the representative; under the digit rule
-    digit[x] is a key that ranks the elements of x's orbit, distinct on
-    each orbit.  x = zeta^twist[x] * reps[orbit[x]], with orbit[0] = -1
-    and twist[0] = 0.  Freeness (orbit length exactly n) is checked on
-    the way.
+    act[x] is the position of zeta_n times x, and act[0] must be 0.
+    Orbits are walked in position order, so each walk starts at the least
+    element of its orbit, and rule pins the representative; under the
+    digit rule digit[x] is a key that ranks the elements of x's orbit,
+    distinct on each orbit.  x = zeta^twist[x] * reps[orbit[x]], with
+    orbit[0] = -1 and twist[0] = 0, and reps[i] = zeta^lift[i] * (the
+    least element of orbit i).  Freeness (orbit length exactly n) is
+    checked on the way; a walk stops one step past n, so an action that
+    is no permutation is refused too.
     """
     size = len(act)
+    if act[0] != 0:
+        raise ValueError("zeta_n moves the marked point")
     orbit = array("i", [-1]) * size
     twist = array("i", [0]) * size
-    reps = array("i")
+    reps, lift = array("i"), []
     for x in range(1, size):
         if orbit[x] >= 0:
             continue
         cyc = [x]
         y = act[x]
-        while y != x:
+        while y != x and len(cyc) <= n:
             cyc.append(y)
             y = act[y]
-        if len(cyc) != n:
-            raise ValueError(f"orbit of position {x} has length {len(cyc)}, not {n}")
+        if y != x or len(cyc) != n:
+            length = len(cyc) if y == x else f"over {n}"
+            raise ValueError(f"orbit of position {x} has length {length}, not {n}")
         if rule == "least" or n == 1:
             rep_pos = 0
         elif rule == "digit":
@@ -147,15 +158,103 @@ def _walk(act, n: int, rule: str = "least", digit=None) -> tuple[array, array, a
             cyc = cyc[rep_pos:] + cyc[:rep_pos]
         idx = len(reps)
         reps.append(cyc[0])
+        lift.append(rep_pos)
         for e, y in enumerate(cyc):
             orbit[y] = idx
             twist[y] = e
+    return reps, orbit, twist, lift
+
+
+def _fold(n: int, rule: str, act, vals, walk, inner) -> tuple[array, array, array]:
+    """(reps, orbit, twist) of the pointed product R x M on positions
+    a * |M| + b, from R's walk (walk: _walk of act under rule) and M's
+    (inner: reps, orbit, twist, its action and, under the digit rule,
+    the valuation of each position; vals is R's).
+
+    Off {0} x M, the first coordinates of an orbit of R x M are the n
+    elements of one orbit of R, so the least element of the orbit of
+    (a, b) is (a0, zeta^-k * b), for a0 the least element of a's orbit
+    and a = zeta^k * a0 (k = twist_R(a) + lift_R(orbit_R(a)) mod n).
+    Orbits are numbered by their least elements, so {0} x M keeps M's
+    view, and (a, b) lies in orbit t(M) + orbit_R(a) * |M| +
+    pos(zeta^-k * b).  Its twist is a's under the least and second_least
+    rules, which read the first coordinate first; under the digit rule
+    the first coordinate of least valuation leads, so it is a's when
+    v(a) <= v(b) and b's otherwise.  Each block of |M| positions is one
+    comprehension or one cached block, written into arrays of the exact
+    size; the loops run over R's positions and orbits only.
+    """
+    m_reps, m_orbit, m_twist, m_act, m_vals = inner
+    r_reps, r_orbit, r_twist, r_lift = walk
+    size, t = len(m_act), len(m_reps)
+    digit = rule == "digit"
+    powers = [range(size)]   # powers[e][j]: the position of zeta^e * j in M
+    for _ in range(n - 1):
+        powers.append([m_act[y] for y in powers[-1]])
+    orbit, twist = array("i", [0]) * (len(act) * size), array("i", [0]) * (len(act) * size)
+    orbit[:size], twist[:size], blocks = m_orbit, m_twist, {}
+    for a in range(1, len(act)):
+        o, e, lo = r_orbit[a], r_twist[a], a * size
+        base = t + o * size
+        orbit[lo:lo + size] = array("i", [base + y for y in powers[-(e + r_lift[o]) % n]])
+        v = vals[a] if digit else None
+        if (v, e) not in blocks:
+            blocks[v, e] = (
+                array("i", [e if vb >= v else tb for vb, tb in zip(m_vals, m_twist)])
+                if digit else array("i", [e]) * size)
+        twist[lo:lo + size] = blocks[v, e]
+    # The representative of the orbit of (a0, j) is zeta^m * (a0, j), at
+    # position (zeta^m * a0) * |M| + powers[m][j]: m is R's lift s, or,
+    # where j leads under the digit rule, the m that takes j to M's
+    # representative.
+    reps, shifts = array("i", [0]) * (t + len(r_reps) * size), {}
+    reps[:t] = m_reps
+    for lo, r, s in zip(range(t, len(reps), size), r_reps, r_lift):
+        if not digit:
+            reps[lo:lo + size] = array("i", [r * size + y for y in powers[s]])
+            continue
+        cycle = [r]   # cycle[i] = zeta^i * r = zeta^(i + s) * a0
+        for _ in range(n - 1):
+            cycle.append(act[cycle[-1]])
+        starts = [cycle[(m - s) % n] * size for m in range(n)]
+        v = vals[r]
+        if (v, s) not in shifts:
+            shifts[v, s] = [s if vb >= v else -tb % n for vb, tb in zip(m_vals, m_twist)]
+        reps[lo:lo + size] = array(
+            "i", [starts[m] + powers[m][j] for j, m in enumerate(shifts[v, s])])
+    return reps, orbit, twist
+
+
+def _product_walk(n: int, acts, rule: str, leads) -> tuple[array, array, array]:
+    """(reps, orbit, twist) of the pointed product of the factors acts,
+    the first most significant: the last factor's walk, onto which each
+    factor before it is folded (_fold).  Under the digit rule leads[i] is
+    (vals, keys) for factor i: each position's valuation, with every
+    factor's vals[0] above every valuation, and the key of its lowest
+    nonzero digit."""
+    if not acts:
+        return array("i"), array("i", [-1]), array("i", [0])
+    leads = leads or [(None, None)] * len(acts)
+    act, (vals, keys) = acts[-1], leads[-1]
+    reps, orbit, twist, _ = _walk(act, n, rule, keys)
+    for i in range(len(acts) - 2, -1, -1):
+        r_act, (r_vals, r_keys) = acts[i], leads[i]
+        walk = _walk(r_act, n, rule, r_keys)
+        reps, orbit, twist = _fold(n, rule, r_act, r_vals, walk, (reps, orbit, twist, act, vals))
+        if i:   # the product is the inner factor of the next fold
+            size = len(act)
+            act = [a * size + b for a in r_act for b in act]
+            if vals is not None:
+                vals = [va if va < vb else vb for va in r_vals for vb in vals]
     return reps, orbit, twist
 
 
 class OrbitView:
     """A concrete finite free pointed mu_n-set on positions 0..S-1, with
-    pinned representatives; act, rule and digit are _walk's.
+    pinned representatives: the pointed product of one or more factors,
+    each given by zeta_n's action on its positions, the first factor most
+    significant (positions a * |Y| + b).  rule is _walk's; the digit rule
+    needs leads, each factor's valuations and digit keys (_product_walk).
 
     reps holds the representatives' positions, and orbit[x] and twist[x]
     say that x = zeta^twist[x] * reps[orbit[x]] (orbit[0] = -1).  A map
@@ -165,13 +264,13 @@ class OrbitView:
 
     __slots__ = ("n", "reps", "orbit", "twist", "muset")
 
-    def __init__(self, n: int, act, rule: str = "least", digit=None):
+    def __init__(self, n: int, acts, rule: str = "least", leads=None):
         if rule not in RULES:
             raise ValueError(f"unknown representative rule {rule!r}")
-        if rule == "digit" and digit is None:
+        if rule == "digit" and leads is None:
             raise ValueError("the digit rule needs the leading digit of each element")
         self.n = n
-        self.reps, self.orbit, self.twist = _walk(act, n, rule, digit)
+        self.reps, self.orbit, self.twist = _product_walk(n, acts, rule, leads)
         self.muset = MuSet(n, len(self.reps))
 
     @property
@@ -210,7 +309,7 @@ def residue_walk(lf, n: int) -> tuple[array, array]:
     walk = lf._walks.get(n)
     if walk is None:
         field = lf.field
-        least, _, pos = _walk(array("i", field.mul_table(field.zeta(n))), n)   # zeta checks n
+        least, _, pos, _ = _walk(array("i", field.mul_table(field.zeta(n))), n)   # zeta checks n
         walk = lf._walks[n] = (pos, least)
     return walk
 
@@ -246,5 +345,5 @@ def aut_extend(f: MuSetAut, Y: MuSet) -> MuSetAut:
         raise ValueError("mismatched n")
     sy = Y.size
     zx, zy = (aut_to_permutation(MuSetAut(Z, tuple(range(Z.t)), (1,) * Z.t)) for Z in (X, Y))
-    view = OrbitView(X.n, [a * sy + b for a in zx for b in zy])
+    view = OrbitView(X.n, (zx, zy))
     return view.as_aut([a * sy + b for a in aut_to_permutation(f) for b in range(sy)])

@@ -1,5 +1,6 @@
 import gc
 import random
+from itertools import combinations_with_replacement
 import tracemalloc
 import weakref
 
@@ -10,10 +11,12 @@ from resforge.extension import cocycle_exp, get_engine
 from resforge.fields import FieldCtx
 from resforge.lattices import KMat
 from resforge.modules import FiniteModule, ModuleHom, scalar_hom
-from resforge.musets import OrbitView, residue_walk
+import resforge.musets as musets
+from resforge.musets import RULES, OrbitView, _walk, residue_walk
 from resforge.padic import LocalField, local_field
 from resforge.symbols import delta_route_symbol
 from resforge.torsor import _det_exp_brute, det_of_module_aut
+from oracles import elements, index, label
 
 
 def random_hom(lf, rng, src, dst):
@@ -37,9 +40,9 @@ def test_images_equal_apply_in_element_order(p, f):
         src = FiniteModule(lf, rng.choice(shapes))
         dst = FiniteModule(lf, rng.choice(shapes))
         h = random_hom(lf, rng, src, dst)
-        assert list(h.images()) == [dst.index(h.apply(x)) for x in src.elements()]
-        assert [src.index(x) for x in src.elements()] == list(range(src.size))
-        assert [src.label(i) for i in range(src.size)] == list(src.elements())
+        assert list(h.images()) == [index(dst, h.apply(x)) for x in elements(src)]
+        assert [index(src, x) for x in elements(src)] == list(range(src.size))
+        assert [label(src, i) for i in range(src.size)] == list(elements(src))
 
 
 def test_images_respect_the_enumeration_bound():
@@ -75,7 +78,7 @@ def label_walk(M, n):
     positions: the orbits of the nonzero labels, each listed from its
     least label in sorted order, as lists of labels."""
     act, seen, orbits = mu_act(M, n), set(), []
-    for x in sorted(x for x in M.elements() if any(x)):
+    for x in sorted(x for x in elements(M) if any(x)):
         if x in seen:
             continue
         orbit = [x]
@@ -115,19 +118,86 @@ def test_views_equal_the_label_walk():
         lf = LocalField(p, f)
         for exps in [s for s in shapes if lf.q ** sum(s) <= 10000]:
             M = FiniteModule(lf, exps)
-            labels = list(M.elements())[1:]
+            labels = list(elements(M))[1:]
             for n in [d for d in range(1, lf.q) if (lf.q - 1) % d == 0]:
                 orbits = label_walk(M, n)
                 assert all(len(orbit) == n for orbit in orbits)
                 for rule in ("least", "second_least", "digit"):
                     reps, table = reference_view(orbits, M, rule)
                     view = M.view(n, rule)
-                    assert [M.label(r) for r in view.reps] == reps, (p, f, exps, n, rule)
+                    assert [label(M, r) for r in view.reps] == reps, (p, f, exps, n, rule)
                     got = list(zip(view.orbit[1:], view.twist[1:]))
                     assert got == [table[x] for x in labels], (p, f, exps, n, rule)
                     assert view.orbit[0] == -1 and view.t == M.dim(n)
                     cells += 1
     assert cells == 435
+
+
+def lead_codes(M) -> list:
+    """The digit rule's keys of the walk of all of M's positions: per
+    position x != 0, (v * rank + k) * q + d for x's lowest nonzero pi-adic
+    digit d in F_q, read at the first coordinate k of least valuation v:
+    the least code over the coordinates.  Zero coordinates get a code
+    above every other, so they never lead."""
+    field, q, rank = M.lf.field, M.lf.q, M.rank
+    none = rank * max(M.exps, default=0) * q
+    acc = [none]
+    for k, (e, r) in enumerate(zip(M.exps, M.rings)):
+        codes = [none]
+        for c in range(1, r.size):
+            v = r.val(c)
+            codes.append((v * rank + k) * q + r.reduce_to(r.div_pk(c, v), field))
+        acc = [a if a < b else b for a in acc for b in codes]
+    return acc
+
+
+def whole_module_walk(M, n, rule):
+    """(reps, orbit, twist) of the walk of all of M's positions, the way
+    views were built before they were folded from their components: zeta_n
+    on positions is the mixed-radix product of the components' tables."""
+    act = [0]
+    for r in M.rings:
+        size, tab = r.size, r.mul_table(r.zeta(n))
+        act = [a * size + b for a in act for b in tab]
+    return _walk(act, n, rule, lead_codes(M) if rule == "digit" else None)[:3]
+
+
+@pytest.mark.parametrize("p,f", [(2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)])
+def test_views_equal_the_whole_module_walk(p, f):
+    """Every module of rank <= 3 within 2,500 elements (exponents up to 4),
+    every n dividing q - 1, n = 1 included, and every rule: the view folded
+    from the components' walks is the whole-module walk, array for array."""
+    lf = LocalField(p, f)
+    shapes = [s for rank in range(4) for s in combinations_with_replacement(range(1, 5), rank)
+              if lf.q ** sum(s) <= 2500]
+    for exps in shapes:
+        M = FiniteModule(lf, exps)
+        for n in [d for d in range(1, lf.q) if (lf.q - 1) % d == 0]:
+            for rule in RULES:
+                view = M.view(n, rule)
+                assert (view.reps, view.orbit, view.twist) == whole_module_walk(M, n, rule), (
+                    exps, n, rule)
+
+
+def test_a_view_walks_each_component_once(monkeypatch):
+    """A fresh field builds the view of O/pi^2 + O/pi^3 at q = 7 from one
+    walk of each ring, 343 + 49 positions, the last component first, not
+    from a walk of its 16,807 positions; the view is the whole-module
+    walk's."""
+    sizes = []
+
+    def counted(act, *args):
+        sizes.append(len(act))
+        return _walk(act, *args)
+
+    monkeypatch.setattr(musets, "_walk", counted)
+    for rule in RULES:
+        for n in (2, 6):
+            sizes.clear()
+            M = FiniteModule(LocalField(7), (2, 3))
+            view = M.view(n, rule)
+            assert sizes == [343, 49], (rule, n)
+            assert (view.reps, view.orbit, view.twist) == whole_module_walk(M, n, rule)
 
 
 def test_a_view_refuses_an_n_that_does_not_divide_q_minus_1():
@@ -203,10 +273,10 @@ def test_digit_view_has_one_least_digit_representative_per_orbit(p, f):
             assert view.t == M.dim(n)
             assert len(view.orbit) == M.size and view.orbit[0] == -1
             for i, r in enumerate(view.reps):
-                orbit = [M.label(r)]
+                orbit = [label(M, r)]
                 while len(orbit) < n:
                     orbit.append(act(orbit[-1]))
-                positions = [M.index(y) for y in orbit]
+                positions = [index(M, y) for y in orbit]
                 assert ([(view.orbit[y], view.twist[y]) for y in positions]
                         == [(i, e) for e in range(n)])
                 digits = [lowest_digit(lf, exps, y) for y in orbit]

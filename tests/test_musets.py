@@ -262,14 +262,35 @@ def test_position_maps_that_are_not_bijections_of_orbits_are_rejected():
 
 def test_orbit_view_checks_freeness_by_position():
     with pytest.raises(ValueError, match="orbit of position 1 has length 1, not 2"):
-        OrbitView(2, [0, 1, 2])
+        OrbitView(2, [[0, 1, 2]])
     with pytest.raises(ValueError, match="orbit of position 1 has length 3, not 2"):
-        OrbitView(2, [0, 2, 3, 1])
+        OrbitView(2, [[0, 2, 3, 1]])
     with pytest.raises(ValueError, match="the digit rule needs"):
-        OrbitView(2, [0, 2, 1], "digit")
-    view = OrbitView(2, [0, 2, 1, 4, 3], "second_least")
+        OrbitView(2, [[0, 2, 1]], "digit")
+    view = OrbitView(2, [[0, 2, 1, 4, 3]], "second_least")
     assert (list(view.reps), list(view.orbit), list(view.twist)) == ([2, 4], [-1, 0, 0, 1, 1],
                                                                      [0, 1, 0, 1, 0])
+
+
+def test_orbit_view_refuses_an_action_that_moves_the_marked_point():
+    """[1, 0, 3, 2] swaps the marked point with position 1, so it is no
+    action on a pointed set."""
+    for act in ([1, 0, 3, 2], [2, 1, 0]):
+        with pytest.raises(ValueError, match="^zeta_n moves the marked point$"):
+            OrbitView(2, [act])
+        with pytest.raises(ValueError, match="^zeta_n moves the marked point$"):
+            OrbitView(2, [[0, 2, 1], act])
+
+
+def test_orbit_view_stops_a_walk_that_never_returns():
+    """[0, 2, 2] sends 1 to the fixed point 2, so the walk from 1 never
+    comes back; it stops one step past n, in either factor of a product."""
+    with pytest.raises(ValueError, match="^orbit of position 1 has length over 2, not 2$"):
+        OrbitView(2, [[0, 2, 2]])
+    with pytest.raises(ValueError, match="^orbit of position 1 has length over 2, not 2$"):
+        OrbitView(2, [[0, 2, 1], [0, 2, 2]])
+    with pytest.raises(ValueError, match="^orbit of position 4 has length over 3, not 3$"):
+        OrbitView(3, [[0, 2, 3, 1, 5, 5]])
 
 
 def test_permutation_and_sign():

@@ -12,6 +12,7 @@ from resforge.padic import local_field
 from resforge.torsor import (_det_exp_brute, _exact_seq_exp, _graded_det, _section,
                              det_of_module_aut, exact_seq_iso)
 from resforge.verify import _random_matrix as rand_matrix
+from oracles import elements, index, label, zero
 from test_modules import random_hom
 
 
@@ -317,20 +318,20 @@ def test_naturality_of_exact_sequence_scalar():
 
 def _exact_seq_exp_per_element(X, Y, Z, incl, proj, n, rule):
     """The exact-sequence exponent by applying incl and proj to each element."""
-    image = {incl.apply(x) for x in X.elements()}
+    image = {incl.apply(x) for x in elements(X)}
     assert len(image) == X.size and X.size * Z.size == Y.size
-    assert all(proj.apply(x) == Z.zero for x in image)
+    assert all(proj.apply(x) == zero(Z) for x in image)
     if n == 1:
         return 0
     vX, vY, vZ = X.view(n, rule), Y.view(n, rule), Z.view(n, rule)
-    total = sum(vY.twist[Y.index(incl.apply(X.label(r)))] for r in vX.reps)
-    for y in Y.elements():
+    total = sum(vY.twist[index(Y, incl.apply(label(X, r)))] for r in vX.reps)
+    for y in elements(Y):
         if y in image:
             continue
         z = proj.apply(y)
-        assert z != Z.zero
-        if vZ.twist[Z.index(z)] == 0:
-            total += vY.twist[Y.index(y)]
+        assert z != zero(Z)
+        if vZ.twist[index(Z, z)] == 0:
+            total += vY.twist[index(Y, y)]
     return total % n
 
 
