@@ -21,25 +21,34 @@ triple intersections and skips each link whose lattices coincide.  A
 nested triple is a chain of one link and the pairing A = C a chain of
 none, so neither has a case of its own.
 
-c(f, g) has one body, in cocycle_exp: it applies g to V and f to V and
-gV, and adds rho_exp(f, V, gV) and kappa_exp(V, fV, fgV).  Each piece
-takes lattices only and asks for every image, intersection and quotient
-it reads; what the pieces share, the memos share.  The field keeps every
-image f(A), intersection and quotient, and the engine every rho exponent
-and link's value, keyed by canonical lattices and f's known data, at
-most lattices.MEMO_CAP of each.  f is invertible, so rho's f(V cap gV)
-is fV cap fgV, kappa's B cap C, and rho's fV/f(V cap gV) and
-fgV/f(V cap gV) are kappa's B/(B cap C) and C/(B cap C).  A cocycle so
-builds at most 5 intersections (rho's 2 and kappa's A cap B, A cap C
-and D3; a nested one is one of its operands) and 14 quotients (rho's 4,
-kappa's 6 over D3, and its A/AB, B/AB, A/AC and C/AC); a skipped link
-asks for nothing.  When fV and fgV nest, one link runs and
-the larger over the smaller is one of rho's quotients, so a nested
-cocycle builds 6: rho's 4 and the link's other two.  A warm cocycle
-runs no elimination: its three images, every intersection, nested or
-not, rho's exponent and kappa's links are memo hits, so it asks for no
-quotient, runs no Hermite form, no solve and no Smith form, and walks
-no exact sequence.
+c(f, g) has one body, in cocycle_exp.  It reads g only through the
+lattice gV, so the engine keeps c(f, g) by f's known data, gV and the
+field's enum_bound, at most lattices.MEMO_CAP entries.  The bound is in
+the key so that lowering it makes a kept cocycle raise again, as a kept
+link does.  On a miss cocycle_exp applies f to V and gV and adds
+kappa_exp(V, fV, fgV) and rho_exp(f, V, gV), kappa first: its links hold
+their middle modules to the bound, so a cocycle past it raises before
+rho builds a quotient, and nothing that raised is stored.  A refused
+cocycle is asked for again on every pass that meets it; kappa first, a
+warm refusal meets only memo hits before the size test that raises.
+
+Each piece takes lattices only and asks for every image, intersection
+and quotient it reads; what the pieces share, the memos share.  The
+field keeps every image f(A), intersection and quotient, and the engine
+every link's value, keyed by canonical lattices, at most MEMO_CAP of
+each.  f is invertible, so rho's f(V cap gV) is fV cap fgV, kappa's
+B cap C, and rho's fV/f(V cap gV) and fgV/f(V cap gV) are kappa's
+B/(B cap C) and C/(B cap C).  A cocycle so builds at most 5
+intersections (kappa's A cap B, B cap C, A cap C and D3, and rho's
+V cap gV; a nested one is one of its operands) and 14 quotients
+(kappa's 6 over D3 and its A/AB, B/AB, B/BC, C/BC, A/AC and C/AC, and
+rho's V/(V cap gV) and gV/(V cap gV)); a skipped link asks for nothing.
+When V, fV and fgV nest, one link runs and the larger of fV and fgV
+over the smaller is one of rho's quotients, so a nested cocycle builds
+6: the link's 3 and rho's other 3.  A warm cocycle applies g to V, an
+image hit, builds f's key and reads one entry: it calls neither rho_exp
+nor kappa_exp, asks for no intersection or quotient, runs no Hermite
+form, no solve and no Smith form, and walks no exact sequence.
 
 A SymbolEngine fixes the field, n, and the representative rule.  Its
 default rule is digit (see musets), under which the rank-one building
@@ -98,7 +107,7 @@ from .torsor import _exact_seq_exp, _graded_det
 
 class SymbolEngine:
     """Fixes (K, n, representative rule); memoizes V = O^m, S(u) by residue,
-    rho's exponents, by f's known data and two lattices, the kappa
+    c(f, g), by f's known data, gV and the enumeration bound, the kappa
     links, by lattice triple, and the MuScalars it returns, by exponent."""
 
     def __init__(self, lf, n: int, rule: str = "digit"):
@@ -109,8 +118,8 @@ class SymbolEngine:
         self.n = n
         self.rule = rule
         self._std: dict[int, Lattice] = {}
-        self._rhos: dict = {}    # rho_exp, by (f's known data, A, B)
-        self._links: dict = {}   # _seq_exp, by (X, Y, Z)
+        self._cocycles: dict = {}   # cocycle_exp, by (f's known data, gV, enum_bound)
+        self._links: dict = {}      # _seq_exp, by (X, Y, Z)
         # digit rule: the coset walk of k = O/pi, and S(u) by residue u read off it
         self._cosets = _coset_walk(lf.field, lf.field.zeta(n), n)
         self._digit_sums: dict[int, int] = {}
@@ -170,19 +179,15 @@ def rho_exp(f: KMat, A: Lattice, B: Lattice, engine: SymbolEngine) -> int:
     f is invertible, so f(A cap B) = fA cap fB.  rho_f acts on the right
     factor through f^-1, whose iso exponent is minus that of f: if
     f(r) = zeta^e * r' for representatives r, r', then
-    f^-1(r') = zeta^-e * r.  The exponent is kept on the engine, keyed by
-    f's known data, A and B; fA and fB come from the field's images.
+    f^-1(r') = zeta^-e * r.  fA and fB come from the field's images.
+    The engine keeps no rho exponent: cocycle_exp calls rho_exp only on
+    a miss of its own memo, whose key fixes f, A = V and B = gV.
     """
-    key = (_kmat_key(f), A, B)
-    e = engine._rhos.get(key)
-    if e is None:
-        fA, fB = lat_apply(f, A), lat_apply(f, B)
-        I, fI = lat_intersect(A, B), lat_intersect(fA, fB)
-        tau = _iso_exp(quotient_struct(A, I), quotient_struct(fA, fI), f, engine)
-        psi = _iso_exp(quotient_struct(B, I), quotient_struct(fB, fI), f, engine)
-        e = (tau - psi) % engine.n
-        _memo_put(engine._rhos, key, e)
-    return e
+    fA, fB = lat_apply(f, A), lat_apply(f, B)
+    I, fI = lat_intersect(A, B), lat_intersect(fA, fB)
+    tau = _iso_exp(quotient_struct(A, I), quotient_struct(fA, fI), f, engine)
+    psi = _iso_exp(quotient_struct(B, I), quotient_struct(fB, fI), f, engine)
+    return (tau - psi) % engine.n
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +328,15 @@ def cocycle_exp(f: KMat, g: KMat, engine: SymbolEngine) -> int:
             return _cocycle_m1(x, w, engine)
     V = engine.standard(m)
     gV = lat_apply(g, V)
-    fV, fgV = lat_apply(f, V), lat_apply(f, gV)
-    return (rho_exp(f, V, gV, engine) + kappa_exp(V, fV, fgV, engine)) % engine.n
+    key = (_kmat_key(f), gV, engine.lf.enum_bound)
+    e = engine._cocycles.get(key)
+    if e is None:
+        fV, fgV = lat_apply(f, V), lat_apply(f, gV)
+        # kappa first: a cocycle past the bound raises before rho builds anything
+        k = kappa_exp(V, fV, fgV, engine)
+        e = (rho_exp(f, V, gV, engine) + k) % engine.n
+        _memo_put(engine._cocycles, key, e)
+    return e
 
 
 def cocycle(f, g, engine: SymbolEngine) -> MuScalar:

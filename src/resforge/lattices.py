@@ -181,8 +181,9 @@ class KMat:
         return KElem(self.lf, self.shift + v, u, self.prec - v)
 
     def __eq__(self, other):
-        """Equal up to the digits both know: below pi^min(shift + prec)."""
-        if not isinstance(other, KMat):
+        """Equal up to the digits both know: below pi^min(shift + prec).
+        Matrices of two fields do not compare, as KElems do not."""
+        if not isinstance(other, KMat) or other.lf is not self.lf:
             return NotImplemented
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             return False

@@ -767,11 +767,12 @@ def test_chain_cocycle_work_count(monkeypatch):
 
 
 def test_a_warm_cocycle_builds_no_quotient_and_walks_no_sequence(monkeypatch):
-    """The same cocycles again on the same engine: f and g applied to
-    lattices, every intersection, nested or not, rho's exponent and
-    kappa's links come from the memos, so no quotient is asked for, no
-    Hermite form, no triangular solve and no containment test runs, and
-    each value is the cold one."""
+    """The same cocycles again on the same engine: g applied to V is an
+    image hit and c(f, g) is the engine's entry for f and gV, so neither
+    rho_exp nor kappa_exp is called, no link is looked up, no
+    intersection or quotient is asked for, no Hermite form, no
+    triangular solve and no containment test runs, and each value is the
+    cold one."""
     import resforge.extension as extension
 
     lf = LocalField(3)
@@ -784,8 +785,10 @@ def test_a_warm_cocycle_builds_no_quotient_and_walks_no_sequence(monkeypatch):
     monkeypatch.setattr(extension, "_exact_seq_exp", recorded_calls(calls, "walk", _exact_seq_exp))
     monkeypatch.setattr(extension, "quotient_struct",
                         recorded_calls(calls, "quotient", quotient_struct))
+    monkeypatch.setattr(extension, "rho_exp", recorded_calls(calls, "rho", extension.rho_exp))
     assert [cocycle_exp(f, g, eng) for f, g in pairs] == cold
-    assert calls["seq"] and calls["intersect"] and calls["quotient"] == []
+    assert calls["rho"] == calls["kappa"] == calls["seq"] == calls["intersect"] == []
+    assert calls["quotient"] == []
     assert calls["build"] == [] and calls["snf"] == [] and calls["hnf_in_intersect"] == []
     assert calls["walk"] == []
     assert calls["hnf"] == [] and calls["solve"] == [] and calls["contains"] == []
@@ -855,48 +858,105 @@ def test_the_link_memo_stays_under_its_cap():
     assert max(sizes) == MEMO_CAP and sizes[-1] == 5
 
 
-def test_the_rho_memo_stays_under_its_cap():
-    """rho_f on (pi^s O | pi^(s+1) O) for f = 1, distinct for each s: the
-    engine's memo of rho exponents empties when full and keeps the
-    newest entries."""
+def test_the_cocycle_memo_stays_under_its_cap():
+    """c(pi^s, 1) at m = 1 under the least rule, which runs the lattice
+    body, distinct for each s: the engine's memo of cocycles empties when
+    full and keeps the newest entries."""
     lf = LocalField(3)
-    eng = get_engine(lf, 2)
-    f = kmat_identity(lf, 1)
+    eng = get_engine(lf, 2, "least")
+    one = kmat_identity(lf, 1)
     sizes = []
     for s in range(MEMO_CAP + 5):
-        A, B = principal_lattice(lf, s), principal_lattice(lf, s + 1)
-        rho_exp(f, A, B, eng)
-        sizes.append(len(eng._rhos))
+        cocycle_exp(eng.as_kmat(lf.pi(s)), one, eng)
+        sizes.append(len(eng._cocycles))
     assert max(sizes) == MEMO_CAP and sizes[-1] == 5
 
 
-def test_rho_of_equal_data_shares_one_entry(monkeypatch):
-    """Two KMats with equal data key one rho exponent, and the second call
-    reads it: it asks for no intersection."""
+def test_cocycles_of_equal_data_and_equal_gv_share_one_entry(monkeypatch):
+    """A KMat with f's data and g times a unit u of GL_2(O), which has
+    g's image of V, key the entry of c(f, g): the second call reads it
+    and asks for no intersection, rho or kappa."""
     import resforge.extension as extension
 
     lf = LocalField(5)
     eng = get_engine(lf, 4)
     rng = random.Random(5)
     f, g = rand_matrix(lf, rng, 2), rand_matrix(lf, rng, 2)
+    u = KMat.from_rows(lf, [[1, "pi"], [2, 3]])
     V = eng.standard(2)
-    gV = lat_apply(g, V)
-    value = rho_exp(f, V, gV, eng)
+    assert u.det_val() == 0 and lat_apply(g @ u, V) is lat_apply(g, V) and g @ u != g
+    value = cocycle_exp(f, g, eng)
     calls = {}
-    monkeypatch.setattr(extension, "lat_intersect",
-                        recorded_calls(calls, "intersect", lat_intersect))
-    assert rho_exp(KMat(lf, f.data, f.shift, f.prec), V, gV, eng) == value
-    assert calls["intersect"] == [] and len(eng._rhos) == 1
+    for key, name in (("intersect", "lat_intersect"), ("rho", "rho_exp"), ("kappa", "kappa_exp")):
+        monkeypatch.setattr(extension, name, recorded_calls(calls, key, getattr(extension, name)))
+    assert cocycle_exp(KMat(lf, f.data, f.shift, f.prec), g @ u, eng) == value
+    assert calls == {"intersect": [], "rho": [], "kappa": []} and len(eng._cocycles) == 1
+
+
+def test_lowering_the_bound_after_a_cocycle_was_kept_still_raises():
+    """c(pi, pi) at m = 1 under the least rule runs the one link
+    kappa(O, pi O, pi^2 O), which walks O/pi^2, of 9 elements.  Kept
+    under the default bound, the cocycle raises at a bound of 8 as on a
+    fresh field, and the refused cocycle is not stored."""
+    lf = LocalField(3)
+    eng = get_engine(lf, 2, "least")
+    pi = eng.as_kmat(lf.pi(1))
+    value = cocycle_exp(pi, pi, eng)
+    assert len(eng._cocycles) == 1
+    lf.enum_bound = 8
+    with pytest.raises(EnumerationBound):
+        cocycle_exp(pi, pi, eng)
+    assert len(eng._cocycles) == 1
+    lf.enum_bound = 9
+    assert cocycle_exp(pi, pi, eng) == value and len(eng._cocycles) == 2
+    fresh = LocalField(3, enum_bound=8)
+    eng = get_engine(fresh, 2, "least")
+    pi = eng.as_kmat(fresh.pi(1))
+    with pytest.raises(EnumerationBound):
+        cocycle_exp(pi, pi, eng)
+    assert eng._cocycles == {}
+
+
+@pytest.mark.parametrize("p,f,tally", [(3, 1, (15, 3, 4)), (5, 1, (12, 6, 6)), (7, 1, (13, 5, 8)),
+                                        (3, 2, (14, 4, 6))])
+def test_the_cocycle_reads_g_only_through_gv(p, f, tally):
+    """c(f, g u) = c(f, g) for units u of GL_2(O), so the engine may key
+    c(f, g) by gV.  Each side runs on an engine of its own, so neither
+    reads the other's entry, under every rule; six draws per rule, with
+    entry valuations in [-1, 1] and the enumeration bound at q^2.  A
+    side past the bound must be matched by the other; none is dropped,
+    and the tally of answered draws, bound hits and nonzero values is
+    pinned."""
+    lf = LocalField(p, f, enum_bound=p ** (2 * f))
+    rng = random.Random(100 * p + f)
+    ns = [d for d in range(2, lf.q) if (lf.q - 1) % d == 0]
+    V = standard_lattice(lf, 2)
+    outcomes = []
+    for rule in RULES:
+        for _ in range(6):
+            n = rng.choice(ns)
+            F, G = rand_matrix(lf, rng, 2, (-1, 1)), rand_matrix(lf, rng, 2, (-1, 1))
+            U = rand_matrix(lf, rng, 2, (0, 2))
+            while U.det_val():
+                U = rand_matrix(lf, rng, 2, (0, 2))
+            assert lat_apply(G @ U, V) is lat_apply(G, V) and G @ U != G
+            got = _outcome(lambda: cocycle_exp(F, G, SymbolEngine(lf, n, rule)))
+            want = _outcome(lambda: cocycle_exp(F, G @ U, SymbolEngine(lf, n, rule)))
+            assert got == want, (rule, n)
+            outcomes.append(got)
+    bound = outcomes.count("EnumerationBound")
+    nonzero = sum(e not in (0, "EnumerationBound") for e in outcomes)
+    assert (len(outcomes) - bound, bound, nonzero) == tally
 
 
 def test_nested_cocycle_intersection_runs_no_hnf(monkeypatch):
     """f and g integral, of det_val 2 and 1: V > gV and V > fV > fgV.
-    Every intersection the cocycle asks for nests: rho's V cap gV is the
-    operand gV and its fV cap fgV the operand fgV; kappa's AB = V cap fV
-    is the operand fV, and its BC = fV cap fgV, AC = V cap fgV and
-    D3 = AB cap C are the operand fgV.  None runs a Hermite form, and
-    kappa runs the one link (V, fV, fgV).  The field is fresh, so that
-    rho's exponent is not kept from an earlier test."""
+    Every intersection the cocycle asks for nests, kappa's first: its
+    AB = V cap fV is the operand fV, and its BC = fV cap fgV,
+    AC = V cap fgV and D3 = AB cap C are the operand fgV; then rho's
+    V cap gV is the operand gV and its fV cap fgV the operand fgV.  None
+    runs a Hermite form, and kappa runs the one link (V, fV, fgV).  The
+    field is fresh, so that nothing is kept from an earlier test."""
     lf = LocalField(3)
     rng = random.Random(6)
     f, g = rand_matrix(lf, rng, 2, (0, 2)), rand_matrix(lf, rng, 2, (0, 2))
@@ -907,7 +967,7 @@ def test_nested_cocycle_intersection_runs_no_hnf(monkeypatch):
     calls = {}
     record_cocycle_work(monkeypatch, calls)
     cocycle_exp(f, g, eng)
-    assert calls["intersect"] == [gV, fgV, fV, fgV, fgV, fgV]
+    assert calls["intersect"] == [fV, fgV, fgV, fgV, gV, fgV]
     assert calls["hnf_in_intersect"] == [] and len(calls["seq"]) == 1
 
 
@@ -915,9 +975,9 @@ def test_nested_kappa_reuses_the_shared_quotient(monkeypatch):
     """On the first seeded integral draw at p = 5, n = 4 whose fV and fgV
     nest, each draw on a fresh field, so that its memos start empty: the
     larger over the smaller is rho's fV/f(V cap gV) or fgV/f(V cap gV),
-    which kappa's one link finds in the field's memo.  The cocycle builds
-    6 quotients, rho's 4 and then the connecting sequence's other two,
-    not 7.  On this draw V > gV and fV > fgV, so rho's gV/gV and fgV/fgV
+    which rho finds in the field's memo after kappa's one link built it.
+    The cocycle builds 6 quotients, the connecting sequence's 3 and then
+    rho's other 3, not 7.  On this draw V > gV and fV > fgV, so rho's gV/gV and fgV/fgV
     are zero and run no Smith form: 4 SNFs.  Its value is rho on a second
     engine that keeps nothing of the first plus the nested formula on
     quotients built afresh."""

@@ -305,6 +305,19 @@ def test_images_of_equal_data_share_one_entry_and_a_raising_apply_stores_none():
     assert lat_apply(f3, V) == lat_apply(f1, V) and len(lf._images) == 2
 
 
+def test_matrices_of_two_fields_are_not_equal():
+    """KMat equality, like KElem's, holds only within one field: [[1]]
+    over Q_7 is not [[1]] over Q_5, nor over a second field at p = 7,
+    in either order."""
+    lf, other = LocalField(7), LocalField(5)
+    one = KMat.from_rows(lf, [[1]])
+    assert one == KMat.from_rows(lf, [[1]])
+    assert lf.parse("1") != other.parse("1")
+    for far in (KMat.from_rows(other, [[1]]), KMat.from_rows(LocalField(7), [[1]])):
+        assert one != far and far != one and not one == far
+        assert one.__eq__(far) is NotImplemented
+
+
 def test_random_containments_and_cardinality(q7):
     rng = random.Random(1)
     for _ in range(60):
