@@ -977,8 +977,8 @@ def test_nested_kappa_reuses_the_shared_quotient(monkeypatch):
     larger over the smaller is rho's fV/f(V cap gV) or fgV/f(V cap gV),
     which rho finds in the field's memo after kappa's one link built it.
     The cocycle builds 6 quotients, the connecting sequence's 3 and then
-    rho's other 3, not 7.  On this draw V > gV and fV > fgV, so rho's gV/gV and fgV/fgV
-    are zero and run no Smith form: 4 SNFs.  Its value is rho on a second
+    rho's other 3, not 7.  On this draw V > gV and fV > fgV, so rho's
+    gV/gV and fgV/fgV are zero and run no Smith form: 4 SNFs.  Its value is rho on a second
     engine that keeps nothing of the first plus the nested formula on
     quotients built afresh."""
     rng = random.Random(2)
