@@ -24,21 +24,22 @@ none, so neither has a case of its own.
 c(f, g) has one body, in cocycle_exp.  It reads g only through the
 lattice gV, so the engine keeps c(f, g) by f's known data, gV and the
 field's enum_bound, at most lattices.MEMO_CAP entries.  The bound is in
-the key so that lowering it makes a kept cocycle raise again, as a kept
-link does.  On a miss cocycle_exp applies f to V and gV and adds
-kappa_exp(V, fV, fgV) and rho_exp(f, V, gV), kappa first: its links hold
-their middle modules to the bound, so a cocycle past it raises before
-rho builds a quotient, and nothing that raised is stored.  A refused
-cocycle is asked for again on every pass that meets it; kappa first, a
-warm refusal meets only memo hits before the size test that raises.
+the key so that lowering it makes a kept cocycle miss and meet its
+links' size test again.  On a miss cocycle_exp applies f to V and gV
+and adds kappa_exp(V, fV, fgV) and rho_exp(f, V, gV), kappa first: its
+links hold their middle modules to the bound before they build
+anything, so a cocycle past it raises before rho builds a quotient, and
+nothing that raised is stored.  A refused cocycle is asked for again on
+every pass that meets it: kappa's intersections are memo hits, and each
+link before the one that raises is walked again.
 
 Each piece takes lattices only and asks for every image, intersection
 and quotient it reads; what the pieces share, the memos share.  The
-field keeps every image f(A), intersection and quotient, and the engine
-every link's value, keyed by canonical lattices, at most MEMO_CAP of
-each.  f is invertible, so rho's f(V cap gV) is fV cap fgV, kappa's
-B cap C, and rho's fV/f(V cap gV) and fgV/f(V cap gV) are kappa's
-B/(B cap C) and C/(B cap C).  A cocycle so builds at most 5
+field keeps every image f(A), intersection and quotient, keyed by
+canonical lattices, at most MEMO_CAP of each.  f is invertible, so
+rho's f(V cap gV) is fV cap fgV, kappa's B cap C, and rho's
+fV/f(V cap gV) and fgV/f(V cap gV) are kappa's B/(B cap C) and
+C/(B cap C).  A cocycle so builds at most 5
 intersections (kappa's A cap B, B cap C, A cap C and D3, and rho's
 V cap gV; a nested one is one of its operands) and 14 quotients
 (kappa's 6 over D3 and its A/AB, B/AB, B/BC, C/BC, A/AC and C/AC, and
@@ -83,13 +84,14 @@ power_residue_char at any m.  Under the digit rule the sum of
 pos[lead(A_j v)] over the leading vectors v of each graded piece gives
 the same value.  kappa_exp still walks the middle module of each
 connecting exact sequence, over the fibers of Z's representatives only
-(torsor._exact_seq_exp), once per lattice triple and engine (_seq_exp).
-Under the least and second_least rules c(f, g) at m = 1 runs
-cocycle_exp's body on the 1 x 1 matrices f and g = pi^w, walking each
-link the first time it meets it.  Those rules, and
-torsor._det_exp_brute (orbit enumeration, whose value no rule changes),
-serve the closed forms as their oracle; torsor keeps no memo, so each
-oracle call there enumerates.
+(torsor._exact_seq_exp), on every miss of the cocycle memo (_seq_exp);
+the engine keeps no link's value, and the field keeps the quotients and
+views the walk reads.  Under the least and second_least rules c(f, g)
+at m = 1 runs cocycle_exp's body on the 1 x 1 matrices f and g = pi^w,
+walking its links the first time the engine meets the cocycle.  Those
+rules, and torsor._det_exp_brute (orbit enumeration, whose value no
+rule changes), serve the closed forms as their oracle; torsor keeps no
+memo, so each oracle call there enumerates.
 """
 
 from __future__ import annotations
@@ -107,8 +109,8 @@ from .torsor import _exact_seq_exp, _graded_det
 
 class SymbolEngine:
     """Fixes (K, n, representative rule); memoizes V = O^m, S(u) by residue,
-    c(f, g), by f's known data, gV and the enumeration bound, the kappa
-    links, by lattice triple, and the MuScalars it returns, by exponent."""
+    c(f, g), by f's known data, gV and the enumeration bound, and the
+    MuScalars it returns, by exponent."""
 
     def __init__(self, lf, n: int, rule: str = "digit"):
         _check_n(lf.field, n)
@@ -119,7 +121,6 @@ class SymbolEngine:
         self.rule = rule
         self._std: dict[int, Lattice] = {}
         self._cocycles: dict = {}   # cocycle_exp, by (f's known data, gV, enum_bound)
-        self._links: dict = {}      # _seq_exp, by (X, Y, Z)
         # digit rule: the coset walk of k = O/pi, and S(u) by residue u read off it
         self._cosets = _coset_walk(lf.field, lf.field.zeta(n), n)
         self._digit_sums: dict[int, int] = {}
@@ -141,7 +142,7 @@ class SymbolEngine:
         if isinstance(x, KMat):
             return x
         x = self.lf.as_kelem(x)
-        return KMat.from_rows(self.lf, [[x]], x.prec)
+        return KMat(self.lf, [[x.unit]], x.val, x.prec)
 
 
 def _scalar(engine: SymbolEngine, e: int) -> MuScalar:
@@ -195,22 +196,16 @@ def rho_exp(f: KMat, A: Lattice, B: Lattice, engine: SymbolEngine) -> int:
 
 
 def _seq_exp(X: Lattice, Y: Lattice, Z: Lattice, engine: SymbolEngine) -> int:
-    """kappa for X >= Y >= Z: the connecting sequence of X/Z, Y/Z and X/Y,
-    memoized on the engine by (X, Y, Z).  |X/Z| = q^(det_val Z - det_val X)
-    is held to the field's enum_bound before the lookup, so a link kept
-    under a larger bound raises as the walk would; the quotients and maps
-    are built only on a miss."""
+    """kappa for X >= Y >= Z: the connecting sequence of X/Z, Y/Z and X/Y.
+    |X/Z| = q^(det_val Z - det_val X) is held to the field's enum_bound
+    before any quotient or map is built, so a link past the bound raises
+    having built nothing."""
     size = engine.lf.q ** (Z.det_val - X.det_val)
     if size > engine.lf.enum_bound:
         raise EnumerationBound(f"middle module of size {size} exceeds the bound")
-    key = (X, Y, Z)
-    e = engine._links.get(key)
-    if e is None:
-        QXZ, QYZ, QXY = quotient_struct(X, Z), quotient_struct(Y, Z), quotient_struct(X, Y)
-        e = _exact_seq_exp(QYZ.module, QXZ.module, QXY.module, induced_hom(QYZ, QXZ),
-                           induced_hom(QXZ, QXY), engine.n, engine.rule)
-        _memo_put(engine._links, key, e)
-    return e
+    QXZ, QYZ, QXY = quotient_struct(X, Z), quotient_struct(Y, Z), quotient_struct(X, Y)
+    return _exact_seq_exp(QYZ.module, QXZ.module, QXY.module, induced_hom(QYZ, QXZ),
+                          induced_hom(QXZ, QXY), engine.n, engine.rule)
 
 
 def kappa_exp(A: Lattice, B: Lattice, C: Lattice, engine: SymbolEngine) -> int:

@@ -20,10 +20,13 @@ factor once (_walk) and folds the walks by the mixed radix (_fold), so
 a product costs a walk of each factor plus one comprehension per block
 of positions, never a walk of all S positions; orbits are numbered by
 their least positions, as a walk of the whole product would number
-them.  A map of the view to itself is given on positions too,
-as the position of the image of every position (ModuleHom.images for
-module maps), so a view needs nothing of its owner's labels.  Three
-rules exist:
+them.  The fold keeps orbits and twists only: x = zeta^twist[x] *
+reps[orbit[x]], so a product's representatives are its positions of
+twist 0, read once after the last fold, and the rule's choice of
+representative lives in the twists alone.  A map of the view to itself
+is given on positions too, as the position of the image of every
+position (ModuleHom.images for module maps), so a view needs nothing of
+its owner's labels.  Three rules exist:
 
 least         the least element of each orbit in the container's order;
 second_least  the second least, which exists whenever n >= 2;
@@ -45,6 +48,8 @@ factors and reads f x Id off aut_to_permutation.
 from __future__ import annotations
 
 from array import array
+from itertools import compress
+from operator import not_
 
 from .fields import Frozen, MuScalar, perm_sign_of_map
 
@@ -165,11 +170,12 @@ def _walk(act, n: int, rule: str = "least", digit=None) -> tuple[array, array, a
     return reps, orbit, twist, lift
 
 
-def _fold(n: int, rule: str, act, vals, walk, inner) -> tuple[array, array, array]:
-    """(reps, orbit, twist) of the pointed product R x M on positions
-    a * |M| + b, from R's walk (walk: _walk of act under rule) and M's
-    (inner: reps, orbit, twist, its action and, under the digit rule,
-    the valuation of each position; vals is R's).
+def _fold(n: int, rule: str, vals, walk, inner) -> tuple[array, array]:
+    """(orbit, twist) of the pointed product R x M on positions
+    a * |M| + b, from R's walk (walk: the orbit, twist and lift of _walk
+    under rule; vals is R's valuations under the digit rule) and M's
+    (inner: orbit, twist, its action and, under the digit rule, the
+    valuation of each position).
 
     Off {0} x M, the first coordinates of an orbit of R x M are the n
     elements of one orbit of R, so the least element of the orbit of
@@ -177,23 +183,24 @@ def _fold(n: int, rule: str, act, vals, walk, inner) -> tuple[array, array, arra
     and a = zeta^k * a0 (k = twist_R(a) + lift_R(orbit_R(a)) mod n).
     Orbits are numbered by their least elements, so {0} x M keeps M's
     view, and (a, b) lies in orbit t(M) + orbit_R(a) * |M| +
-    pos(zeta^-k * b).  Its twist is a's under the least and second_least
-    rules, which read the first coordinate first; under the digit rule
-    the first coordinate of least valuation leads, so it is a's when
-    v(a) <= v(b) and b's otherwise.  Each block of |M| positions is one
-    comprehension or one cached block, written into arrays of the exact
-    size; the loops run over R's positions and orbits only.
+    pos(zeta^-k * b), with t(M) = (|M| - 1)/n.  Its twist is a's under
+    the least and second_least rules, which read the first coordinate
+    first; under the digit rule the first coordinate of least valuation
+    leads, so it is a's when v(a) <= v(b) and b's otherwise.  Each block
+    of |M| positions is one comprehension or one cached block, written
+    into arrays of the exact size; the loops run over R's positions only.
     """
-    m_reps, m_orbit, m_twist, m_act, m_vals = inner
-    r_reps, r_orbit, r_twist, r_lift = walk
-    size, t = len(m_act), len(m_reps)
-    digit = rule == "digit"
+    m_orbit, m_twist, m_act, m_vals = inner
+    r_orbit, r_twist, r_lift = walk
+    size, digit = len(m_act), rule == "digit"
+    t = (size - 1) // n
     powers = [range(size)]   # powers[e][j]: the position of zeta^e * j in M
     for _ in range(n - 1):
         powers.append([m_act[y] for y in powers[-1]])
-    orbit, twist = array("i", [0]) * (len(act) * size), array("i", [0]) * (len(act) * size)
+    total = len(r_orbit) * size
+    orbit, twist = array("i", [0]) * total, array("i", [0]) * total
     orbit[:size], twist[:size], blocks = m_orbit, m_twist, {}
-    for a in range(1, len(act)):
+    for a in range(1, len(r_orbit)):
         o, e, lo = r_orbit[a], r_twist[a], a * size
         base = t + o * size
         orbit[lo:lo + size] = array("i", [base + y for y in powers[-(e + r_lift[o]) % n]])
@@ -203,26 +210,7 @@ def _fold(n: int, rule: str, act, vals, walk, inner) -> tuple[array, array, arra
                 array("i", [e if vb >= v else tb for vb, tb in zip(m_vals, m_twist)])
                 if digit else array("i", [e]) * size)
         twist[lo:lo + size] = blocks[v, e]
-    # The representative of the orbit of (a0, j) is zeta^m * (a0, j), at
-    # position (zeta^m * a0) * |M| + powers[m][j]: m is R's lift s, or,
-    # where j leads under the digit rule, the m that takes j to M's
-    # representative.
-    reps, shifts = array("i", [0]) * (t + len(r_reps) * size), {}
-    reps[:t] = m_reps
-    for lo, r, s in zip(range(t, len(reps), size), r_reps, r_lift):
-        if not digit:
-            reps[lo:lo + size] = array("i", [r * size + y for y in powers[s]])
-            continue
-        cycle = [r]   # cycle[i] = zeta^i * r = zeta^(i + s) * a0
-        for _ in range(n - 1):
-            cycle.append(act[cycle[-1]])
-        starts = [cycle[(m - s) % n] * size for m in range(n)]
-        v = vals[r]
-        if (v, s) not in shifts:
-            shifts[v, s] = [s if vb >= v else -tb % n for vb, tb in zip(m_vals, m_twist)]
-        reps[lo:lo + size] = array(
-            "i", [starts[m] + powers[m][j] for j, m in enumerate(shifts[v, s])])
-    return reps, orbit, twist
+    return orbit, twist
 
 
 def _product_walk(n: int, acts, rule: str, leads) -> tuple[array, array, array]:
@@ -231,7 +219,9 @@ def _product_walk(n: int, acts, rule: str, leads) -> tuple[array, array, array]:
     factor before it is folded (_fold).  Under the digit rule leads[i] is
     (vals, keys) for factor i: each position's valuation, with every
     factor's vals[0] above every valuation, and the key of its lowest
-    nonzero digit."""
+    nonzero digit.  A single factor keeps its walk's reps; a product's
+    are read off its twists once, after the last fold: each orbit's
+    representative is its one position of twist 0."""
     if not acts:
         return array("i"), array("i", [-1]), array("i", [0])
     leads = leads or [(None, None)] * len(acts)
@@ -239,13 +229,17 @@ def _product_walk(n: int, acts, rule: str, leads) -> tuple[array, array, array]:
     reps, orbit, twist, _ = _walk(act, n, rule, keys)
     for i in range(len(acts) - 2, -1, -1):
         r_act, (r_vals, r_keys) = acts[i], leads[i]
-        walk = _walk(r_act, n, rule, r_keys)
-        reps, orbit, twist = _fold(n, rule, r_act, r_vals, walk, (reps, orbit, twist, act, vals))
+        _, *walk = _walk(r_act, n, rule, r_keys)
+        orbit, twist = _fold(n, rule, r_vals, walk, (orbit, twist, act, vals))
         if i:   # the product is the inner factor of the next fold
             size = len(act)
             act = [a * size + b for a in r_act for b in act]
             if vals is not None:
                 vals = [va if va < vb else vb for va in r_vals for vb in vals]
+    if len(acts) > 1:
+        reps = array("i", [0]) * ((len(orbit) - 1) // n)
+        for x in compress(range(1, len(twist)), map(not_, twist[1:])):
+            reps[orbit[x]] = x
     return reps, orbit, twist
 
 

@@ -339,6 +339,23 @@ def test_rank_one_symbols_build_no_matrix(monkeypatch):
         assert got == want, (x, y)
 
 
+@pytest.mark.parametrize("p, f", [(7, 1), (3, 2), (5, 2)])
+def test_a_rank_one_argument_is_the_one_by_one_matrix_of_from_rows(p, f):
+    """as_kmat builds a K^x argument's 1 x 1 matrix straight from its
+    valuation and unit: the same shift, precision, ring and data as
+    KMat.from_rows, at precisions 1-60 and valuations -5..5."""
+    lf = LocalField(p, f)
+    eng = get_engine(lf, 2)
+    rng = random.Random(100 * p + f)
+    for _ in range(200):
+        prec = rng.randint(1, 60)
+        coeffs = [rng.randrange(1, p)] + [rng.randrange(p**prec) for _ in range(f - 1)]
+        x = lf.pi(rng.randint(-5, 5), prec) * lf.from_coeffs(coeffs, prec)
+        got, want = eng.as_kmat(x), KMat.from_rows(lf, [[x]], x.prec)
+        assert (got.shift, got.prec, got.ring, got.data) == (
+            want.shift, want.prec, want.ring, want.data), (coeffs, x.val, prec)
+
+
 def test_extension_route_answers_past_the_enumeration_ceiling():
     lf = local_field(13)
     rng = random.Random(16)
@@ -817,14 +834,13 @@ def test_a_warm_crosscheck_does_no_ring_reduction(monkeypatch, p, f, n):
 
 
 def test_lowering_the_bound_after_a_link_was_kept_still_raises():
-    """kappa(O, pi O, pi^2 O) walks O/pi^2, of 9 elements.  Kept under the
-    default bound, it raises at a bound of 8 as on a fresh field, and the
-    refused walk is not stored."""
+    """kappa(O, pi O, pi^2 O) walks O/pi^2, of 9 elements.  Answered under
+    the default bound, whose quotients and view the field keeps, it raises
+    at a bound of 8 as on a fresh field, and gives the same value at 9."""
     lf = LocalField(3)
     eng = get_engine(lf, 2, "least")
     O, piO, pi2O = (principal_lattice(lf, v) for v in range(3))
     value = kappa_exp(O, piO, pi2O, eng)
-    assert len(eng._links) == 1
     lf.enum_bound = 8
     with pytest.raises(EnumerationBound):
         kappa_exp(O, piO, pi2O, eng)
@@ -834,28 +850,28 @@ def test_lowering_the_bound_after_a_link_was_kept_still_raises():
     eng = get_engine(fresh, 2, "least")
     with pytest.raises(EnumerationBound):
         kappa_exp(*(principal_lattice(fresh, v) for v in range(3)), eng)
-    assert eng._links == {}
+
+
+def test_a_link_past_the_bound_builds_nothing():
+    """The link of kappa(O, pi O, pi^2 O) at q = 3 has a middle module of 9
+    elements.  Under a bound of 8 _seq_exp refuses it by size, before it
+    builds any quotient or view."""
+    lf = LocalField(3, enum_bound=8)
+    eng = get_engine(lf, 2)
+    with pytest.raises(EnumerationBound):
+        kappa_exp(*(principal_lattice(lf, v) for v in range(3)), eng)
+    assert not lf._quotients and not lf._views
 
 
 def test_digit_and_least_engines_keep_their_own_links():
     """At q = 5, n = 4 the link kappa(O, pi O, pi^2 O) is 0 under the digit
-    rule and 2 under least; two engines of one field keep one each."""
+    rule and 2 under least; two engines of one field share the field's
+    quotients and keep their own values, in either order."""
     lf = LocalField(5)
     digit, least = get_engine(lf, 4), get_engine(lf, 4, "least")
     lats = [principal_lattice(lf, v) for v in range(3)]
     for _ in range(2):
         assert [kappa_exp(*lats, e) for e in (digit, least, digit)] == [0, 2, 0]
-    assert list(digit._links.values()) == [0] and list(least._links.values()) == [2]
-
-
-def test_the_link_memo_stays_under_its_cap():
-    lf = LocalField(3)
-    eng = get_engine(lf, 2, "least")
-    sizes = []
-    for s in range(MEMO_CAP + 5):
-        kappa_exp(*(principal_lattice(lf, s + k) for k in range(3)), eng)
-        sizes.append(len(eng._links))
-    assert max(sizes) == MEMO_CAP and sizes[-1] == 5
 
 
 def test_the_cocycle_memo_stays_under_its_cap():

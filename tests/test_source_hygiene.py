@@ -1,10 +1,12 @@
 """Source hygiene of the package, read with the standard library's ast.
 
 A module-level import that no code of its module reads, a function
-local that is stored but never read, and a private module-level
-function that no code of the package calls are dead code that the
-routes' tests cannot see.  Names with a leading underscore are exempt as
-locals, the way ``_`` marks a value kept on purpose; ``__init__``
+local that is stored but never read, a parameter that its function
+never reads, and a private module-level function that no code of the
+package calls are dead code that the routes' tests cannot see.  Names
+with a leading underscore are exempt as locals and parameters, the way
+``_`` marks a value kept on purpose, and so are the parameters of dunder
+protocol methods, whose signatures the protocol fixes; ``__init__``
 re-exports its imports, so only its reads are scanned, as callers.
 
 State belongs to a LocalField or an engine, so dropping the field frees
@@ -234,6 +236,26 @@ def _redundant_parameters(named_trees) -> list[str]:
     return sorted(found)
 
 
+def _unread_parameters(named_trees) -> list[str]:
+    """Each parameter, as "module:line function: name", that its function
+    never reads, nested functions included; dunder protocol methods, whose
+    signatures the protocol fixes, and names with a leading underscore
+    are exempt."""
+    unread = []
+    for name, tree in named_trees:
+        for fn in ast.walk(tree):
+            if (not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or (fn.name.startswith("__") and fn.name.endswith("__"))):
+                continue
+            args = fn.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, args.vararg,
+                                      *args.kwonlyargs, args.kwarg) if a is not None]
+            loaded = _loaded(fn)
+            unread += [f"{name}:{fn.lineno} {fn.name}: {p}" for p in params
+                       if p not in loaded and not p.startswith("_")]
+    return unread
+
+
 def test_maps_and_views_carry_their_modules():
     layers = [m for m in _modules() if m[0] in ("modules.py", "musets.py", "torsor.py")]
     assert len(layers) == 3
@@ -296,6 +318,10 @@ def test_no_unread_function_locals():
     assert not unread
 
 
+def test_no_unread_parameters():
+    assert _unread_parameters(_modules()) == []
+
+
 def test_the_checks_see_what_they_look_for():
     tree = ast.parse("import os\nimport sys\n\n"
                      "def f(a):\n    b, _c = a, 1\n    n = 0\n    n += 1\n"
@@ -339,3 +365,12 @@ def test_the_checks_see_what_they_look_for():
                           "def fine(g: ModuleHom, v: OrbitView, X: FiniteModule.zero):\n"
                           "    pass\n")
     assert _redundant_parameters([("r.py", redundant)]) == ["r.py det", "r.py iso"]
+    params = ast.parse("def fold(n, act, walk, *rest, key=None, **kw):\n"
+                       "    def inner():\n        return walk\n    return n, inner\n\n"
+                       "def run(_seed, x):\n    return x\n\n"
+                       "class F:\n    def __setattr__(self, name, value):\n"
+                       "        raise AttributeError(name)\n\n"
+                       "    def keep(self, value):\n        return value\n")
+    assert _unread_parameters([("p.py", params)]) == [
+        "p.py:1 fold: act", "p.py:1 fold: rest", "p.py:1 fold: key", "p.py:1 fold: kw",
+        "p.py:13 keep: self"]
